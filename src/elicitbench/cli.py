@@ -2,8 +2,8 @@
 
 Every stage reads and writes flat files with provenance headers and is
 re-runnable: identical inputs produce byte-identical outputs. Exit codes:
-0 success, 2 configuration error, 3 missing upstream artifact, 4 a run
-finished with transport failures.
+0 success, 2 configuration error or malformed input artifact, 3 missing
+upstream artifact, 4 a run finished with transport failures.
 """
 from __future__ import annotations
 
@@ -20,11 +20,15 @@ from .corpus import Question, corpus_config_from_dict, generate_corpus
 from .elicitation import Disabled, EffortLevel, model_spec_from_dict, run_batch
 from .errors import ConfigError, ElicitBenchError, SchemaError, StageDependencyError
 from .extraction import ParseOutcome, Triplet, extract_triplet
-from .jsonlio import canonical_dumps, config_hash, read_jsonl, write_jsonl, write_text
+from .jsonlio import (
+    as_row, canonical_dumps, config_hash, load_row, read_jsonl, write_jsonl, write_text,
+)
 from .metrics import score_record
 from .report import (
+    FIT_COLUMNS,
     baseline_section,
     calibration_section,
+    fit_row,
     nll_sharpness_section,
     render_tsv,
     split_rows,
@@ -72,7 +76,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
     config = corpus_config_from_dict(raw, base_dir=Path(args.config).parent)
     cfg_hash = config_hash(config.to_dict())
     questions, meta = generate_corpus(config)
-    write_jsonl(args.out, "corpus.v1", cfg_hash, (q.to_dict() for q in questions))
+    write_jsonl(args.out, "corpus.v1", cfg_hash, questions)
     for dataset_id, info in meta["datasets"].items():
         note = " (took all candidates)" if info["took_all"] else ""
         print(f"{dataset_id}: {info['sampled']} questions from {info['candidates']} candidates{note}")
@@ -169,7 +173,7 @@ def _outcome_dict(outcome: ParseOutcome) -> dict:
     return {
         "outcome": "valid" if outcome.valid else "invalid",
         "reason": None if outcome.valid else outcome.reason.value,
-        "triplet": outcome.triplet.to_dict() if outcome.valid else None,
+        "triplet": outcome.triplet,
     }
 
 
@@ -241,10 +245,10 @@ def cmd_score(args: argparse.Namespace) -> int:
                 tools_enabled=bool(row["tools_enabled"]),
                 dataset_id=question.dataset_id,
                 kind=question.kind,
-                triplet=Triplet.from_dict(row["triplet"]),
+                triplet=load_row(Triplet, row["triplet"]),
                 truth=question.truth,
             )
-            rows.append({"outcome": "valid", **record.to_dict()})
+            rows.append({"outcome": "valid", **as_row(record)})
         else:
             rows.append(
                 {
@@ -275,7 +279,7 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
         {
             "stage": "calibrate",
             "scores": scores_header.get("config_hash"),
-            "conformal": config.to_dict(),
+            "conformal": config,
         }
     )
     results = calibrate_groups(valid, config)
@@ -309,15 +313,9 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
     write_jsonl(args.out, "calibrated.v1", cfg_hash, rows)
 
     evaluations = [res.evaluation for res in results]
-    tsv, _ = calibration_section(evaluations)
     fits_tsv = render_tsv(
-        ["model", "effort", "dataset", "n_cal", "n_test", "q_hat",
-         "coverage_before", "coverage_after", "flag", "flag_detail"],
-        [
-            [ev.group[0], ev.group[1], ev.group[2], ev.n_cal, ev.n_test, ev.q_hat,
-             ev.coverage_before, ev.coverage_after, ev.flag, ev.flag_detail]
-            for ev in evaluations
-        ],
+        FIT_COLUMNS,
+        [fit_row(ev) for ev in evaluations],
         comments=[f"config_hash: {cfg_hash}", "conformal calibration fits"],
     )
     write_text(args.fits, fits_tsv)
@@ -334,31 +332,39 @@ def _load_fits(path: Path) -> list[GroupCalibration]:
         line for line in path.read_text(encoding="utf-8").splitlines()
         if line and not line.startswith("#")
     ]
+    if not lines:
+        raise SchemaError(f"{path}: empty file, expected a calibration fits table")
     header = lines[0].split("\t")
+    missing = [name for name in FIT_COLUMNS if name not in header]
+    if missing:
+        raise SchemaError(f"{path}: missing fits columns {missing}")
+
+    def num(raw: str) -> float | None:
+        if raw == "":
+            return None
+        if raw == "inf":
+            return math.inf
+        return float(raw)
+
     evaluations = []
     for line in lines[1:]:
         cells = dict(zip(header, line.split("\t")))
-
-        def num(name: str) -> float | None:
-            raw = cells[name]
-            if raw == "":
-                return None
-            if raw == "inf":
-                return math.inf
-            return float(raw)
-
-        evaluations.append(
-            GroupCalibration(
-                group=(cells["model"], cells["effort"], cells["dataset"]),
-                n_cal=int(cells["n_cal"]),
-                n_test=int(cells["n_test"]),
-                q_hat=num("q_hat") if num("q_hat") is not None else math.inf,
-                coverage_before=num("coverage_before"),
-                coverage_after=num("coverage_after"),
-                flag=cells["flag"],
-                flag_detail=cells["flag_detail"],
+        try:
+            q_hat = num(cells["q_hat"])
+            evaluations.append(
+                GroupCalibration(
+                    group=(cells["model"], cells["effort"], cells["dataset"]),
+                    n_cal=int(cells["n_cal"]),
+                    n_test=int(cells["n_test"]),
+                    q_hat=math.inf if q_hat is None else q_hat,
+                    coverage_before=num(cells["coverage_before"]),
+                    coverage_after=num(cells["coverage_after"]),
+                    flag=cells["flag"],
+                    flag_detail=cells["flag_detail"],
+                )
             )
-        )
+        except (KeyError, ValueError) as exc:
+            raise SchemaError(f"{path}: malformed fits row {line!r} ({exc!r})") from exc
     return evaluations
 
 
@@ -372,11 +378,12 @@ def cmd_report(args: argparse.Namespace) -> int:
         write_text(out_dir / f"{name}.tsv", f"# {stamp}\n" + tsv)
         write_text(out_dir / f"{name}.txt", text)
 
-    tsv, text = summary_section(score_rows)
+    valid, invalid, _ = split_rows(score_rows)
+    tsv, text = summary_section(valid, invalid)
     emit("summary_by_model_effort", tsv, text)
-    tsv, text = nll_sharpness_section(score_rows)
+    tsv, text = nll_sharpness_section(valid, invalid)
     emit("nll_sharpness", tsv, text)
-    tsv, text = baseline_section(score_rows)
+    tsv, text = baseline_section(valid)
     emit("baseline_win_rate", tsv, text)
 
     if args.calibration:
@@ -392,7 +399,8 @@ def cmd_report(args: argparse.Namespace) -> int:
 
     if args.tool_scores:
         _, tool_rows = read_jsonl(_require(args.tool_scores, "score"), "scores.v1")
-        tsv, text = tool_comparison_section(score_rows, tool_rows)
+        tool_valid, _, _ = split_rows(tool_rows)
+        tsv, text = tool_comparison_section(valid, tool_valid)
         emit("tool_comparison", tsv, text)
 
     print(f"report written to {out_dir}")

@@ -43,14 +43,6 @@ class ConformalConfig:
         if self.min_cal < 1:
             raise ConfigError("min_cal must be >= 1")
 
-    def to_dict(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "cal_fraction": self.cal_fraction,
-            "min_cal": self.min_cal,
-            "seed": self.seed,
-        }
-
 
 @dataclass(frozen=True)
 class ConformalFit:

@@ -19,7 +19,7 @@ from statistics import NormalDist, fmean, stdev
 from typing import Iterable, Sequence
 
 from .errors import ConfigError, InputError, InsufficientDataError, SchemaError
-from .jsonlio import derive_seed, stable_hash64
+from .jsonlio import derive_seed, load_row, stable_hash64
 
 # Central 95% two-sided normal quantile, frozen for byte-stable outputs.
 Z_95 = 1.9599639845400536
@@ -72,27 +72,6 @@ class GroundTruth:
                 raise InputError("success count must satisfy 0 <= k <= n")
             if not 0.0 <= self.value <= 100.0:
                 raise InputError("proportion ground truth must lie in [0, 100]")
-
-    def to_dict(self) -> dict:
-        return {
-            "value": self.value,
-            "lower": self.lower,
-            "upper": self.upper,
-            "n": self.n,
-            "family": self.family.value,
-            "k": self.k,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "GroundTruth":
-        return cls(
-            value=float(d["value"]),
-            lower=float(d["lower"]),
-            upper=float(d["upper"]),
-            n=int(d["n"]),
-            family=CIFamily(d["family"]),
-            k=None if d.get("k") is None else int(d["k"]),
-        )
 
 
 @dataclass(frozen=True)
@@ -150,26 +129,7 @@ class Question:
     kind: TargetKind
     truth: GroundTruth
 
-    def to_dict(self) -> dict:
-        return {
-            "question_id": self.question_id,
-            "dataset_id": self.dataset_id,
-            "params": dict(self.params),
-            "prompt": self.prompt,
-            "kind": self.kind.value,
-            "truth": self.truth.to_dict(),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Question":
-        return cls(
-            question_id=d["question_id"],
-            dataset_id=d["dataset_id"],
-            params={str(k): str(v) for k, v in d["params"].items()},
-            prompt=d["prompt"],
-            kind=TargetKind(d["kind"]),
-            truth=GroundTruth.from_dict(d["truth"]),
-        )
+    from_dict = classmethod(load_row)
 
 
 @dataclass(frozen=True)

@@ -169,24 +169,9 @@ class ElicitationRecord:
     request_timestamp: str
     latency_ms: float
     attempt_count: int
-    transport_ok: bool
+    transport_status: str  # "ok" or "failed"
     failure_reason: str | None = None
     request_payload: dict | None = None
-
-    def to_dict(self) -> dict:
-        return {
-            "question_id": self.question_id,
-            "model_id": self.model_id,
-            "effort": self.effort,
-            "tools_enabled": self.tools_enabled,
-            "raw_text": self.raw_text,
-            "request_timestamp": self.request_timestamp,
-            "latency_ms": self.latency_ms,
-            "attempt_count": self.attempt_count,
-            "transport_status": "ok" if self.transport_ok else "failed",
-            "failure_reason": self.failure_reason,
-            "request_payload": self.request_payload,
-        }
 
 
 def map_effort(spec: ModelSpec, level: EffortLevel) -> dict:
@@ -309,7 +294,7 @@ def _elicit_one(
                 request_timestamp=timestamp,
                 latency_ms=latency_ms,
                 attempt_count=attempt,
-                transport_ok=True,
+                transport_status="ok",
                 request_payload=payload,
             )
         reason = text
@@ -326,7 +311,7 @@ def _elicit_one(
         request_timestamp=timestamp,
         latency_ms=latency_ms,
         attempt_count=attempt,
-        transport_ok=False,
+        transport_status="failed",
         failure_reason=reason,
         request_payload=payload,
     )
@@ -418,9 +403,9 @@ def run_batch(
                 ]
                 for future in as_completed(futures):
                     record = future.result()
-                    sink.write(canonical_dumps(record.to_dict()) + "\n")
+                    sink.write(canonical_dumps(record) + "\n")
                     sink.flush()
-                    if record.transport_ok:
+                    if record.transport_status == "ok":
                         ok += 1
                     else:
                         failed += 1

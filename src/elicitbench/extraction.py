@@ -41,27 +41,6 @@ class Triplet:
     bounds_reordered: bool = False
     value_outside_interval: bool = False
 
-    def to_dict(self) -> dict:
-        return {
-            "value": self.value,
-            "lower": self.lower,
-            "upper": self.upper,
-            "units": self.units.value,
-            "bounds_reordered": self.bounds_reordered,
-            "value_outside_interval": self.value_outside_interval,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Triplet":
-        return cls(
-            value=float(d["value"]),
-            lower=float(d["lower"]),
-            upper=float(d["upper"]),
-            units=Units(d["units"]),
-            bounds_reordered=bool(d["bounds_reordered"]),
-            value_outside_interval=bool(d["value_outside_interval"]),
-        )
-
 
 @dataclass(frozen=True)
 class ParseOutcome:
@@ -188,24 +167,6 @@ def extract_triplet(raw_text: str, target_kind: TargetKind | str) -> ParseOutcom
 def canonical_triplet_text(triplet: Triplet) -> str:
     """Render a triplet in the canonical labeled form the parser round-trips."""
     return f"value: {triplet.value!r}, lower: {triplet.lower!r}, upper: {triplet.upper!r}"
-
-
-def invalid_rate(outcomes: Iterable[ParseOutcome]) -> float | None:
-    """Invalid fraction over parse outcomes; None for an empty group.
-
-    Transport failures must be excluded by the caller: only parsed responses
-    (valid or invalid) belong in the denominator.
-    """
-    n_valid = n_invalid = 0
-    for outcome in outcomes:
-        if outcome.valid:
-            n_valid += 1
-        else:
-            n_invalid += 1
-    total = n_valid + n_invalid
-    if total == 0:
-        return None
-    return n_invalid / total
 
 
 def looks_fraction_scale(triplet: Triplet, kind: TargetKind, truth_value: float) -> bool:

@@ -1,22 +1,110 @@
-"""Line-delimited JSON persistence with provenance headers.
+"""Line-delimited JSON persistence with provenance headers, and the record codec.
 
 Every artifact file starts with a single header record carrying the schema
 name and a content hash of the run configuration, so downstream stages can
 verify provenance and outputs stay byte-reproducible.
+
+Records are frozen dataclasses. A record is written as its fields (str-Enums
+as their value, nested records as objects) and read back by `load_row`,
+which converts each field by its type hint.
 """
 from __future__ import annotations
 
+import dataclasses
+import functools
 import hashlib
 import json
+import types
+import typing
 from pathlib import Path
-from typing import Any, Iterable
+from typing import Any, Callable, Iterable, TypeVar
 
 from .errors import SchemaError, StageDependencyError
 
+R = TypeVar("R")
+
+
+def as_row(obj: Any) -> dict:
+    """A dataclass record's fields as a dict; nested records stay objects.
+
+    This is the `default` hook of `canonical_dumps`, which encodes the nested
+    records and the str-Enum values in turn.
+    """
+    if not dataclasses.is_dataclass(obj):
+        raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+    return {name: getattr(obj, name) for name in _field_names(type(obj))}
+
+
+@functools.cache
+def _field_names(cls: type) -> tuple[str, ...]:
+    return tuple(f.name for f in dataclasses.fields(cls))
+
+
+def _as_str(value: Any) -> str:
+    if not isinstance(value, str):
+        raise TypeError(f"expected a string, got {value!r}")
+    return value
+
+
+def _converter(hint: Any) -> Callable[[Any], Any]:
+    """The function that turns a decoded JSON value into a `hint` value."""
+    if hint is str:
+        return _as_str
+    if dataclasses.is_dataclass(hint):
+        return functools.partial(load_row, hint)
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin in (typing.Union, types.UnionType):  # only X | None
+        (inner,) = (_converter(a) for a in args if a is not type(None))
+        return lambda value: None if value is None else inner(value)
+    if origin is dict:
+        key, item = map(_converter, args)
+        return lambda value: {key(k): item(v) for k, v in dict(value).items()}
+    return hint  # float, int, bool and str-Enums convert by calling the type
+
+
+@functools.cache
+def _plan(cls: type) -> tuple[tuple[str, Callable[[Any], Any], bool], ...]:
+    """(field name, converter, required) for each field of a record type."""
+    hints = typing.get_type_hints(cls)
+    return tuple(
+        (
+            f.name,
+            _converter(hints[f.name]),
+            f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING,
+        )
+        for f in dataclasses.fields(cls)
+    )
+
+
+def load_row(cls: type[R], row: dict) -> R:
+    """Rebuild a record from a decoded JSON row, converting each field by its hint.
+
+    Supported hints are float, int, bool, str, str-Enums, nested records,
+    `dict[K, V]` and `X | None`. Keys the record does not define are ignored;
+    a field with a default may be absent. A malformed row raises SchemaError.
+    """
+    try:
+        kwargs = {}
+        for name, convert, required in _plan(cls):
+            try:
+                value = row[name]
+            except KeyError:
+                if required:
+                    raise
+                continue
+            kwargs[name] = convert(value)
+        return cls(**kwargs)
+    except KeyError as exc:
+        raise SchemaError(f"{cls.__name__} row: missing field {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise SchemaError(f"{cls.__name__} row: {exc}") from exc
+
 
 def canonical_dumps(obj: Any) -> str:
-    """Serialize deterministically: sorted keys, compact separators."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+    """Serialize deterministically: sorted keys, compact separators, records as their fields."""
+    return json.dumps(
+        obj, sort_keys=True, separators=(",", ":"), ensure_ascii=False, default=as_row
+    )
 
 
 def config_hash(obj: Any) -> str:
@@ -36,8 +124,8 @@ def derive_seed(*parts: object) -> int:
     return int.from_bytes(digest, "big")
 
 
-def write_jsonl(path: str | Path, schema: str, cfg_hash: str, rows: Iterable[dict]) -> int:
-    """Write header + rows; returns the number of data rows written."""
+def write_jsonl(path: str | Path, schema: str, cfg_hash: str, rows: Iterable[Any]) -> int:
+    """Write header + rows (dicts or records); returns the number of data rows written."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     count = 0

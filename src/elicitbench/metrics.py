@@ -16,6 +16,7 @@ from typing import Iterable, Sequence
 from .corpus import CIFamily, GroundTruth, TargetKind, Z_95
 from .errors import InputError
 from .extraction import Triplet, looks_fraction_scale
+from .jsonlio import load_row
 
 # Width floor shared with the conformal stage: degenerate intervals get a
 # tiny positive scale instead of producing infinities.
@@ -133,44 +134,7 @@ class ScoredRecord:
     ape_excluded_zero_truth: bool
     suspect_fraction_scale: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "question_id": self.question_id,
-            "model_id": self.model_id,
-            "effort": self.effort,
-            "tools_enabled": self.tools_enabled,
-            "dataset_id": self.dataset_id,
-            "kind": self.kind.value,
-            "triplet": self.triplet.to_dict(),
-            "truth": self.truth.to_dict(),
-            "nll": self.nll,
-            "nll_family": self.nll_family.value,
-            "covered": self.covered,
-            "cv": self.cv,
-            "ape": self.ape,
-            "ape_excluded_zero_truth": self.ape_excluded_zero_truth,
-            "suspect_fraction_scale": self.suspect_fraction_scale,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ScoredRecord":
-        return cls(
-            question_id=d["question_id"],
-            model_id=d["model_id"],
-            effort=d["effort"],
-            tools_enabled=bool(d["tools_enabled"]),
-            dataset_id=d["dataset_id"],
-            kind=TargetKind(d["kind"]),
-            triplet=Triplet.from_dict(d["triplet"]),
-            truth=GroundTruth.from_dict(d["truth"]),
-            nll=float(d["nll"]),
-            nll_family=CIFamily(d["nll_family"]),
-            covered=bool(d["covered"]),
-            cv=None if d["cv"] is None else float(d["cv"]),
-            ape=None if d["ape"] is None else float(d["ape"]),
-            ape_excluded_zero_truth=bool(d["ape_excluded_zero_truth"]),
-            suspect_fraction_scale=bool(d["suspect_fraction_scale"]),
-        )
+    from_dict = classmethod(load_row)
 
 
 def score_record(

@@ -114,13 +114,14 @@ def _group_summaries(
     return summaries
 
 
-def summary_section(score_rows: Sequence[dict]) -> tuple[str, str]:
+def summary_section(
+    valid: Sequence[ScoredRecord], invalid: Sequence[dict]
+) -> tuple[str, str]:
     """Model x effort rollup: invalid%, MdAPE%, plus coverage/NLL/CV columns.
 
     n_suspect_scale counts percent-kind answers that look like [0,1]
     fractions; they are scored as-is but surfaced here for auditing.
     """
-    valid, invalid, _ = split_rows(score_rows)
     suspects: dict[tuple, int] = {}
     for r in valid:
         if r.suspect_fraction_scale:
@@ -145,27 +146,35 @@ def summary_section(score_rows: Sequence[dict]) -> tuple[str, str]:
     )
 
 
+# Columns of the calibration fits table, which calibrate writes and report reads back.
+FIT_COLUMNS = [
+    "model", "effort", "dataset", "n_cal", "n_test", "q_hat",
+    "coverage_before", "coverage_after", "flag", "flag_detail",
+]
+
+
+def fit_row(ev: GroupCalibration) -> list[object]:
+    """One group's calibration outcome as cells in FIT_COLUMNS order."""
+    return [*ev.group, ev.n_cal, ev.n_test, ev.q_hat,
+            ev.coverage_before, ev.coverage_after, ev.flag, ev.flag_detail]
+
+
 def calibration_section(evaluations: Sequence[GroupCalibration]) -> tuple[str, str]:
     """Per-group coverage before/after conformal recalibration."""
-    columns = [
-        "model", "effort", "dataset", "n_cal", "n_test", "q_hat",
-        "coverage_before", "coverage_after", "flag", "flag_detail",
+    rows = [
+        fit_row(ev)
+        for ev in sorted(evaluations, key=lambda e: (e.group[0], _effort_key(e.group[1]), e.group[2]))
     ]
-    rows = []
-    for ev in sorted(evaluations, key=lambda e: (e.group[0], _effort_key(e.group[1]), e.group[2])):
-        rows.append([
-            ev.group[0], ev.group[1], ev.group[2], ev.n_cal, ev.n_test, ev.q_hat,
-            ev.coverage_before, ev.coverage_after, ev.flag, ev.flag_detail,
-        ])
     return (
-        render_tsv(columns, rows, comments=["coverage before/after conformal recalibration"]),
-        render_text("Coverage before/after conformal recalibration", columns, rows),
+        render_tsv(FIT_COLUMNS, rows, comments=["coverage before/after conformal recalibration"]),
+        render_text("Coverage before/after conformal recalibration", FIT_COLUMNS, rows),
     )
 
 
-def nll_sharpness_section(score_rows: Sequence[dict]) -> tuple[str, str]:
+def nll_sharpness_section(
+    valid: Sequence[ScoredRecord], invalid: Sequence[dict]
+) -> tuple[str, str]:
     """Median NLL and CV per (model, effort, dataset)."""
-    valid, invalid, _ = split_rows(score_rows)
     columns = ["model", "effort", "dataset", "n_valid", "median_nll", "median_cv", "coverage"]
     rows = []
     for s in _group_summaries(valid, invalid, by_dataset=True):
@@ -177,9 +186,8 @@ def nll_sharpness_section(score_rows: Sequence[dict]) -> tuple[str, str]:
     )
 
 
-def baseline_section(score_rows: Sequence[dict]) -> tuple[str, str]:
+def baseline_section(valid: Sequence[ScoredRecord]) -> tuple[str, str]:
     """Win rate vs. the constant-50 guess on percent-kind questions, by dataset."""
-    valid, _, _ = split_rows(score_rows)
     proportion = [r for r in valid if r.kind is TargetKind.PROPORTION]
     columns = ["dataset", "model", "n", "win_rate"]
     by_dataset: dict[str, list[ScoredRecord]] = {}
@@ -213,7 +221,7 @@ def _absolute_errors(records: Sequence[ScoredRecord]) -> dict[tuple, float]:
 
 
 def tool_comparison_section(
-    base_rows: Sequence[dict], tool_rows: Sequence[dict]
+    base_valid: Sequence[ScoredRecord], tool_valid: Sequence[ScoredRecord]
 ) -> tuple[str, str]:
     """Matched-question comparison of tool-enabled vs. baseline absolute errors.
 
@@ -222,8 +230,6 @@ def tool_comparison_section(
     (tool minus baseline), with the rank-biserial effect size. Win rate is the
     strict fraction of pairs where tools reduced the error.
     """
-    base_valid, _, _ = split_rows(base_rows)
-    tool_valid, _, _ = split_rows(tool_rows)
     dataset_of = {
         (r.question_id, r.model_id, r.effort): r.dataset_id for r in base_valid
     }

@@ -17,6 +17,7 @@ from random import Random
 
 from .corpus import CIFamily, GroundTruth, Question, TargetKind, Z_95, proportion_ci, question_id_for
 from .errors import ConfigError
+from .extraction import Triplet, Units, canonical_triplet_text
 from .jsonlio import config_hash, derive_seed, write_jsonl
 
 CLARIFICATION_TEXT = (
@@ -72,13 +73,15 @@ def respond(elicitor: SyntheticElicitor, question: Question) -> str:
         value = min(100.0, max(0.0, question.truth.value + elicitor.bias + noise))
         lower = max(0.0, value - half)
         upper = min(100.0, value + half)
+        units = Units.PERCENT
     else:
         center = question.truth.value - _truth_deviation(
             elicitor.seed, question.question_id, elicitor.sigma_true
         )
         value = center + elicitor.bias + noise
         lower, upper = value - half, value + half
-    return f"value: {value!r}, lower: {lower!r}, upper: {upper!r}"
+        units = Units.DATASET
+    return canonical_triplet_text(Triplet(value=value, lower=lower, upper=upper, units=units))
 
 
 @dataclass(frozen=True)
@@ -103,24 +106,6 @@ class SyntheticSuiteConfig:
             raise ConfigError("n_questions must be >= 1")
         if not 0.0 <= self.proportion_fraction <= 1.0:
             raise ConfigError("proportion_fraction must be in [0, 1]")
-
-    def to_dict(self) -> dict:
-        return {
-            "n_questions": self.n_questions,
-            "seed": self.seed,
-            "sigma_true": self.sigma_true,
-            "mu_center": self.mu_center,
-            "mu_spread": self.mu_spread,
-            "bias": self.bias,
-            "width_shrink": self.width_shrink,
-            "noise_sd": self.noise_sd,
-            "refusal_rate": self.refusal_rate,
-            "proportion_fraction": self.proportion_fraction,
-            "proportion_n": self.proportion_n,
-            "dataset_id": self.dataset_id,
-            "model_id": self.model_id,
-            "effort": self.effort,
-        }
 
     def elicitor(self) -> SyntheticElicitor:
         return SyntheticElicitor(
@@ -200,12 +185,12 @@ def make_suite(config: SyntheticSuiteConfig, out_dir: str | Path) -> dict:
     Returns a manifest dict with paths, counts, and the config hash.
     """
     out_dir = Path(out_dir)
-    cfg_hash = config_hash(config.to_dict())
+    cfg_hash = config_hash(config)
     questions = make_questions(config)
     elicitor = config.elicitor()
 
     corpus_path = out_dir / "corpus.jsonl"
-    write_jsonl(corpus_path, "corpus.v1", cfg_hash, (q.to_dict() for q in questions))
+    write_jsonl(corpus_path, "corpus.v1", cfg_hash, questions)
 
     def transcript_rows():
         for q in questions:

@@ -209,3 +209,77 @@ class TestExitCodes:
         _, rows = read_jsonl(tmp_path / "scores.jsonl", "scores.v1")
         assert len(rows) == 6
         assert all(r["outcome"] == "valid" for r in rows)
+
+
+def _small_chain(root: Path) -> Path:
+    """simulate -> extract -> score -> calibrate on a small suite, offline."""
+    suite = root / "suite"
+    assert main(["simulate", "--n-questions", "40", "--width-shrink", "2",
+                 "--seed", "3", "--out-dir", str(suite)]) == 0
+    assert main(["extract", "--transcript", str(suite / "transcript.jsonl"),
+                 "--corpus", str(suite / "corpus.jsonl"),
+                 "--out", str(root / "parsed.jsonl")]) == 0
+    assert main(["score", "--parsed", str(root / "parsed.jsonl"),
+                 "--corpus", str(suite / "corpus.jsonl"),
+                 "--out", str(root / "scores.jsonl")]) == 0
+    assert main(["calibrate", "--scores", str(root / "scores.jsonl"),
+                 "--out", str(root / "calibrated.jsonl"),
+                 "--fits", str(root / "fits.tsv")]) == 0
+    return root
+
+
+def _edit_first_valid_row(path: Path, edit) -> None:
+    header, *rows = path.read_text(encoding="utf-8").splitlines()
+    for i, line in enumerate(rows):
+        row = json.loads(line)
+        if row["outcome"] == "valid":
+            edit(row)
+            rows[i] = json.dumps(row)
+            break
+    path.write_text("\n".join([header, *rows]) + "\n", encoding="utf-8")
+
+
+class TestMalformedArtifacts:
+    """A malformed artifact exits 2 with an error line, not a traceback."""
+
+    def assert_schema_error(self, argv, capsys):
+        capsys.readouterr()
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        return err
+
+    def test_score_row_without_nll(self, tmp_path, capsys):
+        root = _small_chain(tmp_path)
+        _edit_first_valid_row(root / "scores.jsonl", lambda row: row.pop("nll"))
+        err = self.assert_schema_error(["report", "--scores", str(root / "scores.jsonl"),
+                                        "--out-dir", str(root / "report")], capsys)
+        assert "ScoredRecord" in err and "nll" in err
+
+    def test_non_numeric_triplet_value(self, tmp_path, capsys):
+        root = _small_chain(tmp_path)
+        _edit_first_valid_row(root / "parsed.jsonl",
+                              lambda row: row["triplet"].update(value="abc"))
+        err = self.assert_schema_error(["score", "--parsed", str(root / "parsed.jsonl"),
+                                        "--corpus", str(root / "suite" / "corpus.jsonl"),
+                                        "--out", str(root / "scores2.jsonl")], capsys)
+        assert "Triplet" in err
+
+    def test_empty_fits_file(self, tmp_path, capsys):
+        root = _small_chain(tmp_path)
+        (root / "fits.tsv").write_text("", encoding="utf-8")
+        self.assert_schema_error(["report", "--scores", str(root / "scores.jsonl"),
+                                  "--calibration", str(root / "fits.tsv"),
+                                  "--out-dir", str(root / "report")], capsys)
+
+    def test_non_numeric_fits_cell(self, tmp_path, capsys):
+        root = _small_chain(tmp_path)
+        lines = (root / "fits.tsv").read_text(encoding="utf-8").splitlines()
+        header = next(i for i, line in enumerate(lines) if line.startswith("model\t"))
+        cells = lines[header + 1].split("\t")
+        cells[lines[header].split("\t").index("n_cal")] = "x"
+        lines[header + 1] = "\t".join(cells)
+        (root / "fits.tsv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        self.assert_schema_error(["report", "--scores", str(root / "scores.jsonl"),
+                                  "--calibration", str(root / "fits.tsv"),
+                                  "--out-dir", str(root / "report")], capsys)

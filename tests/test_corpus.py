@@ -289,7 +289,7 @@ class TestGenerateCorpus:
     def test_pure_function_of_config(self):
         a, _ = generate_corpus(demo_config())
         b, _ = generate_corpus(demo_config())
-        assert [q.to_dict() for q in a] == [q.to_dict() for q in b]
+        assert a == b
 
     def test_question_invariants(self):
         questions, meta = generate_corpus(demo_config())

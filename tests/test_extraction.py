@@ -16,7 +16,6 @@ from elicitbench.extraction import (
     canonical_triplet_text,
     extract_triplet,
     find_numbers,
-    invalid_rate,
     looks_fraction_scale,
 )
 
@@ -137,23 +136,6 @@ class TestFuzz:
     def test_deterministic(self):
         text = "value 12 or maybe 13? 1, 2, 3"
         assert extract_triplet(text, "proportion") == extract_triplet(text, "proportion")
-
-
-class TestInvalidRate:
-    def outcomes(self, n_valid, n_invalid):
-        t = Triplet(1, 0, 2, Units.PERCENT)
-        return [ParseOutcome.ok(t)] * n_valid + [
-            ParseOutcome.invalid(InvalidReason.NO_NUMBERS)
-        ] * n_invalid
-
-    def test_zero(self):
-        assert invalid_rate(self.outcomes(100, 0)) == 0.0
-
-    def test_quarter(self):
-        assert invalid_rate(self.outcomes(75, 25)) == 0.25
-
-    def test_empty_group_is_missing(self):
-        assert invalid_rate([]) is None
 
 
 class TestFractionScaleFlag:

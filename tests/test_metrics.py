@@ -1,12 +1,16 @@
+import json
 import math
 import random
 
 import pytest
 
-from elicitbench.corpus import CIFamily, TargetKind, Z_95
+from elicitbench.corpus import CIFamily, GroundTruth, Question, TargetKind, Z_95
 from elicitbench.errors import InputError
 from elicitbench.extraction import Triplet, Units
+from elicitbench.jsonlio import canonical_dumps, load_row
 from elicitbench.metrics import (
+    GroupSummary,
+    ScoredRecord,
     ape,
     baseline_win_rate,
     coverage,
@@ -200,11 +204,41 @@ class TestScoredRecordsAndSummary:
         assert cont.nll_family is CIFamily.GAUSSIAN
         assert cont.covered and prop.covered
 
-    def test_round_trip_serialization(self):
-        rec = make_scored(40, 30, 50, truth_value=45.0, kind=TargetKind.PROPORTION)
-        from elicitbench.metrics import ScoredRecord
+    @pytest.mark.parametrize(
+        "record, load",
+        [
+            (make_triplet(40.0, 30.0, 50.0, kind=TargetKind.PROPORTION, bounds_reordered=True),
+             lambda row: load_row(Triplet, row)),
+            (Question("q1", "d", {"age": "30-39"}, "What share?", TargetKind.PROPORTION,
+                      make_truth_binomial(450, 1000)), Question.from_dict),
+            (Question("q2", "d", {}, "How many?", TargetKind.CONTINUOUS,
+                      make_truth_gaussian(12.5)), Question.from_dict),
+            (make_scored(40.0, 30.0, 50.0, truth_value=45.0, kind=TargetKind.PROPORTION),
+             ScoredRecord.from_dict),
+            (make_scored(0.0, -1.0, 1.0, truth_value=0.0), ScoredRecord.from_dict),
+        ],
+        ids=["triplet", "question_binomial", "question_gaussian_k_none", "scored",
+             "scored_cv_ape_none"],
+    )
+    def test_round_trip_serialization(self, record, load):
+        row = json.loads(canonical_dumps(record))
+        assert load(row) == record
+        assert canonical_dumps(load(row)) == canonical_dumps(record)
 
-        assert ScoredRecord.from_dict(rec.to_dict()) == rec
+    def test_absent_field_takes_its_default(self):
+        truth = make_truth_gaussian(3.0)
+        row = json.loads(canonical_dumps(truth))
+        del row["k"]
+        assert load_row(GroundTruth, row) == truth
+
+    @pytest.mark.parametrize(
+        "n_valid, n_invalid, expected",
+        [(100, 0, 0.0), (75, 25, 0.25), (0, 0, None)],
+        ids=["zero", "quarter", "empty_group_is_missing"],
+    )
+    def test_invalid_rate(self, n_valid, n_invalid, expected):
+        summary = GroupSummary("m", "low", "d", n_valid, n_invalid, None, None, None, None, None)
+        assert summary.invalid_rate == expected
 
     def test_summary_matches_oracles(self):
         rng = random.Random(11)

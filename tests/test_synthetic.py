@@ -5,7 +5,7 @@ import pytest
 from elicitbench.conformal import ConformalConfig, calibrate_groups
 from elicitbench.corpus import TargetKind
 from elicitbench.errors import ConfigError
-from elicitbench.extraction import InvalidReason, extract_triplet, invalid_rate
+from elicitbench.extraction import InvalidReason, extract_triplet
 from elicitbench.metrics import coverage
 from elicitbench.synthetic import (
     SyntheticElicitor,
@@ -67,8 +67,8 @@ class TestRespond:
         outcomes = [
             extract_triplet(respond(cfg.elicitor(), q), q.kind) for q in make_questions(cfg)
         ]
-        rate = invalid_rate(outcomes)
-        assert abs(rate - 0.25) <= 0.05
+        refusal_share = sum(not o.valid for o in outcomes) / len(outcomes)
+        assert abs(refusal_share - 0.25) <= 0.05
 
     def test_validation(self):
         with pytest.raises(ConfigError):
