@@ -10,30 +10,30 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import sys
 from pathlib import Path
 
 from . import __version__
-from .conformal import ConformalConfig, GroupCalibration, calibrate_groups
+from .conformal import ConformalConfig, calibrate_groups
 from .corpus import Question, corpus_config_from_dict, generate_corpus
-from .elicitation import Disabled, EffortLevel, model_spec_from_dict, run_batch
+from .elicitation import (
+    Disabled, EffortLevel, ElicitationRecord, model_spec_from_dict, run_batch,
+)
 from .errors import ConfigError, ElicitBenchError, SchemaError, StageDependencyError
-from .extraction import ParseOutcome, Triplet, extract_triplet
+from .extraction import Triplet, extract_triplet
 from .jsonlio import (
     as_row, canonical_dumps, config_hash, load_row, read_jsonl, write_jsonl, write_text,
 )
 from .metrics import score_record
 from .report import (
-    FIT_COLUMNS,
     baseline_section,
     calibration_section,
-    fit_row,
     nll_sharpness_section,
-    render_tsv,
+    read_fits,
     split_rows,
     summary_section,
     tool_comparison_section,
+    write_fits,
 )
 from .synthetic import SyntheticSuiteConfig, make_suite
 
@@ -166,19 +166,11 @@ def cmd_elicit(args: argparse.Namespace) -> int:
         f"elicited {result.ok} ok, {result.failed} failed, "
         f"{result.skipped} skipped (resume) -> {args.out}"
     )
-    return EXIT_PARTIAL_TRANSPORT if result.any_failed else EXIT_OK
-
-
-def _outcome_dict(outcome: ParseOutcome) -> dict:
-    return {
-        "outcome": "valid" if outcome.valid else "invalid",
-        "reason": None if outcome.valid else outcome.reason.value,
-        "triplet": outcome.triplet,
-    }
+    return EXIT_PARTIAL_TRANSPORT if result.failed else EXIT_OK
 
 
 def cmd_extract(args: argparse.Namespace) -> int:
-    transcript_header, records = read_jsonl(_require(args.transcript, "elicit (or simulate)"), "transcript.v1")
+    transcript_header, transcript = read_jsonl(_require(args.transcript, "elicit (or simulate)"), "transcript.v1")
     corpus_header, questions = _read_corpus(args.corpus)
     cfg_hash = config_hash(
         {
@@ -189,29 +181,31 @@ def cmd_extract(args: argparse.Namespace) -> int:
     )
     rows = []
     counts = {"valid": 0, "invalid": 0, "transport_failed": 0}
-    for record in records:
-        qid = record["question_id"]
+    for row in transcript:
+        record = load_row(ElicitationRecord, row)
+        qid = record.question_id
         if qid not in questions:
             raise SchemaError(f"transcript references unknown question {qid}")
         question = questions[qid]
         base = {
             "question_id": qid,
-            "model_id": record["model_id"],
-            "effort": record["effort"],
-            "tools_enabled": bool(record["tools_enabled"]),
+            "model_id": record.model_id,
+            "effort": record.effort,
+            "tools_enabled": record.tools_enabled,
             "dataset_id": question.dataset_id,
             "kind": question.kind.value,
         }
-        if record.get("transport_status") != "ok":
+        if record.transport_status != "ok":
             base.update(
                 {"outcome": "transport_failed", "reason": None, "triplet": None,
-                 "failure_reason": record.get("failure_reason")}
+                 "failure_reason": record.failure_reason}
             )
-            counts["transport_failed"] += 1
         else:
-            outcome = extract_triplet(record["raw_text"], question.kind)
-            base.update(_outcome_dict(outcome))
-            counts["valid" if outcome.valid else "invalid"] += 1
+            outcome = extract_triplet(record.raw_text, question.kind)
+            base.update(outcome="valid" if outcome.valid else "invalid",
+                        reason=None if outcome.valid else outcome.reason.value,
+                        triplet=outcome.triplet)
+        counts[base["outcome"]] += 1
         rows.append(base)
     write_jsonl(args.out, "parsed.v1", cfg_hash, rows)
     print(
@@ -219,6 +213,10 @@ def cmd_extract(args: argparse.Namespace) -> int:
         f"{counts['transport_failed']} transport-failed -> {args.out}"
     )
     return EXIT_OK
+
+
+# Fields every parsed row carries, whatever its outcome.
+PARSED_KEY_FIELDS = ("question_id", "model_id", "effort", "tools_enabled", "outcome")
 
 
 def cmd_score(args: argparse.Namespace) -> int:
@@ -233,6 +231,9 @@ def cmd_score(args: argparse.Namespace) -> int:
     )
     rows = []
     for row in parsed:
+        missing = [name for name in PARSED_KEY_FIELDS if name not in row]
+        if missing:
+            raise SchemaError(f"parsed row: missing field {missing[0]!r}")
         qid = row["question_id"]
         if qid not in questions:
             raise SchemaError(f"parsed records reference unknown question {qid}")
@@ -250,19 +251,10 @@ def cmd_score(args: argparse.Namespace) -> int:
             )
             rows.append({"outcome": "valid", **as_row(record)})
         else:
-            rows.append(
-                {
-                    "outcome": row["outcome"],
-                    "reason": row.get("reason"),
-                    "question_id": qid,
-                    "model_id": row["model_id"],
-                    "effort": row["effort"],
-                    "tools_enabled": bool(row["tools_enabled"]),
-                    "dataset_id": question.dataset_id,
-                    "kind": question.kind.value,
-                    "failure_reason": row.get("failure_reason"),
-                }
-            )
+            unscored = {name: value for name, value in row.items() if name != "triplet"}
+            unscored.update(dataset_id=question.dataset_id, kind=question.kind.value)
+            unscored.setdefault("failure_reason", None)
+            rows.append(unscored)
     write_jsonl(args.out, "scores.v1", cfg_hash, rows)
     n_valid = sum(1 for r in rows if r["outcome"] == "valid")
     print(f"scored {n_valid} valid records of {len(rows)} -> {args.out}")
@@ -271,7 +263,7 @@ def cmd_score(args: argparse.Namespace) -> int:
 
 def cmd_calibrate(args: argparse.Namespace) -> int:
     scores_header, score_rows = read_jsonl(_require(args.scores, "score"), "scores.v1")
-    valid, _, _ = split_rows(score_rows)
+    valid, _ = split_rows(score_rows)
     config = ConformalConfig(
         alpha=args.alpha, cal_fraction=args.cal_fraction, min_cal=args.min_cal, seed=args.seed
     )
@@ -285,11 +277,11 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
     results = calibrate_groups(valid, config)
     rows = []
     for res in results:
-        model, effort, dataset = res.fit.group
+        group = dict(zip(("model_id", "effort", "dataset_id"), res.fit.group))
         for rec in res.cal_records:
             rows.append(
                 {
-                    "group": {"model_id": model, "effort": effort, "dataset_id": dataset},
+                    "group": group,
                     "question_id": rec.question_id,
                     "split": "cal",
                     "calibrated": False,
@@ -301,7 +293,7 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
         for cal in res.test_records:
             rows.append(
                 {
-                    "group": {"model_id": model, "effort": effort, "dataset_id": dataset},
+                    "group": group,
                     "question_id": cal.original.question_id,
                     "split": "test",
                     "calibrated": cal.calibrated,
@@ -313,59 +305,13 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
     write_jsonl(args.out, "calibrated.v1", cfg_hash, rows)
 
     evaluations = [res.evaluation for res in results]
-    fits_tsv = render_tsv(
-        FIT_COLUMNS,
-        [fit_row(ev) for ev in evaluations],
-        comments=[f"config_hash: {cfg_hash}", "conformal calibration fits"],
-    )
-    write_text(args.fits, fits_tsv)
+    write_fits(args.fits, evaluations, cfg_hash)
     flagged = sum(1 for ev in evaluations if ev.flag != "ok")
     print(
         f"calibrated {len(evaluations)} groups ({flagged} flagged insufficient) "
         f"-> {args.out}, {args.fits}"
     )
     return EXIT_OK
-
-
-def _load_fits(path: Path) -> list[GroupCalibration]:
-    lines = [
-        line for line in path.read_text(encoding="utf-8").splitlines()
-        if line and not line.startswith("#")
-    ]
-    if not lines:
-        raise SchemaError(f"{path}: empty file, expected a calibration fits table")
-    header = lines[0].split("\t")
-    missing = [name for name in FIT_COLUMNS if name not in header]
-    if missing:
-        raise SchemaError(f"{path}: missing fits columns {missing}")
-
-    def num(raw: str) -> float | None:
-        if raw == "":
-            return None
-        if raw == "inf":
-            return math.inf
-        return float(raw)
-
-    evaluations = []
-    for line in lines[1:]:
-        cells = dict(zip(header, line.split("\t")))
-        try:
-            q_hat = num(cells["q_hat"])
-            evaluations.append(
-                GroupCalibration(
-                    group=(cells["model"], cells["effort"], cells["dataset"]),
-                    n_cal=int(cells["n_cal"]),
-                    n_test=int(cells["n_test"]),
-                    q_hat=math.inf if q_hat is None else q_hat,
-                    coverage_before=num(cells["coverage_before"]),
-                    coverage_after=num(cells["coverage_after"]),
-                    flag=cells["flag"],
-                    flag_detail=cells["flag_detail"],
-                )
-            )
-        except (KeyError, ValueError) as exc:
-            raise SchemaError(f"{path}: malformed fits row {line!r} ({exc!r})") from exc
-    return evaluations
 
 
 def cmd_report(args: argparse.Namespace) -> int:
@@ -378,7 +324,7 @@ def cmd_report(args: argparse.Namespace) -> int:
         write_text(out_dir / f"{name}.tsv", f"# {stamp}\n" + tsv)
         write_text(out_dir / f"{name}.txt", text)
 
-    valid, invalid, _ = split_rows(score_rows)
+    valid, invalid = split_rows(score_rows)
     tsv, text = summary_section(valid, invalid)
     emit("summary_by_model_effort", tsv, text)
     tsv, text = nll_sharpness_section(valid, invalid)
@@ -387,19 +333,14 @@ def cmd_report(args: argparse.Namespace) -> int:
     emit("baseline_win_rate", tsv, text)
 
     if args.calibration:
-        fits_path = Path(args.calibration)
-        if not fits_path.exists():
-            raise StageDependencyError(
-                f"missing artifact {fits_path} (produce it with `elicitbench calibrate`)"
-            )
-        tsv, text = calibration_section(_load_fits(fits_path))
+        tsv, text = calibration_section(read_fits(_require(args.calibration, "calibrate")))
         emit("coverage_calibration", tsv, text)
     else:
         print("notice: no calibration fits supplied; coverage_calibration section skipped")
 
     if args.tool_scores:
         _, tool_rows = read_jsonl(_require(args.tool_scores, "score"), "scores.v1")
-        tool_valid, _, _ = split_rows(tool_rows)
+        tool_valid, _ = split_rows(tool_rows)
         tsv, text = tool_comparison_section(valid, tool_valid)
         emit("tool_comparison", tsv, text)
 

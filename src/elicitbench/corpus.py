@@ -248,7 +248,8 @@ def enumerate_candidates(
 ) -> list[Candidate]:
     """One candidate per Cartesian-product assignment with a usable subgroup.
 
-    Subgroups are rows whose cell equals the assigned value on every axis.
+    A subgroup is the rows, in file order, whose whitespace-stripped cell
+    equals the assigned value on every axis.
     Empty subgroups are skipped, as are continuous subgroups with fewer than
     two numeric values (no CI can be formed for them).
     """
@@ -259,13 +260,13 @@ def enumerate_candidates(
         if col not in records[0]:
             raise SchemaError(f"{template.template_id}: dataset lacks column {col!r}")
     axis_names = list(template.axes)
+    subgroups: dict[tuple[str, ...], list[dict[str, str]]] = {}
+    for row in records:
+        subgroups.setdefault(tuple(str(row[a]).strip() for a in axis_names), []).append(row)
     candidates: list[Candidate] = []
     for combo in itertools.product(*(template.axes[a] for a in axis_names)):
         params = {a: str(v) for a, v in zip(axis_names, combo)}
-        subgroup = [
-            row for row in records
-            if all(str(row[a]).strip() == params[a] for a in axis_names)
-        ]
+        subgroup = subgroups.get(tuple(params.values()))
         if not subgroup:
             continue
         truth = _subgroup_truth(template, subgroup, level)

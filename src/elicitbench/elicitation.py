@@ -22,7 +22,7 @@ import requests
 
 from .corpus import Question, TargetKind
 from .errors import ConfigError
-from .jsonlio import canonical_dumps, read_jsonl
+from .jsonlio import canonical_dumps, load_row, read_jsonl
 
 DEFAULT_TOKEN_BUDGETS = {"low": 2000, "medium": 8000, "high": 16000}
 MAX_WEB_SEARCHES = 5
@@ -273,32 +273,14 @@ def _elicit_one(
     backoff_base: float,
 ) -> ElicitationRecord:
     payload = build_request(question, spec, level)
-    tools_enabled = isinstance(spec.tool_policy, WebSearch)
     timestamp = datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
-    attempts_allowed = 1 + spec.max_retries
-    reason = "unknown"
-    attempt = 0
-    latency_ms = 0.0
+    attempts_allowed = 1 + spec.max_retries  # >= 1: ModelSpec rejects negative retries
     for attempt in range(1, attempts_allowed + 1):
         limiter.acquire()
         started = time.monotonic()
         ok, retryable, text = _post_once(session, spec, payload, headers)
         latency_ms = 1000.0 * (time.monotonic() - started)
-        if ok:
-            return ElicitationRecord(
-                question_id=question.question_id,
-                model_id=spec.model_id,
-                effort=level.value,
-                tools_enabled=tools_enabled,
-                raw_text=text,
-                request_timestamp=timestamp,
-                latency_ms=latency_ms,
-                attempt_count=attempt,
-                transport_status="ok",
-                request_payload=payload,
-            )
-        reason = text
-        if not retryable:
+        if ok or not retryable:
             break
         if attempt < attempts_allowed:
             time.sleep(backoff_base * (2 ** (attempt - 1)))
@@ -306,13 +288,13 @@ def _elicit_one(
         question_id=question.question_id,
         model_id=spec.model_id,
         effort=level.value,
-        tools_enabled=tools_enabled,
-        raw_text="",
+        tools_enabled=isinstance(spec.tool_policy, WebSearch),
+        raw_text=text if ok else "",
         request_timestamp=timestamp,
         latency_ms=latency_ms,
         attempt_count=attempt,
-        transport_status="failed",
-        failure_reason=reason,
+        transport_status="ok" if ok else "failed",
+        failure_reason=None if ok else text,
         request_payload=payload,
     )
 
@@ -321,11 +303,12 @@ def _done_keys(path: Path) -> set[tuple]:
     """Keys already answered (transport ok) in an existing transcript."""
     if not path.exists():
         return set()
-    _, rows = read_jsonl(path, expect_schema="transcript.v1")
+    _, rows = read_jsonl(path, "transcript.v1")
+    records = (load_row(ElicitationRecord, row) for row in rows)
     return {
-        (r["question_id"], r["model_id"], r["effort"], bool(r["tools_enabled"]))
-        for r in rows
-        if r.get("transport_status") == "ok"
+        (r.question_id, r.model_id, r.effort, r.tools_enabled)
+        for r in records
+        if r.transport_status == "ok"
     }
 
 
@@ -335,10 +318,6 @@ class BatchResult:
     skipped: int
     ok: int
     failed: int
-
-    @property
-    def any_failed(self) -> bool:
-        return self.failed > 0
 
 
 def run_batch(
@@ -356,14 +335,16 @@ def run_batch(
     At most `concurrency` requests are in flight; each spec gets its own rate
     limiter. Records are appended as they complete (they are self-contained,
     so write order is irrelevant) and failures after retries are recorded,
-    not raised. With resume=True, keys already answered in the existing
-    transcript are skipped. Missing API keys abort before any request.
+    not raised. With resume=True, planned keys already answered in the
+    existing transcript are skipped and counted in `skipped`. Missing API
+    keys abort before any request.
     """
     out_path = Path(out_path)
     headers_by_spec = {spec.model_id: _auth_headers(spec) for spec in specs}
 
     done = _done_keys(out_path) if resume else set()
     tasks = []
+    skipped = 0
     for question in questions:
         for spec in specs:
             for level in spec.levels_for(levels):
@@ -374,9 +355,9 @@ def run_batch(
                     isinstance(spec.tool_policy, WebSearch),
                 )
                 if key in done:
+                    skipped += 1
                     continue
                 tasks.append((question, spec, level))
-    skipped = len(done)
 
     limiters = {spec.model_id: RateLimiter(spec.rate_limit_per_minute) for spec in specs}
     ok = failed = 0

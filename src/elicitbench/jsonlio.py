@@ -137,7 +137,7 @@ def write_jsonl(path: str | Path, schema: str, cfg_hash: str, rows: Iterable[Any
     return count
 
 
-def read_jsonl(path: str | Path, expect_schema: str | None = None) -> tuple[dict, list[dict]]:
+def read_jsonl(path: str | Path, expect_schema: str) -> tuple[dict, list[dict]]:
     """Read (header, rows) from a JSONL artifact.
 
     Raises StageDependencyError when the file is missing and SchemaError when
@@ -153,7 +153,7 @@ def read_jsonl(path: str | Path, expect_schema: str | None = None) -> tuple[dict
     header = json.loads(lines[0])
     if not isinstance(header, dict) or "schema" not in header:
         raise SchemaError(f"{path}: first line is not a header record")
-    if expect_schema is not None and header["schema"] != expect_schema:
+    if header["schema"] != expect_schema:
         raise SchemaError(
             f"{path}: schema {header['schema']!r}, expected {expect_schema!r}"
         )

@@ -7,10 +7,13 @@ rounded values.
 from __future__ import annotations
 
 import math
+from pathlib import Path
 from typing import Sequence
 
 from .conformal import GroupCalibration
 from .corpus import TargetKind
+from .errors import SchemaError
+from .jsonlio import write_text
 from .metrics import GroupSummary, ScoredRecord, baseline_win_rate, summarize_group
 from .stats import rank_biserial, wilcoxon_signed_rank
 from statistics import median
@@ -74,18 +77,16 @@ def render_text(title: str, columns: Sequence[str], rows: Sequence[Sequence[obje
     return "\n".join([title, rule, header, rule, *body]) + "\n"
 
 
-def split_rows(score_rows: Sequence[dict]) -> tuple[list[ScoredRecord], list[dict], list[dict]]:
-    """Partition score-file rows into (valid records, invalid rows, transport rows)."""
-    valid, invalid, transport = [], [], []
+def split_rows(score_rows: Sequence[dict]) -> tuple[list[ScoredRecord], list[dict]]:
+    """Score-file rows as (valid records, invalid rows); transport failures are dropped."""
+    valid, invalid = [], []
     for row in score_rows:
         outcome = row.get("outcome")
         if outcome == "valid":
             valid.append(ScoredRecord.from_dict(row))
         elif outcome == "invalid":
             invalid.append(row)
-        else:
-            transport.append(row)
-    return valid, invalid, transport
+    return valid, invalid
 
 
 def _group_summaries(
@@ -146,28 +147,64 @@ def summary_section(
     )
 
 
-# Columns of the calibration fits table, which calibrate writes and report reads back.
-FIT_COLUMNS = [
-    "model", "effort", "dataset", "n_cal", "n_test", "q_hat",
-    "coverage_before", "coverage_after", "flag", "flag_detail",
-]
+def _optional_float(cell: str) -> float | None:
+    return None if cell == "" else float(cell)
 
 
-def fit_row(ev: GroupCalibration) -> list[object]:
-    """One group's calibration outcome as cells in FIT_COLUMNS order."""
-    return [*ev.group, ev.n_cal, ev.n_test, ev.q_hat,
-            ev.coverage_before, ev.coverage_after, ev.flag, ev.flag_detail]
+# The calibration fits table, which calibrate writes and report reads back:
+# column name -> the type read_fits gives its cells. q_hat is written as "inf"
+# when the quantile index exceeds n_cal, and float() reads that back.
+FIT_COLUMNS = {
+    "model": str, "effort": str, "dataset": str, "n_cal": int, "n_test": int, "q_hat": float,
+    "coverage_before": _optional_float, "coverage_after": _optional_float,
+    "flag": str, "flag_detail": str,
+}
 
 
-def calibration_section(evaluations: Sequence[GroupCalibration]) -> tuple[str, str]:
-    """Per-group coverage before/after conformal recalibration."""
+def write_fits(path: str | Path, evaluations: Sequence[GroupCalibration], cfg_hash: str) -> None:
+    """Write one fits row per group, in FIT_COLUMNS order."""
     rows = [
-        fit_row(ev)
-        for ev in sorted(evaluations, key=lambda e: (e.group[0], _effort_key(e.group[1]), e.group[2]))
+        [*ev.group, ev.n_cal, ev.n_test, ev.q_hat,
+         ev.coverage_before, ev.coverage_after, ev.flag, ev.flag_detail]
+        for ev in evaluations
     ]
+    write_text(path, render_tsv(
+        list(FIT_COLUMNS), rows, comments=[f"config_hash: {cfg_hash}", "conformal calibration fits"]
+    ))
+
+
+def read_fits(path: str | Path) -> list[list[object]]:
+    """The rows of a fits table, each in FIT_COLUMNS order with its cells typed by column.
+
+    An empty file, a missing column, a short row or a cell its column cannot
+    hold raises SchemaError.
+    """
+    lines = [
+        line for line in Path(path).read_text(encoding="utf-8").splitlines()
+        if line and not line.startswith("#")
+    ]
+    if not lines:
+        raise SchemaError(f"{path}: empty file, expected a calibration fits table")
+    header = lines[0].split("\t")
+    missing = [name for name in FIT_COLUMNS if name not in header]
+    if missing:
+        raise SchemaError(f"{path}: missing fits columns {missing}")
+    rows = []
+    for line in lines[1:]:
+        cells = dict(zip(header, line.split("\t")))
+        try:
+            rows.append([cell_type(cells[name]) for name, cell_type in FIT_COLUMNS.items()])
+        except (KeyError, ValueError) as exc:
+            raise SchemaError(f"{path}: malformed fits row {line!r} ({exc!r})") from exc
+    return rows
+
+
+def calibration_section(fits: Sequence[Sequence[object]]) -> tuple[str, str]:
+    """Per-group coverage before/after conformal recalibration, from read_fits rows."""
+    rows = sorted(fits, key=lambda row: (row[0], _effort_key(row[1]), row[2]))
     return (
-        render_tsv(FIT_COLUMNS, rows, comments=["coverage before/after conformal recalibration"]),
-        render_text("Coverage before/after conformal recalibration", FIT_COLUMNS, rows),
+        render_tsv(list(FIT_COLUMNS), rows, comments=["coverage before/after conformal recalibration"]),
+        render_text("Coverage before/after conformal recalibration", list(FIT_COLUMNS), rows),
     )
 
 

@@ -16,6 +16,7 @@ from pathlib import Path
 from random import Random
 
 from .corpus import CIFamily, GroundTruth, Question, TargetKind, Z_95, proportion_ci, question_id_for
+from .elicitation import ElicitationRecord
 from .errors import ConfigError
 from .extraction import Triplet, Units, canonical_triplet_text
 from .jsonlio import config_hash, derive_seed, write_jsonl
@@ -44,7 +45,6 @@ class SyntheticElicitor:
     width_shrink: float = 1.0
     noise_sd: float = 0.0
     refusal_rate: float = 0.0
-    model_id: str = "synthetic"
 
     def __post_init__(self) -> None:
         if self.width_shrink <= 0.0:
@@ -115,7 +115,6 @@ class SyntheticSuiteConfig:
             width_shrink=self.width_shrink,
             noise_sd=self.noise_sd,
             refusal_rate=self.refusal_rate,
-            model_id=self.model_id,
         )
 
 
@@ -194,24 +193,22 @@ def make_suite(config: SyntheticSuiteConfig, out_dir: str | Path) -> dict:
 
     def transcript_rows():
         for q in questions:
-            raw_text = respond(elicitor, q)
-            yield {
-                "question_id": q.question_id,
-                "model_id": config.model_id,
-                "effort": config.effort,
-                "tools_enabled": False,
-                "raw_text": raw_text,
-                "request_timestamp": EPOCH_TIMESTAMP,
-                "latency_ms": 0.0,
-                "attempt_count": 1,
-                "transport_status": "ok",
-                "failure_reason": None,
-                "request_payload": {
+            yield ElicitationRecord(
+                question_id=q.question_id,
+                model_id=config.model_id,
+                effort=config.effort,
+                tools_enabled=False,
+                raw_text=respond(elicitor, q),
+                request_timestamp=EPOCH_TIMESTAMP,
+                latency_ms=0.0,
+                attempt_count=1,
+                transport_status="ok",
+                request_payload={
                     "model": config.model_id,
                     "messages": [{"role": "user", "content": q.prompt}],
                     "temperature": 0,
                 },
-            }
+            )
 
     transcript_path = out_dir / "transcript.jsonl"
     n_rows = write_jsonl(transcript_path, "transcript.v1", cfg_hash, transcript_rows())

@@ -229,10 +229,11 @@ def _small_chain(root: Path) -> Path:
 
 
 def _edit_first_valid_row(path: Path, edit) -> None:
+    """Edit the first row whose outcome is valid; transcript rows have none, so the first row."""
     header, *rows = path.read_text(encoding="utf-8").splitlines()
     for i, line in enumerate(rows):
         row = json.loads(line)
-        if row["outcome"] == "valid":
+        if row.get("outcome", "valid") == "valid":
             edit(row)
             rows[i] = json.dumps(row)
             break
@@ -255,6 +256,24 @@ class TestMalformedArtifacts:
         err = self.assert_schema_error(["report", "--scores", str(root / "scores.jsonl"),
                                         "--out-dir", str(root / "report")], capsys)
         assert "ScoredRecord" in err and "nll" in err
+
+    def test_transcript_row_without_raw_text(self, tmp_path, capsys):
+        root = _small_chain(tmp_path)
+        _edit_first_valid_row(root / "suite" / "transcript.jsonl", lambda row: row.pop("raw_text"))
+        err = self.assert_schema_error(["extract", "--transcript", str(root / "suite" / "transcript.jsonl"),
+                                        "--corpus", str(root / "suite" / "corpus.jsonl"),
+                                        "--out", str(root / "parsed2.jsonl")], capsys)
+        assert "ElicitationRecord" in err and "raw_text" in err
+
+    @pytest.mark.parametrize(
+        "field", ["model_id", "effort", "tools_enabled", "outcome", "question_id"])
+    def test_parsed_row_without_key_field(self, tmp_path, capsys, field):
+        root = _small_chain(tmp_path)
+        _edit_first_valid_row(root / "parsed.jsonl", lambda row: row.pop(field))
+        err = self.assert_schema_error(["score", "--parsed", str(root / "parsed.jsonl"),
+                                        "--corpus", str(root / "suite" / "corpus.jsonl"),
+                                        "--out", str(root / "scores2.jsonl")], capsys)
+        assert field in err
 
     def test_non_numeric_triplet_value(self, tmp_path, capsys):
         root = _small_chain(tmp_path)
@@ -283,3 +302,48 @@ class TestMalformedArtifacts:
         self.assert_schema_error(["report", "--scores", str(root / "scores.jsonl"),
                                   "--calibration", str(root / "fits.tsv"),
                                   "--out-dir", str(root / "report")], capsys)
+
+
+class TestFitsRoundTrip:
+    def test_report_repeats_fits_in_effort_order_with_flagged_group(self, tmp_path):
+        suites = [("alpha", "low", 400), ("alpha", "high", 400), ("beta", "medium", 40)]
+        score_lines = []
+        for model, effort, n in suites:
+            suite = tmp_path / f"{model}-{effort}"
+            assert main(["simulate", "--n-questions", str(n), "--width-shrink", "2",
+                         "--seed", "3", "--model-id", model, "--effort", effort,
+                         "--out-dir", str(suite)]) == 0
+            assert main(["extract", "--transcript", str(suite / "transcript.jsonl"),
+                         "--corpus", str(suite / "corpus.jsonl"),
+                         "--out", str(suite / "parsed.jsonl")]) == 0
+            assert main(["score", "--parsed", str(suite / "parsed.jsonl"),
+                         "--corpus", str(suite / "corpus.jsonl"),
+                         "--out", str(suite / "scores.jsonl")]) == 0
+            header, *rows = (suite / "scores.jsonl").read_text(encoding="utf-8").splitlines()
+            score_lines += rows
+        scores = tmp_path / "scores.jsonl"
+        scores.write_text("\n".join([header, *score_lines]) + "\n", encoding="utf-8")
+        fits = tmp_path / "fits.tsv"
+        assert main(["calibrate", "--scores", str(scores), "--min-cal", "15",
+                     "--out", str(tmp_path / "calibrated.jsonl"), "--fits", str(fits)]) == 0
+        assert main(["report", "--scores", str(scores), "--calibration", str(fits),
+                     "--out-dir", str(tmp_path / "report")]) == 0
+
+        def table(path):
+            return [line for line in path.read_text(encoding="utf-8").splitlines()
+                    if not line.startswith("#")]
+
+        fit_header, *fit_rows = table(fits)
+        report_header, *report_rows = table(tmp_path / "report" / "coverage_calibration.tsv")
+        assert report_header == fit_header
+        assert [row.split("\t")[:2] for row in fit_rows] == [
+            ["alpha", "high"], ["alpha", "low"], ["beta", "medium"]]
+        assert report_rows == [fit_rows[1], fit_rows[0], fit_rows[2]]
+        flagged = dict(zip(fit_header.split("\t"), fit_rows[2].split("\t")))
+        assert (flagged["q_hat"], flagged["coverage_after"]) == ("inf", "")
+        assert flagged["flag"] == "insufficient_data"
+
+        text = (tmp_path / "report" / "coverage_calibration.txt").read_text(encoding="utf-8")
+        (beta_line,) = [line for line in text.splitlines() if line.lstrip().startswith("beta")]
+        cells = beta_line.split()
+        assert cells[5] == "inf" and cells[7] == "-"

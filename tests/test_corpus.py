@@ -165,6 +165,14 @@ class TestEnumerate:
         cands = enumerate_candidates(template(), rows)
         assert [c.params["sex"] for c in cands] == ["M"]
 
+    def test_padded_axis_cells_join_their_subgroup(self):
+        rows = [{"sex": " M", "flag": "1"}, {"sex": "F", "flag": "0"},
+                {"sex": "M\t", "flag": "0"}, {"sex": " F ", "flag": "1"},
+                {"sex": "M", "flag": "1"}, {"sex": "  M  ", "flag": "1"}]
+        m, f = enumerate_candidates(template(), rows)
+        assert (m.params, m.truth.n, m.truth.k) == ({"sex": "M"}, 4, 3)
+        assert (f.params, f.truth.n, f.truth.k) == ({"sex": "F"}, 2, 1)
+
     def test_non_numeric_continuous_cell_rejected(self):
         tpl = template(kind=TargetKind.CONTINUOUS, target_column="bmi")
         rows = [{"sex": "M", "bmi": "22.0"}, {"sex": "M", "bmi": "oops"}]

@@ -240,6 +240,17 @@ class TestRunBatch:
         _, rows = read_jsonl(out, "transcript.v1")
         assert len(rows) == 3
 
+    def test_resume_counts_only_planned_keys(self, tmp_path):
+        state = StubState()
+        out = tmp_path / "t.jsonl"
+        with StubServer(state) as server:
+            spec = spec_for(server.url)
+            run_batch(questions(3), [spec], [EffortLevel.LOW, EffortLevel.HIGH], 2, out, "h")
+            result = run_batch(questions(3)[:1], [spec], [EffortLevel.LOW], 2, out, "h",
+                               resume=True)
+        assert state.requests == 6
+        assert result.requested == 0 and result.skipped == 1
+
     def test_resume_retries_failed_keys(self, tmp_path):
         out = tmp_path / "t.jsonl"
         state = StubState(permanent_status=503)
