@@ -11,14 +11,13 @@ import argparse
 import dataclasses
 import json
 import sys
+from collections import Counter
 from pathlib import Path
 
 from . import __version__
 from .conformal import ConformalConfig, calibrate_groups
 from .corpus import Question, corpus_config_from_dict, generate_corpus
-from .elicitation import (
-    Disabled, EffortLevel, ElicitationRecord, model_spec_from_dict, run_batch,
-)
+from .elicitation import EffortLevel, ElicitationRecord, model_spec_from_dict, run_batch
 from .errors import ConfigError, ElicitBenchError, SchemaError, StageDependencyError
 from .extraction import Triplet, extract_triplet
 from .jsonlio import (
@@ -126,7 +125,7 @@ def cmd_elicit(args: argparse.Namespace) -> int:
     if not specs:
         raise ConfigError(f"{args.models}: no model specs configured")
     if not args.tools:
-        specs = [dataclasses.replace(s, tool_policy=Disabled()) for s in specs]
+        specs = [dataclasses.replace(s, tool_policy=None) for s in specs]
     levels = _parse_efforts(args.efforts)
     cfg_hash = config_hash(
         {
@@ -179,8 +178,9 @@ def cmd_extract(args: argparse.Namespace) -> int:
             "corpus": corpus_header.get("config_hash"),
         }
     )
-    rows = []
-    counts = {"valid": 0, "invalid": 0, "transport_failed": 0}
+    # A resumed transcript can hold a key's failed attempt and its later
+    # answer: the last record of each key wins, in order of first appearance.
+    parsed: dict[tuple, dict] = {}
     for row in transcript:
         record = load_row(ElicitationRecord, row)
         qid = record.question_id
@@ -205,8 +205,9 @@ def cmd_extract(args: argparse.Namespace) -> int:
             base.update(outcome="valid" if outcome.valid else "invalid",
                         reason=None if outcome.valid else outcome.reason.value,
                         triplet=outcome.triplet)
-        counts[base["outcome"]] += 1
-        rows.append(base)
+        parsed[(qid, record.model_id, record.effort, record.tools_enabled)] = base
+    rows = list(parsed.values())
+    counts = Counter(row["outcome"] for row in rows)
     write_jsonl(args.out, "parsed.v1", cfg_hash, rows)
     print(
         f"parsed {counts['valid']} valid, {counts['invalid']} invalid, "
@@ -305,7 +306,7 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
     write_jsonl(args.out, "calibrated.v1", cfg_hash, rows)
 
     evaluations = [res.evaluation for res in results]
-    write_fits(args.fits, evaluations, cfg_hash)
+    write_fits(args.fits, evaluations, cfg_hash, scores_header.get("config_hash"))
     flagged = sum(1 for ev in evaluations if ev.flag != "ok")
     print(
         f"calibrated {len(evaluations)} groups ({flagged} flagged insufficient) "
@@ -333,7 +334,8 @@ def cmd_report(args: argparse.Namespace) -> int:
     emit("baseline_win_rate", tsv, text)
 
     if args.calibration:
-        tsv, text = calibration_section(read_fits(_require(args.calibration, "calibrate")))
+        fits = read_fits(_require(args.calibration, "calibrate"), scores_header.get("config_hash"))
+        tsv, text = calibration_section(fits)
         emit("coverage_calibration", tsv, text)
     else:
         print("notice: no calibration fits supplied; coverage_calibration section skipped")

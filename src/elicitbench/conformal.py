@@ -49,7 +49,6 @@ class ConformalFit:
     group: tuple[str, str, str]  # (model_id, effort, dataset_id)
     q_hat: float  # math.inf when the quantile index exceeds n_cal
     n_cal: int
-    scores: tuple[float, ...]  # sorted ascending
     sufficiency: str
     quantile_index: int  # 1-based order statistic demanded by alpha
 
@@ -127,7 +126,6 @@ def fit(
         group=group,
         q_hat=q_hat,
         n_cal=n_cal,
-        scores=tuple(sorted(cal_scores)),
         sufficiency=Sufficiency.OK if ok else Sufficiency.INSUFFICIENT,
         quantile_index=m,
     )
@@ -212,7 +210,9 @@ def calibrate_groups(
     """Run split/fit/apply/evaluate independently per (model, effort, dataset).
 
     Each group splits with a sub-seed derived from (seed, group key), so
-    results do not depend on which other groups are present.
+    results do not depend on which other groups are present, and splits its
+    records in (question_id, tools_enabled) order, so they do not depend on
+    the order of the input rows either.
     """
     groups: dict[tuple[str, str, str], list[ScoredRecord]] = {}
     for record in records:
@@ -220,7 +220,7 @@ def calibrate_groups(
         groups.setdefault(key, []).append(record)
     results = []
     for key in sorted(groups):
-        members = groups[key]
+        members = sorted(groups[key], key=lambda r: (r.question_id, r.tools_enabled))
         cal, test = split(members, config.cal_fraction, derive_seed(config.seed, *key))
         scores = [nonconformity(r.triplet, r.truth.value) for r in cal]
         fit_result = fit(scores, config.alpha, config.min_cal, group=key)

@@ -132,15 +132,6 @@ class Question:
     from_dict = classmethod(load_row)
 
 
-@dataclass(frozen=True)
-class Candidate:
-    """One enumerated parameter assignment with its computed ground truth."""
-
-    template: QuestionTemplate
-    params: dict[str, str]
-    truth: GroundTruth
-
-
 def question_id_for(template_id: str, params: dict[str, str]) -> str:
     """Stable 64-bit id: hash of template id plus the sorted-axis assignment."""
     serialized = "|".join(f"{axis}={params[axis]}" for axis in sorted(params))
@@ -245,8 +236,8 @@ def enumerate_candidates(
     template: QuestionTemplate,
     records: list[dict[str, str]],
     level: float = 0.95,
-) -> list[Candidate]:
-    """One candidate per Cartesian-product assignment with a usable subgroup.
+) -> list[Question]:
+    """One candidate question per Cartesian-product assignment with a usable subgroup.
 
     A subgroup is the rows, in file order, whose whitespace-stripped cell
     equals the assigned value on every axis.
@@ -263,7 +254,7 @@ def enumerate_candidates(
     subgroups: dict[tuple[str, ...], list[dict[str, str]]] = {}
     for row in records:
         subgroups.setdefault(tuple(str(row[a]).strip() for a in axis_names), []).append(row)
-    candidates: list[Candidate] = []
+    candidates: list[Question] = []
     for combo in itertools.product(*(template.axes[a] for a in axis_names)):
         params = {a: str(v) for a, v in zip(axis_names, combo)}
         subgroup = subgroups.get(tuple(params.values()))
@@ -272,11 +263,20 @@ def enumerate_candidates(
         truth = _subgroup_truth(template, subgroup, level)
         if truth is None:
             continue
-        candidates.append(Candidate(template=template, params=params, truth=truth))
+        candidates.append(
+            Question(
+                question_id=question_id_for(template.template_id, params),
+                dataset_id=template.dataset_id,
+                params=params,
+                prompt=template.render(params),
+                kind=template.kind,
+                truth=truth,
+            )
+        )
     return candidates
 
 
-def filter_by_sample_size(candidates: Sequence[Candidate], min_n: int) -> list[Candidate]:
+def filter_by_sample_size(candidates: Sequence[Question], min_n: int) -> list[Question]:
     """Keep candidates with ground-truth n >= min_n (inclusive), order preserved."""
     if min_n < 1:
         raise InputError("min_n must be >= 1")
@@ -284,7 +284,7 @@ def filter_by_sample_size(candidates: Sequence[Candidate], min_n: int) -> list[C
 
 
 def sample_corpus(
-    candidates: Sequence[Candidate], k: int, seed: int
+    candidates: Sequence[Question], k: int, seed: int
 ) -> tuple[list[Question], bool]:
     """Uniform sample without replacement, deterministic given the seed.
 
@@ -295,20 +295,7 @@ def sample_corpus(
     size = min(k, len(candidates))
     rng = random.Random(seed)
     chosen = rng.sample(range(len(candidates)), size)
-    questions = []
-    for idx in chosen:
-        cand = candidates[idx]
-        questions.append(
-            Question(
-                question_id=question_id_for(cand.template.template_id, cand.params),
-                dataset_id=cand.template.dataset_id,
-                params=cand.params,
-                prompt=cand.template.render(cand.params),
-                kind=cand.template.kind,
-                truth=cand.truth,
-            )
-        )
-    return questions, took_all
+    return [candidates[idx] for idx in chosen], took_all
 
 
 @dataclass
@@ -401,7 +388,7 @@ def generate_corpus(config: CorpusConfig) -> tuple[list[Question], dict]:
     meta: dict = {"datasets": {}}
     for ds in config.datasets:
         rows = apply_column_map(load_table(ds.table), ds.column_map)
-        pool: list[Candidate] = []
+        pool: list[Question] = []
         for template in ds.templates:
             cands = enumerate_candidates(template, rows, config.ci_level)
             pool.extend(filter_by_sample_size(cands, template.min_group_size))

@@ -82,11 +82,6 @@ class NonReasoning:
 
 
 @dataclass(frozen=True)
-class Disabled:
-    pass
-
-
-@dataclass(frozen=True)
 class WebSearch:
     max_searches: int = MAX_WEB_SEARCHES
 
@@ -103,7 +98,7 @@ class ModelSpec:
     endpoint_url: str
     auth_env_var: str | None = None
     effort_mode: VendorParam | TokenBudget | NonReasoning = field(default_factory=TokenBudget)
-    tool_policy: Disabled | WebSearch = field(default_factory=Disabled)
+    tool_policy: WebSearch | None = None
     max_retries: int = 3
     timeout: float = 60.0
     rate_limit_per_minute: float = 60.0
@@ -139,12 +134,9 @@ def model_spec_from_dict(d: dict) -> ModelSpec:
         else:
             raise ConfigError(f"unknown effort mode {mode_type!r}")
         tools_raw = d.get("tool_policy", {"type": "disabled"})
+        tools = None
         if tools_raw.get("type", "disabled") == "web_search":
-            tools: Disabled | WebSearch = WebSearch(
-                max_searches=int(tools_raw.get("max_searches", MAX_WEB_SEARCHES))
-            )
-        else:
-            tools = Disabled()
+            tools = WebSearch(max_searches=int(tools_raw.get("max_searches", MAX_WEB_SEARCHES)))
         return ModelSpec(
             model_id=d["model_id"],
             endpoint_url=d["endpoint_url"],
@@ -206,7 +198,7 @@ def build_request(question: Question, spec: ModelSpec, level: EffortLevel) -> di
         "temperature": 0,
     }
     payload.update(map_effort(spec, level))
-    if isinstance(spec.tool_policy, WebSearch):
+    if spec.tool_policy is not None:
         payload["tools"] = [
             {"type": "web_search", "max_searches": spec.tool_policy.max_searches}
         ]
@@ -288,7 +280,7 @@ def _elicit_one(
         question_id=question.question_id,
         model_id=spec.model_id,
         effort=level.value,
-        tools_enabled=isinstance(spec.tool_policy, WebSearch),
+        tools_enabled=spec.tool_policy is not None,
         raw_text=text if ok else "",
         request_timestamp=timestamp,
         latency_ms=latency_ms,
@@ -352,7 +344,7 @@ def run_batch(
                     question.question_id,
                     spec.model_id,
                     level.value,
-                    isinstance(spec.tool_policy, WebSearch),
+                    spec.tool_policy is not None,
                 )
                 if key in done:
                     skipped += 1

@@ -32,12 +32,9 @@ def as_row(obj: Any) -> dict:
     """
     if not dataclasses.is_dataclass(obj):
         raise TypeError(f"{type(obj).__name__} is not JSON serializable")
-    return {name: getattr(obj, name) for name in _field_names(type(obj))}
-
-
-@functools.cache
-def _field_names(cls: type) -> tuple[str, ...]:
-    return tuple(f.name for f in dataclasses.fields(cls))
+    # A record's instance dict holds exactly its fields: records use no slots
+    # and no cached properties (tests/test_jsonlio.py checks each written type).
+    return vars(obj)
 
 
 def _as_str(value: Any) -> str:
@@ -141,23 +138,30 @@ def read_jsonl(path: str | Path, expect_schema: str) -> tuple[dict, list[dict]]:
     """Read (header, rows) from a JSONL artifact.
 
     Raises StageDependencyError when the file is missing and SchemaError when
-    the header is absent or declares an unexpected schema.
+    the header is absent or declares an unexpected schema, or when a line is
+    not JSON (a torn or hand-edited file).
     """
     path = Path(path)
     if not path.exists():
         raise StageDependencyError(f"missing artifact: {path}")
+    decoded = []
     with path.open("r", encoding="utf-8") as fh:
-        lines = [line for line in fh.read().splitlines() if line.strip()]
-    if not lines:
+        for number, line in enumerate(fh.read().splitlines(), 1):
+            if line.strip():
+                try:
+                    decoded.append(json.loads(line))
+                except json.JSONDecodeError as exc:
+                    raise SchemaError(f"{path}: line {number} is not JSON ({exc.msg})") from exc
+    if not decoded:
         raise SchemaError(f"{path}: empty file, expected a header record")
-    header = json.loads(lines[0])
+    header = decoded[0]
     if not isinstance(header, dict) or "schema" not in header:
         raise SchemaError(f"{path}: first line is not a header record")
     if header["schema"] != expect_schema:
         raise SchemaError(
             f"{path}: schema {header['schema']!r}, expected {expect_schema!r}"
         )
-    return header, [json.loads(line) for line in lines[1:]]
+    return header, decoded[1:]
 
 
 def write_text(path: str | Path, text: str) -> None:

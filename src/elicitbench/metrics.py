@@ -185,7 +185,6 @@ class GroupSummary:
     median_nll: float | None
     mdape: float | None
     median_cv: float | None
-    baseline_win_rate: float | None
 
     @property
     def invalid_rate(self) -> float | None:
@@ -205,11 +204,6 @@ def summarize_group(
     """Roll one (model, effort, dataset) cell up; medians over valid records only."""
     nlls = [r.nll for r in scored]
     cvs = [r.cv for r in scored if r.cv is not None]
-    proportion_pairs = [
-        (r.triplet.value, r.truth.value)
-        for r in scored
-        if r.kind is TargetKind.PROPORTION
-    ]
     return GroupSummary(
         model_id=model_id,
         effort=effort,
@@ -220,5 +214,4 @@ def summarize_group(
         median_nll=float(median(nlls)) if nlls else None,
         mdape=mdape(r.ape for r in scored),
         median_cv=float(median(cvs)) if cvs else None,
-        baseline_win_rate=baseline_win_rate(proportion_pairs),
     )

@@ -154,6 +154,7 @@ def _optional_float(cell: str) -> float | None:
 # The calibration fits table, which calibrate writes and report reads back:
 # column name -> the type read_fits gives its cells. q_hat is written as "inf"
 # when the quantile index exceeds n_cal, and float() reads that back.
+SCORES_STAMP = "scores_config_hash: {}"  # the fits' comment naming the scores they fit
 FIT_COLUMNS = {
     "model": str, "effort": str, "dataset": str, "n_cal": int, "n_test": int, "q_hat": float,
     "coverage_before": _optional_float, "coverage_after": _optional_float,
@@ -161,28 +162,30 @@ FIT_COLUMNS = {
 }
 
 
-def write_fits(path: str | Path, evaluations: Sequence[GroupCalibration], cfg_hash: str) -> None:
-    """Write one fits row per group, in FIT_COLUMNS order."""
+def write_fits(
+    path: str | Path, evaluations: Sequence[GroupCalibration], cfg_hash: str, scores_hash: str
+) -> None:
+    """Write one fits row per group, in FIT_COLUMNS order, naming the scores they fit."""
     rows = [
         [*ev.group, ev.n_cal, ev.n_test, ev.q_hat,
          ev.coverage_before, ev.coverage_after, ev.flag, ev.flag_detail]
         for ev in evaluations
     ]
-    write_text(path, render_tsv(
-        list(FIT_COLUMNS), rows, comments=[f"config_hash: {cfg_hash}", "conformal calibration fits"]
-    ))
+    write_text(path, render_tsv(list(FIT_COLUMNS), rows, comments=[
+        f"config_hash: {cfg_hash}", SCORES_STAMP.format(scores_hash), "conformal calibration fits",
+    ]))
 
 
-def read_fits(path: str | Path) -> list[list[object]]:
+def read_fits(path: str | Path, scores_hash: str) -> list[list[object]]:
     """The rows of a fits table, each in FIT_COLUMNS order with its cells typed by column.
 
-    An empty file, a missing column, a short row or a cell its column cannot
-    hold raises SchemaError.
+    An empty file, fits of other scores than `scores_hash`, a missing column,
+    a short row or a cell its column cannot hold raises SchemaError.
     """
-    lines = [
-        line for line in Path(path).read_text(encoding="utf-8").splitlines()
-        if line and not line.startswith("#")
-    ]
+    lines = [line for line in Path(path).read_text(encoding="utf-8").splitlines() if line]
+    if "# " + SCORES_STAMP.format(scores_hash) not in lines:
+        raise SchemaError(f"{path}: not fitted on these scores ({SCORES_STAMP.format(scores_hash)})")
+    lines = [line for line in lines if not line.startswith("#")]
     if not lines:
         raise SchemaError(f"{path}: empty file, expected a calibration fits table")
     header = lines[0].split("\t")

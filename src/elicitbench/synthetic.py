@@ -5,7 +5,8 @@ the center plus Gaussian sampling deviation with known spread, and the
 elicitor's point estimate is the center plus bias plus its own estimation
 noise. The reported interval is the true central 95% width shrunk by a
 factor, so width_shrink = 1 is an honest forecaster and width_shrink = 4 a
-severely overconfident one. Everything is deterministic per (seed,
+severely overconfident one; refusal_rate is the chance of a clarification
+reply instead of numbers. Everything is deterministic per (seed,
 question_id), so suites are byte-reproducible.
 """
 from __future__ import annotations
@@ -30,62 +31,9 @@ EPOCH_TIMESTAMP = "1970-01-01T00:00:00Z"
 
 
 @dataclass(frozen=True)
-class SyntheticElicitor:
-    """Oracle answering synthetic questions with tunable miscalibration.
-
-    bias shifts estimates away from the latent center, noise_sd is the
-    estimation noise, width_shrink divides the honest 95% width, and
-    refusal_rate is the chance of a clarification reply instead of numbers.
-    sigma_true and seed must match the suite that generated the questions.
-    """
-
-    seed: int = 0
-    sigma_true: float = 5.0
-    bias: float = 0.0
-    width_shrink: float = 1.0
-    noise_sd: float = 0.0
-    refusal_rate: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.width_shrink <= 0.0:
-            raise ConfigError("width_shrink must be > 0")
-        if self.noise_sd < 0.0:
-            raise ConfigError("noise_sd must be >= 0")
-        if not 0.0 <= self.refusal_rate <= 1.0:
-            raise ConfigError("refusal_rate must be in [0, 1]")
-        if self.sigma_true <= 0.0:
-            raise ConfigError("sigma_true must be > 0")
-
-
-def _truth_deviation(seed: int, question_id: str, sigma_true: float) -> float:
-    return Random(derive_seed(seed, "truth-dev", question_id)).gauss(0.0, sigma_true)
-
-
-def respond(elicitor: SyntheticElicitor, question: Question) -> str:
-    """One deterministic reply: a labeled triplet or a clarification sentence."""
-    rng = Random(derive_seed(elicitor.seed, "respond", question.question_id))
-    if rng.random() < elicitor.refusal_rate:
-        return CLARIFICATION_TEXT
-    noise = rng.gauss(0.0, elicitor.noise_sd) if elicitor.noise_sd > 0.0 else 0.0
-    half = Z_95 * elicitor.sigma_true / elicitor.width_shrink
-    if question.kind is TargetKind.PROPORTION:
-        # Percent-scale path: center on the recorded truth, clip to [0, 100].
-        value = min(100.0, max(0.0, question.truth.value + elicitor.bias + noise))
-        lower = max(0.0, value - half)
-        upper = min(100.0, value + half)
-        units = Units.PERCENT
-    else:
-        center = question.truth.value - _truth_deviation(
-            elicitor.seed, question.question_id, elicitor.sigma_true
-        )
-        value = center + elicitor.bias + noise
-        lower, upper = value - half, value + half
-        units = Units.DATASET
-    return canonical_triplet_text(Triplet(value=value, lower=lower, upper=upper, units=units))
-
-
-@dataclass(frozen=True)
 class SyntheticSuiteConfig:
+    """One synthetic suite: its questions and the elicitor that answers them."""
+
     n_questions: int = 400
     seed: int = 0
     sigma_true: float = 5.0
@@ -106,16 +54,41 @@ class SyntheticSuiteConfig:
             raise ConfigError("n_questions must be >= 1")
         if not 0.0 <= self.proportion_fraction <= 1.0:
             raise ConfigError("proportion_fraction must be in [0, 1]")
+        if self.width_shrink <= 0.0:
+            raise ConfigError("width_shrink must be > 0")
+        if self.noise_sd < 0.0:
+            raise ConfigError("noise_sd must be >= 0")
+        if not 0.0 <= self.refusal_rate <= 1.0:
+            raise ConfigError("refusal_rate must be in [0, 1]")
+        if self.sigma_true <= 0.0:
+            raise ConfigError("sigma_true must be > 0")
 
-    def elicitor(self) -> SyntheticElicitor:
-        return SyntheticElicitor(
-            seed=self.seed,
-            sigma_true=self.sigma_true,
-            bias=self.bias,
-            width_shrink=self.width_shrink,
-            noise_sd=self.noise_sd,
-            refusal_rate=self.refusal_rate,
+
+def _truth_deviation(seed: int, question_id: str, sigma_true: float) -> float:
+    return Random(derive_seed(seed, "truth-dev", question_id)).gauss(0.0, sigma_true)
+
+
+def respond(config: SyntheticSuiteConfig, question: Question) -> str:
+    """The suite's deterministic reply: a labeled triplet or a clarification sentence."""
+    rng = Random(derive_seed(config.seed, "respond", question.question_id))
+    if rng.random() < config.refusal_rate:
+        return CLARIFICATION_TEXT
+    noise = rng.gauss(0.0, config.noise_sd) if config.noise_sd > 0.0 else 0.0
+    half = Z_95 * config.sigma_true / config.width_shrink
+    if question.kind is TargetKind.PROPORTION:
+        # Percent-scale path: center on the recorded truth, clip to [0, 100].
+        value = min(100.0, max(0.0, question.truth.value + config.bias + noise))
+        lower = max(0.0, value - half)
+        upper = min(100.0, value + half)
+        units = Units.PERCENT
+    else:
+        center = question.truth.value - _truth_deviation(
+            config.seed, question.question_id, config.sigma_true
         )
+        value = center + config.bias + noise
+        lower, upper = value - half, value + half
+        units = Units.DATASET
+    return canonical_triplet_text(Triplet(value=value, lower=lower, upper=upper, units=units))
 
 
 def _logit(p: float) -> float:
@@ -186,7 +159,6 @@ def make_suite(config: SyntheticSuiteConfig, out_dir: str | Path) -> dict:
     out_dir = Path(out_dir)
     cfg_hash = config_hash(config)
     questions = make_questions(config)
-    elicitor = config.elicitor()
 
     corpus_path = out_dir / "corpus.jsonl"
     write_jsonl(corpus_path, "corpus.v1", cfg_hash, questions)
@@ -198,7 +170,7 @@ def make_suite(config: SyntheticSuiteConfig, out_dir: str | Path) -> dict:
                 model_id=config.model_id,
                 effort=config.effort,
                 tools_enabled=False,
-                raw_text=respond(elicitor, q),
+                raw_text=respond(config, q),
                 request_timestamp=EPOCH_TIMESTAMP,
                 latency_ms=0.0,
                 attempt_count=1,

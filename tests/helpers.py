@@ -40,7 +40,7 @@ def scored_suite(config: SyntheticSuiteConfig) -> list[ScoredRecord]:
     """Synthetic questions answered, parsed, and scored through the real modules."""
     records = []
     for q in make_questions(config):
-        outcome = extract_triplet(respond(config.elicitor(), q), q.kind)
+        outcome = extract_triplet(respond(config, q), q.kind)
         if not outcome.valid:
             continue
         records.append(

@@ -1,4 +1,5 @@
 import json
+import random
 import shutil
 from pathlib import Path
 
@@ -210,12 +211,45 @@ class TestExitCodes:
         assert len(rows) == 6
         assert all(r["outcome"] == "valid" for r in rows)
 
+    def test_extract_keeps_the_last_record_of_each_key(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("STUB_API_KEY", "k")
+        suite = tmp_path / "suite"
+        main(["simulate", "--n-questions", "2", "--seed", "0", "--out-dir", str(suite)])
 
-def _small_chain(root: Path) -> Path:
+        def elicit(state, *extra):
+            with StubServer(state) as server:
+                models = tmp_path / "models.json"
+                models.write_text(json.dumps({
+                    "models": [{
+                        "model_id": "stub", "endpoint_url": server.url,
+                        "auth_env_var": "STUB_API_KEY", "max_retries": 0,
+                        "rate_limit_per_minute": 100000,
+                    }]
+                }))
+                return main(["elicit", "--corpus", str(suite / "corpus.jsonl"),
+                             "--models", str(models), "--efforts", "low",
+                             "--out", str(tmp_path / "t.jsonl"),
+                             "--manifest", str(tmp_path / "m.json"), *extra])
+
+        assert elicit(StubState(permanent_status=503)) == 4
+        assert elicit(StubState(reply="value: 101.5, lower: 95.0, upper: 108.0"), "--resume") == 0
+        _, transcript = read_jsonl(tmp_path / "t.jsonl", "transcript.v1")
+        assert [r["transport_status"] for r in transcript] == ["failed", "failed", "ok", "ok"]
+        capsys.readouterr()
+        assert main(["extract", "--transcript", str(tmp_path / "t.jsonl"),
+                     "--corpus", str(suite / "corpus.jsonl"),
+                     "--out", str(tmp_path / "parsed.jsonl")]) == 0
+        assert "parsed 2 valid, 0 invalid, 0 transport-failed" in capsys.readouterr().out
+        _, parsed = read_jsonl(tmp_path / "parsed.jsonl", "parsed.v1")
+        assert [r["question_id"] for r in parsed] == [r["question_id"] for r in transcript[:2]]
+        assert [r["outcome"] for r in parsed] == ["valid", "valid"]
+
+
+def _small_chain(root: Path, seed: int = 3, n: int = 40) -> Path:
     """simulate -> extract -> score -> calibrate on a small suite, offline."""
     suite = root / "suite"
-    assert main(["simulate", "--n-questions", "40", "--width-shrink", "2",
-                 "--seed", "3", "--out-dir", str(suite)]) == 0
+    assert main(["simulate", "--n-questions", str(n), "--width-shrink", "2",
+                 "--seed", str(seed), "--out-dir", str(suite)]) == 0
     assert main(["extract", "--transcript", str(suite / "transcript.jsonl"),
                  "--corpus", str(suite / "corpus.jsonl"),
                  "--out", str(root / "parsed.jsonl")]) == 0
@@ -302,6 +336,44 @@ class TestMalformedArtifacts:
         self.assert_schema_error(["report", "--scores", str(root / "scores.jsonl"),
                                   "--calibration", str(root / "fits.tsv"),
                                   "--out-dir", str(root / "report")], capsys)
+
+    def test_torn_last_line(self, tmp_path, capsys):
+        root = _small_chain(tmp_path)
+        scores = root / "scores.jsonl"
+        scores.write_bytes(scores.read_bytes()[:-40])
+        err = self.assert_schema_error(["report", "--scores", str(scores),
+                                        "--out-dir", str(root / "report")], capsys)
+        last = len(scores.read_text(encoding="utf-8").splitlines())
+        assert str(scores) in err and f"line {last} is not JSON" in err
+
+    @pytest.mark.parametrize("fits_from", ["another run", "no scores hash"])
+    def test_fits_not_fitted_on_these_scores(self, tmp_path, capsys, fits_from):
+        root = _small_chain(tmp_path / "a")
+        fits = root / "fits.tsv"
+        if fits_from == "another run":
+            fits = _small_chain(tmp_path / "b", seed=4) / "fits.tsv"
+        else:
+            lines = fits.read_text(encoding="utf-8").splitlines()
+            fits.write_text("\n".join(line for line in lines
+                                      if not line.startswith("# scores_config_hash")) + "\n")
+        err = self.assert_schema_error(["report", "--scores", str(root / "scores.jsonl"),
+                                        "--calibration", str(fits),
+                                        "--out-dir", str(root / "report")], capsys)
+        assert "not fitted on these scores" in err
+
+
+class TestCalibrateRowOrder:
+    def test_shuffled_scores_calibrate_identically(self, tmp_path):
+        root = _small_chain(tmp_path, n=200)
+        header, *rows = (root / "scores.jsonl").read_text(encoding="utf-8").splitlines()
+        random.Random(3).shuffle(rows)
+        shuffled = root / "shuffled.jsonl"
+        shuffled.write_text("\n".join([header, *rows]) + "\n", encoding="utf-8")
+        assert main(["calibrate", "--scores", str(shuffled),
+                     "--out", str(root / "calibrated2.jsonl"),
+                     "--fits", str(root / "fits2.tsv")]) == 0
+        assert (root / "calibrated2.jsonl").read_bytes() == (root / "calibrated.jsonl").read_bytes()
+        assert (root / "fits2.tsv").read_bytes() == (root / "fits.tsv").read_bytes()
 
 
 class TestFitsRoundTrip:

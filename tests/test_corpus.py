@@ -182,12 +182,12 @@ class TestEnumerate:
 
 class TestFilter:
     def make(self, n):
-        tpl = template()
-        from elicitbench.corpus import Candidate, GroundTruth
+        from elicitbench.corpus import GroundTruth, Question
 
         truth = GroundTruth(value=10.0, lower=5.0, upper=15.0, n=n,
                             family=CIFamily.BINOMIAL, k=n // 10)
-        return Candidate(template=tpl, params={"sex": "M"}, truth=truth)
+        return Question(question_id=f"q{n}", dataset_id="d", params={"sex": "M"},
+                        prompt="M: value, lower, upper.", kind=TargetKind.PROPORTION, truth=truth)
 
     def test_inclusive_threshold(self):
         kept = filter_by_sample_size([self.make(500)], 500)

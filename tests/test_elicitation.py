@@ -5,7 +5,6 @@ import pytest
 
 from elicitbench.corpus import TargetKind
 from elicitbench.elicitation import (
-    Disabled,
     EffortLevel,
     ModelSpec,
     NonReasoning,
@@ -129,7 +128,7 @@ class TestModelSpecParsing:
     def test_minimal(self):
         spec = model_spec_from_dict({"model_id": "m", "endpoint_url": "http://x"})
         assert isinstance(spec.effort_mode, TokenBudget)
-        assert isinstance(spec.tool_policy, Disabled)
+        assert spec.tool_policy is None
 
     def test_full(self):
         spec = model_spec_from_dict(

@@ -1,0 +1,35 @@
+import dataclasses
+
+import pytest
+
+from elicitbench.conformal import ConformalConfig
+from elicitbench.elicitation import ElicitationRecord
+from elicitbench.jsonlio import as_row
+from elicitbench.synthetic import SyntheticSuiteConfig, make_questions
+
+from helpers import make_scored
+
+
+def _written_records():
+    """One instance of every record type that artifacts and config hashes serialize."""
+    scored = make_scored(10.0, 8.0, 12.0, truth_value=11.0)
+    (question,) = make_questions(SyntheticSuiteConfig(n_questions=1))
+    transcript = ElicitationRecord(
+        question_id="q", model_id="m", effort="low", tools_enabled=False, raw_text="42",
+        request_timestamp="1970-01-01T00:00:00Z", latency_ms=0.0, attempt_count=1,
+        transport_status="ok",
+    )
+    return [question, question.truth, scored.triplet, transcript, scored,
+            ConformalConfig(), SyntheticSuiteConfig()]
+
+
+@pytest.mark.parametrize("record", _written_records(), ids=lambda r: type(r).__name__)
+def test_as_row_holds_exactly_the_fields(record):
+    # as_row returns the instance dict: a slots record or a cached property
+    # would drop or add keys in every artifact row
+    assert as_row(record).keys() == {f.name for f in dataclasses.fields(record)}
+
+
+def test_as_row_rejects_non_records():
+    with pytest.raises(TypeError):
+        as_row(object())

@@ -1,3 +1,4 @@
+import dataclasses
 from pathlib import Path
 
 import pytest
@@ -8,7 +9,6 @@ from elicitbench.errors import ConfigError
 from elicitbench.extraction import InvalidReason, extract_triplet
 from elicitbench.metrics import coverage
 from elicitbench.synthetic import (
-    SyntheticElicitor,
     SyntheticSuiteConfig,
     make_questions,
     make_suite,
@@ -22,23 +22,21 @@ class TestRespond:
     def test_deterministic_per_seed_and_question(self):
         cfg = SyntheticSuiteConfig(n_questions=5, seed=3, noise_sd=2.0, width_shrink=2.0)
         questions = make_questions(cfg)
-        el = cfg.elicitor()
-        assert [respond(el, q) for q in questions] == [respond(el, q) for q in questions]
-        other = SyntheticElicitor(seed=4, sigma_true=cfg.sigma_true, noise_sd=2.0,
-                                  width_shrink=2.0)
-        assert respond(other, questions[0]) != respond(el, questions[0])
+        assert [respond(cfg, q) for q in questions] == [respond(cfg, q) for q in questions]
+        other = dataclasses.replace(cfg, seed=4)
+        assert respond(other, questions[0]) != respond(cfg, questions[0])
 
     def test_reply_parses_to_labeled_triplet(self):
         cfg = SyntheticSuiteConfig(n_questions=3, seed=1)
         for q in make_questions(cfg):
-            out = extract_triplet(respond(cfg.elicitor(), q), q.kind)
+            out = extract_triplet(respond(cfg, q), q.kind)
             assert out.valid
             assert not out.triplet.bounds_reordered
 
     def test_full_refusal_is_clarification_downstream(self):
         cfg = SyntheticSuiteConfig(n_questions=20, seed=2, refusal_rate=1.0)
         outcomes = [
-            extract_triplet(respond(cfg.elicitor(), q), q.kind) for q in make_questions(cfg)
+            extract_triplet(respond(cfg, q), q.kind) for q in make_questions(cfg)
         ]
         assert all(o.reason is InvalidReason.CLARIFICATION for o in outcomes)
 
@@ -65,16 +63,16 @@ class TestRespond:
     def test_refusal_rate_concentrates(self):
         cfg = SyntheticSuiteConfig(n_questions=400, seed=5, refusal_rate=0.25)
         outcomes = [
-            extract_triplet(respond(cfg.elicitor(), q), q.kind) for q in make_questions(cfg)
+            extract_triplet(respond(cfg, q), q.kind) for q in make_questions(cfg)
         ]
         refusal_share = sum(not o.valid for o in outcomes) / len(outcomes)
         assert abs(refusal_share - 0.25) <= 0.05
 
     def test_validation(self):
         with pytest.raises(ConfigError):
-            SyntheticElicitor(width_shrink=0.0)
+            SyntheticSuiteConfig(width_shrink=0.0)
         with pytest.raises(ConfigError):
-            SyntheticElicitor(refusal_rate=1.5)
+            SyntheticSuiteConfig(refusal_rate=1.5)
 
 
 class TestMakeSuite:
@@ -113,6 +111,6 @@ class TestMakeSuite:
         cfg = SyntheticSuiteConfig(n_questions=40, seed=13, proportion_fraction=1.0,
                                    width_shrink=0.25, sigma_true=30.0)
         for q in make_questions(cfg):
-            out = extract_triplet(respond(cfg.elicitor(), q), q.kind)
+            out = extract_triplet(respond(cfg, q), q.kind)
             assert out.valid
             assert 0.0 <= out.triplet.lower <= out.triplet.upper <= 100.0
