@@ -278,7 +278,7 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
     results = calibrate_groups(valid, config)
     rows = []
     for res in results:
-        group = dict(zip(("model_id", "effort", "dataset_id"), res.fit.group))
+        group = dict(zip(("model_id", "effort", "dataset_id"), res.evaluation.group))
         for rec in res.cal_records:
             rows.append(
                 {

@@ -198,7 +198,6 @@ def evaluate(fit_result: ConformalFit, calibrated_test: Sequence[CalibratedRecor
 
 @dataclass
 class GroupResult:
-    fit: ConformalFit
     evaluation: GroupCalibration
     cal_records: list[ScoredRecord] = field(default_factory=list)
     test_records: list[CalibratedRecord] = field(default_factory=list)
@@ -227,7 +226,6 @@ def calibrate_groups(
         calibrated = [apply(fit_result, r) for r in test]
         results.append(
             GroupResult(
-                fit=fit_result,
                 evaluation=evaluate(fit_result, calibrated),
                 cal_records=cal,
                 test_records=calibrated,

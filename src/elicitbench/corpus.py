@@ -1,7 +1,7 @@
 """Question corpus generation from delimited tables.
 
 Templates enumerate parameter assignments over dataset columns, ground truth
-is a derived subgroup statistic (percentage or mean) with a confidence
+is a derived subgroup statistic (percentage or mean) with a 95% confidence
 interval, candidates below a sample-size threshold are dropped, and a
 fixed-size corpus is sampled deterministically.
 """
@@ -12,10 +12,10 @@ import itertools
 import math
 import random
 import string
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from statistics import NormalDist, fmean, stdev
+from statistics import fmean, stdev
 from typing import Iterable, Sequence
 
 from .errors import ConfigError, InputError, InsufficientDataError, SchemaError
@@ -23,14 +23,6 @@ from .jsonlio import derive_seed, load_row, stable_hash64
 
 # Central 95% two-sided normal quantile, frozen for byte-stable outputs.
 Z_95 = 1.9599639845400536
-
-
-def z_for_level(level: float) -> float:
-    if not 0.0 < level < 1.0:
-        raise InputError(f"confidence level must be in (0,1), got {level}")
-    if level == 0.95:
-        return Z_95
-    return NormalDist().inv_cdf((1.0 + level) / 2.0)
 
 
 class TargetKind(str, Enum):
@@ -78,7 +70,7 @@ class GroundTruth:
 class QuestionTemplate:
     """Prompt pattern with named placeholders plus the target definition.
 
-    Axis names double as dataset column names (after any column mapping);
+    Axis names double as dataset column names;
     `target_column` holds the statistic source: a binary column for
     proportions (a row counts as a success when its cell equals
     `success_value`) or a numeric column for continuous targets.
@@ -138,13 +130,13 @@ def question_id_for(template_id: str, params: dict[str, str]) -> str:
     return stable_hash64(f"{template_id}|{serialized}")
 
 
-def proportion_ci(k: int, n: int, level: float = 0.95) -> tuple[float, float]:
-    """Wilson score interval for k successes of n, in percent, clipped to [0, 100]."""
+def proportion_ci(k: int, n: int) -> tuple[float, float]:
+    """95% Wilson score interval for k successes of n, in percent, clipped to [0, 100]."""
     if n < 1:
         raise InputError("proportion CI needs n >= 1")
     if not 0 <= k <= n:
         raise InputError(f"need 0 <= k <= n, got k={k}, n={n}")
-    z = z_for_level(level)
+    z = Z_95
     p = k / n
     denom = 1.0 + z * z / n
     center = (p + z * z / (2.0 * n)) / denom
@@ -160,14 +152,14 @@ def proportion_ci(k: int, n: int, level: float = 0.95) -> tuple[float, float]:
     return lower, upper
 
 
-def continuous_ci(values: Sequence[float], level: float = 0.95) -> tuple[float, float, float, int]:
-    """Mean with a normal-theory CI (z quantile, sample SD with n-1 divisor)."""
+def continuous_ci(values: Sequence[float]) -> tuple[float, float, float, int]:
+    """Mean with a normal-theory 95% CI (z quantile, sample SD with n-1 divisor)."""
     n = len(values)
     if n < 2:
         raise InsufficientDataError(f"continuous CI needs at least 2 values, got {n}")
     mean = fmean(values)
     s = stdev(values)
-    half = z_for_level(level) * s / math.sqrt(n)
+    half = Z_95 * s / math.sqrt(n)
     return mean, mean - half, mean + half, n
 
 
@@ -189,29 +181,14 @@ def load_table(path: str | Path) -> list[dict[str, str]]:
     return rows
 
 
-def apply_column_map(rows: list[dict[str, str]], column_map: dict[str, str]) -> list[dict[str, str]]:
-    """Expose logical column names (keys) backed by actual columns (values)."""
-    if not column_map:
-        return rows
-    out = []
-    for row in rows:
-        mapped = dict(row)
-        for logical, actual in column_map.items():
-            if actual not in row:
-                raise SchemaError(f"column map references missing column {actual!r}")
-            mapped[logical] = row[actual]
-        out.append(mapped)
-    return out
-
-
 def _subgroup_truth(
-    template: QuestionTemplate, subgroup: list[dict[str, str]], level: float
+    template: QuestionTemplate, subgroup: list[dict[str, str]]
 ) -> GroundTruth | None:
     if template.kind is TargetKind.PROPORTION:
         n = len(subgroup)
         k = sum(1 for row in subgroup if str(row[template.target_column]).strip() == template.success_value)
         value = 100.0 * k / n
-        lower, upper = proportion_ci(k, n, level)
+        lower, upper = proportion_ci(k, n)
         return GroundTruth(value=value, lower=lower, upper=upper, n=n,
                            family=CIFamily.BINOMIAL, k=k)
     cells = [str(row[template.target_column]).strip() for row in subgroup]
@@ -228,14 +205,12 @@ def _subgroup_truth(
             )
     if len(values) < 2:
         return None  # no CI can be formed; the cell is unusable
-    mean, lower, upper, n = continuous_ci(values, level)
+    mean, lower, upper, n = continuous_ci(values)
     return GroundTruth(value=mean, lower=lower, upper=upper, n=n, family=CIFamily.GAUSSIAN)
 
 
 def enumerate_candidates(
-    template: QuestionTemplate,
-    records: list[dict[str, str]],
-    level: float = 0.95,
+    template: QuestionTemplate, records: list[dict[str, str]]
 ) -> list[Question]:
     """One candidate question per Cartesian-product assignment with a usable subgroup.
 
@@ -260,7 +235,7 @@ def enumerate_candidates(
         subgroup = subgroups.get(tuple(params.values()))
         if not subgroup:
             continue
-        truth = _subgroup_truth(template, subgroup, level)
+        truth = _subgroup_truth(template, subgroup)
         if truth is None:
             continue
         candidates.append(
@@ -303,7 +278,6 @@ class DatasetConfig:
     dataset_id: str
     table: str
     templates: list[QuestionTemplate]
-    column_map: dict[str, str] = field(default_factory=dict)
 
 
 @dataclass
@@ -311,17 +285,17 @@ class CorpusConfig:
     datasets: list[DatasetConfig]
     seed: int = 0
     questions_per_dataset: int = 100
-    ci_level: float = 0.95
 
     def to_dict(self) -> dict:
+        # The fixed "ci_level" and "column_map" keep corpus config hashes and downstream headers unchanged.
         return {
             "seed": self.seed,
             "questions_per_dataset": self.questions_per_dataset,
-            "ci_level": self.ci_level,
+            "ci_level": 0.95,
             "datasets": [
                 {
                     "dataset_id": ds.dataset_id,
-                    "column_map": ds.column_map,
+                    "column_map": {},
                     "templates": [
                         {
                             "template_id": t.template_id,
@@ -359,19 +333,21 @@ def corpus_config_from_dict(raw: dict, base_dir: str | Path = ".") -> CorpusConf
                         min_group_size=int(t.get("min_group_size", 500)),
                     )
                 )
+            if ds.get("column_map"):
+                raise ConfigError(f"{ds['dataset_id']}: column_map is not supported")
             datasets.append(
                 DatasetConfig(
                     dataset_id=ds["dataset_id"],
                     table=str(Path(base_dir) / ds["table"]),
                     templates=templates,
-                    column_map={str(k): str(v) for k, v in ds.get("column_map", {}).items()},
                 )
             )
+        if float(raw.get("ci_level", 0.95)) != 0.95:
+            raise ConfigError(f"ci_level must be 0.95, got {raw['ci_level']!r}")
         return CorpusConfig(
             datasets=datasets,
             seed=int(raw.get("seed", 0)),
             questions_per_dataset=int(raw.get("questions_per_dataset", 100)),
-            ci_level=float(raw.get("ci_level", 0.95)),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad corpus config: {exc}") from exc
@@ -387,10 +363,10 @@ def generate_corpus(config: CorpusConfig) -> tuple[list[Question], dict]:
     questions: list[Question] = []
     meta: dict = {"datasets": {}}
     for ds in config.datasets:
-        rows = apply_column_map(load_table(ds.table), ds.column_map)
+        rows = load_table(ds.table)
         pool: list[Question] = []
         for template in ds.templates:
-            cands = enumerate_candidates(template, rows, config.ci_level)
+            cands = enumerate_candidates(template, rows)
             pool.extend(filter_by_sample_size(cands, template.min_group_size))
         sampled, took_all = sample_corpus(
             pool, config.questions_per_dataset, derive_seed(config.seed, ds.dataset_id)

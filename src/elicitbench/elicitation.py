@@ -61,24 +61,19 @@ class VendorParam:
 @dataclass(frozen=True)
 class TokenBudget:
     param: str = "thinking_budget_tokens"
-    budgets: dict[str, int] = field(
+    values: dict[str, int] = field(  # effort level -> thinking-token budget
         default_factory=lambda: dict(DEFAULT_TOKEN_BUDGETS)
     )
 
     def __post_init__(self) -> None:
         try:
-            low, med, high = (self.budgets[lv] for lv in ("low", "medium", "high"))
+            low, med, high = (self.values[lv] for lv in ("low", "medium", "high"))
         except KeyError as exc:
             raise ConfigError(f"token budgets must define low/medium/high: {exc}") from exc
         if not 0 < low < med < high:
             raise ConfigError(
-                f"token budgets must be positive and strictly increasing, got {self.budgets}"
+                f"token budgets must be positive and strictly increasing, got {self.values}"
             )
-
-
-@dataclass(frozen=True)
-class NonReasoning:
-    pass
 
 
 @dataclass(frozen=True)
@@ -97,7 +92,8 @@ class ModelSpec:
     model_id: str
     endpoint_url: str
     auth_env_var: str | None = None
-    effort_mode: VendorParam | TokenBudget | NonReasoning = field(default_factory=TokenBudget)
+    # None: a non-reasoning model, run at the control level only.
+    effort_mode: VendorParam | TokenBudget | None = field(default_factory=TokenBudget)
     tool_policy: WebSearch | None = None
     max_retries: int = 3
     timeout: float = 60.0
@@ -111,7 +107,7 @@ class ModelSpec:
 
     def levels_for(self, requested: Sequence[EffortLevel]) -> list[EffortLevel]:
         """Non-reasoning specs always run the control level only."""
-        if isinstance(self.effort_mode, NonReasoning):
+        if self.effort_mode is None:
             return [EffortLevel.NONE]
         return [lv for lv in requested if lv is not EffortLevel.NONE]
 
@@ -121,16 +117,16 @@ def model_spec_from_dict(d: dict) -> ModelSpec:
         mode_raw = d.get("effort_mode", {"type": "token_budget"})
         mode_type = mode_raw.get("type", "token_budget")
         if mode_type == "vendor_param":
-            mode: VendorParam | TokenBudget | NonReasoning = VendorParam(
+            mode: VendorParam | TokenBudget | None = VendorParam(
                 param=mode_raw["param"], values=dict(mode_raw["values"])
             )
         elif mode_type == "token_budget":
             mode = TokenBudget(
                 param=mode_raw.get("param", "thinking_budget_tokens"),
-                budgets={k: int(v) for k, v in mode_raw.get("budgets", DEFAULT_TOKEN_BUDGETS).items()},
+                values={k: int(v) for k, v in mode_raw.get("budgets", DEFAULT_TOKEN_BUDGETS).items()},
             )
         elif mode_type == "non_reasoning":
-            mode = NonReasoning()
+            mode = None
         else:
             raise ConfigError(f"unknown effort mode {mode_type!r}")
         tools_raw = d.get("tool_policy", {"type": "disabled"})
@@ -169,7 +165,7 @@ class ElicitationRecord:
 def map_effort(spec: ModelSpec, level: EffortLevel) -> dict:
     """Request fragment for one effort level: named param, budget, or nothing."""
     mode = spec.effort_mode
-    if isinstance(mode, NonReasoning):
+    if mode is None:
         if level is not EffortLevel.NONE:
             raise ConfigError(
                 f"{spec.model_id} is non-reasoning; effort {level.value!r} is not available"
@@ -177,9 +173,7 @@ def map_effort(spec: ModelSpec, level: EffortLevel) -> dict:
         return {}
     if level is EffortLevel.NONE:
         raise ConfigError(f"{spec.model_id} is a reasoning model; effort 'none' is invalid")
-    if isinstance(mode, VendorParam):
-        return {mode.param: mode.values[level.value]}
-    return {mode.param: mode.budgets[level.value]}
+    return {mode.param: mode.values[level.value]}
 
 
 def build_request(question: Question, spec: ModelSpec, level: EffortLevel) -> dict:
@@ -291,11 +285,16 @@ def _elicit_one(
     )
 
 
-def _done_keys(path: Path) -> set[tuple]:
-    """Keys already answered (transport ok) in an existing transcript."""
+def _done_keys(path: Path, cfg_hash: str) -> set[tuple]:
+    """Keys already answered (transport ok) in an existing transcript of this run config."""
     if not path.exists():
         return set()
-    _, rows = read_jsonl(path, "transcript.v1")
+    header, rows = read_jsonl(path, "transcript.v1")
+    if header.get("config_hash") != cfg_hash:
+        raise ConfigError(
+            f"{path}: cannot resume, the transcript was written under config "
+            f"{header.get('config_hash')}, this run is {cfg_hash}"
+        )
     records = (load_row(ElicitationRecord, row) for row in rows)
     return {
         (r.question_id, r.model_id, r.effort, r.tools_enabled)
@@ -328,13 +327,16 @@ def run_batch(
     limiter. Records are appended as they complete (they are self-contained,
     so write order is irrelevant) and failures after retries are recorded,
     not raised. With resume=True, planned keys already answered in the
-    existing transcript are skipped and counted in `skipped`. Missing API
-    keys abort before any request.
+    existing transcript are skipped and counted in `skipped`; a transcript
+    of another config is rejected. A bad concurrency or a missing API key
+    aborts before the transcript is opened.
     """
+    if concurrency < 1:
+        raise ConfigError(f"concurrency must be >= 1, got {concurrency}")
     out_path = Path(out_path)
     headers_by_spec = {spec.model_id: _auth_headers(spec) for spec in specs}
 
-    done = _done_keys(out_path) if resume else set()
+    done = _done_keys(out_path, cfg_hash) if resume else set()
     tasks = []
     skipped = 0
     for question in questions:

@@ -62,9 +62,9 @@ class ParseOutcome:
 
 # Numeric token: optional sign, thousands grouping, decimals, exponent,
 # trailing percent. A sign or leading digit is only taken where it does not
-# continue a word or another number.
+# continue a word or another number, so "10%-14%" is a range, not 10 and -14.
 _NUMBER_RE = re.compile(
-    r"""(?<![\w.])
+    r"""(?<![\w.%])
         [-+]?
         (?:
             \d{1,3}(?:,\d{3})+(?:\.\d+)?

@@ -22,6 +22,8 @@ from elicitbench.cli import main
 
 out = sys.argv[1]
 stages = [
+    ["generate", "--config", "tests/data/templates_demo.json",
+     "--out", out + "/fixture_corpus.jsonl"],
     ["simulate", "--n-questions", "40", "--seed", "2", "--out-dir", out],
     ["extract", "--transcript", out + "/transcript.jsonl", "--corpus", out + "/corpus.jsonl",
      "--out", out + "/parsed.jsonl"],
@@ -47,8 +49,8 @@ def test_tracer_installs_and_records_spans(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.splitlines()[-1])
-    assert result["codes"] == [0] * 5
-    for name in ("corpus.Question.from_dict", "metrics.ScoredRecord.from_dict",
+    assert result["codes"] == [0] * 6
+    for name in ("corpus.load_table", "corpus.enumerate_candidates", "corpus.Question.from_dict", "metrics.ScoredRecord.from_dict",
                  "report.split_rows", "report.summary_section",
                  "report.tool_comparison_section", "conformal.fit"):
         assert name in result["spans"], name

@@ -133,6 +133,42 @@ class TestGenerateCommand:
             assert set(row) == fields
             assert set(row["truth"]) == {"value", "lower", "upper", "n", "family", "k"}
 
+    def write_config(self, root: Path, edit) -> Path:
+        raw = json.loads((DATA / "templates_demo.json").read_text())
+        edit(raw)
+        config = root / "templates.json"
+        config.write_text(json.dumps(raw))
+        shutil.copy(DATA / "health_fixture.csv", root / "health_fixture.csv")
+        return config
+
+    @pytest.mark.parametrize(
+        "edit",
+        [lambda raw: raw.pop("ci_level"),
+         lambda raw: raw["datasets"][0].update(column_map={})],
+        ids=["no_ci_level", "empty_column_map"],
+    )
+    def test_default_interval_settings_give_the_same_corpus(self, tmp_path, edit):
+        config = self.write_config(tmp_path, edit)
+        assert main(["generate", "--config", str(config), "--out", str(tmp_path / "c.jsonl")]) == 0
+        shutil.copy(DATA / "templates_demo.json", config)
+        assert main(["generate", "--config", str(config), "--out", str(tmp_path / "d.jsonl")]) == 0
+        assert (tmp_path / "c.jsonl").read_bytes() == (tmp_path / "d.jsonl").read_bytes()
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [(lambda raw: raw.update(ci_level=0.9), "ci_level must be 0.95"),
+         (lambda raw: raw["datasets"][0].update(column_map={"gender": "sex"}),
+          "column_map is not supported")],
+        ids=["ci_level_0.9", "column_map"],
+    )
+    def test_other_interval_settings_are_2(self, tmp_path, capsys, edit, message):
+        config = self.write_config(tmp_path, edit)
+        capsys.readouterr()
+        assert main(["generate", "--config", str(config), "--out", str(tmp_path / "c.jsonl")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert not (tmp_path / "c.jsonl").exists()
+
     def test_seed_override_changes_sample(self, tmp_path):
         config = tmp_path / "templates.json"
         shutil.copy(DATA / "templates_demo.json", config)
@@ -216,23 +252,12 @@ class TestExitCodes:
         suite = tmp_path / "suite"
         main(["simulate", "--n-questions", "2", "--seed", "0", "--out-dir", str(suite)])
 
-        def elicit(state, *extra):
-            with StubServer(state) as server:
-                models = tmp_path / "models.json"
-                models.write_text(json.dumps({
-                    "models": [{
-                        "model_id": "stub", "endpoint_url": server.url,
-                        "auth_env_var": "STUB_API_KEY", "max_retries": 0,
-                        "rate_limit_per_minute": 100000,
-                    }]
-                }))
-                return main(["elicit", "--corpus", str(suite / "corpus.jsonl"),
-                             "--models", str(models), "--efforts", "low",
-                             "--out", str(tmp_path / "t.jsonl"),
-                             "--manifest", str(tmp_path / "m.json"), *extra])
-
-        assert elicit(StubState(permanent_status=503)) == 4
-        assert elicit(StubState(reply="value: 101.5, lower: 95.0, upper: 108.0"), "--resume") == 0
+        state = StubState(reply="value: 101.5, lower: 95.0, upper: 108.0", permanent_status=503)
+        with StubServer(state) as server:
+            argv = _elicit_argv(tmp_path, suite, server.url, "--efforts", "low")
+            assert main(argv) == 4
+            state.permanent_status = None
+            assert main(argv + ["--resume"]) == 0
         _, transcript = read_jsonl(tmp_path / "t.jsonl", "transcript.v1")
         assert [r["transport_status"] for r in transcript] == ["failed", "failed", "ok", "ok"]
         capsys.readouterr()
@@ -243,6 +268,63 @@ class TestExitCodes:
         _, parsed = read_jsonl(tmp_path / "parsed.jsonl", "parsed.v1")
         assert [r["question_id"] for r in parsed] == [r["question_id"] for r in transcript[:2]]
         assert [r["outcome"] for r in parsed] == ["valid", "valid"]
+
+    def test_resume_with_other_efforts_is_2(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("STUB_API_KEY", "k")
+        suite = tmp_path / "suite"
+        main(["simulate", "--n-questions", "2", "--seed", "0", "--out-dir", str(suite)])
+        state = StubState()
+        with StubServer(state) as server:
+            assert main(_elicit_argv(tmp_path, suite, server.url, "--efforts", "low")) == 0
+            before = (tmp_path / "t.jsonl").read_bytes()
+            capsys.readouterr()
+            code = main(_elicit_argv(tmp_path, suite, server.url,
+                                     "--efforts", "low,high", "--resume"))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "cannot resume" in err
+        assert (tmp_path / "t.jsonl").read_bytes() == before
+        assert state.requests == 2
+
+    @pytest.mark.parametrize(
+        "extra, models, message",
+        [(["--efforts", "low,extreme"], None, "unknown effort level 'extreme'"),
+         (["--efforts", ""], None, "no effort levels requested"),
+         (["--concurrency", "0"], None, "concurrency must be >= 1"),
+         ([], [], "no model specs configured")],
+        ids=["unknown_effort", "empty_efforts", "zero_concurrency", "no_specs"],
+    )
+    def test_bad_elicit_config_is_2_before_the_transcript(self, tmp_path, monkeypatch, capsys,
+                                                          extra, models, message):
+        monkeypatch.setenv("STUB_API_KEY", "k")
+        suite = tmp_path / "suite"
+        main(["simulate", "--n-questions", "2", "--seed", "0", "--out-dir", str(suite)])
+        state = StubState()
+        with StubServer(state) as server:
+            argv = _elicit_argv(tmp_path, suite, server.url, *extra)
+            if models is not None:
+                (tmp_path / "models.json").write_text(json.dumps({"models": models}))
+            capsys.readouterr()
+            code = main(argv)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert not (tmp_path / "t.jsonl").exists()
+        assert state.requests == 0
+
+
+def _elicit_argv(root: Path, suite: Path, url: str, *extra: str) -> list[str]:
+    """Write a one-model spec file for the stub at url; return the elicit argv."""
+    models = root / "models.json"
+    models.write_text(json.dumps({
+        "models": [{
+            "model_id": "stub", "endpoint_url": url,
+            "auth_env_var": "STUB_API_KEY", "max_retries": 0,
+            "rate_limit_per_minute": 100000,
+        }]
+    }))
+    return ["elicit", "--corpus", str(suite / "corpus.jsonl"), "--models", str(models),
+            "--out", str(root / "t.jsonl"), "--manifest", str(root / "m.json"), *extra]
 
 
 def _small_chain(root: Path, seed: int = 3, n: int = 40) -> Path:
@@ -308,6 +390,20 @@ class TestMalformedArtifacts:
                                         "--corpus", str(root / "suite" / "corpus.jsonl"),
                                         "--out", str(root / "scores2.jsonl")], capsys)
         assert field in err
+
+    @pytest.mark.parametrize(
+        "artifact, stage, flag",
+        [("suite/transcript.jsonl", "extract", "--transcript"),
+         ("parsed.jsonl", "score", "--parsed")],
+        ids=["transcript", "parsed"],
+    )
+    def test_row_naming_unknown_question(self, tmp_path, capsys, artifact, stage, flag):
+        root = _small_chain(tmp_path)
+        _edit_first_valid_row(root / artifact, lambda row: row.update(question_id="no-such-q"))
+        err = self.assert_schema_error([stage, flag, str(root / artifact),
+                                        "--corpus", str(root / "suite" / "corpus.jsonl"),
+                                        "--out", str(root / "again.jsonl")], capsys)
+        assert "unknown question no-such-q" in err
 
     def test_non_numeric_triplet_value(self, tmp_path, capsys):
         root = _small_chain(tmp_path)

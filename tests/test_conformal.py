@@ -42,6 +42,7 @@ class TestSplit:
         result = fit([], 0.05, 15)
         assert result.sufficiency == Sufficiency.INSUFFICIENT
         assert math.isinf(result.q_hat)
+        assert result.flag_detail == "empty_calibration_set"
 
 
 class TestNonconformity:
@@ -212,11 +213,11 @@ class TestCalibrateGroups:
                                 model=model, qid=f"{model}-{i}")
                 )
         results = calibrate_groups(records, ConformalConfig(seed=0))
-        assert [r.fit.group[0] for r in results] == ["a-model", "b-model"]
+        assert [r.evaluation.group[0] for r in results] == ["a-model", "b-model"]
         only_a = calibrate_groups(
             [r for r in records if r.model_id == "a-model"], ConformalConfig(seed=0)
         )
-        assert only_a[0].fit.q_hat == results[0].fit.q_hat
+        assert only_a[0].evaluation.q_hat == results[0].evaluation.q_hat
         assert only_a[0].evaluation == results[0].evaluation
 
     def test_config_validation(self):

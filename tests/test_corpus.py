@@ -53,7 +53,7 @@ class TestProportionCI:
 
     def test_frozen_example(self):
         # precomputed with the Wilson formula in a one-off script
-        lower, upper = proportion_ci(50, 100, 0.95)
+        lower, upper = proportion_ci(50, 100)
         assert lower == pytest.approx(40.383153036599566, abs=1e-9)
         assert upper == pytest.approx(59.61684696340044, abs=1e-9)
 

@@ -7,7 +7,6 @@ from elicitbench.corpus import TargetKind
 from elicitbench.elicitation import (
     EffortLevel,
     ModelSpec,
-    NonReasoning,
     TokenBudget,
     VendorParam,
     WebSearch,
@@ -62,11 +61,11 @@ class TestMapEffort:
         assert map_effort(spec, EffortLevel.HIGH) == {"reasoning_effort": "high"}
 
     def test_non_reasoning_has_empty_fragment(self):
-        spec = spec_for("http://x", effort_mode=NonReasoning())
+        spec = spec_for("http://x", effort_mode=None)
         assert map_effort(spec, EffortLevel.NONE) == {}
 
     def test_effort_on_non_reasoning_rejected(self):
-        spec = spec_for("http://x", effort_mode=NonReasoning())
+        spec = spec_for("http://x", effort_mode=None)
         for level in (EffortLevel.LOW, EffortLevel.MEDIUM, EffortLevel.HIGH):
             with pytest.raises(ConfigError):
                 map_effort(spec, level)
@@ -77,9 +76,9 @@ class TestMapEffort:
 
     def test_budgets_must_increase(self):
         with pytest.raises(ConfigError):
-            TokenBudget(budgets={"low": 8000, "medium": 8000, "high": 16000})
+            TokenBudget(values={"low": 8000, "medium": 8000, "high": 16000})
         with pytest.raises(ConfigError):
-            TokenBudget(budgets={"low": -1, "medium": 8, "high": 16})
+            TokenBudget(values={"low": -1, "medium": 8, "high": 16})
 
     def test_web_search_cap(self):
         with pytest.raises(ConfigError):
@@ -146,6 +145,18 @@ class TestModelSpecParsing:
         )
         assert spec.tool_policy == WebSearch(max_searches=3)
 
+    @pytest.mark.parametrize(
+        "mode, expected",
+        [({"type": "non_reasoning"}, None),
+         ({"type": "token_budget", "budgets": {"low": 1, "medium": 2, "high": 3}},
+          TokenBudget(values={"low": 1, "medium": 2, "high": 3}))],
+        ids=["non_reasoning", "budgets"],
+    )
+    def test_effort_mode_json_keys(self, mode, expected):
+        spec = model_spec_from_dict({"model_id": "m", "endpoint_url": "http://x",
+                                     "effort_mode": mode})
+        assert spec.effort_mode == expected
+
     def test_unknown_mode_rejected(self):
         with pytest.raises(ConfigError):
             model_spec_from_dict(
@@ -177,7 +188,7 @@ class TestRunBatch:
             result = run_batch(
                 questions(4),
                 [spec_for(server.url), spec_for(server.url, model_id="plain",
-                                                effort_mode=NonReasoning())],
+                                                effort_mode=None)],
                 [EffortLevel.LOW, EffortLevel.HIGH],
                 concurrency=4, out_path=tmp_path / "t.jsonl", cfg_hash="h",
             )

@@ -76,6 +76,25 @@ class TestGrammar:
     def test_hyphen_range_is_not_negative(self):
         assert find_numbers("range 15-25") == [15.0, 25.0]
 
+    @pytest.mark.parametrize(
+        "text, expected",
+        [("10%-14%", [10.0, 14.0]),
+         ("12%, 10%-14%", [12.0, 10.0, 14.0]),
+         ("-5%, -8%", [-5.0, -8.0])],
+    )
+    def test_percent_range_is_not_negative(self, text, expected):
+        assert find_numbers(text) == expected
+
+    @pytest.mark.parametrize(
+        "text, lower, upper",
+        [("12%, 10%-14%", 10.0, 14.0),
+         ("42% (95% CI: 30%-50%)", 30.0, 50.0)],
+    )
+    def test_percent_range_bounds(self, text, lower, upper):
+        t = extract_triplet(text, "proportion").triplet
+        assert (t.lower, t.upper) == (lower, upper)
+        assert not t.bounds_reordered
+
     def test_scientific_notation(self):
         assert find_numbers("1.5e-3 2E+2") == [0.0015, 200.0]
 

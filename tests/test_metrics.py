@@ -24,6 +24,8 @@ from elicitbench.metrics import (
     summarize_group,
 )
 
+from elicitbench.report import summary_section
+
 from helpers import make_scored, make_triplet, make_truth_binomial, make_truth_gaussian
 from oracles import (
     coverage_oracle,
@@ -239,6 +241,16 @@ class TestScoredRecordsAndSummary:
     def test_invalid_rate(self, n_valid, n_invalid, expected):
         summary = GroupSummary("m", "low", "d", n_valid, n_invalid, None, None, None, None)
         assert summary.invalid_rate == expected
+
+    def test_fraction_scale_answers_counted_in_summary(self):
+        records = [
+            make_scored(0.4, 0.3, 0.5, truth_value=40.0, kind=TargetKind.PROPORTION, qid="q1"),
+            make_scored(40.0, 30.0, 50.0, truth_value=40.0, kind=TargetKind.PROPORTION, qid="q2"),
+            make_scored(0.4, 0.3, 0.5, truth_value=40.0, qid="q3"),  # continuous: never suspect
+        ]
+        tsv, _ = summary_section(records, [])
+        header, row = (line.split("\t") for line in tsv.splitlines() if not line.startswith("#"))
+        assert dict(zip(header, row))["n_suspect_scale"] == "1"
 
     def test_summary_matches_oracles(self):
         rng = random.Random(11)
