@@ -121,6 +121,8 @@ def _parse_efforts(raw: str) -> list[EffortLevel]:
 def cmd_elicit(args: argparse.Namespace) -> int:
     _, questions = _read_corpus(args.corpus)
     models_raw = _load_json(args.models)
+    if not isinstance(models_raw, dict) or not isinstance(models_raw.get("models", []), list):
+        raise ConfigError(f"{args.models}: expected a JSON object with a \"models\" list")
     specs = [model_spec_from_dict(d) for d in models_raw.get("models", [])]
     if not specs:
         raise ConfigError(f"{args.models}: no model specs configured")
@@ -276,34 +278,7 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
         }
     )
     results = calibrate_groups(valid, config)
-    rows = []
-    for res in results:
-        group = dict(zip(("model_id", "effort", "dataset_id"), res.evaluation.group))
-        for rec in res.cal_records:
-            rows.append(
-                {
-                    "group": group,
-                    "question_id": rec.question_id,
-                    "split": "cal",
-                    "calibrated": False,
-                    "new_lower": None,
-                    "new_upper": None,
-                    "covered_after": None,
-                }
-            )
-        for cal in res.test_records:
-            rows.append(
-                {
-                    "group": group,
-                    "question_id": cal.original.question_id,
-                    "split": "test",
-                    "calibrated": cal.calibrated,
-                    "new_lower": cal.new_lower,
-                    "new_upper": cal.new_upper,
-                    "covered_after": cal.covered_after,
-                }
-            )
-    write_jsonl(args.out, "calibrated.v1", cfg_hash, rows)
+    write_jsonl(args.out, "calibrated.v1", cfg_hash, [row for res in results for row in res.rows])
 
     evaluations = [res.evaluation for res in results]
     write_fits(args.fits, evaluations, cfg_hash, scores_header.get("config_hash"))

@@ -9,7 +9,7 @@ percent-kind questions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from random import Random
 from typing import Sequence, TypeVar
@@ -21,11 +21,6 @@ from .jsonlio import derive_seed
 from .metrics import ScoredRecord, coverage, floored_width, interval_covers
 
 T = TypeVar("T")
-
-
-class Sufficiency:
-    OK = "ok"
-    INSUFFICIENT = "insufficient_data"
 
 
 @dataclass(frozen=True)
@@ -45,31 +40,36 @@ class ConformalConfig:
 
 
 @dataclass(frozen=True)
-class ConformalFit:
-    group: tuple[str, str, str]  # (model_id, effort, dataset_id)
-    q_hat: float  # math.inf when the quantile index exceeds n_cal
-    n_cal: int
-    sufficiency: str
-    quantile_index: int  # 1-based order statistic demanded by alpha
+class GroupCalibration:
+    """One group's fit, and once evaluated, its test-set size and coverages.
 
-    @property
-    def flag_detail(self) -> str:
-        if self.sufficiency == Sufficiency.OK:
-            return ""
-        if self.n_cal == 0:
-            return "empty_calibration_set"
-        if math.isinf(self.q_hat):
-            return "quantile_index_exceeds_n_cal"
-        return "n_cal_below_minimum"
+    flag is "ok" or "insufficient_data"; q_hat is math.inf when the quantile
+    index exceeds n_cal.
+    """
+    group: tuple[str, str, str]  # (model_id, effort, dataset_id)
+    n_cal: int
+    n_test: int
+    q_hat: float
+    coverage_before: float | None
+    coverage_after: float | None
+    flag: str
+    flag_detail: str
 
 
 @dataclass(frozen=True)
 class CalibratedRecord:
-    original: ScoredRecord
-    new_lower: float
-    new_upper: float
-    covered_after: bool
+    """One calibrated.v1 row. A calibration-side row has no new interval."""
+    group: dict[str, str]  # model_id, effort, dataset_id
+    question_id: str
+    split: str  # "cal" or "test"
     calibrated: bool  # False when the record passed through unmodified
+    new_lower: float | None
+    new_upper: float | None
+    covered_after: bool | None
+
+
+def _group_of(record: ScoredRecord) -> dict[str, str]:
+    return {"model_id": record.model_id, "effort": record.effort, "dataset_id": record.dataset_id}
 
 
 def split(records: Sequence[T], cal_fraction: float, seed: int) -> tuple[list[T], list[T]]:
@@ -109,29 +109,33 @@ def fit(
     alpha: float,
     min_cal: int,
     group: tuple[str, str, str] = ("", "", ""),
-) -> ConformalFit:
+) -> GroupCalibration:
     """Calibrate q_hat from nonconformity scores; flag thin calibration sets.
 
-    InsufficientData is raised by either route: fewer than min_cal points, or
-    a quantile index beyond the sample (always the case when n < ceil((n+1)
-    (1-alpha)) - 1, which for alpha=0.05 means any n below 19).
+    A group is flagged by either route: fewer than min_cal points, or a
+    quantile index beyond the sample (always the case when n < ceil((n+1)
+    (1-alpha)) - 1, which for alpha=0.05 means any n below 19). The test-set
+    size and coverages are left for `evaluate`.
     """
     for s in cal_scores:
         if not math.isfinite(s) or s < 0.0:
             raise ConfigError(f"nonconformity scores must be finite and >= 0, got {s}")
-    q_hat, m = conformal_quantile(cal_scores, alpha)
+    q_hat, _ = conformal_quantile(cal_scores, alpha)
     n_cal = len(cal_scores)
-    ok = n_cal >= min_cal and math.isfinite(q_hat)
-    return ConformalFit(
-        group=group,
-        q_hat=q_hat,
-        n_cal=n_cal,
-        sufficiency=Sufficiency.OK if ok else Sufficiency.INSUFFICIENT,
-        quantile_index=m,
-    )
+    if n_cal >= min_cal and math.isfinite(q_hat):
+        detail = ""
+    elif n_cal == 0:
+        detail = "empty_calibration_set"
+    elif math.isinf(q_hat):
+        detail = "quantile_index_exceeds_n_cal"
+    else:
+        detail = "n_cal_below_minimum"
+    return GroupCalibration(group=group, n_cal=n_cal, n_test=0, q_hat=q_hat,
+                            coverage_before=None, coverage_after=None,
+                            flag="insufficient_data" if detail else "ok", flag_detail=detail)
 
 
-def apply(fit_result: ConformalFit, record: ScoredRecord) -> CalibratedRecord:
+def apply(fit_result: GroupCalibration, record: ScoredRecord) -> CalibratedRecord:
     """Expand one test record to value +/- q_hat * width.
 
     Uses the identical floored width as nonconformity (same score function on
@@ -139,68 +143,46 @@ def apply(fit_result: ConformalFit, record: ScoredRecord) -> CalibratedRecord:
     after expansion. Records pass through unmodified when the fit is flagged.
     """
     t = record.triplet
-    y = record.truth.value
-    if fit_result.sufficiency != Sufficiency.OK:
-        return CalibratedRecord(
-            original=record,
-            new_lower=t.lower,
-            new_upper=t.upper,
-            covered_after=interval_covers(t.lower, t.upper, y),
-            calibrated=False,
-        )
-    half = fit_result.q_hat * floored_width(t)
-    new_lower, new_upper = t.value - half, t.value + half
-    if record.kind is TargetKind.PROPORTION:
-        new_lower = max(0.0, new_lower)
-        new_upper = min(100.0, new_upper)
+    new_lower, new_upper = t.lower, t.upper
+    calibrated = fit_result.flag == "ok"
+    if calibrated:
+        half = fit_result.q_hat * floored_width(t)
+        new_lower, new_upper = t.value - half, t.value + half
+        if record.kind is TargetKind.PROPORTION:
+            new_lower = max(0.0, new_lower)
+            new_upper = min(100.0, new_upper)
     return CalibratedRecord(
-        original=record,
+        group=_group_of(record),
+        question_id=record.question_id,
+        split="test",
+        calibrated=calibrated,
         new_lower=new_lower,
         new_upper=new_upper,
-        covered_after=interval_covers(new_lower, new_upper, y),
-        calibrated=True,
+        covered_after=interval_covers(new_lower, new_upper, record.truth.value),
+    )
+
+
+def evaluate(
+    fit_result: GroupCalibration,
+    test: Sequence[ScoredRecord],
+    calibrated_test: Sequence[CalibratedRecord],
+) -> GroupCalibration:
+    """The fit with its test-set size and before/after coverage; after is undefined when flagged."""
+    after = None
+    if fit_result.flag == "ok" and calibrated_test:
+        after = sum(c.covered_after for c in calibrated_test) / len(calibrated_test)
+    return replace(
+        fit_result,
+        n_test=len(test),
+        coverage_before=coverage((r.triplet.lower, r.triplet.upper, r.truth.value) for r in test),
+        coverage_after=after,
     )
 
 
 @dataclass(frozen=True)
-class GroupCalibration:
-    group: tuple[str, str, str]
-    n_cal: int
-    n_test: int
-    q_hat: float
-    coverage_before: float | None
-    coverage_after: float | None
-    flag: str
-    flag_detail: str
-
-
-def evaluate(fit_result: ConformalFit, calibrated_test: Sequence[CalibratedRecord]) -> GroupCalibration:
-    """Before/after coverage on the test set; after is undefined for flagged fits."""
-    before = coverage(
-        (c.original.triplet.lower, c.original.triplet.upper, c.original.truth.value)
-        for c in calibrated_test
-    )
-    if fit_result.sufficiency == Sufficiency.OK:
-        after = coverage((c.new_lower, c.new_upper, c.original.truth.value) for c in calibrated_test)
-    else:
-        after = None
-    return GroupCalibration(
-        group=fit_result.group,
-        n_cal=fit_result.n_cal,
-        n_test=len(calibrated_test),
-        q_hat=fit_result.q_hat,
-        coverage_before=before,
-        coverage_after=after,
-        flag=fit_result.sufficiency,
-        flag_detail=fit_result.flag_detail,
-    )
-
-
-@dataclass
 class GroupResult:
     evaluation: GroupCalibration
-    cal_records: list[ScoredRecord] = field(default_factory=list)
-    test_records: list[CalibratedRecord] = field(default_factory=list)
+    rows: list[CalibratedRecord]  # the calibration side first, then the test side
 
 
 def calibrate_groups(
@@ -224,11 +206,10 @@ def calibrate_groups(
         scores = [nonconformity(r.triplet, r.truth.value) for r in cal]
         fit_result = fit(scores, config.alpha, config.min_cal, group=key)
         calibrated = [apply(fit_result, r) for r in test]
-        results.append(
-            GroupResult(
-                evaluation=evaluate(fit_result, calibrated),
-                cal_records=cal,
-                test_records=calibrated,
-            )
-        )
+        cal_rows = [
+            CalibratedRecord(group=_group_of(r), question_id=r.question_id, split="cal",
+                             calibrated=False, new_lower=None, new_upper=None, covered_after=None)
+            for r in cal
+        ]
+        results.append(GroupResult(evaluate(fit_result, test, calibrated), cal_rows + calibrated))
     return results

@@ -112,24 +112,32 @@ class ModelSpec:
         return [lv for lv in requested if lv is not EffortLevel.NONE]
 
 
+def _json_object(value: object, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigError(f"{what} must be a JSON object, got {value!r}")
+    return value
+
+
 def model_spec_from_dict(d: dict) -> ModelSpec:
+    d = _json_object(d, "a model spec")
     try:
-        mode_raw = d.get("effort_mode", {"type": "token_budget"})
+        mode_raw = _json_object(d.get("effort_mode", {"type": "token_budget"}), "effort_mode")
         mode_type = mode_raw.get("type", "token_budget")
         if mode_type == "vendor_param":
             mode: VendorParam | TokenBudget | None = VendorParam(
                 param=mode_raw["param"], values=dict(mode_raw["values"])
             )
         elif mode_type == "token_budget":
+            budgets = _json_object(mode_raw.get("budgets", DEFAULT_TOKEN_BUDGETS), "budgets")
             mode = TokenBudget(
                 param=mode_raw.get("param", "thinking_budget_tokens"),
-                values={k: int(v) for k, v in mode_raw.get("budgets", DEFAULT_TOKEN_BUDGETS).items()},
+                values={k: int(v) for k, v in budgets.items()},
             )
         elif mode_type == "non_reasoning":
             mode = None
         else:
             raise ConfigError(f"unknown effort mode {mode_type!r}")
-        tools_raw = d.get("tool_policy", {"type": "disabled"})
+        tools_raw = _json_object(d.get("tool_policy", {"type": "disabled"}), "tool_policy")
         tools = None
         if tools_raw.get("type", "disabled") == "web_search":
             tools = WebSearch(max_searches=int(tools_raw.get("max_searches", MAX_WEB_SEARCHES)))
@@ -328,11 +336,16 @@ def run_batch(
     so write order is irrelevant) and failures after retries are recorded,
     not raised. With resume=True, planned keys already answered in the
     existing transcript are skipped and counted in `skipped`; a transcript
-    of another config is rejected. A bad concurrency or a missing API key
-    aborts before the transcript is opened.
+    of another config is rejected. A bad concurrency, effort levels that
+    select nothing for any spec, or a missing API key abort before the
+    transcript is opened.
     """
     if concurrency < 1:
         raise ConfigError(f"concurrency must be >= 1, got {concurrency}")
+    if not any(spec.levels_for(levels) for spec in specs):
+        raise ConfigError(
+            f"efforts {[lv.value for lv in levels]} select no level of any model spec"
+        )
     out_path = Path(out_path)
     headers_by_spec = {spec.model_id: _auth_headers(spec) for spec in specs}
 

@@ -3,7 +3,8 @@
 Precedence: labeled fields win over bare numbers; when all three of a
 value/lower/upper label family are present anywhere in the text, those are
 taken (last occurrence of each label). Otherwise the last three bare numeric
-tokens, in reading order, are read as (value, lower, upper). Reversed bounds
+tokens, in reading order, are read as (value, lower, upper). A confidence
+level such as the 95 of "95% CI" is never one of those numbers. Reversed bounds
 are repaired and flagged; a value outside its own interval is kept and
 flagged. Anything without three parseable numbers is invalid, with refusals
 that ask a question or request details classified as clarifications.
@@ -51,14 +52,6 @@ class ParseOutcome:
     def valid(self) -> bool:
         return self.triplet is not None
 
-    @classmethod
-    def ok(cls, triplet: Triplet) -> "ParseOutcome":
-        return cls(triplet=triplet, reason=None)
-
-    @classmethod
-    def invalid(cls, reason: InvalidReason) -> "ParseOutcome":
-        return cls(triplet=None, reason=reason)
-
 
 # Numeric token: optional sign, thousands grouping, decimals, exponent,
 # trailing percent. A sign or leading digit is only taken where it does not
@@ -75,6 +68,14 @@ _NUMBER_RE = re.compile(
         %?
     """,
     re.VERBOSE,
+)
+
+# A confidence level ("95% CI", "90% credible interval") is not a candidate
+# number: it is blanked out before labels and the last-three rule are read.
+_LEVEL_RE = re.compile(
+    _NUMBER_RE.pattern
+    + r"(?<=%)(?=\s*(?:CI|confidence|credible|(?:prediction\s+)?interval)\b)",
+    re.VERBOSE | re.IGNORECASE,
 )
 
 _EMPH = r"(?:\*\*|__|`)?"
@@ -126,11 +127,11 @@ def _labeled_fields(text: str) -> tuple[float, float, float] | None:
 
 def _normalize(value: float, lower: float, upper: float, units: Units) -> ParseOutcome:
     if not (isfinite(value) and isfinite(lower) and isfinite(upper)):
-        return ParseOutcome.invalid(InvalidReason.MALFORMED)
+        return ParseOutcome(None, InvalidReason.MALFORMED)
     reordered = lower > upper
     if reordered:
         lower, upper = upper, lower
-    return ParseOutcome.ok(
+    return ParseOutcome(
         Triplet(
             value=value,
             lower=lower,
@@ -138,7 +139,8 @@ def _normalize(value: float, lower: float, upper: float, units: Units) -> ParseO
             units=units,
             bounds_reordered=reordered,
             value_outside_interval=not lower <= value <= upper,
-        )
+        ),
+        None,
     )
 
 
@@ -147,21 +149,22 @@ def extract_triplet(raw_text: str, target_kind: TargetKind | str) -> ParseOutcom
     kind = TargetKind(target_kind)
     units = Units.PERCENT if kind is TargetKind.PROPORTION else Units.DATASET
     if raw_text is None or not raw_text.strip():
-        return ParseOutcome.invalid(InvalidReason.EMPTY_OUTPUT)
+        return ParseOutcome(None, InvalidReason.EMPTY_OUTPUT)
 
-    labeled = _labeled_fields(raw_text)
+    text = _LEVEL_RE.sub(" ", raw_text)
+    labeled = _labeled_fields(text)
     if labeled is not None:
         return _normalize(*labeled, units=units)
 
-    numbers = find_numbers(raw_text)
+    numbers = find_numbers(text)
     if len(numbers) >= 3:
         return _normalize(numbers[-3], numbers[-2], numbers[-1], units=units)
 
     if _CLARIFICATION_RE.search(raw_text):
-        return ParseOutcome.invalid(InvalidReason.CLARIFICATION)
+        return ParseOutcome(None, InvalidReason.CLARIFICATION)
     if not numbers:
-        return ParseOutcome.invalid(InvalidReason.NO_NUMBERS)
-    return ParseOutcome.invalid(InvalidReason.INCOMPLETE_TRIPLET)
+        return ParseOutcome(None, InvalidReason.NO_NUMBERS)
+    return ParseOutcome(None, InvalidReason.INCOMPLETE_TRIPLET)
 
 
 def canonical_triplet_text(triplet: Triplet) -> str:

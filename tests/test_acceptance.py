@@ -78,7 +78,7 @@ def test_cp_coverage_guarantee():
             records = scored_suite(overconfident_suite(seed, 200, noise_sd=SIGMA_TRUE))
             cal, test = split(records, 0.30, seed=seed)
             f = fit([nonconformity(r.triplet, r.truth.value) for r in cal], 0.05, 15)
-            ev = evaluate(f, [apply(f, r) for r in test])
+            ev = evaluate(f, test, [apply(f, r) for r in test])
             assert ev.n_cal == 60 and ev.n_test == 140
             assert ev.flag == "ok"
             coverages.append(ev.coverage_after)

@@ -12,6 +12,10 @@ from stubserver import StubServer, StubState
 
 DATA = Path(__file__).parent / "data"
 
+# A model spec for the stub server, without its endpoint_url.
+STUB_SPEC = {"model_id": "stub", "auth_env_var": "STUB_API_KEY", "max_retries": 0,
+             "rate_limit_per_minute": 100000}
+
 
 def run_synthetic_chain(root: Path, seed=7, extra_simulate=(), n=120) -> Path:
     """generate -> simulate -> extract -> score -> calibrate -> report."""
@@ -291,8 +295,17 @@ class TestExitCodes:
         [(["--efforts", "low,extreme"], None, "unknown effort level 'extreme'"),
          (["--efforts", ""], None, "no effort levels requested"),
          (["--concurrency", "0"], None, "concurrency must be >= 1"),
-         ([], [], "no model specs configured")],
-        ids=["unknown_effort", "empty_efforts", "zero_concurrency", "no_specs"],
+         ([], {"models": []}, "no model specs configured"),
+         ([], [], 'expected a JSON object with a "models" list'),
+         ([], {"models": [{**STUB_SPEC, "endpoint_url": "http://localhost",
+                           "effort_mode": "non_reasoning"}]},
+          "effort_mode must be a JSON object"),
+         ([], {"models": [{**STUB_SPEC, "endpoint_url": "http://localhost",
+                           "tool_policy": "web_search"}]},
+          "tool_policy must be a JSON object"),
+         (["--efforts", "none"], None, "select no level of any model spec")],
+        ids=["unknown_effort", "empty_efforts", "zero_concurrency", "no_specs",
+             "top_level_list", "effort_mode_string", "tool_policy_string", "nothing_selected"],
     )
     def test_bad_elicit_config_is_2_before_the_transcript(self, tmp_path, monkeypatch, capsys,
                                                           extra, models, message):
@@ -303,7 +316,7 @@ class TestExitCodes:
         with StubServer(state) as server:
             argv = _elicit_argv(tmp_path, suite, server.url, *extra)
             if models is not None:
-                (tmp_path / "models.json").write_text(json.dumps({"models": models}))
+                (tmp_path / "models.json").write_text(json.dumps(models))
             capsys.readouterr()
             code = main(argv)
         assert code == 2
@@ -316,13 +329,7 @@ class TestExitCodes:
 def _elicit_argv(root: Path, suite: Path, url: str, *extra: str) -> list[str]:
     """Write a one-model spec file for the stub at url; return the elicit argv."""
     models = root / "models.json"
-    models.write_text(json.dumps({
-        "models": [{
-            "model_id": "stub", "endpoint_url": url,
-            "auth_env_var": "STUB_API_KEY", "max_retries": 0,
-            "rate_limit_per_minute": 100000,
-        }]
-    }))
+    models.write_text(json.dumps({"models": [{**STUB_SPEC, "endpoint_url": url}]}))
     return ["elicit", "--corpus", str(suite / "corpus.jsonl"), "--models", str(models),
             "--out", str(root / "t.jsonl"), "--manifest", str(root / "m.json"), *extra]
 
@@ -470,6 +477,39 @@ class TestCalibrateRowOrder:
                      "--fits", str(root / "fits2.tsv")]) == 0
         assert (root / "calibrated2.jsonl").read_bytes() == (root / "calibrated.jsonl").read_bytes()
         assert (root / "fits2.tsv").read_bytes() == (root / "fits.tsv").read_bytes()
+
+
+class TestTranscriptRowOrder:
+    def test_shuffled_transcripts_give_the_same_products(self, tmp_path):
+        # elicit writes rows in completion order: nothing downstream may depend on it
+        for name, extra in (("base", []), ("tools", ["--bias", "4"])):
+            suite = tmp_path / name
+            assert main(["simulate", "--n-questions", "300", "--width-shrink", "3",
+                         "--noise", "2", "--refusal-rate", "0.1", "--proportion-fraction", "0.3",
+                         "--seed", "5", "--out-dir", str(suite), *extra]) == 0
+            header, *rows = (suite / "transcript.jsonl").read_text(encoding="utf-8").splitlines()
+            random.Random(3).shuffle(rows)
+            (suite / "shuffled.jsonl").write_text("\n".join([header, *rows]) + "\n",
+                                                  encoding="utf-8")
+        for order in ("transcript", "shuffled"):
+            out = tmp_path / order
+            for name in ("base", "tools"):
+                corpus = str(tmp_path / name / "corpus.jsonl")
+                assert main(["extract", "--transcript", str(tmp_path / name / f"{order}.jsonl"),
+                             "--corpus", corpus, "--out", str(out / f"{name}_parsed.jsonl")]) == 0
+                assert main(["score", "--parsed", str(out / f"{name}_parsed.jsonl"),
+                             "--corpus", corpus, "--out", str(out / f"{name}_scores.jsonl")]) == 0
+            assert main(["calibrate", "--scores", str(out / "base_scores.jsonl"),
+                         "--out", str(out / "calibrated.jsonl"), "--fits", str(out / "fits.tsv")]) == 0
+            assert main(["report", "--scores", str(out / "base_scores.jsonl"),
+                         "--calibration", str(out / "fits.tsv"),
+                         "--tool-scores", str(out / "tools_scores.jsonl"),
+                         "--out-dir", str(out / "report")]) == 0
+        reports = sorted(p.name for p in (tmp_path / "transcript" / "report").iterdir())
+        assert len(reports) == 10
+        for rel in ["calibrated.jsonl", "fits.tsv", *(f"report/{name}" for name in reports)]:
+            assert ((tmp_path / "shuffled" / rel).read_bytes()
+                    == (tmp_path / "transcript" / rel).read_bytes()), rel
 
 
 class TestFitsRoundTrip:

@@ -95,6 +95,22 @@ class TestGrammar:
         assert (t.lower, t.upper) == (lower, upper)
         assert not t.bounds_reordered
 
+    @pytest.mark.parametrize(
+        "text, expected",
+        [("My estimate is 42 with a 95% CI of 30 to 50", (42.0, 30.0, 50.0)),
+         ("42% (95% CI: 30%-50%)", (42.0, 30.0, 50.0)),
+         ("Estimate: 42, 95% CI [30, 50]", (42.0, 30.0, 50.0)),
+         ("About 42 (95% interval 30-50)", (42.0, 30.0, 50.0)),
+         ("95 (90% CI: 93-97)", (95.0, 93.0, 97.0)),
+         ("42, with a 90% credible interval of 30 to 50", (42.0, 30.0, 50.0)),
+         ("42; 80% prediction interval 30-50", (42.0, 30.0, 50.0)),
+         ("value: 42, lower: 30, upper: 50 (high 95% confidence)", (42.0, 30.0, 50.0))],
+    )
+    def test_confidence_level_is_not_a_number(self, text, expected):
+        t = extract_triplet(text, "proportion").triplet
+        assert (t.value, t.lower, t.upper) == expected
+        assert not t.value_outside_interval
+
     def test_scientific_notation(self):
         assert find_numbers("1.5e-3 2E+2") == [0.0015, 200.0]
 

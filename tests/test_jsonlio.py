@@ -2,7 +2,7 @@ import dataclasses
 
 import pytest
 
-from elicitbench.conformal import ConformalConfig
+from elicitbench.conformal import ConformalConfig, apply, fit
 from elicitbench.elicitation import ElicitationRecord
 from elicitbench.jsonlio import as_row
 from elicitbench.synthetic import SyntheticSuiteConfig, make_questions
@@ -20,7 +20,7 @@ def _written_records():
         transport_status="ok",
     )
     return [question, question.truth, scored.triplet, transcript, scored,
-            ConformalConfig(), SyntheticSuiteConfig()]
+            apply(fit([1.0] * 20, 0.05, 15), scored), ConformalConfig(), SyntheticSuiteConfig()]
 
 
 @pytest.mark.parametrize("record", _written_records(), ids=lambda r: type(r).__name__)
