@@ -17,7 +17,7 @@ from pathlib import Path
 from . import __version__
 from .conformal import ConformalConfig, calibrate_groups
 from .corpus import Question, corpus_config_from_dict, generate_corpus
-from .elicitation import EffortLevel, ElicitationRecord, model_spec_from_dict, run_batch
+from .elicitation import EffortLevel, ElicitationRecord, model_specs_from_config, run_batch
 from .errors import ConfigError, ElicitBenchError, SchemaError, StageDependencyError
 from .extraction import Triplet, extract_triplet
 from .jsonlio import (
@@ -121,11 +121,7 @@ def _parse_efforts(raw: str) -> list[EffortLevel]:
 def cmd_elicit(args: argparse.Namespace) -> int:
     _, questions = _read_corpus(args.corpus)
     models_raw = _load_json(args.models)
-    if not isinstance(models_raw, dict) or not isinstance(models_raw.get("models", []), list):
-        raise ConfigError(f"{args.models}: expected a JSON object with a \"models\" list")
-    specs = [model_spec_from_dict(d) for d in models_raw.get("models", [])]
-    if not specs:
-        raise ConfigError(f"{args.models}: no model specs configured")
+    specs = model_specs_from_config(models_raw, args.models)
     if not args.tools:
         specs = [dataclasses.replace(s, tool_policy=None) for s in specs]
     levels = _parse_efforts(args.efforts)

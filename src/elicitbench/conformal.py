@@ -68,10 +68,6 @@ class CalibratedRecord:
     covered_after: bool | None
 
 
-def _group_of(record: ScoredRecord) -> dict[str, str]:
-    return {"model_id": record.model_id, "effort": record.effort, "dataset_id": record.dataset_id}
-
-
 def split(records: Sequence[T], cal_fraction: float, seed: int) -> tuple[list[T], list[T]]:
     """Disjoint random partition with |cal| = round(cal_fraction * n), half-up.
 
@@ -135,12 +131,16 @@ def fit(
                             flag="insufficient_data" if detail else "ok", flag_detail=detail)
 
 
-def apply(fit_result: GroupCalibration, record: ScoredRecord) -> CalibratedRecord:
+def apply(
+    fit_result: GroupCalibration, record: ScoredRecord, group: dict[str, str] | None = None
+) -> CalibratedRecord:
     """Expand one test record to value +/- q_hat * width.
 
     Uses the identical floored width as nonconformity (same score function on
     both sides of the split). Percent-kind intervals are clipped to [0, 100]
     after expansion. Records pass through unmodified when the fit is flagged.
+    `group` is the row's group field, shared by all rows of a group; by
+    default it is built from the record.
     """
     t = record.triplet
     new_lower, new_upper = t.lower, t.upper
@@ -152,7 +152,8 @@ def apply(fit_result: GroupCalibration, record: ScoredRecord) -> CalibratedRecor
             new_lower = max(0.0, new_lower)
             new_upper = min(100.0, new_upper)
     return CalibratedRecord(
-        group=_group_of(record),
+        group=group or {"model_id": record.model_id, "effort": record.effort,
+                        "dataset_id": record.dataset_id},
         question_id=record.question_id,
         split="test",
         calibrated=calibrated,
@@ -205,9 +206,10 @@ def calibrate_groups(
         cal, test = split(members, config.cal_fraction, derive_seed(config.seed, *key))
         scores = [nonconformity(r.triplet, r.truth.value) for r in cal]
         fit_result = fit(scores, config.alpha, config.min_cal, group=key)
-        calibrated = [apply(fit_result, r) for r in test]
+        group = dict(zip(("model_id", "effort", "dataset_id"), key))
+        calibrated = [apply(fit_result, r, group) for r in test]
         cal_rows = [
-            CalibratedRecord(group=_group_of(r), question_id=r.question_id, split="cal",
+            CalibratedRecord(group=group, question_id=r.question_id, split="cal",
                              calibrated=False, new_lower=None, new_upper=None, covered_after=None)
             for r in cal
         ]

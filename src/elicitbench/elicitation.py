@@ -155,6 +155,16 @@ def model_spec_from_dict(d: dict) -> ModelSpec:
         raise ConfigError(f"bad model spec: {exc}") from exc
 
 
+def model_specs_from_config(raw: object, source: str) -> list[ModelSpec]:
+    """The specs of a models file: a JSON object with a non-empty "models" list."""
+    models = _json_object(raw, source).get("models", [])
+    if not isinstance(models, list):
+        raise ConfigError(f'{source}: "models" must be a list, got {models!r}')
+    if not models:
+        raise ConfigError(f"{source}: no model specs configured")
+    return [model_spec_from_dict(d) for d in models]
+
+
 @dataclass(frozen=True)
 class ElicitationRecord:
     question_id: str

@@ -72,8 +72,10 @@ _NUMBER_RE = re.compile(
 
 # A confidence level ("95% CI", "90% credible interval") is not a candidate
 # number: it is blanked out before labels and the last-three rule are read.
+# The upper end of a range ("30-50% CI", "30 to 50% interval") is kept.
 _LEVEL_RE = re.compile(
-    _NUMBER_RE.pattern
+    r"(?<![-–])(?<![-–]\s)(?<!\bto\s)"
+    + _NUMBER_RE.pattern
     + r"(?<=%)(?=\s*(?:CI|confidence|credible|(?:prediction\s+)?interval)\b)",
     re.VERBOSE | re.IGNORECASE,
 )
@@ -151,7 +153,8 @@ def extract_triplet(raw_text: str, target_kind: TargetKind | str) -> ParseOutcom
     if raw_text is None or not raw_text.strip():
         return ParseOutcome(None, InvalidReason.EMPTY_OUTPUT)
 
-    text = _LEVEL_RE.sub(" ", raw_text)
+    # Every level ends in "%", so a text without one skips the scan.
+    text = _LEVEL_RE.sub(" ", raw_text) if "%" in raw_text else raw_text
     labeled = _labeled_fields(text)
     if labeled is not None:
         return _normalize(*labeled, units=units)

@@ -296,7 +296,8 @@ class TestExitCodes:
          (["--efforts", ""], None, "no effort levels requested"),
          (["--concurrency", "0"], None, "concurrency must be >= 1"),
          ([], {"models": []}, "no model specs configured"),
-         ([], [], 'expected a JSON object with a "models" list'),
+         ([], [], "models.json must be a JSON object"),
+         ([], {"models": {}}, '"models" must be a list'),
          ([], {"models": [{**STUB_SPEC, "endpoint_url": "http://localhost",
                            "effort_mode": "non_reasoning"}]},
           "effort_mode must be a JSON object"),
@@ -305,7 +306,8 @@ class TestExitCodes:
           "tool_policy must be a JSON object"),
          (["--efforts", "none"], None, "select no level of any model spec")],
         ids=["unknown_effort", "empty_efforts", "zero_concurrency", "no_specs",
-             "top_level_list", "effort_mode_string", "tool_policy_string", "nothing_selected"],
+             "top_level_list", "models_not_a_list", "effort_mode_string", "tool_policy_string",
+             "nothing_selected"],
     )
     def test_bad_elicit_config_is_2_before_the_transcript(self, tmp_path, monkeypatch, capsys,
                                                           extra, models, message):

@@ -104,6 +104,11 @@ class TestGrammar:
          ("95 (90% CI: 93-97)", (95.0, 93.0, 97.0)),
          ("42, with a 90% credible interval of 30 to 50", (42.0, 30.0, 50.0)),
          ("42; 80% prediction interval 30-50", (42.0, 30.0, 50.0)),
+         ("42% (30–50% credible interval)", (42.0, 30.0, 50.0)),
+         ("42, with a 30-50% CI", (42.0, 30.0, 50.0)),
+         ("My best estimate is 42%, with a 30–50% credible interval", (42.0, 30.0, 50.0)),
+         ("42, 30 to 50% interval", (42.0, 30.0, 50.0)),
+         ("42 (30 – 50% CI)", (42.0, 30.0, 50.0)),
          ("value: 42, lower: 30, upper: 50 (high 95% confidence)", (42.0, 30.0, 50.0))],
     )
     def test_confidence_level_is_not_a_number(self, text, expected):
