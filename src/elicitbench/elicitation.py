@@ -16,13 +16,14 @@ from datetime import datetime, timezone
 from pathlib import Path
 from concurrent.futures import ThreadPoolExecutor, as_completed
 from enum import Enum
-from typing import Sequence
-
-import requests
+from typing import TYPE_CHECKING, Sequence
 
 from .corpus import Question, TargetKind
 from .errors import ConfigError
 from .jsonlio import canonical_dumps, load_row, read_jsonl
+
+if TYPE_CHECKING:
+    import requests
 
 DEFAULT_TOKEN_BUDGETS = {"low": 2000, "medium": 8000, "high": 16000}
 MAX_WEB_SEARCHES = 5
@@ -251,6 +252,8 @@ def _post_once(
     session: requests.Session, spec: ModelSpec, payload: dict, headers: dict
 ) -> tuple[bool, bool, str]:
     """(ok, retryable, text_or_reason) for a single HTTP attempt."""
+    import requests  # only elicit talks HTTP; offline stages never load it
+
     try:
         response = session.post(
             spec.endpoint_url, json=payload, headers=headers, timeout=spec.timeout
@@ -380,6 +383,8 @@ def run_batch(
     ok = failed = 0
     fresh = not (resume and out_path.exists())
     out_path.parent.mkdir(parents=True, exist_ok=True)
+    import requests
+
     session = requests.Session()
     with out_path.open("w" if fresh else "a", encoding="utf-8") as sink:
         if fresh:

@@ -70,13 +70,15 @@ _NUMBER_RE = re.compile(
     re.VERBOSE,
 )
 
-# A confidence level ("95% CI", "90% credible interval") is not a candidate
-# number: it is blanked out before labels and the last-three rule are read.
-# The upper end of a range ("30-50% CI", "30 to 50% interval") is kept.
+# A confidence level ("95% CI", "95 % CI", "95%-CI", "95 percent CI", "90%
+# credible interval") is not a candidate number: it is blanked out before
+# labels and the last-three rule are read. The upper end of a range
+# ("30-50% CI", "30 to 50% interval", "30-50 percent CI") is kept.
 _LEVEL_RE = re.compile(
     r"(?<![-–])(?<![-–]\s)(?<!\bto\s)"
     + _NUMBER_RE.pattern
-    + r"(?<=%)(?=\s*(?:CI|confidence|credible|(?:prediction\s+)?interval)\b)",
+    + r"""(?:(?<=%)|\s*%|\s*percent\b)
+        (?=[\s-]*(?:CIs?|confidence|credible|(?:prediction\s+)?interval)\b)""",
     re.VERBOSE | re.IGNORECASE,
 )
 
@@ -153,8 +155,9 @@ def extract_triplet(raw_text: str, target_kind: TargetKind | str) -> ParseOutcom
     if raw_text is None or not raw_text.strip():
         return ParseOutcome(None, InvalidReason.EMPTY_OUTPUT)
 
-    # Every level ends in "%", so a text without one skips the scan.
-    text = _LEVEL_RE.sub(" ", raw_text) if "%" in raw_text else raw_text
+    # Every level ends in "%" or "percent", so a text with neither skips the scan.
+    has_level = "%" in raw_text or "percent" in raw_text.lower()
+    text = _LEVEL_RE.sub(" ", raw_text) if has_level else raw_text
     labeled = _labeled_fields(text)
     if labeled is not None:
         return _normalize(*labeled, units=units)

@@ -4,20 +4,25 @@ Every artifact file starts with a single header record carrying the schema
 name and a content hash of the run configuration, so downstream stages can
 verify provenance and outputs stay byte-reproducible.
 
+Artifacts are written to a temporary file beside the target, which then
+replaces it: a failed write leaves the previous file, or none, in place.
+
 Records are frozen dataclasses. A record is written as its fields (str-Enums
 as their value, nested records as objects) and read back by `load_row`,
 which converts each field by its type hint.
 """
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import functools
 import hashlib
 import json
+import os
 import types
 import typing
 from pathlib import Path
-from typing import Any, Callable, Iterable, TypeVar
+from typing import IO, Any, Callable, Iterable, Iterator, TypeVar
 
 from .errors import SchemaError, StageDependencyError
 
@@ -121,12 +126,25 @@ def derive_seed(*parts: object) -> int:
     return int.from_bytes(digest, "big")
 
 
-def write_jsonl(path: str | Path, schema: str, cfg_hash: str, rows: Iterable[Any]) -> int:
-    """Write header + rows (dicts or records); returns the number of data rows written."""
+@contextlib.contextmanager
+def _replacing(path: str | Path) -> Iterator[IO[str]]:
+    """A text file beside `path` that replaces it on success and is removed on error."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with tmp.open("w", encoding="utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def write_jsonl(path: str | Path, schema: str, cfg_hash: str, rows: Iterable[Any]) -> int:
+    """Write header + rows (dicts or records); returns the number of data rows written."""
     count = 0
-    with path.open("w", encoding="utf-8") as fh:
+    with _replacing(path) as fh:
         fh.write(canonical_dumps({"schema": schema, "config_hash": cfg_hash}) + "\n")
         for row in rows:
             fh.write(canonical_dumps(row) + "\n")
@@ -165,6 +183,5 @@ def read_jsonl(path: str | Path, expect_schema: str) -> tuple[dict, list[dict]]:
 
 
 def write_text(path: str | Path, text: str) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text, encoding="utf-8")
+    with _replacing(path) as fh:
+        fh.write(text)

@@ -4,7 +4,7 @@ import string
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from elicitbench.corpus import TargetKind
@@ -109,7 +109,14 @@ class TestGrammar:
          ("My best estimate is 42%, with a 30–50% credible interval", (42.0, 30.0, 50.0)),
          ("42, 30 to 50% interval", (42.0, 30.0, 50.0)),
          ("42 (30 – 50% CI)", (42.0, 30.0, 50.0)),
-         ("value: 42, lower: 30, upper: 50 (high 95% confidence)", (42.0, 30.0, 50.0))],
+         ("value: 42, lower: 30, upper: 50 (high 95% confidence)", (42.0, 30.0, 50.0)),
+         ("42 (95 % CI: 30-50)", (42.0, 30.0, 50.0)),
+         ("Estimate 42; 95%-CI 30-50", (42.0, 30.0, 50.0)),
+         ("Estimate 42 (95 percent CI 30-50)", (42.0, 30.0, 50.0)),
+         ("Estimate 42 (95 Percent CI 30-50)", (42.0, 30.0, 50.0)),
+         ("42, 95% CIs: 30-50", (42.0, 30.0, 50.0)),
+         ("42, 30-50 percent CI", (42.0, 30.0, 50.0)),
+         ("42, 30 to 50 percent interval", (42.0, 30.0, 50.0))],
     )
     def test_confidence_level_is_not_a_number(self, text, expected):
         t = extract_triplet(text, "proportion").triplet
@@ -161,6 +168,55 @@ class TestRoundTrip:
         assert out.triplet.upper == upper
         assert not out.triplet.bounds_reordered
         assert out.triplet.value_outside_interval == (not lower <= value <= upper)
+
+
+# Domain of the phrasing property: 0 <= lower <= value <= upper <= 1e6, each
+# with at most two decimals and no thousands separators. A number is drawn in
+# hundredths and written as repr(hundredths / 100), which parses back to the
+# same float.
+_hundredths = st.integers(min_value=0, max_value=100_000_000)
+_ordered_triplets = st.tuples(_hundredths, _hundredths, _hundredths).map(
+    lambda t: tuple(h / 100 for h in sorted(t))
+)
+
+PHRASINGS = [
+    "value: {v}, lower: {l}, upper: {u}",
+    "Estimate: {v}\nLower bound: {l}\nUpper bound: {u}",
+    "My estimate is {v}, between {l} and {u}",
+    "{v} ({l}–{u})",
+    "{v} ({l}-{u})",
+    "Estimate: {v}, 95% CI [{l}, {u}]",
+    "My estimate is {v} with a 95% CI of {l} to {u}",
+    "{v}% (95% CI: {l}%-{u}%)",
+    "{v} (95 % CI: {l}-{u})",
+    "Estimate {v}; 95%-CI {l}-{u}",
+    "Estimate {v} (95 percent CI {l}-{u})",
+    "{v}, 95% CIs: {l}-{u}",
+    "{v}, {l}-{u} percent CI",
+    pytest.param(
+        "95% CI: {l} to {u}; point estimate {v}",
+        marks=pytest.mark.xfail(
+            strict=True, reason="bounds before the value are read as (value, lower, upper)"
+        ),
+    ),
+]
+
+
+class TestPhrasingProperty:
+    @pytest.mark.parametrize("phrasing", PHRASINGS)
+    @settings(max_examples=300, deadline=None)
+    @given(_ordered_triplets)
+    @example((0.86, 862.38, 15716.2))
+    def test_phrasing_parses_back_exactly(self, phrasing, triplet):
+        lower, value, upper = triplet
+        text = phrasing.format(v=repr(value), l=repr(lower), u=repr(upper))
+        out = extract_triplet(text, "proportion")
+        assert out.valid, text
+        assert (out.triplet.value, out.triplet.lower, out.triplet.upper) == (
+            value, lower, upper,
+        ), text
+        assert not out.triplet.bounds_reordered
+        assert not out.triplet.value_outside_interval
 
 
 class TestFuzz:

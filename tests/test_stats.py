@@ -43,8 +43,8 @@ def random_fixtures(seed, count):
 
 class TestTailProbabilities:
     def test_chi2_matches_scipy_to_1e10(self):
-        for x in (0.1, 1.0, 3.7, 7.2, 15.0, 40.0):
-            for df in (1, 2, 5, 10):
+        for x in (0.1, 1.0, 3.7, 7.2, 15.0, 40.0, 200.0, 600.0):
+            for df in (1, 2, 5, 10, 101, 400):
                 ref = float(sps.chi2.sf(x, df))
                 assert abs(chi2_sf(x, df) - ref) <= 1e-10 * max(ref, 1e-300)
 
@@ -54,8 +54,8 @@ class TestTailProbabilities:
             assert abs(normal_sf(z) - ref) <= 1e-10 * max(ref, 1e-300)
 
     def test_t_matches_scipy_to_1e10(self):
-        for t in (0.0, 0.7, 2.1, 4.5):
-            for df in (2, 5, 23):
+        for t in (-2.0, 0.0, 0.7, 2.1, 4.5, 12.0, 20.0):
+            for df in (1, 2, 5, 23, 101, 2001):
                 ref = float(sps.t.sf(t, df))
                 assert abs(t_sf(t, df) - ref) <= 1e-10 * max(ref, 1e-300)
 
