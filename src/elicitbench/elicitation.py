@@ -252,13 +252,11 @@ def _post_once(
     session: requests.Session, spec: ModelSpec, payload: dict, headers: dict
 ) -> tuple[bool, bool, str]:
     """(ok, retryable, text_or_reason) for a single HTTP attempt."""
-    import requests  # only elicit talks HTTP; offline stages never load it
-
     try:
         response = session.post(
             spec.endpoint_url, json=payload, headers=headers, timeout=spec.timeout
         )
-    except requests.RequestException as exc:
+    except OSError as exc:  # requests.RequestException is an OSError
         return False, True, f"transport: {type(exc).__name__}"
     if response.status_code != 200:
         retryable = response.status_code in RETRYABLE_STATUSES
@@ -383,7 +381,7 @@ def run_batch(
     ok = failed = 0
     fresh = not (resume and out_path.exists())
     out_path.parent.mkdir(parents=True, exist_ok=True)
-    import requests
+    import requests  # only elicit talks HTTP; offline stages never load it
 
     session = requests.Session()
     with out_path.open("w" if fresh else "a", encoding="utf-8") as sink:

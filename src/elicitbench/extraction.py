@@ -73,12 +73,14 @@ _NUMBER_RE = re.compile(
 # A confidence level ("95% CI", "95 % CI", "95%-CI", "95 percent CI", "90%
 # credible interval") is not a candidate number: it is blanked out before
 # labels and the last-three rule are read. The upper end of a range
-# ("30-50% CI", "30 to 50% interval", "30-50 percent CI") is kept.
+# ("30-50% CI", "30 to 50% interval", "30-50 percent CI") is kept. A level
+# and its interval word share a line, so an estimate ending one line of a
+# list ("- Estimate: 42%\n- Credible interval: ...") stays a number.
 _LEVEL_RE = re.compile(
     r"(?<![-–])(?<![-–]\s)(?<!\bto\s)"
     + _NUMBER_RE.pattern
-    + r"""(?:(?<=%)|\s*%|\s*percent\b)
-        (?=[\s-]*(?:CIs?|confidence|credible|(?:prediction\s+)?interval)\b)""",
+    + r"""(?:(?<=%)|[ \t]*%|[ \t]*percent\b)
+        (?=(?:-|[ \t]*)(?:CIs?|confidence|credible|(?:prediction[ \t]+)?interval)\b)""",
     re.VERBOSE | re.IGNORECASE,
 )
 

@@ -128,13 +128,19 @@ def derive_seed(*parts: object) -> int:
 
 @contextlib.contextmanager
 def _replacing(path: str | Path) -> Iterator[IO[str]]:
-    """A text file beside `path` that replaces it on success and is removed on error."""
+    """A text file beside `path` that replaces it on success and is removed on error.
+
+    The bytes reach the disk before the rename, so a crash of the process or
+    of the machine leaves either the old file or the whole new one.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with tmp.open("w", encoding="utf-8") as fh:
             yield fh
+            fh.flush()
+            os.fsync(fh.fileno())
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)

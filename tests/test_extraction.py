@@ -116,7 +116,9 @@ class TestGrammar:
          ("Estimate 42 (95 Percent CI 30-50)", (42.0, 30.0, 50.0)),
          ("42, 95% CIs: 30-50", (42.0, 30.0, 50.0)),
          ("42, 30-50 percent CI", (42.0, 30.0, 50.0)),
-         ("42, 30 to 50 percent interval", (42.0, 30.0, 50.0))],
+         ("42, 30 to 50 percent interval", (42.0, 30.0, 50.0)),
+         ("- Estimate: 42%\n- Credible interval: 30%–50%", (42.0, 30.0, 50.0)),
+         ("Estimate: 42 percent\nConfidence interval: 30 to 50 percent", (42.0, 30.0, 50.0))],
     )
     def test_confidence_level_is_not_a_number(self, text, expected):
         t = extract_triplet(text, "proportion").triplet
@@ -193,6 +195,8 @@ PHRASINGS = [
     "Estimate {v} (95 percent CI {l}-{u})",
     "{v}, 95% CIs: {l}-{u}",
     "{v}, {l}-{u} percent CI",
+    "- Estimate: {v}%\n- Credible interval: {l}%–{u}%",
+    "Estimate: {v} percent\nConfidence interval: {l} to {u} percent",
     pytest.param(
         "95% CI: {l} to {u}; point estimate {v}",
         marks=pytest.mark.xfail(
