@@ -13,15 +13,17 @@ import json
 import sys
 from collections import Counter
 from pathlib import Path
+from typing import Iterator
 
 from . import __version__
 from .conformal import ConformalConfig, calibrate_groups
-from .corpus import Question, corpus_config_from_dict, generate_corpus
+from .corpus import GroundTruth, Question, TargetKind, corpus_config_from_dict, generate_corpus
 from .elicitation import EffortLevel, ElicitationRecord, model_specs_from_config, run_batch
 from .errors import ConfigError, ElicitBenchError, SchemaError, StageDependencyError
 from .extraction import Triplet, extract_triplet
 from .jsonlio import (
-    as_row, canonical_dumps, config_hash, load_row, read_jsonl, write_jsonl, write_text,
+    as_row, canonical_dumps, config_hash, iter_jsonl, load_row, read_jsonl, write_jsonl,
+    write_text,
 )
 from .metrics import score_record
 from .report import (
@@ -66,6 +68,16 @@ def _read_corpus(path: str | Path) -> tuple[dict, dict[str, Question]]:
         q = Question.from_dict(row)
         questions[q.question_id] = q
     return header, questions
+
+
+def _corpus_index(path: str | Path) -> tuple[dict, dict[str, tuple[str, TargetKind, GroundTruth]]]:
+    """The corpus header and question_id -> (dataset_id, kind, truth), read row by row."""
+    header, rows = iter_jsonl(_require(path, "generate (or simulate)"), "corpus.v1")
+    index = {}
+    for row in rows:
+        q = Question.from_dict(row)
+        index[q.question_id] = (q.dataset_id, q.kind, q.truth)
+    return header, index
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
@@ -167,8 +179,8 @@ def cmd_elicit(args: argparse.Namespace) -> int:
 
 
 def cmd_extract(args: argparse.Namespace) -> int:
-    transcript_header, transcript = read_jsonl(_require(args.transcript, "elicit (or simulate)"), "transcript.v1")
-    corpus_header, questions = _read_corpus(args.corpus)
+    transcript_header, transcript = iter_jsonl(_require(args.transcript, "elicit (or simulate)"), "transcript.v1")
+    corpus_header, questions = _corpus_index(args.corpus)
     cfg_hash = config_hash(
         {
             "stage": "extract",
@@ -184,14 +196,14 @@ def cmd_extract(args: argparse.Namespace) -> int:
         qid = record.question_id
         if qid not in questions:
             raise SchemaError(f"transcript references unknown question {qid}")
-        question = questions[qid]
+        dataset_id, kind, _ = questions[qid]
         base = {
             "question_id": qid,
             "model_id": record.model_id,
             "effort": record.effort,
             "tools_enabled": record.tools_enabled,
-            "dataset_id": question.dataset_id,
-            "kind": question.kind.value,
+            "dataset_id": dataset_id,
+            "kind": kind.value,
         }
         if record.transport_status != "ok":
             base.update(
@@ -199,14 +211,13 @@ def cmd_extract(args: argparse.Namespace) -> int:
                  "failure_reason": record.failure_reason}
             )
         else:
-            outcome = extract_triplet(record.raw_text, question.kind)
+            outcome = extract_triplet(record.raw_text, kind)
             base.update(outcome="valid" if outcome.valid else "invalid",
                         reason=None if outcome.valid else outcome.reason.value,
                         triplet=outcome.triplet)
         parsed[(qid, record.model_id, record.effort, record.tools_enabled)] = base
-    rows = list(parsed.values())
-    counts = Counter(row["outcome"] for row in rows)
-    write_jsonl(args.out, "parsed.v1", cfg_hash, rows)
+    counts = Counter(row["outcome"] for row in parsed.values())
+    write_jsonl(args.out, "parsed.v1", cfg_hash, parsed.values())
     print(
         f"parsed {counts['valid']} valid, {counts['invalid']} invalid, "
         f"{counts['transport_failed']} transport-failed -> {args.out}"
@@ -219,8 +230,8 @@ PARSED_KEY_FIELDS = ("question_id", "model_id", "effort", "tools_enabled", "outc
 
 
 def cmd_score(args: argparse.Namespace) -> int:
-    parsed_header, parsed = read_jsonl(_require(args.parsed, "extract"), "parsed.v1")
-    corpus_header, questions = _read_corpus(args.corpus)
+    parsed_header, parsed = iter_jsonl(_require(args.parsed, "extract"), "parsed.v1")
+    corpus_header, questions = _corpus_index(args.corpus)
     cfg_hash = config_hash(
         {
             "stage": "score",
@@ -228,41 +239,45 @@ def cmd_score(args: argparse.Namespace) -> int:
             "corpus": corpus_header.get("config_hash"),
         }
     )
-    rows = []
-    for row in parsed:
-        missing = [name for name in PARSED_KEY_FIELDS if name not in row]
-        if missing:
-            raise SchemaError(f"parsed row: missing field {missing[0]!r}")
-        qid = row["question_id"]
-        if qid not in questions:
-            raise SchemaError(f"parsed records reference unknown question {qid}")
-        question = questions[qid]
-        if row["outcome"] == "valid":
-            record = score_record(
-                question_id=qid,
-                model_id=row["model_id"],
-                effort=row["effort"],
-                tools_enabled=bool(row["tools_enabled"]),
-                dataset_id=question.dataset_id,
-                kind=question.kind,
-                triplet=load_row(Triplet, row["triplet"]),
-                truth=question.truth,
-            )
-            rows.append({"outcome": "valid", **as_row(record)})
-        else:
-            unscored = {name: value for name, value in row.items() if name != "triplet"}
-            unscored.update(dataset_id=question.dataset_id, kind=question.kind.value)
-            unscored.setdefault("failure_reason", None)
-            rows.append(unscored)
-    write_jsonl(args.out, "scores.v1", cfg_hash, rows)
-    n_valid = sum(1 for r in rows if r["outcome"] == "valid")
-    print(f"scored {n_valid} valid records of {len(rows)} -> {args.out}")
+    n_valid = 0
+
+    def score_rows() -> Iterator[dict]:
+        nonlocal n_valid
+        for row in parsed:
+            missing = [name for name in PARSED_KEY_FIELDS if name not in row]
+            if missing:
+                raise SchemaError(f"parsed row: missing field {missing[0]!r}")
+            qid = row["question_id"]
+            if qid not in questions:
+                raise SchemaError(f"parsed records reference unknown question {qid}")
+            dataset_id, kind, truth = questions[qid]
+            if row["outcome"] == "valid":
+                record = score_record(
+                    question_id=qid,
+                    model_id=row["model_id"],
+                    effort=row["effort"],
+                    tools_enabled=bool(row["tools_enabled"]),
+                    dataset_id=dataset_id,
+                    kind=kind,
+                    triplet=load_row(Triplet, row["triplet"]),
+                    truth=truth,
+                )
+                n_valid += 1
+                yield {"outcome": "valid", **as_row(record)}
+            else:
+                unscored = {name: value for name, value in row.items() if name != "triplet"}
+                unscored.update(dataset_id=dataset_id, kind=kind.value)
+                unscored.setdefault("failure_reason", None)
+                yield unscored
+
+    n_rows = write_jsonl(args.out, "scores.v1", cfg_hash, score_rows())
+    print(f"scored {n_valid} valid records of {n_rows} -> {args.out}")
     return EXIT_OK
 
 
 def cmd_calibrate(args: argparse.Namespace) -> int:
-    scores_header, score_rows = read_jsonl(_require(args.scores, "score"), "scores.v1")
-    valid, _ = split_rows(score_rows)
+    scores_header, score_rows = iter_jsonl(_require(args.scores, "score"), "scores.v1")
+    valid = split_rows(score_rows)[0]
     config = ConformalConfig(
         alpha=args.alpha, cal_fraction=args.cal_fraction, min_cal=args.min_cal, seed=args.seed
     )
@@ -287,16 +302,23 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    scores_header, score_rows = read_jsonl(_require(args.scores, "score"), "scores.v1")
+    # Every input is read and checked before the first file is written.
+    scores_header, score_rows = iter_jsonl(_require(args.scores, "score"), "scores.v1")
+    valid, invalid = split_rows(score_rows)
+    fits = tool_valid = None
+    if args.calibration:
+        fits = read_fits(_require(args.calibration, "calibrate"), scores_header.get("config_hash"))
+    if args.tool_scores:
+        _, tool_rows = iter_jsonl(_require(args.tool_scores, "score"), "scores.v1")
+        tool_valid = split_rows(tool_rows)[0]
+
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     stamp = f"config_hash: {scores_header.get('config_hash')}"
 
     def emit(name: str, tsv: str, text: str) -> None:
         write_text(out_dir / f"{name}.tsv", f"# {stamp}\n" + tsv)
         write_text(out_dir / f"{name}.txt", text)
 
-    valid, invalid = split_rows(score_rows)
     tsv, text = summary_section(valid, invalid)
     emit("summary_by_model_effort", tsv, text)
     tsv, text = nll_sharpness_section(valid, invalid)
@@ -304,16 +326,13 @@ def cmd_report(args: argparse.Namespace) -> int:
     tsv, text = baseline_section(valid)
     emit("baseline_win_rate", tsv, text)
 
-    if args.calibration:
-        fits = read_fits(_require(args.calibration, "calibrate"), scores_header.get("config_hash"))
+    if fits is not None:
         tsv, text = calibration_section(fits)
         emit("coverage_calibration", tsv, text)
     else:
         print("notice: no calibration fits supplied; coverage_calibration section skipped")
 
-    if args.tool_scores:
-        _, tool_rows = read_jsonl(_require(args.tool_scores, "score"), "scores.v1")
-        tool_valid, _ = split_rows(tool_rows)
+    if tool_valid is not None:
         tsv, text = tool_comparison_section(valid, tool_valid)
         emit("tool_comparison", tsv, text)
 

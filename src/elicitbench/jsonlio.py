@@ -158,34 +158,55 @@ def write_jsonl(path: str | Path, schema: str, cfg_hash: str, rows: Iterable[Any
     return count
 
 
-def read_jsonl(path: str | Path, expect_schema: str) -> tuple[dict, list[dict]]:
-    """Read (header, rows) from a JSONL artifact.
+def _decoded_lines(path: Path) -> Iterator[Any]:
+    """Each non-blank line of the file decoded; a line that is not JSON raises SchemaError.
 
-    Raises StageDependencyError when the file is missing and SchemaError when
-    the header is absent or declares an unexpected schema, or when a line is
-    not JSON (a torn or hand-edited file).
+    Lines end at "\\n" (or "\\r"), as the file iterator splits them, and not at
+    every character `str.splitlines` breaks on: U+2028, U+2029 and U+0085 are
+    written unescaped inside JSON strings.
+    """
+    with path.open("r", encoding="utf-8") as fh:
+        for number, line in enumerate(fh, 1):
+            if line.strip():
+                try:
+                    yield json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise SchemaError(f"{path}: line {number} is not JSON ({exc.msg})") from exc
+
+
+def iter_jsonl(path: str | Path, expect_schema: str) -> tuple[dict, Iterator[dict]]:
+    """(header, rows) of a JSONL artifact, the rows decoded one line at a time.
+
+    The header is checked when this is called: StageDependencyError when the
+    file is missing, SchemaError when it is empty or its header is absent or
+    declares an unexpected schema. A line that is not JSON (a torn or
+    hand-edited file) raises SchemaError when the rows reach it. The file is
+    closed when the rows are exhausted or raise.
     """
     path = Path(path)
     if not path.exists():
         raise StageDependencyError(f"missing artifact: {path}")
-    decoded = []
-    with path.open("r", encoding="utf-8") as fh:
-        for number, line in enumerate(fh.read().splitlines(), 1):
-            if line.strip():
-                try:
-                    decoded.append(json.loads(line))
-                except json.JSONDecodeError as exc:
-                    raise SchemaError(f"{path}: line {number} is not JSON ({exc.msg})") from exc
-    if not decoded:
-        raise SchemaError(f"{path}: empty file, expected a header record")
-    header = decoded[0]
-    if not isinstance(header, dict) or "schema" not in header:
-        raise SchemaError(f"{path}: first line is not a header record")
-    if header["schema"] != expect_schema:
-        raise SchemaError(
-            f"{path}: schema {header['schema']!r}, expected {expect_schema!r}"
-        )
-    return header, decoded[1:]
+    lines = _decoded_lines(path)
+    try:
+        header = next(lines, None)
+        if header is None:
+            raise SchemaError(f"{path}: empty file, expected a header record")
+        if not isinstance(header, dict) or "schema" not in header:
+            raise SchemaError(f"{path}: first line is not a header record")
+        if header["schema"] != expect_schema:
+            raise SchemaError(
+                f"{path}: schema {header['schema']!r}, expected {expect_schema!r}"
+            )
+    except BaseException:
+        lines.close()
+        raise
+    return header, lines
+
+
+def read_jsonl(path: str | Path, expect_schema: str) -> tuple[dict, list[dict]]:
+    """Read (header, rows) from a JSONL artifact; raises as `iter_jsonl` does."""
+    header, rows = iter_jsonl(path, expect_schema)
+    return header, list(rows)
 
 
 def write_text(path: str | Path, text: str) -> None:

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .conformal import GroupCalibration
 from .corpus import TargetKind
@@ -77,7 +77,7 @@ def render_text(title: str, columns: Sequence[str], rows: Sequence[Sequence[obje
     return "\n".join([title, rule, header, rule, *body]) + "\n"
 
 
-def split_rows(score_rows: Sequence[dict]) -> tuple[list[ScoredRecord], list[dict]]:
+def split_rows(score_rows: Iterable[dict]) -> tuple[list[ScoredRecord], list[dict]]:
     """Score-file rows as (valid records, invalid rows); transport failures are dropped."""
     valid, invalid = [], []
     for row in score_rows:

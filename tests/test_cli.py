@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from elicitbench.cli import main
-from elicitbench.jsonlio import read_jsonl
+from elicitbench.jsonlio import read_jsonl, write_jsonl
 
 from stubserver import StubServer, StubState
 
@@ -451,6 +451,28 @@ class TestMalformedArtifacts:
         last = len(scores.read_text(encoding="utf-8").splitlines())
         assert str(scores) in err and f"line {last} is not JSON" in err
 
+    @pytest.mark.parametrize(
+        "artifact, stage, flag, out",
+        [("suite/transcript.jsonl", "extract", "--transcript", "parsed.jsonl"),
+         ("parsed.jsonl", "score", "--parsed", "scores.jsonl")],
+        ids=["transcript", "parsed"],
+    )
+    def test_torn_middle_line_keeps_the_existing_output(self, tmp_path, capsys,
+                                                        artifact, stage, flag, out):
+        # score writes while it reads: the torn line is reached after rows were written
+        root = _small_chain(tmp_path)
+        lines = (root / artifact).read_text(encoding="utf-8").splitlines(keepends=True)
+        middle = len(lines) // 2
+        lines[middle] = lines[middle][: len(lines[middle]) // 2] + "\n"
+        (root / artifact).write_text("".join(lines), encoding="utf-8")
+        before = (root / out).read_bytes()
+        err = self.assert_schema_error([stage, flag, str(root / artifact),
+                                        "--corpus", str(root / "suite" / "corpus.jsonl"),
+                                        "--out", str(root / out)], capsys)
+        assert f"{root / artifact}: line {middle + 1} is not JSON" in err
+        assert (root / out).read_bytes() == before
+        assert not list(root.glob(f".{out}.*.tmp"))
+
     @pytest.mark.parametrize("fits_from", ["another run", "no scores hash"])
     def test_fits_not_fitted_on_these_scores(self, tmp_path, capsys, fits_from):
         root = _small_chain(tmp_path / "a")
@@ -465,6 +487,50 @@ class TestMalformedArtifacts:
                                         "--calibration", str(fits),
                                         "--out-dir", str(root / "report")], capsys)
         assert "not fitted on these scores" in err
+
+
+class TestReportInputs:
+    @pytest.mark.parametrize("bad_input", ["fits of other scores", "torn tool scores"])
+    def test_bad_input_leaves_every_report_file_as_it_was(self, tmp_path, capsys, bad_input):
+        a = _small_chain(tmp_path / "a")
+        b = _small_chain(tmp_path / "b", seed=4)
+        out = tmp_path / "report"
+        assert main(["report", "--scores", str(a / "scores.jsonl"), "--calibration", str(a / "fits.tsv"),
+                     "--tool-scores", str(a / "scores.jsonl"), "--out-dir", str(out)]) == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        fits, tool_scores = b / "fits.tsv", b / "scores.jsonl"
+        if bad_input == "fits of other scores":
+            fits = a / "fits.tsv"
+        else:
+            lines = tool_scores.read_text(encoding="utf-8").splitlines(keepends=True)
+            tool_scores = tmp_path / "torn_scores.jsonl"
+            tool_scores.write_text("".join(lines[:-1]) + lines[-1][:20], encoding="utf-8")
+        capsys.readouterr()
+        assert main(["report", "--scores", str(b / "scores.jsonl"), "--calibration", str(fits),
+                     "--tool-scores", str(tool_scores), "--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
+class TestUnicodeLineSeparators:
+    def test_extract_parses_a_reply_holding_them(self, tmp_path):
+        # canonical_dumps writes U+2028, U+2029 and U+0085 unescaped, and
+        # str.splitlines would break the row apart at each of them
+        suite = tmp_path / "suite"
+        assert main(["simulate", "--n-questions", "20", "--seed", "3", "--out-dir", str(suite)]) == 0
+        transcript = suite / "transcript.jsonl"
+        header, rows = read_jsonl(transcript, "transcript.v1")
+        first = rows[0]
+        first.update(raw_text="Estimate: 42\u2028Lower bound: 30\u2029Upper bound: 50\x85",
+                     transport_status="ok", failure_reason=None)
+        write_jsonl(transcript, "transcript.v1", header["config_hash"], rows)
+        assert main(["extract", "--transcript", str(transcript),
+                     "--corpus", str(suite / "corpus.jsonl"),
+                     "--out", str(tmp_path / "parsed.jsonl")]) == 0
+        _, parsed = read_jsonl(tmp_path / "parsed.jsonl", "parsed.v1")
+        (row,) = [r for r in parsed if r["question_id"] == first["question_id"]]
+        assert row["outcome"] == "valid"
+        assert [row["triplet"][k] for k in ("value", "lower", "upper")] == [42.0, 30.0, 50.0]
 
 
 class TestCalibrateRowOrder:

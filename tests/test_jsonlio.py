@@ -1,10 +1,12 @@
 import dataclasses
+from pathlib import Path
 
 import pytest
 
 from elicitbench.conformal import ConformalConfig, apply, fit
 from elicitbench.elicitation import ElicitationRecord
-from elicitbench.jsonlio import as_row, write_jsonl, write_text
+from elicitbench.errors import SchemaError, StageDependencyError
+from elicitbench.jsonlio import as_row, iter_jsonl, read_jsonl, write_jsonl, write_text
 from elicitbench.synthetic import SyntheticSuiteConfig, make_questions
 
 from helpers import make_scored
@@ -64,3 +66,69 @@ def test_failed_first_write_leaves_no_file(tmp_path):
     with pytest.raises(RuntimeError):
         write_jsonl(tmp_path / "out" / "parsed.jsonl", "parsed.v1", "abc", _failing_rows())
     assert list((tmp_path / "out").iterdir()) == []
+
+
+# Characters str.splitlines breaks on that canonical_dumps leaves unescaped.
+LINE_BREAKS_IN_STRINGS = "\u2028\u2029\x85"
+
+
+def test_read_jsonl_keeps_unicode_line_separators_inside_strings(tmp_path):
+    path = tmp_path / "transcript.jsonl"
+    row = {"raw_text": f"Estimate: 42{LINE_BREAKS_IN_STRINGS}Lower: 30"}
+    write_jsonl(path, "transcript.v1", "abc", [row, {"n": 2}])
+    header, rows = read_jsonl(path, "transcript.v1")
+    assert header == {"schema": "transcript.v1", "config_hash": "abc"}
+    assert rows == [row, {"n": 2}]
+
+
+class TestIterJsonl:
+    @pytest.fixture
+    def opened(self, monkeypatch):
+        """Every file Path.open opens for reading, to check that it was closed."""
+        files = []
+        real_open = Path.open
+
+        def spy(self, mode="r", *args, **kwargs):
+            fh = real_open(self, mode, *args, **kwargs)
+            if mode == "r":
+                files.append(fh)
+            return fh
+
+        monkeypatch.setattr(Path, "open", spy)
+        return files
+
+    def test_missing_file_raises_at_call_time(self, tmp_path):
+        with pytest.raises(StageDependencyError):
+            iter_jsonl(tmp_path / "absent.jsonl", "scores.v1")
+
+    @pytest.mark.parametrize("text, message", [
+        ("", "empty file"),
+        ("\n  \n", "empty file"),
+        ("[1]\n", "not a header record"),
+        ('{"schema": "parsed.v1"}\n{"a": 1}\n', "expected 'scores.v1'"),
+        ('{"schema": "scores.v1"\n', "line 1 is not JSON"),
+    ], ids=["empty", "blank lines", "not an object", "other schema", "torn header"])
+    def test_bad_header_raises_at_call_time_and_closes(self, tmp_path, opened, text, message):
+        path = tmp_path / "scores.jsonl"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(SchemaError, match=message):
+            iter_jsonl(path, "scores.v1")
+        assert [fh.closed for fh in opened] == [True]
+
+    def test_rows_skip_blank_lines_and_close_when_exhausted(self, tmp_path, opened):
+        path = tmp_path / "scores.jsonl"
+        path.write_text('\n{"schema": "scores.v1"}\n{"a": 1}\n\n   \n{"a": 2}\n', encoding="utf-8")
+        header, rows = iter_jsonl(path, "scores.v1")
+        assert header == {"schema": "scores.v1"}
+        assert [fh.closed for fh in opened] == [False]
+        assert list(rows) == [{"a": 1}, {"a": 2}]
+        assert [fh.closed for fh in opened] == [True]
+
+    def test_bad_line_raises_when_reached_and_closes(self, tmp_path, opened):
+        path = tmp_path / "scores.jsonl"
+        path.write_text('{"schema": "scores.v1"}\n{"a": 1}\n{"a": \n{"a": 3}\n', encoding="utf-8")
+        _, rows = iter_jsonl(path, "scores.v1")
+        assert next(rows) == {"a": 1}
+        with pytest.raises(SchemaError, match="line 3 is not JSON"):
+            next(rows)
+        assert [fh.closed for fh in opened] == [True]
