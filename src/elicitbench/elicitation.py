@@ -5,25 +5,31 @@ vendor reasoning-effort parameters injected by name from config (or a
 thinking-token budget for endpoints without one) and an optional web-search
 tool declaration. Transport failures are retried with exponential backoff
 and then recorded, never raised; parse problems are downstream's concern.
+
+Requests go over `transport.Connections`, one keep-alive `http.client`
+connection per worker thread and endpoint. Only `run_batch` imports the
+transport and `concurrent.futures`, so the offline stages load neither, nor
+`http.client`, `ssl` or `urllib.request`.
 """
 from __future__ import annotations
 
+import json
 import os
 import threading
 import time
+from contextlib import closing
 from dataclasses import dataclass, field
-from datetime import datetime, timezone
 from pathlib import Path
-from concurrent.futures import ThreadPoolExecutor, as_completed
 from enum import Enum
 from typing import TYPE_CHECKING, Sequence
+from urllib.parse import urlsplit
 
 from .corpus import Question, TargetKind
 from .errors import ConfigError
 from .jsonlio import canonical_dumps, load_row, read_jsonl
 
 if TYPE_CHECKING:
-    import requests
+    from .transport import Connections
 
 DEFAULT_TOKEN_BUDGETS = {"low": 2000, "medium": 8000, "high": 16000}
 MAX_WEB_SEARCHES = 5
@@ -88,6 +94,18 @@ class WebSearch:
             )
 
 
+def _is_http_url(url: object) -> bool:
+    """True for an http:// or https:// URL with a host and, if any, a valid port."""
+    if not isinstance(url, str):
+        return False
+    try:
+        parts = urlsplit(url)
+        parts.port  # raises ValueError on a port that is not a number in range
+    except ValueError:
+        return False
+    return parts.scheme in ("http", "https") and bool(parts.hostname)
+
+
 @dataclass(frozen=True)
 class ModelSpec:
     model_id: str
@@ -105,6 +123,11 @@ class ModelSpec:
             raise ConfigError("max_retries must be >= 0")
         if self.rate_limit_per_minute <= 0:
             raise ConfigError("rate_limit_per_minute must be > 0")
+        if not _is_http_url(self.endpoint_url):
+            raise ConfigError(
+                f"{self.model_id}: endpoint_url must be an http:// or https:// URL "
+                f"with a host, got {self.endpoint_url!r}"
+            )
 
     def levels_for(self, requested: Sequence[EffortLevel]) -> list[EffortLevel]:
         """Non-reasoning specs always run the control level only."""
@@ -249,27 +272,25 @@ def _auth_headers(spec: ModelSpec) -> dict:
 
 
 def _post_once(
-    session: requests.Session, spec: ModelSpec, payload: dict, headers: dict
+    connections: Connections, spec: ModelSpec, payload: dict, headers: dict
 ) -> tuple[bool, bool, str]:
     """(ok, retryable, text_or_reason) for a single HTTP attempt."""
+    import http.client  # loaded with the transport by run_batch
+
     try:
-        response = session.post(
-            spec.endpoint_url, json=payload, headers=headers, timeout=spec.timeout
-        )
-    except OSError as exc:  # requests.RequestException is an OSError
+        status, reply = connections.post(spec.endpoint_url, payload, headers, spec.timeout)
+    except (OSError, http.client.HTTPException) as exc:
         return False, True, f"transport: {type(exc).__name__}"
-    if response.status_code != 200:
-        retryable = response.status_code in RETRYABLE_STATUSES
-        return False, retryable, f"http status {response.status_code}"
+    if status != 200:
+        return False, status in RETRYABLE_STATUSES, f"http status {status}"
     try:
-        body = response.json()
-        return True, False, body["choices"][0]["message"]["content"]
+        return True, False, json.loads(reply)["choices"][0]["message"]["content"]
     except (ValueError, KeyError, IndexError, TypeError):
         return False, True, "malformed response body"
 
 
 def _elicit_one(
-    session: requests.Session,
+    connections: Connections,
     question: Question,
     spec: ModelSpec,
     level: EffortLevel,
@@ -278,12 +299,12 @@ def _elicit_one(
     backoff_base: float,
 ) -> ElicitationRecord:
     payload = build_request(question, spec, level)
-    timestamp = datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
+    timestamp = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
     attempts_allowed = 1 + spec.max_retries  # >= 1: ModelSpec rejects negative retries
     for attempt in range(1, attempts_allowed + 1):
         limiter.acquire()
         started = time.monotonic()
-        ok, retryable, text = _post_once(session, spec, payload, headers)
+        ok, retryable, text = _post_once(connections, spec, payload, headers)
         latency_ms = 1000.0 * (time.monotonic() - started)
         if ok or not retryable:
             break
@@ -348,8 +369,9 @@ def run_batch(
     not raised. With resume=True, planned keys already answered in the
     existing transcript are skipped and counted in `skipped`; a transcript
     of another config is rejected. A bad concurrency, effort levels that
-    select nothing for any spec, or a missing API key abort before the
-    transcript is opened.
+    select nothing for any spec, a missing API key or a proxy that is not
+    http:// abort before the transcript is opened. Every connection opened
+    is closed on return.
     """
     if concurrency < 1:
         raise ConfigError(f"concurrency must be >= 1, got {concurrency}")
@@ -359,6 +381,12 @@ def run_batch(
         )
     out_path = Path(out_path)
     headers_by_spec = {spec.model_id: _auth_headers(spec) for spec in specs}
+    # Only elicit runs threads and talks HTTP; the offline stages load neither.
+    from concurrent.futures import ThreadPoolExecutor, as_completed
+
+    from .transport import Connections
+
+    connections = Connections(spec.endpoint_url for spec in specs)
 
     done = _done_keys(out_path, cfg_hash) if resume else set()
     tasks = []
@@ -381,10 +409,7 @@ def run_batch(
     ok = failed = 0
     fresh = not (resume and out_path.exists())
     out_path.parent.mkdir(parents=True, exist_ok=True)
-    import requests  # only elicit talks HTTP; offline stages never load it
-
-    session = requests.Session()
-    with out_path.open("w" if fresh else "a", encoding="utf-8") as sink:
+    with closing(connections), out_path.open("w" if fresh else "a", encoding="utf-8") as sink:
         if fresh:
             sink.write(canonical_dumps({"schema": "transcript.v1", "config_hash": cfg_hash}) + "\n")
         if tasks:
@@ -392,7 +417,7 @@ def run_batch(
                 futures = [
                     pool.submit(
                         _elicit_one,
-                        session,
+                        connections,
                         question,
                         spec,
                         level,

@@ -161,12 +161,17 @@ def write_jsonl(path: str | Path, schema: str, cfg_hash: str, rows: Iterable[Any
 def _decoded_lines(path: Path) -> Iterator[Any]:
     """Each non-blank line of the file decoded; a line that is not JSON raises SchemaError.
 
-    Lines end at "\\n" (or "\\r"), as the file iterator splits them, and not at
-    every character `str.splitlines` breaks on: U+2028, U+2029 and U+0085 are
-    written unescaped inside JSON strings.
+    The file is read in binary, so lines end only at "\\n" and not at every
+    character `str.splitlines` breaks on (U+2028, U+2029 and U+0085 are
+    written unescaped inside JSON strings), and a line that is not UTF-8 is
+    reported like any other line that is not JSON.
     """
-    with path.open("r", encoding="utf-8") as fh:
-        for number, line in enumerate(fh, 1):
+    with path.open("rb") as fh:
+        for number, raw in enumerate(fh, 1):
+            try:
+                line = raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise SchemaError(f"{path}: line {number} is not JSON (not UTF-8)") from exc
             if line.strip():
                 try:
                     yield json.loads(line)

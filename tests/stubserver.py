@@ -1,4 +1,10 @@
-"""Local chat-completions stub server for elicitation tests."""
+"""Local chat-completions stub server for elicitation tests.
+
+By default it speaks HTTP/1.0 and closes each connection after its reply.
+With `keep_alive` it speaks HTTP/1.1 and keeps connections open; with
+`close_silently` it speaks HTTP/1.1 but closes each connection after its
+reply without saying so, as a server that drops idle connections does.
+"""
 import json
 import threading
 import time
@@ -9,18 +15,25 @@ class StubState:
     """Shared, lock-protected record of what the server saw."""
 
     def __init__(self, reply="value: 42, lower: 40, upper: 44", fail_first=0,
-                 fail_status=503, delay=0.0, permanent_status=None):
+                 fail_status=503, delay=0.0, permanent_status=None,
+                 keep_alive=False, close_silently=False):
         self.reply = reply
         self.fail_first = fail_first      # first N requests fail with fail_status
         self.fail_status = fail_status
         self.permanent_status = permanent_status  # fail every request when set
         self.delay = delay
+        self.keep_alive = keep_alive
+        self.close_silently = close_silently
         self.lock = threading.Lock()
         self.requests = 0
         self.arrivals = []                # monotonic arrival times
         self.active = 0
         self.max_active = 0
         self.payloads = []
+        self.headers = []                 # each request's headers, names lower-cased
+        self.targets = []                 # each request's target, as sent
+        self.ports = []                   # each request's client port: one per connection
+        self.closed = 0                   # connections whose handler has finished
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -28,6 +41,28 @@ class _Handler(BaseHTTPRequestHandler):
 
     def log_message(self, *args):
         pass
+
+    def _record(self):
+        state = self.state
+        state.headers.append({k.lower(): v for k, v in self.headers.items()})
+        state.targets.append(self.path)
+        state.ports.append(self.client_address[1])
+
+    def finish(self):
+        super().finish()
+        with self.state.lock:
+            self.state.closed += 1
+
+    def _send_empty(self, status):
+        self.send_response(status)
+        self.send_header("Content-Length", "0")
+        self.end_headers()
+
+    def do_CONNECT(self):
+        """A proxy that refuses every tunnel, after recording the request."""
+        with self.state.lock:
+            self._record()
+        self._send_empty(405)
 
     def do_POST(self):
         state = self.state
@@ -37,18 +72,17 @@ class _Handler(BaseHTTPRequestHandler):
             state.arrivals.append(time.monotonic())
             state.active += 1
             state.max_active = max(state.max_active, state.active)
+            self._record()
             length = int(self.headers.get("Content-Length", 0))
             state.payloads.append(json.loads(self.rfile.read(length) or b"{}"))
         try:
             if state.delay:
                 time.sleep(state.delay)
             if state.permanent_status is not None:
-                self.send_response(state.permanent_status)
-                self.end_headers()
+                self._send_empty(state.permanent_status)
                 return
             if index <= state.fail_first:
-                self.send_response(state.fail_status)
-                self.end_headers()
+                self._send_empty(state.fail_status)
                 return
             body = json.dumps(
                 {"choices": [{"message": {"content": state.reply}}]}
@@ -61,19 +95,34 @@ class _Handler(BaseHTTPRequestHandler):
         finally:
             with state.lock:
                 state.active -= 1
+            if state.close_silently:
+                self.close_connection = True
+
+
+class _Server(ThreadingHTTPServer):
+    def handle_error(self, request, client_address):
+        pass  # a client that gave up on a slow reply is expected here
 
 
 class StubServer:
     def __init__(self, state: StubState):
-        handler = type("Handler", (_Handler,), {"state": state})
-        self.server = ThreadingHTTPServer(("127.0.0.1", 0), handler)
+        http11 = state.keep_alive or state.close_silently
+        handler = type("Handler", (_Handler,), {
+            "state": state,
+            "protocol_version": "HTTP/1.1" if http11 else "HTTP/1.0",
+        })
+        self.server = _Server(("127.0.0.1", 0), handler)
         self.state = state
         self.thread = threading.Thread(target=self.server.serve_forever, daemon=True)
 
     @property
-    def url(self):
+    def base(self):
         host, port = self.server.server_address
-        return f"http://{host}:{port}/v1/chat/completions"
+        return f"http://{host}:{port}"
+
+    @property
+    def url(self):
+        return f"{self.base}/v1/chat/completions"
 
     def __enter__(self):
         self.thread.start()

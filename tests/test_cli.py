@@ -15,6 +15,7 @@ DATA = Path(__file__).parent / "data"
 # A model spec for the stub server, without its endpoint_url.
 STUB_SPEC = {"model_id": "stub", "auth_env_var": "STUB_API_KEY", "max_retries": 0,
              "rate_limit_per_minute": 100000}
+BAD_URL = "stub: endpoint_url must be an http:// or https:// URL with a host"
 
 
 def run_synthetic_chain(root: Path, seed=7, extra_simulate=(), n=120) -> Path:
@@ -304,10 +305,14 @@ class TestExitCodes:
          ([], {"models": [{**STUB_SPEC, "endpoint_url": "http://localhost",
                            "tool_policy": "web_search"}]},
           "tool_policy must be a JSON object"),
-         (["--efforts", "none"], None, "select no level of any model spec")],
+         (["--efforts", "none"], None, "select no level of any model spec"),
+         ([], {"models": [{**STUB_SPEC, "endpoint_url": "htp://x/v1"}]}, BAD_URL),
+         ([], {"models": [{**STUB_SPEC, "endpoint_url": "not a url"}]}, BAD_URL),
+         ([], {"models": [{**STUB_SPEC, "endpoint_url": "https:///v1"}]}, BAD_URL),
+         ([], {"models": [{**STUB_SPEC, "endpoint_url": 5}]}, BAD_URL)],
         ids=["unknown_effort", "empty_efforts", "zero_concurrency", "no_specs",
              "top_level_list", "models_not_a_list", "effort_mode_string", "tool_policy_string",
-             "nothing_selected"],
+             "nothing_selected", "unknown_scheme", "not_a_url", "no_host", "not_a_string"],
     )
     def test_bad_elicit_config_is_2_before_the_transcript(self, tmp_path, monkeypatch, capsys,
                                                           extra, models, message):
@@ -472,6 +477,16 @@ class TestMalformedArtifacts:
         assert f"{root / artifact}: line {middle + 1} is not JSON" in err
         assert (root / out).read_bytes() == before
         assert not list(root.glob(f".{out}.*.tmp"))
+
+    def test_byte_that_is_not_utf8(self, tmp_path, capsys):
+        root = _small_chain(tmp_path)
+        scores = root / "scores.jsonl"
+        with scores.open("ab") as fh:
+            fh.write(b"\xff\xfe\n")
+        err = self.assert_schema_error(["report", "--scores", str(scores),
+                                        "--out-dir", str(root / "report")], capsys)
+        last = scores.read_bytes().count(b"\n")
+        assert f"{scores}: line {last} is not JSON" in err
 
     @pytest.mark.parametrize("fits_from", ["another run", "no scores hash"])
     def test_fits_not_fitted_on_these_scores(self, tmp_path, capsys, fits_from):

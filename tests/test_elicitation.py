@@ -1,8 +1,13 @@
+import base64
 import json
+import socket
+import sys
 import time
 
 import pytest
 
+from elicitbench import __version__
+from elicitbench.cli import main
 from elicitbench.corpus import TargetKind
 from elicitbench.elicitation import (
     EffortLevel,
@@ -293,6 +298,10 @@ class TestRunBatch:
             run_batch(questions(1), [spec_for(server.url)], [EffortLevel.LOW],
                       1, tmp_path / "t.jsonl", "h")
         assert state.requests == 1
+        (headers,) = state.headers
+        assert headers["authorization"] == "Bearer stub-secret"
+        assert headers["content-type"] == "application/json"
+        assert headers["user-agent"] == f"elicitbench/{__version__}"
 
     def test_rate_limit_spaces_arrivals(self, tmp_path):
         state = StubState()
@@ -323,3 +332,130 @@ class TestRunBatch:
         payload = rows[0]["request_payload"]
         assert payload["thinking_budget_tokens"] == 2000
         assert payload == state.payloads[0]
+
+
+PROXY_VARIABLES = ("http_proxy", "https_proxy", "all_proxy", "no_proxy")
+
+
+def dead_port():
+    """A loopback port nothing listens on."""
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        return sock.getsockname()[1]
+
+
+def rows_of(path):
+    _, rows = read_jsonl(path, "transcript.v1")
+    return rows
+
+
+class TestTransport:
+    @pytest.fixture(autouse=True)
+    def no_proxy_environment(self, monkeypatch):
+        for name in PROXY_VARIABLES:
+            monkeypatch.delenv(name, raising=False)
+            monkeypatch.delenv(name.upper(), raising=False)
+
+    def elicit(self, tmp_path, url, **spec):
+        """Exit code of `elicit` on two questions for one model spec at url."""
+        suite = tmp_path / "suite"
+        assert main(["simulate", "--n-questions", "2", "--seed", "0",
+                     "--out-dir", str(suite)]) == 0
+        models = tmp_path / "models.json"
+        models.write_text(json.dumps({"models": [{
+            "model_id": "stub", "endpoint_url": url, "auth_env_var": "STUB_API_KEY",
+            "rate_limit_per_minute": 100000, **spec}]}))
+        return main(["elicit", "--corpus", str(suite / "corpus.jsonl"),
+                     "--models", str(models), "--efforts", "low",
+                     "--out", str(tmp_path / "t.jsonl"), "--manifest", str(tmp_path / "m.json"),
+                     "--backoff-base", "0.01"])
+
+    def test_each_worker_keeps_one_connection(self, tmp_path):
+        state = StubState(keep_alive=True)
+        with StubServer(state) as server:
+            result = run_batch(questions(24), [spec_for(server.url)], [EffortLevel.LOW],
+                               concurrency=2, out_path=tmp_path / "t.jsonl", cfg_hash="h")
+        assert result.ok == 24 and state.requests == 24
+        assert len(set(state.ports)) <= 2
+
+    def test_every_connection_is_closed_on_return(self, tmp_path):
+        # more workers than cores, switching threads often
+        state = StubState(keep_alive=True)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with StubServer(state) as server:
+                result = run_batch(questions(200), [spec_for(server.url)], [EffortLevel.LOW],
+                                   concurrency=8, out_path=tmp_path / "t.jsonl", cfg_hash="h")
+                deadline = time.monotonic() + 10
+                while state.closed < len(set(state.ports)) and time.monotonic() < deadline:
+                    time.sleep(0.01)
+        finally:
+            sys.setswitchinterval(interval)
+        assert result.ok == 200 and state.requests == 200
+        assert [r["attempt_count"] for r in rows_of(tmp_path / "t.jsonl")] == [1] * 200
+        assert len(set(state.ports)) <= 8
+        assert state.closed == len(set(state.ports))
+
+    def test_connections_the_server_closed_are_reopened_without_an_attempt(self, tmp_path):
+        state = StubState(close_silently=True)
+        with StubServer(state) as server:
+            result = run_batch(questions(12), [spec_for(server.url)], [EffortLevel.LOW],
+                               concurrency=2, out_path=tmp_path / "t.jsonl", cfg_hash="h")
+        assert result.ok == 12 and state.requests == 12
+        assert len(set(state.ports)) == 12
+        assert [r["attempt_count"] for r in rows_of(tmp_path / "t.jsonl")] == [1] * 12
+
+    def test_refused_connection_uses_every_attempt_and_exits_4(self, tmp_path):
+        url = f"http://127.0.0.1:{dead_port()}/v1/chat/completions"
+        assert self.elicit(tmp_path, url, max_retries=2) == 4
+        rows = rows_of(tmp_path / "t.jsonl")
+        assert [r["attempt_count"] for r in rows] == [3, 3]
+        assert all(r["failure_reason"].startswith("transport: ") for r in rows)
+
+    def test_read_timeout_uses_every_attempt_and_exits_4(self, tmp_path):
+        state = StubState(delay=0.6)
+        with StubServer(state) as server:
+            assert self.elicit(tmp_path, server.url, max_retries=1, timeout=0.2) == 4
+        rows = rows_of(tmp_path / "t.jsonl")
+        assert [r["attempt_count"] for r in rows] == [2, 2]
+        assert all(r["failure_reason"].startswith("transport: ") for r in rows)
+        assert state.requests == 4
+
+    def test_http_proxy_gets_the_absolute_target(self, tmp_path, monkeypatch):
+        state = StubState()
+        with StubServer(state) as server:
+            monkeypatch.setenv("HTTP_PROXY", server.base.replace("//", "//user:p%40ss@"))
+            assert self.elicit(tmp_path, "http://elicit.invalid/v1/chat/completions") == 0
+        assert state.targets == ["http://elicit.invalid/v1/chat/completions"] * 2
+        credentials = base64.b64encode(b"user:p@ss").decode()
+        for headers in state.headers:
+            assert headers["host"] == "elicit.invalid"
+            assert headers["proxy-authorization"] == f"Basic {credentials}"
+        assert [r["attempt_count"] for r in rows_of(tmp_path / "t.jsonl")] == [1, 1]
+
+    def test_https_proxy_is_asked_for_a_tunnel(self, tmp_path, monkeypatch):
+        state = StubState()
+        with StubServer(state) as server:
+            monkeypatch.setenv("HTTPS_PROXY", server.base.replace("//", "//user:secret@"))
+            assert self.elicit(tmp_path, "https://elicit.invalid/v1", max_retries=0) == 4
+        assert state.targets == ["elicit.invalid:443"] * 2
+        credentials = base64.b64encode(b"user:secret").decode()
+        assert all(h["proxy-authorization"] == f"Basic {credentials}" for h in state.headers)
+        assert state.requests == 0  # the tunnel was refused; nothing was posted
+
+    def test_no_proxy_bypasses_a_dead_proxy(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("HTTP_PROXY", f"http://127.0.0.1:{dead_port()}")
+        monkeypatch.setenv("NO_PROXY", "127.0.0.1")
+        state = StubState()
+        with StubServer(state) as server:
+            assert self.elicit(tmp_path, server.url) == 0
+        assert [r["attempt_count"] for r in rows_of(tmp_path / "t.jsonl")] == [1, 1]
+        assert state.targets == ["/v1/chat/completions"] * 2
+
+    def test_proxy_that_is_not_http_is_a_config_error(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("HTTP_PROXY", "socks5://127.0.0.1:1080")
+        with pytest.raises(ConfigError, match="socks5"):
+            run_batch(questions(1), [spec_for("http://elicit.invalid/v1")], [EffortLevel.LOW],
+                      1, tmp_path / "t.jsonl", "h")
+        assert not (tmp_path / "t.jsonl").exists()

@@ -90,7 +90,7 @@ class TestIterJsonl:
 
         def spy(self, mode="r", *args, **kwargs):
             fh = real_open(self, mode, *args, **kwargs)
-            if mode == "r":
+            if mode in ("r", "rb"):
                 files.append(fh)
             return fh
 
@@ -122,6 +122,15 @@ class TestIterJsonl:
         assert header == {"schema": "scores.v1"}
         assert [fh.closed for fh in opened] == [False]
         assert list(rows) == [{"a": 1}, {"a": 2}]
+        assert [fh.closed for fh in opened] == [True]
+
+    def test_line_that_is_not_utf8_raises_when_reached_and_closes(self, tmp_path, opened):
+        path = tmp_path / "scores.jsonl"
+        path.write_bytes(b'{"schema": "scores.v1"}\n{"a": 1}\n{"a": "\xff\xfe"}\n{"a": 3}\n')
+        _, rows = iter_jsonl(path, "scores.v1")
+        assert next(rows) == {"a": 1}
+        with pytest.raises(SchemaError, match="line 3 is not JSON"):
+            next(rows)
         assert [fh.closed for fh in opened] == [True]
 
     def test_bad_line_raises_when_reached_and_closes(self, tmp_path, opened):

@@ -1,15 +1,19 @@
-"""The offline stages run on the standard library alone.
+"""The stages run on the standard library alone.
 
-`requests` is the only runtime dependency, and only `elicit` loads it;
-numpy and scipy are test references. A fresh interpreter runs the offline
-chain through `main` and then lists the third-party packages it loaded.
+elicitbench has no runtime dependency; numpy and scipy are test references.
+`elicit` talks HTTP through the standard library's `http.client` from
+worker threads; it imports `http.client` (with `ssl` and `urllib.request`)
+and `concurrent.futures` only when it runs, so the offline stages never load
+them. Fresh interpreters run the offline chain, and `elicit` against a local
+stub server, through `main` and then list the modules they loaded.
 """
 import os
 import subprocess
 import sys
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src"
 
 CHAIN = r"""
 import sys
@@ -34,16 +38,50 @@ assert main(["report", "--scores", str(root / "base" / "scores.jsonl"),
              "--tool-scores", str(root / "tools" / "scores.jsonl"),
              "--out-dir", str(root / "report")]) == 0
 assert (root / "report" / "tool_comparison.tsv").exists()
+print([m for m in ("numpy", "scipy", "requests", "http.client", "ssl", "urllib.request",
+                  "concurrent.futures") if m in sys.modules])
+"""
+
+ELICIT = r"""
+import json
+import os
+import sys
+from pathlib import Path
+
+from elicitbench.cli import main
+from stubserver import StubServer, StubState
+
+root = Path(sys.argv[1])
+os.environ["STUB_API_KEY"] = "k"
+assert main(["simulate", "--n-questions", "20", "--seed", "7", "--out-dir", str(root)]) == 0
+state = StubState(keep_alive=True)
+with StubServer(state) as server:
+    (root / "models.json").write_text(json.dumps({"models": [{
+        "model_id": "stub", "endpoint_url": server.url, "auth_env_var": "STUB_API_KEY",
+        "rate_limit_per_minute": 100000}]}))
+    assert main(["elicit", "--corpus", str(root / "corpus.jsonl"),
+                 "--models", str(root / "models.json"), "--efforts", "low,high",
+                 "--out", str(root / "elicited.jsonl"),
+                 "--manifest", str(root / "manifest.json")]) == 0
+assert state.requests == 40
 print([m for m in ("numpy", "scipy", "requests") if m in sys.modules])
 """
 
 
-def test_offline_chain_loads_no_third_party_package(tmp_path):
+def run_child(code, tmp_path):
     env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), str(TESTS), env.get("PYTHONPATH")]))
     done = subprocess.run(
-        [sys.executable, "-c", CHAIN, str(tmp_path)],
+        [sys.executable, "-c", code, str(tmp_path)],
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines()[-1] == "[]"
+    return done.stdout.splitlines()[-1]
+
+
+def test_offline_chain_loads_no_third_party_package(tmp_path):
+    assert run_child(CHAIN, tmp_path) == "[]"
+
+
+def test_elicit_loads_no_third_party_package(tmp_path):
+    assert run_child(ELICIT, tmp_path) == "[]"
