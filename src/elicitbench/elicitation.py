@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from enum import Enum
 from typing import TYPE_CHECKING, Sequence
-from urllib.parse import urlsplit
 
 from .corpus import Question, TargetKind
 from .errors import ConfigError
@@ -94,18 +93,6 @@ class WebSearch:
             )
 
 
-def _is_http_url(url: object) -> bool:
-    """True for an http:// or https:// URL with a host and, if any, a valid port."""
-    if not isinstance(url, str):
-        return False
-    try:
-        parts = urlsplit(url)
-        parts.port  # raises ValueError on a port that is not a number in range
-    except ValueError:
-        return False
-    return parts.scheme in ("http", "https") and bool(parts.hostname)
-
-
 @dataclass(frozen=True)
 class ModelSpec:
     model_id: str
@@ -123,10 +110,9 @@ class ModelSpec:
             raise ConfigError("max_retries must be >= 0")
         if self.rate_limit_per_minute <= 0:
             raise ConfigError("rate_limit_per_minute must be > 0")
-        if not _is_http_url(self.endpoint_url):
+        if not isinstance(self.endpoint_url, str):  # the URL itself is checked by run_batch
             raise ConfigError(
-                f"{self.model_id}: endpoint_url must be an http:// or https:// URL "
-                f"with a host, got {self.endpoint_url!r}"
+                f"{self.model_id}: endpoint_url must be a string, got {self.endpoint_url!r}"
             )
 
     def levels_for(self, requested: Sequence[EffortLevel]) -> list[EffortLevel]:
@@ -268,6 +254,11 @@ def _auth_headers(spec: ModelSpec) -> dict:
         raise ConfigError(
             f"{spec.model_id}: environment variable {spec.auth_env_var!r} is not set"
         )
+    if any(c in "\r\n" or ord(c) > 0xFF for c in token):
+        raise ConfigError(
+            f"{spec.model_id}: environment variable {spec.auth_env_var!r} holds a line "
+            "break or a character outside Latin-1, which cannot go in an HTTP header"
+        )
     return {"Authorization": f"Bearer {token}"}
 
 
@@ -369,9 +360,10 @@ def run_batch(
     not raised. With resume=True, planned keys already answered in the
     existing transcript are skipped and counted in `skipped`; a transcript
     of another config is rejected. A bad concurrency, effort levels that
-    select nothing for any spec, a missing API key or a proxy that is not
-    http:// abort before the transcript is opened. Every connection opened
-    is closed on return.
+    select nothing for any spec, an API key that is missing or cannot go in
+    a header, an endpoint URL that is not http(s) with a host, or a proxy
+    that is not http:// abort before the transcript is opened. Every
+    connection opened is closed on return.
     """
     if concurrency < 1:
         raise ConfigError(f"concurrency must be >= 1, got {concurrency}")
@@ -386,7 +378,7 @@ def run_batch(
 
     from .transport import Connections
 
-    connections = Connections(spec.endpoint_url for spec in specs)
+    connections = Connections((spec.model_id, spec.endpoint_url) for spec in specs)
 
     done = _done_keys(out_path, cfg_hash) if resume else set()
     tasks = []

@@ -4,16 +4,18 @@ Only `elicitation.run_batch` imports this module, so the offline stages never
 load `http.client`, `ssl` or `urllib.request`.
 
 Each worker thread keeps one connection per endpoint (scheme, host and port).
-`HTTP_PROXY`, `HTTPS_PROXY` and `NO_PROXY` are honoured: an http endpoint is
-reached through an http proxy with an absolute-form target, an https endpoint
-through a CONNECT tunnel. TLS certificates and host names are always verified
-against the default CA store. Redirects are not followed.
+`HTTP_PROXY`, `HTTPS_PROXY`, `ALL_PROXY` and `NO_PROXY` are honoured: an http
+endpoint is reached through an http proxy with an absolute-form target, an
+https endpoint through a CONNECT tunnel. TLS certificates and host names are
+always verified against the default CA store. Redirects are not followed.
 """
 from __future__ import annotations
 
 import base64
 import http.client
 import json
+import select
+import socket
 import ssl
 import threading
 from dataclasses import dataclass
@@ -25,6 +27,7 @@ from . import __version__
 from .errors import ConfigError
 
 HEADERS = {"Content-Type": "application/json", "User-Agent": f"elicitbench/{__version__}"}
+DEFAULT_PORTS = {"http": 80, "https": 443}
 
 
 @dataclass(frozen=True)
@@ -39,13 +42,26 @@ class Route:
 
 
 def route_for(url: str) -> Route:
-    """The route to an http(s) `url` under HTTP_PROXY, HTTPS_PROXY and NO_PROXY."""
-    parts = urlsplit(url)
-    scheme, host = parts.scheme, parts.hostname
-    port = parts.port or (443 if scheme == "https" else 80)
+    """The route to `url` under HTTP_PROXY, HTTPS_PROXY, ALL_PROXY and NO_PROXY.
+
+    Raises ConfigError for a `url` that is not http:// or https:// with a host
+    and, if any, a valid port, and for a proxy URL that is not http://host[:port].
+    """
+    try:
+        parts = urlsplit(url)
+        scheme, host = parts.scheme, parts.hostname
+        port = DEFAULT_PORTS[scheme]  # KeyError: not http or https
+        port = parts.port or port  # ValueError: a port that is not a number in range
+    except (KeyError, ValueError):
+        host = None
+    if not host:
+        raise ConfigError(
+            f"endpoint_url must be an http:// or https:// URL with a host, got {url!r}"
+        )
     host_port = parts.netloc.rpartition("@")[2]
     target = (parts.path or "/") + (f"?{parts.query}" if parts.query else "")
-    proxy_url = getproxies().get(scheme)
+    proxies = getproxies()
+    proxy_url = proxies.get(scheme) or proxies.get("all")
     if not proxy_url or proxy_bypass(host_port):
         return Route((scheme, host, port), (host, port), target, {}, None)
     try:
@@ -65,19 +81,39 @@ def route_for(url: str) -> Route:
     return Route((scheme, host, port), dial, f"http://{host_port}{target}", auth, None)
 
 
+def _dropped(sock: socket.socket) -> bool:
+    """True when an idle connection is readable: the server closed it, or sent
+    bytes that no request asked for. Either way it cannot carry a request."""
+    if hasattr(select, "poll"):
+        poller = select.poll()
+        poller.register(sock, select.POLLIN)
+        return bool(poller.poll(0))
+    return bool(select.select([sock], [], [], 0)[0])
+
+
 class Connections:
     """Keep-alive connections to endpoint URLs: one per worker thread and endpoint.
 
-    The routes are worked out when this is made, so a bad proxy setting is a
-    ConfigError before any request. Each response is read whole before its
-    connection carries the next request. A reused connection that the server
-    has closed meanwhile is reopened and the request sent again, once. One
+    The routes are worked out when this is made, so a bad endpoint URL or
+    proxy setting is a ConfigError, naming its model, before any request.
+    Each response is read whole before its connection carries the next
+    request. A connection that the server closed while idle is reopened
+    before it is used. If sending on a reused connection fails, the server
+    had closed it and got no whole request, so the request is sent once more
+    on a new one. A connection lost while waiting for the reply raises: the
+    server may have taken the request, so the caller counts an attempt. One
     TLS context is made, for the first https connection. `close` closes
     every connection.
     """
 
-    def __init__(self, urls: Iterable[str]) -> None:
-        self._routes = {url: route_for(url) for url in urls}
+    def __init__(self, endpoints: Iterable[tuple[str, str]]) -> None:
+        """`endpoints`: (model id, endpoint URL) pairs."""
+        self._routes: dict[str, Route] = {}
+        for model_id, url in endpoints:
+            try:
+                self._routes[url] = route_for(url)
+            except ConfigError as exc:
+                raise ConfigError(f"{model_id}: {exc}") from None
         self._local = threading.local()
         self._lock = threading.Lock()
         self._opened: list[http.client.HTTPConnection] = []
@@ -115,17 +151,18 @@ class Connections:
         conn = self._connection(route, timeout)
         body = json.dumps(payload).encode("utf-8")
         headers = {**HEADERS, **headers, **route.headers}
+        if conn.sock is not None and _dropped(conn.sock):
+            conn.close()
         reused = conn.sock is not None
         try:
             try:
                 conn.request("POST", route.target, body, headers)
-                response = conn.getresponse()
-            except (BrokenPipeError, ConnectionResetError):  # RemoteDisconnected too
+            except (BrokenPipeError, ConnectionResetError):
                 if not reused:
                     raise
-                conn.close()  # the server closed it while idle: no response byte came
+                conn.close()
                 conn.request("POST", route.target, body, headers)
-                response = conn.getresponse()
+            response = conn.getresponse()
             return response.status, response.read()
         except BaseException:
             conn.close()

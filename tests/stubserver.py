@@ -4,6 +4,8 @@ By default it speaks HTTP/1.0 and closes each connection after its reply.
 With `keep_alive` it speaks HTTP/1.1 and keeps connections open; with
 `close_silently` it speaks HTTP/1.1 but closes each connection after its
 reply without saying so, as a server that drops idle connections does.
+`hang_up_on` names requests (counted from 1) that are read and then answered
+by closing the connection, as a gateway that drops a slow call does.
 """
 import json
 import threading
@@ -16,7 +18,7 @@ class StubState:
 
     def __init__(self, reply="value: 42, lower: 40, upper: 44", fail_first=0,
                  fail_status=503, delay=0.0, permanent_status=None,
-                 keep_alive=False, close_silently=False):
+                 keep_alive=False, close_silently=False, hang_up_on=()):
         self.reply = reply
         self.fail_first = fail_first      # first N requests fail with fail_status
         self.fail_status = fail_status
@@ -24,6 +26,7 @@ class StubState:
         self.delay = delay
         self.keep_alive = keep_alive
         self.close_silently = close_silently
+        self.hang_up_on = set(hang_up_on)
         self.lock = threading.Lock()
         self.requests = 0
         self.arrivals = []                # monotonic arrival times
@@ -78,6 +81,9 @@ class _Handler(BaseHTTPRequestHandler):
         try:
             if state.delay:
                 time.sleep(state.delay)
+            if index in state.hang_up_on:
+                self.close_connection = True
+                return
             if state.permanent_status is not None:
                 self._send_empty(state.permanent_status)
                 return

@@ -16,6 +16,9 @@ DATA = Path(__file__).parent / "data"
 STUB_SPEC = {"model_id": "stub", "auth_env_var": "STUB_API_KEY", "max_retries": 0,
              "rate_limit_per_minute": 100000}
 BAD_URL = "stub: endpoint_url must be an http:// or https:// URL with a host"
+BAD_KEY = "holds a line break or a character outside Latin-1"
+# API keys that http.client cannot send in a header
+BAD_KEYS = {"STUB_KEY_NEWLINE": "secret\n", "STUB_KEY_WIDE": "secret\u2013"}
 
 
 def run_synthetic_chain(root: Path, seed=7, extra_simulate=(), n=120) -> Path:
@@ -309,14 +312,23 @@ class TestExitCodes:
          ([], {"models": [{**STUB_SPEC, "endpoint_url": "htp://x/v1"}]}, BAD_URL),
          ([], {"models": [{**STUB_SPEC, "endpoint_url": "not a url"}]}, BAD_URL),
          ([], {"models": [{**STUB_SPEC, "endpoint_url": "https:///v1"}]}, BAD_URL),
-         ([], {"models": [{**STUB_SPEC, "endpoint_url": 5}]}, BAD_URL)],
+         ([], {"models": [{**STUB_SPEC, "endpoint_url": "ftp://x:21/v1"}]}, BAD_URL),
+         ([], {"models": [{**STUB_SPEC, "endpoint_url": 5}]},
+          "stub: endpoint_url must be a string"),
+         ([], {"models": [{**STUB_SPEC, "endpoint_url": "http://localhost",
+                           "auth_env_var": "STUB_KEY_NEWLINE"}]}, BAD_KEY),
+         ([], {"models": [{**STUB_SPEC, "endpoint_url": "http://localhost",
+                           "auth_env_var": "STUB_KEY_WIDE"}]}, BAD_KEY)],
         ids=["unknown_effort", "empty_efforts", "zero_concurrency", "no_specs",
              "top_level_list", "models_not_a_list", "effort_mode_string", "tool_policy_string",
-             "nothing_selected", "unknown_scheme", "not_a_url", "no_host", "not_a_string"],
+             "nothing_selected", "unknown_scheme", "not_a_url", "no_host", "other_scheme_with_port",
+             "not_a_string", "key_with_newline", "key_outside_latin1"],
     )
     def test_bad_elicit_config_is_2_before_the_transcript(self, tmp_path, monkeypatch, capsys,
                                                           extra, models, message):
         monkeypatch.setenv("STUB_API_KEY", "k")
+        for name, value in BAD_KEYS.items():
+            monkeypatch.setenv(name, value)
         suite = tmp_path / "suite"
         main(["simulate", "--n-questions", "2", "--seed", "0", "--out-dir", str(suite)])
         state = StubState()

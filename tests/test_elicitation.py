@@ -398,13 +398,29 @@ class TestTransport:
         assert state.closed == len(set(state.ports))
 
     def test_connections_the_server_closed_are_reopened_without_an_attempt(self, tmp_path):
+        # Request starts 20 ms apart: each connection has been idle, and closed,
+        # by the time its worker would reuse it.
         state = StubState(close_silently=True)
         with StubServer(state) as server:
-            result = run_batch(questions(12), [spec_for(server.url)], [EffortLevel.LOW],
+            spec = spec_for(server.url, rate_limit_per_minute=3000.0)
+            result = run_batch(questions(12), [spec], [EffortLevel.LOW],
                                concurrency=2, out_path=tmp_path / "t.jsonl", cfg_hash="h")
         assert result.ok == 12 and state.requests == 12
         assert len(set(state.ports)) == 12
         assert [r["attempt_count"] for r in rows_of(tmp_path / "t.jsonl")] == [1] * 12
+
+    def test_connection_lost_awaiting_the_reply_counts_an_attempt(self, tmp_path):
+        # The second request goes out on the first one's connection, and the
+        # server takes it and hangs up: it may have done the work, so it is a
+        # counted attempt, retried after the backoff and under the rate limit.
+        state = StubState(keep_alive=True, hang_up_on={2})
+        with StubServer(state) as server:
+            result = run_batch(questions(2), [spec_for(server.url)], [EffortLevel.LOW],
+                               concurrency=1, out_path=tmp_path / "t.jsonl", cfg_hash="h",
+                               backoff_base=0.01)
+        assert result.ok == 2 and state.requests == 3
+        assert [r["attempt_count"] for r in rows_of(tmp_path / "t.jsonl")] == [1, 2]
+        assert state.ports[0] == state.ports[1] != state.ports[2]
 
     def test_refused_connection_uses_every_attempt_and_exits_4(self, tmp_path):
         url = f"http://127.0.0.1:{dead_port()}/v1/chat/completions"
@@ -433,6 +449,13 @@ class TestTransport:
             assert headers["host"] == "elicit.invalid"
             assert headers["proxy-authorization"] == f"Basic {credentials}"
         assert [r["attempt_count"] for r in rows_of(tmp_path / "t.jsonl")] == [1, 1]
+
+    def test_all_proxy_serves_a_scheme_without_its_own(self, tmp_path, monkeypatch):
+        state = StubState()
+        with StubServer(state) as server:
+            monkeypatch.setenv("ALL_PROXY", server.base)
+            assert self.elicit(tmp_path, "http://elicit.invalid/v1/chat/completions") == 0
+        assert state.targets == ["http://elicit.invalid/v1/chat/completions"] * 2
 
     def test_https_proxy_is_asked_for_a_tunnel(self, tmp_path, monkeypatch):
         state = StubState()
