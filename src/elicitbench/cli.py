@@ -13,7 +13,7 @@ import json
 import sys
 from collections import Counter
 from pathlib import Path
-from typing import Iterator
+from typing import Iterator, TypeVar
 
 from . import __version__
 from .conformal import ConformalConfig, calibrate_groups
@@ -38,6 +38,8 @@ from .report import (
 )
 from .synthetic import SyntheticSuiteConfig, make_suite
 
+R = TypeVar("R")
+
 EXIT_OK = 0
 EXIT_PARTIAL_TRANSPORT = 4
 
@@ -57,6 +59,8 @@ def _load_json(path: str | Path) -> dict:
         raise ConfigError(f"config file not found: {path}")
     try:
         return json.loads(path.read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 ({exc.reason})") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
 
@@ -81,10 +85,9 @@ def _corpus_index(path: str | Path) -> tuple[dict, dict[str, tuple[str, TargetKi
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
-    raw = _load_json(args.config)
+    config = corpus_config_from_dict(_load_json(args.config), base_dir=Path(args.config).parent)
     if args.seed is not None:
-        raw["seed"] = args.seed
-    config = corpus_config_from_dict(raw, base_dir=Path(args.config).parent)
+        config = dataclasses.replace(config, seed=args.seed)
     cfg_hash = config_hash(config.to_dict())
     questions, meta = generate_corpus(config)
     write_jsonl(args.out, "corpus.v1", cfg_hash, questions)
@@ -95,19 +98,14 @@ def cmd_generate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _record_from_flags(cls: type[R], args: argparse.Namespace) -> R:
+    """A `cls` from the flags that were given; a flag left out keeps its field default."""
+    names = {f.name for f in dataclasses.fields(cls)}
+    return cls(**{name: value for name, value in vars(args).items() if name in names})
+
+
 def cmd_simulate(args: argparse.Namespace) -> int:
-    config = SyntheticSuiteConfig(
-        n_questions=args.n_questions,
-        seed=args.seed,
-        sigma_true=args.sigma_true,
-        bias=args.bias,
-        width_shrink=args.width_shrink,
-        noise_sd=args.noise,
-        refusal_rate=args.refusal_rate,
-        proportion_fraction=args.proportion_fraction,
-        model_id=args.model_id,
-        effort=args.effort,
-    )
+    config = _record_from_flags(SyntheticSuiteConfig, args)
     manifest = make_suite(config, args.out_dir)
     manifest_path = Path(args.out_dir) / "manifest.json"
     write_text(manifest_path, canonical_dumps(manifest) + "\n")
@@ -247,6 +245,10 @@ def cmd_score(args: argparse.Namespace) -> int:
             missing = [name for name in PARSED_KEY_FIELDS if name not in row]
             if missing:
                 raise SchemaError(f"parsed row: missing field {missing[0]!r}")
+            if not isinstance(row["tools_enabled"], bool):
+                raise SchemaError(
+                    f"parsed row: tools_enabled must be true or false, got {row['tools_enabled']!r}"
+                )
             qid = row["question_id"]
             if qid not in questions:
                 raise SchemaError(f"parsed records reference unknown question {qid}")
@@ -256,7 +258,7 @@ def cmd_score(args: argparse.Namespace) -> int:
                     question_id=qid,
                     model_id=row["model_id"],
                     effort=row["effort"],
-                    tools_enabled=bool(row["tools_enabled"]),
+                    tools_enabled=row["tools_enabled"],
                     dataset_id=dataset_id,
                     kind=kind,
                     triplet=load_row(Triplet, row["triplet"]),
@@ -278,9 +280,7 @@ def cmd_score(args: argparse.Namespace) -> int:
 def cmd_calibrate(args: argparse.Namespace) -> int:
     scores_header, score_rows = iter_jsonl(_require(args.scores, "score"), "scores.v1")
     valid = split_rows(score_rows)[0]
-    config = ConformalConfig(
-        alpha=args.alpha, cal_fraction=args.cal_fraction, min_cal=args.min_cal, seed=args.seed
-    )
+    config = _record_from_flags(ConformalConfig, args)
     cfg_hash = config_hash(
         {
             "stage": "calibrate",
@@ -355,17 +355,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None, help="override the config seed")
     p.set_defaults(func=cmd_generate)
 
-    p = sub.add_parser("simulate", help="build a synthetic corpus + transcript suite")
-    p.add_argument("--n-questions", type=int, default=400)
-    p.add_argument("--width-shrink", type=float, default=1.0)
-    p.add_argument("--bias", type=float, default=0.0)
-    p.add_argument("--noise", type=float, default=0.0, help="estimation noise SD")
-    p.add_argument("--refusal-rate", type=float, default=0.0)
-    p.add_argument("--sigma-true", type=float, default=5.0)
-    p.add_argument("--proportion-fraction", type=float, default=0.0)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--model-id", default="synthetic")
-    p.add_argument("--effort", default="low")
+    # simulate and calibrate take a flag's default from its SyntheticSuiteConfig
+    # or ConformalConfig field: a flag left out is absent from the namespace.
+    p = sub.add_parser("simulate", help="build a synthetic corpus + transcript suite",
+                       argument_default=argparse.SUPPRESS)
+    p.add_argument("--n-questions", type=int)
+    p.add_argument("--width-shrink", type=float)
+    p.add_argument("--bias", type=float)
+    p.add_argument("--noise", type=float, dest="noise_sd", help="estimation noise SD")
+    p.add_argument("--refusal-rate", type=float)
+    p.add_argument("--sigma-true", type=float)
+    p.add_argument("--proportion-fraction", type=float)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--model-id")
+    p.add_argument("--effort")
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=cmd_simulate)
 
@@ -394,12 +397,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_score)
 
-    p = sub.add_parser("calibrate", help="split conformal recalibration per group")
+    p = sub.add_parser("calibrate", help="split conformal recalibration per group",
+                       argument_default=argparse.SUPPRESS)
     p.add_argument("--scores", required=True)
-    p.add_argument("--alpha", type=float, default=0.05)
-    p.add_argument("--cal-fraction", type=float, default=0.30)
-    p.add_argument("--min-cal", type=int, default=15)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--alpha", type=float)
+    p.add_argument("--cal-fraction", type=float)
+    p.add_argument("--min-cal", type=int)
+    p.add_argument("--seed", type=int)
     p.add_argument("--out", required=True, help="calibrated records JSONL")
     p.add_argument("--fits", required=True, help="calibration fits TSV")
     p.set_defaults(func=cmd_calibrate)

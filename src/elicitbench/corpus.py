@@ -16,10 +16,10 @@ from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from statistics import fmean, stdev
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import ConfigError, InputError, InsufficientDataError, SchemaError
-from .jsonlio import derive_seed, load_row, stable_hash64
+from .jsonlio import derive_seed, given_fields, load_row, stable_hash64
 
 # Central 95% two-sided normal quantile, frozen for byte-stable outputs.
 Z_95 = 1.9599639845400536
@@ -70,15 +70,15 @@ class GroundTruth:
 class QuestionTemplate:
     """Prompt pattern with named placeholders plus the target definition.
 
-    Axis names double as dataset column names;
+    The fields are the config's template keys. `prompt` is the pattern;
+    axis names double as dataset column names;
     `target_column` holds the statistic source: a binary column for
     proportions (a row counts as a success when its cell equals
     `success_value`) or a numeric column for continuous targets.
     """
 
     template_id: str
-    dataset_id: str
-    prompt_pattern: str
+    prompt: str
     axes: dict[str, list[str]]
     kind: TargetKind
     target_column: str
@@ -104,12 +104,12 @@ class QuestionTemplate:
     def placeholders(self) -> list[str]:
         return [
             name
-            for _, name, _, _ in string.Formatter().parse(self.prompt_pattern)
+            for _, name, _, _ in string.Formatter().parse(self.prompt)
             if name is not None
         ]
 
     def render(self, params: dict[str, str]) -> str:
-        return self.prompt_pattern.format(**params)
+        return self.prompt.format(**params)
 
 
 @dataclass(frozen=True)
@@ -169,13 +169,15 @@ def load_table(path: str | Path) -> list[dict[str, str]]:
     if not path.exists():
         raise InputError(f"dataset table not found: {path}")
     with path.open("r", encoding="utf-8", newline="") as fh:
-        first = fh.readline()
-        if not first.strip():
-            raise InputError(f"{path}: empty dataset")
-        delimiter = "\t" if "\t" in first else ","
-        fh.seek(0)
-        reader = csv.DictReader(fh, delimiter=delimiter)
-        rows = [dict(row) for row in reader]
+        try:
+            first = fh.readline()
+            if not first.strip():
+                raise InputError(f"{path}: empty dataset")
+            delimiter = "\t" if "\t" in first else ","
+            fh.seek(0)
+            rows = [dict(row) for row in csv.DictReader(fh, delimiter=delimiter)]
+        except UnicodeDecodeError as exc:
+            raise SchemaError(f"{path}: not UTF-8 ({exc.reason})") from exc
     if not rows:
         raise InputError(f"{path}: no data rows under the header")
     return rows
@@ -210,7 +212,7 @@ def _subgroup_truth(
 
 
 def enumerate_candidates(
-    template: QuestionTemplate, records: list[dict[str, str]]
+    template: QuestionTemplate, records: list[dict[str, str]], dataset_id: str
 ) -> list[Question]:
     """One candidate question per Cartesian-product assignment with a usable subgroup.
 
@@ -241,7 +243,7 @@ def enumerate_candidates(
         candidates.append(
             Question(
                 question_id=question_id_for(template.template_id, params),
-                dataset_id=template.dataset_id,
+                dataset_id=dataset_id,
                 params=params,
                 prompt=template.render(params),
                 kind=template.kind,
@@ -293,22 +295,7 @@ class CorpusConfig:
             "questions_per_dataset": self.questions_per_dataset,
             "ci_level": 0.95,
             "datasets": [
-                {
-                    "dataset_id": ds.dataset_id,
-                    "column_map": {},
-                    "templates": [
-                        {
-                            "template_id": t.template_id,
-                            "prompt": t.prompt_pattern,
-                            "axes": t.axes,
-                            "kind": t.kind.value,
-                            "target_column": t.target_column,
-                            "success_value": t.success_value,
-                            "min_group_size": t.min_group_size,
-                        }
-                        for t in ds.templates
-                    ],
-                }
+                {"dataset_id": ds.dataset_id, "column_map": {}, "templates": ds.templates}
                 for ds in self.datasets
             ],
         }
@@ -319,20 +306,17 @@ def corpus_config_from_dict(raw: dict, base_dir: str | Path = ".") -> CorpusConf
     try:
         datasets = []
         for ds in raw["datasets"]:
-            templates = []
-            for t in ds["templates"]:
-                templates.append(
-                    QuestionTemplate(
-                        template_id=t["template_id"],
-                        dataset_id=ds["dataset_id"],
-                        prompt_pattern=t["prompt"],
-                        axes={str(a): [str(v) for v in vals] for a, vals in t["axes"].items()},
-                        kind=TargetKind(t["kind"]),
-                        target_column=t["target_column"],
-                        success_value=str(t.get("success_value", "1")),
-                        min_group_size=int(t.get("min_group_size", 500)),
-                    )
+            templates = [
+                QuestionTemplate(
+                    template_id=t["template_id"],
+                    prompt=t["prompt"],
+                    axes={str(a): [str(v) for v in vals] for a, vals in t["axes"].items()},
+                    kind=TargetKind(t["kind"]),
+                    target_column=t["target_column"],
+                    **given_fields(t, success_value=str, min_group_size=int),
                 )
+                for t in ds["templates"]
+            ]
             if ds.get("column_map"):
                 raise ConfigError(f"{ds['dataset_id']}: column_map is not supported")
             datasets.append(
@@ -344,11 +328,7 @@ def corpus_config_from_dict(raw: dict, base_dir: str | Path = ".") -> CorpusConf
             )
         if float(raw.get("ci_level", 0.95)) != 0.95:
             raise ConfigError(f"ci_level must be 0.95, got {raw['ci_level']!r}")
-        return CorpusConfig(
-            datasets=datasets,
-            seed=int(raw.get("seed", 0)),
-            questions_per_dataset=int(raw.get("questions_per_dataset", 100)),
-        )
+        return CorpusConfig(datasets=datasets, **given_fields(raw, seed=int, questions_per_dataset=int))
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad corpus config: {exc}") from exc
 
@@ -366,7 +346,7 @@ def generate_corpus(config: CorpusConfig) -> tuple[list[Question], dict]:
         rows = load_table(ds.table)
         pool: list[Question] = []
         for template in ds.templates:
-            cands = enumerate_candidates(template, rows)
+            cands = enumerate_candidates(template, rows, ds.dataset_id)
             pool.extend(filter_by_sample_size(cands, template.min_group_size))
         sampled, took_all = sample_corpus(
             pool, config.questions_per_dataset, derive_seed(config.seed, ds.dataset_id)

@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING, Sequence
 
 from .corpus import Question, TargetKind
 from .errors import ConfigError
-from .jsonlio import canonical_dumps, load_row, read_jsonl
+from .jsonlio import canonical_dumps, given_fields, load_row, read_jsonl
 
 if TYPE_CHECKING:
     from .transport import Connections
@@ -128,38 +128,39 @@ def _json_object(value: object, what: str) -> dict:
     return value
 
 
+def _effort_mode(raw: object) -> VendorParam | TokenBudget | None:
+    mode = _json_object(raw, "effort_mode")
+    mode_type = mode.get("type", "token_budget")
+    if mode_type == "vendor_param":
+        return VendorParam(param=mode["param"], values=dict(mode["values"]))
+    if mode_type == "token_budget":
+        budget = given_fields(mode, "param")
+        if "budgets" in mode:  # the file's "budgets" fill the record's `values`
+            budgets = _json_object(mode["budgets"], "budgets")
+            budget["values"] = {k: int(v) for k, v in budgets.items()}
+        return TokenBudget(**budget)
+    if mode_type == "non_reasoning":
+        return None
+    raise ConfigError(f"unknown effort mode {mode_type!r}")
+
+
+def _tool_policy(raw: object) -> WebSearch | None:
+    tools = _json_object(raw, "tool_policy")
+    if tools.get("type", "disabled") != "web_search":
+        return None
+    return WebSearch(**given_fields(tools, max_searches=int))
+
+
 def model_spec_from_dict(d: dict) -> ModelSpec:
     d = _json_object(d, "a model spec")
     try:
-        mode_raw = _json_object(d.get("effort_mode", {"type": "token_budget"}), "effort_mode")
-        mode_type = mode_raw.get("type", "token_budget")
-        if mode_type == "vendor_param":
-            mode: VendorParam | TokenBudget | None = VendorParam(
-                param=mode_raw["param"], values=dict(mode_raw["values"])
-            )
-        elif mode_type == "token_budget":
-            budgets = _json_object(mode_raw.get("budgets", DEFAULT_TOKEN_BUDGETS), "budgets")
-            mode = TokenBudget(
-                param=mode_raw.get("param", "thinking_budget_tokens"),
-                values={k: int(v) for k, v in budgets.items()},
-            )
-        elif mode_type == "non_reasoning":
-            mode = None
-        else:
-            raise ConfigError(f"unknown effort mode {mode_type!r}")
-        tools_raw = _json_object(d.get("tool_policy", {"type": "disabled"}), "tool_policy")
-        tools = None
-        if tools_raw.get("type", "disabled") == "web_search":
-            tools = WebSearch(max_searches=int(tools_raw.get("max_searches", MAX_WEB_SEARCHES)))
         return ModelSpec(
             model_id=d["model_id"],
             endpoint_url=d["endpoint_url"],
-            auth_env_var=d.get("auth_env_var"),
-            effort_mode=mode,
-            tool_policy=tools,
-            max_retries=int(d.get("max_retries", 3)),
-            timeout=float(d.get("timeout", 60.0)),
-            rate_limit_per_minute=float(d.get("rate_limit_per_minute", 60.0)),
+            **given_fields(
+                d, "auth_env_var", effort_mode=_effort_mode, tool_policy=_tool_policy,
+                max_retries=int, timeout=float, rate_limit_per_minute=float,
+            ),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad model spec: {exc}") from exc

@@ -2,8 +2,11 @@
 
 Precedence: labeled fields win over bare numbers; when all three of a
 value/lower/upper label family are present anywhere in the text, those are
-taken (last occurrence of each label). Otherwise the last three bare numeric
-tokens, in reading order, are read as (value, lower, upper). A confidence
+taken (last occurrence of each label). When only the value label is present
+and its number is one of the last three numeric tokens, that number is the
+value and the other two, in reading order, are (lower, upper). Otherwise the
+last three bare numeric tokens, in reading order, are read as (value, lower,
+upper). A confidence
 level such as the 95 of "95% CI" is never one of those numbers. Reversed bounds
 are repaired and flagged; a value outside its own interval is kept and
 flagged. Anything without three parseable numbers is invalid, with refusals
@@ -121,14 +124,26 @@ def find_numbers(text: str) -> list[float]:
 
 
 def _labeled_fields(text: str) -> tuple[float, float, float] | None:
+    """(value, lower, upper) read from labels, or None when the labels do not settle it."""
     text = text.replace("−", "-")
-    found = []
-    for pattern in (_VALUE_RE, _LOWER_RE, _UPPER_RE):
-        matches = list(pattern.finditer(text))
-        if not matches:
-            return None
-        found.append(_to_float(matches[-1].group(1)))
-    return found[0], found[1], found[2]
+    value = list(_VALUE_RE.finditer(text))
+    if not value:
+        return None
+    lower = list(_LOWER_RE.finditer(text))
+    upper = list(_UPPER_RE.finditer(text))
+    if lower and upper:
+        return tuple(_to_float(found[-1].group(1)) for found in (value, lower, upper))
+    if lower or upper:
+        return None
+    # Only the value is labelled ("95% CI: 30 to 50; point estimate 42"): when
+    # its number is one of the last three, the other two are the bounds.
+    last_three = list(_NUMBER_RE.finditer(text))[-3:]
+    starts = [number.start() for number in last_three]
+    if len(last_three) < 3 or value[-1].start(1) not in starts:
+        return None
+    numbers = [_to_float(number.group(0)) for number in last_three]
+    labelled = numbers.pop(starts.index(value[-1].start(1)))
+    return labelled, numbers[0], numbers[1]
 
 
 def _normalize(value: float, lower: float, upper: float, units: Units) -> ParseOutcome:

@@ -9,7 +9,7 @@ replaces it: a failed write leaves the previous file, or none, in place.
 
 Records are frozen dataclasses. A record is written as its fields (str-Enums
 as their value, nested records as objects) and read back by `load_row`,
-which converts each field by its type hint.
+which checks each field against its type hint.
 """
 from __future__ import annotations
 
@@ -48,10 +48,34 @@ def _as_str(value: Any) -> str:
     return value
 
 
+# JSON decodes to exact types, so `type(value) is int` also turns away a bool.
+def _as_bool(value: Any) -> bool:
+    if type(value) is not bool:
+        raise TypeError(f"expected true or false, got {value!r}")
+    return value
+
+
+def _as_int(value: Any) -> int:
+    if type(value) is not int:
+        raise TypeError(f"expected an integer, got {value!r}")
+    return value
+
+
+def _as_float(value: Any) -> float:
+    if type(value) is float:
+        return value
+    if type(value) is not int:
+        raise TypeError(f"expected a number, got {value!r}")
+    return float(value)
+
+
+_CHECKED = {str: _as_str, bool: _as_bool, int: _as_int, float: _as_float}
+
+
 def _converter(hint: Any) -> Callable[[Any], Any]:
     """The function that turns a decoded JSON value into a `hint` value."""
-    if hint is str:
-        return _as_str
+    if hint in _CHECKED:
+        return _CHECKED[hint]
     if dataclasses.is_dataclass(hint):
         return functools.partial(load_row, hint)
     origin, args = typing.get_origin(hint), typing.get_args(hint)
@@ -61,7 +85,7 @@ def _converter(hint: Any) -> Callable[[Any], Any]:
     if origin is dict:
         key, item = map(_converter, args)
         return lambda value: {key(k): item(v) for k, v in dict(value).items()}
-    return hint  # float, int, bool and str-Enums convert by calling the type
+    return hint  # str-Enums convert by calling the type
 
 
 @functools.cache
@@ -79,11 +103,14 @@ def _plan(cls: type) -> tuple[tuple[str, Callable[[Any], Any], bool], ...]:
 
 
 def load_row(cls: type[R], row: dict) -> R:
-    """Rebuild a record from a decoded JSON row, converting each field by its hint.
+    """Rebuild a record from a decoded JSON row, checking each field against its hint.
 
     Supported hints are float, int, bool, str, str-Enums, nested records,
-    `dict[K, V]` and `X | None`. Keys the record does not define are ignored;
-    a field with a default may be absent. A malformed row raises SchemaError.
+    `dict[K, V]` and `X | None`. Nothing is coerced: a bool field takes only
+    true or false, an int field only an integer, and a float field an
+    integer or a float (read as a float). Keys the record does not define are
+    ignored; a field with a default may be absent. A malformed row raises
+    SchemaError.
     """
     try:
         kwargs = {}
@@ -94,12 +121,25 @@ def load_row(cls: type[R], row: dict) -> R:
                 if required:
                     raise
                 continue
-            kwargs[name] = convert(value)
+            try:
+                kwargs[name] = convert(value)
+            except (TypeError, ValueError) as exc:
+                raise SchemaError(f"{cls.__name__} row: {name}: {exc}") from exc
         return cls(**kwargs)
     except KeyError as exc:
         raise SchemaError(f"{cls.__name__} row: missing field {exc}") from exc
     except (TypeError, ValueError) as exc:
         raise SchemaError(f"{cls.__name__} row: {exc}") from exc
+
+
+def given_fields(raw: dict, *names: str, **convert: Callable[[Any], Any]) -> dict:
+    """The keys of a config object that `names` list, and those of `convert`, converted.
+
+    A key the object lacks is left out, so the record's own default applies.
+    """
+    fields = {name: raw[name] for name in names if name in raw}
+    fields.update((name, fn(raw[name])) for name, fn in convert.items() if name in raw)
+    return fields
 
 
 def canonical_dumps(obj: Any) -> str:

@@ -77,6 +77,10 @@ def render_text(title: str, columns: Sequence[str], rows: Sequence[Sequence[obje
     return "\n".join([title, rule, header, rule, *body]) + "\n"
 
 
+# Fields the summaries group an invalid score row by.
+INVALID_KEY_FIELDS = ("model_id", "effort", "dataset_id")
+
+
 def split_rows(score_rows: Iterable[dict]) -> tuple[list[ScoredRecord], list[dict]]:
     """Score-file rows as (valid records, invalid rows); transport failures are dropped."""
     valid, invalid = [], []
@@ -85,6 +89,9 @@ def split_rows(score_rows: Iterable[dict]) -> tuple[list[ScoredRecord], list[dic
         if outcome == "valid":
             valid.append(ScoredRecord.from_dict(row))
         elif outcome == "invalid":
+            missing = [name for name in INVALID_KEY_FIELDS if name not in row]
+            if missing:
+                raise SchemaError(f"invalid score row: missing field {missing[0]!r}")
             invalid.append(row)
     return valid, invalid
 
@@ -182,7 +189,10 @@ def read_fits(path: str | Path, scores_hash: str) -> list[list[object]]:
     An empty file, fits of other scores than `scores_hash`, a missing column,
     a short row or a cell its column cannot hold raises SchemaError.
     """
-    lines = [line for line in Path(path).read_text(encoding="utf-8").splitlines() if line]
+    try:
+        lines = [line for line in Path(path).read_text(encoding="utf-8").splitlines() if line]
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"{path}: not UTF-8 ({exc.reason})") from exc
     if "# " + SCORES_STAMP.format(scores_hash) not in lines:
         raise SchemaError(f"{path}: not fitted on these scores ({SCORES_STAMP.format(scores_hash)})")
     lines = [line for line in lines if not line.startswith("#")]

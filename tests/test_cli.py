@@ -1,3 +1,5 @@
+import argparse
+import dataclasses
 import json
 import random
 import shutil
@@ -5,8 +7,10 @@ from pathlib import Path
 
 import pytest
 
-from elicitbench.cli import main
+from elicitbench.cli import build_parser, main
+from elicitbench.conformal import ConformalConfig
 from elicitbench.jsonlio import read_jsonl, write_jsonl
+from elicitbench.synthetic import SyntheticSuiteConfig
 
 from stubserver import StubServer, StubState
 
@@ -199,9 +203,12 @@ class TestExitCodes:
 
     def test_bad_config_is_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
-        bad.write_text("{not json")
-        code = main(["generate", "--config", str(bad), "--out", str(tmp_path / "c.jsonl")])
-        assert code == 2
+        for text, extra in [("{not json", []), ("[]", ["--seed", "3"])]:
+            bad.write_text(text)
+            capsys.readouterr()
+            code = main(["generate", "--config", str(bad), "--out", str(tmp_path / "c.jsonl"), *extra])
+            assert code == 2, text
+            assert capsys.readouterr().err.startswith("error: "), text
 
     def test_partial_transport_failure_is_4(self, tmp_path, monkeypatch):
         monkeypatch.setenv("STUB_API_KEY", "k")
@@ -493,12 +500,71 @@ class TestMalformedArtifacts:
     def test_byte_that_is_not_utf8(self, tmp_path, capsys):
         root = _small_chain(tmp_path)
         scores = root / "scores.jsonl"
-        with scores.open("ab") as fh:
-            fh.write(b"\xff\xfe\n")
+        good = scores.read_bytes()
+        scores.write_bytes(good + b"\xff\xfe\n")
         err = self.assert_schema_error(["report", "--scores", str(scores),
                                         "--out-dir", str(root / "report")], capsys)
         last = scores.read_bytes().count(b"\n")
         assert f"{scores}: line {last} is not JSON" in err
+        scores.write_bytes(good)
+
+        config = tmp_path / "templates.json"
+        config.write_bytes((DATA / "templates_demo.json").read_bytes().replace(b"smoking", b"smok\xffing"))
+        table = tmp_path / "health_fixture.csv"
+        table.write_bytes((DATA / "health_fixture.csv").read_bytes() + b"\xff\n")
+        err = self.assert_schema_error(["generate", "--config", str(config),
+                                        "--out", str(tmp_path / "c.jsonl")], capsys)
+        assert f"{config}: not UTF-8" in err
+        shutil.copy(DATA / "templates_demo.json", config)
+        err = self.assert_schema_error(["generate", "--config", str(config),
+                                        "--out", str(tmp_path / "c.jsonl")], capsys)
+        assert f"{table}: not UTF-8" in err
+
+        models = tmp_path / "models.json"
+        models.write_bytes(b'{"models": [{"model_id": "st\xffub", "endpoint_url": "http://localhost"}]}')
+        err = self.assert_schema_error(["elicit", "--corpus", str(root / "suite" / "corpus.jsonl"),
+                                        "--models", str(models), "--out", str(tmp_path / "t.jsonl"),
+                                        "--manifest", str(tmp_path / "m.json")], capsys)
+        assert f"{models}: not UTF-8" in err
+        assert not (tmp_path / "t.jsonl").exists()
+
+        fits = root / "fits.tsv"
+        with fits.open("ab") as fh:
+            fh.write(b"# \xff\n")
+        err = self.assert_schema_error(["report", "--scores", str(root / "scores.jsonl"),
+                                        "--calibration", str(fits),
+                                        "--out-dir", str(root / "report")], capsys)
+        assert f"{fits}: not UTF-8" in err
+
+    @pytest.mark.parametrize(
+        "artifact, stage, flag, field, value",
+        [("parsed.jsonl", "score", "--parsed", "tools_enabled", "false"),
+         ("suite/transcript.jsonl", "extract", "--transcript", "tools_enabled", "false"),
+         ("suite/transcript.jsonl", "extract", "--transcript", "attempt_count", 2.9),
+         ("suite/transcript.jsonl", "extract", "--transcript", "latency_ms", "12")],
+        ids=["parsed_tools_enabled", "transcript_tools_enabled", "attempt_count", "latency_ms"],
+    )
+    def test_field_of_another_type(self, tmp_path, capsys, artifact, stage, flag, field, value):
+        # the record codec does not coerce: "false" is not read as true, nor 2.9 as 2
+        root = _small_chain(tmp_path)
+        _edit_first_valid_row(root / artifact, lambda row: row.update({field: value}))
+        err = self.assert_schema_error([stage, flag, str(root / artifact),
+                                        "--corpus", str(root / "suite" / "corpus.jsonl"),
+                                        "--out", str(root / "again.jsonl")], capsys)
+        assert f"{field}" in err and repr(value) in err
+
+    @pytest.mark.parametrize("field", ["model_id", "effort", "dataset_id"])
+    def test_invalid_score_row_without_key_field(self, tmp_path, capsys, field):
+        root = _small_chain(tmp_path)
+
+        def unscore(row):
+            row.update(outcome="invalid")
+            row.pop(field)
+
+        _edit_first_valid_row(root / "scores.jsonl", unscore)
+        err = self.assert_schema_error(["report", "--scores", str(root / "scores.jsonl"),
+                                        "--out-dir", str(root / "report")], capsys)
+        assert f"invalid score row: missing field {field!r}" in err
 
     @pytest.mark.parametrize("fits_from", ["another run", "no scores hash"])
     def test_fits_not_fitted_on_these_scores(self, tmp_path, capsys, fits_from):
@@ -650,3 +716,76 @@ class TestFitsRoundTrip:
         (beta_line,) = [line for line in text.splitlines() if line.lstrip().startswith("beta")]
         cells = beta_line.split()
         assert cells[5] == "inf" and cells[7] == "-"
+
+
+def _subcommand(name: str) -> argparse.ArgumentParser:
+    (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return sub.choices[name]
+
+
+def _options(name: str) -> list[argparse.Action]:
+    return [a for a in _subcommand(name)._actions if a.option_strings and a.dest != "help"]
+
+
+# The flags of each stage that builds a config record, and the flags that name files.
+CONFIG_FLAGS = {"simulate": (SyntheticSuiteConfig, {"out_dir"}),
+                "calibrate": (ConformalConfig, {"scores", "out", "fits"})}
+
+
+class TestConfigRecords:
+    """A config record states its field names and defaults; the CLI and config files only fill it."""
+
+    @pytest.mark.parametrize("stage", sorted(CONFIG_FLAGS))
+    def test_every_flag_is_a_field_of_its_record(self, stage):
+        record, files = CONFIG_FLAGS[stage]
+        fields = {f.name for f in dataclasses.fields(record)}
+        for action in _options(stage):
+            assert action.dest in fields | files, action.option_strings
+
+    def _with_record_defaults(self, stage: str) -> list[str]:
+        """Every optional flag of a stage, set to its record field's default."""
+        record, files = CONFIG_FLAGS[stage]
+        defaults = record()
+        return [token for action in _options(stage) if action.dest not in files
+                for token in (action.option_strings[0], str(getattr(defaults, action.dest)))]
+
+    def test_simulate_without_flags_writes_what_the_record_defaults_write(self, tmp_path):
+        assert main(["simulate", "--out-dir", str(tmp_path / "bare")]) == 0
+        assert main(["simulate", *self._with_record_defaults("simulate"),
+                     "--out-dir", str(tmp_path / "spelled")]) == 0
+        names = sorted(p.name for p in (tmp_path / "bare").iterdir())
+        assert names == ["corpus.jsonl", "manifest.json", "transcript.jsonl"]
+        for name in names:
+            assert (tmp_path / "bare" / name).read_bytes() == (tmp_path / "spelled" / name).read_bytes()
+
+    def test_calibrate_without_flags_writes_what_the_record_defaults_write(self, tmp_path):
+        root = _small_chain(tmp_path)
+        assert main(["calibrate", "--scores", str(root / "scores.jsonl"),
+                     *self._with_record_defaults("calibrate"),
+                     "--out", str(root / "calibrated2.jsonl"), "--fits", str(root / "fits2.tsv")]) == 0
+        assert (root / "calibrated2.jsonl").read_bytes() == (root / "calibrated.jsonl").read_bytes()
+        assert (root / "fits2.tsv").read_bytes() == (root / "fits.tsv").read_bytes()
+
+    @pytest.mark.parametrize("extra, expected", [([], "6d7e3c13aa118fb8"),
+                                                 (["--seed", "5"], "11f25f8f9f120add")])
+    def test_generate_config_hash(self, tmp_path, extra, expected):
+        shutil.copy(DATA / "templates_demo.json", tmp_path / "templates.json")
+        shutil.copy(DATA / "health_fixture.csv", tmp_path / "health_fixture.csv")
+        assert main(["generate", "--config", str(tmp_path / "templates.json"), *extra,
+                     "--out", str(tmp_path / "corpus.jsonl")]) == 0
+        assert read_jsonl(tmp_path / "corpus.jsonl", "corpus.v1")[0]["config_hash"] == expected
+
+    def test_quickstart_config_hashes(self, tmp_path):
+        suite = tmp_path / "demo"
+        assert main(["simulate", "--n-questions", "400", "--width-shrink", "4", "--noise", "5.0",
+                     "--refusal-rate", "0.1", "--seed", "7", "--out-dir", str(suite)]) == 0
+        assert main(["extract", "--transcript", str(suite / "transcript.jsonl"),
+                     "--corpus", str(suite / "corpus.jsonl"), "--out", str(suite / "parsed.jsonl")]) == 0
+        assert main(["score", "--parsed", str(suite / "parsed.jsonl"),
+                     "--corpus", str(suite / "corpus.jsonl"), "--out", str(suite / "scores.jsonl")]) == 0
+        assert main(["calibrate", "--scores", str(suite / "scores.jsonl"), "--seed", "1",
+                     "--out", str(suite / "calibrated.jsonl"),
+                     "--fits", str(suite / "calibration_fits.tsv")]) == 0
+        assert read_jsonl(suite / "corpus.jsonl", "corpus.v1")[0]["config_hash"] == "d5113e201e9ab5e5"
+        fits_header = (suite / "calibration_fits.tsv").read_text(encoding="utf-8").splitlines()[0]
+        assert fits_header == "# config_hash: f2609cebd22d70e4"

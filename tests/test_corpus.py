@@ -30,8 +30,7 @@ DATA = Path(__file__).parent / "data"
 def template(**kwargs):
     defaults = dict(
         template_id="t",
-        dataset_id="d",
-        prompt_pattern="Share of {sex}? Provide three numbers: value, lower, upper.",
+        prompt="Share of {sex}? Provide three numbers: value, lower, upper.",
         axes={"sex": ["M", "F"]},
         kind=TargetKind.PROPORTION,
         target_column="flag",
@@ -122,7 +121,7 @@ def rows_for_axes(pairs, flag_of=lambda i: i % 2):
 class TestEnumerate:
     def test_two_sexes_two_candidates(self):
         rows = [{"sex": "M", "flag": "1"}, {"sex": "F", "flag": "0"}] * 3
-        cands = enumerate_candidates(template(), rows)
+        cands = enumerate_candidates(template(), rows, "d")
         assert len(cands) == 2
 
     def test_product_size_three_by_five(self):
@@ -132,10 +131,10 @@ class TestEnumerate:
                 rows += [{"country": c, "trait": t, "flag": "1"},
                          {"country": c, "trait": t, "flag": "0"}]
         tpl = template(
-            prompt_pattern="{country} {trait}? three numbers: value, lower, upper.",
+            prompt="{country} {trait}? three numbers: value, lower, upper.",
             axes={"country": ["a", "b", "c"], "trait": ["t1", "t2", "t3", "t4", "t5"]},
         )
-        assert len(enumerate_candidates(tpl, rows)) == 15
+        assert len(enumerate_candidates(tpl, rows, "d")) == 15
 
     def test_binary_column_count(self, tmp_path):
         path = tmp_path / "binary.csv"
@@ -146,30 +145,30 @@ class TestEnumerate:
                 w.writerow(["all", 1 if i < 400 else 0])
         rows = load_table(path)
         tpl = template(axes={"cohort": ["all"]},
-                       prompt_pattern="{cohort}: value, lower, upper.")
-        (cand,) = enumerate_candidates(tpl, rows)
+                       prompt="{cohort}: value, lower, upper.")
+        (cand,) = enumerate_candidates(tpl, rows, "d")
         assert cand.truth.value == 40.0
         assert cand.truth.k == 400
         assert cand.truth.n == 1000
 
     def test_missing_column_schema_error(self):
         with pytest.raises(SchemaError):
-            enumerate_candidates(template(), [{"sex": "M"}])
+            enumerate_candidates(template(), [{"sex": "M"}], "d")
 
     def test_empty_dataset_input_error(self):
         with pytest.raises(InputError):
-            enumerate_candidates(template(), [])
+            enumerate_candidates(template(), [], "d")
 
     def test_empty_subgroups_skipped(self):
         rows = [{"sex": "M", "flag": "1"}] * 4
-        cands = enumerate_candidates(template(), rows)
+        cands = enumerate_candidates(template(), rows, "d")
         assert [c.params["sex"] for c in cands] == ["M"]
 
     def test_padded_axis_cells_join_their_subgroup(self):
         rows = [{"sex": " M", "flag": "1"}, {"sex": "F", "flag": "0"},
                 {"sex": "M\t", "flag": "0"}, {"sex": " F ", "flag": "1"},
                 {"sex": "M", "flag": "1"}, {"sex": "  M  ", "flag": "1"}]
-        m, f = enumerate_candidates(template(), rows)
+        m, f = enumerate_candidates(template(), rows, "d")
         assert (m.params, m.truth.n, m.truth.k) == ({"sex": "M"}, 4, 3)
         assert (f.params, f.truth.n, f.truth.k) == ({"sex": "F"}, 2, 1)
 
@@ -177,7 +176,7 @@ class TestEnumerate:
         tpl = template(kind=TargetKind.CONTINUOUS, target_column="bmi")
         rows = [{"sex": "M", "bmi": "22.0"}, {"sex": "M", "bmi": "oops"}]
         with pytest.raises(SchemaError):
-            enumerate_candidates(tpl, rows)
+            enumerate_candidates(tpl, rows, "d")
 
 
 class TestFilter:
@@ -209,8 +208,8 @@ class TestSample:
     def pool(self, count):
         rows = [{"g": str(i), "flag": str(i % 2)} for i in range(count) for _ in range(2)]
         tpl = template(axes={"g": [str(i) for i in range(count)]},
-                       prompt_pattern="{g}: value, lower, upper.")
-        return enumerate_candidates(tpl, rows)
+                       prompt="{g}: value, lower, upper.")
+        return enumerate_candidates(tpl, rows, "d")
 
     def test_full_draw_is_permutation(self):
         cands = self.pool(20)
@@ -245,7 +244,7 @@ class TestSample:
 class TestTemplateValidation:
     def test_unknown_placeholder(self):
         with pytest.raises(ConfigError):
-            template(prompt_pattern="{nope}: value, lower, upper.")
+            template(prompt="{nope}: value, lower, upper.")
 
     def test_duplicate_axis_values(self):
         with pytest.raises(ConfigError):
@@ -261,8 +260,7 @@ def demo_config():
     templates = [
         QuestionTemplate(
             template_id="smoking-rate",
-            dataset_id="healthfix",
-            prompt_pattern=(
+            prompt=(
                 "What percentage of {sex} respondents aged {age_group} smoke? "
                 "Provide the percentage and a 95% confidence interval as three "
                 "numbers: value, lower, upper."
@@ -274,8 +272,7 @@ def demo_config():
         ),
         QuestionTemplate(
             template_id="mean-bmi",
-            dataset_id="healthfix",
-            prompt_pattern=(
+            prompt=(
                 "Mean BMI of {sex} respondents aged {age_group}? Provide your "
                 "estimate and a 95% confidence interval as three numbers: "
                 "value, lower, upper."

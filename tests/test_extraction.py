@@ -125,6 +125,10 @@ class TestGrammar:
         assert (t.value, t.lower, t.upper) == expected
         assert not t.value_outside_interval
 
+    def test_value_label_after_the_bounds(self):
+        t = extract_triplet("30 to 50, estimate 42", "proportion").triplet
+        assert (t.value, t.lower, t.upper) == (42.0, 30.0, 50.0)
+
     def test_scientific_notation(self):
         assert find_numbers("1.5e-3 2E+2") == [0.0015, 200.0]
 
@@ -197,12 +201,7 @@ PHRASINGS = [
     "{v}, {l}-{u} percent CI",
     "- Estimate: {v}%\n- Credible interval: {l}%–{u}%",
     "Estimate: {v} percent\nConfidence interval: {l} to {u} percent",
-    pytest.param(
-        "95% CI: {l} to {u}; point estimate {v}",
-        marks=pytest.mark.xfail(
-            strict=True, reason="bounds before the value are read as (value, lower, upper)"
-        ),
-    ),
+    "95% CI: {l} to {u}; point estimate {v}",
 ]
 
 

@@ -4,9 +4,10 @@ from pathlib import Path
 import pytest
 
 from elicitbench.conformal import ConformalConfig, apply, fit
+from elicitbench.corpus import QuestionTemplate, TargetKind
 from elicitbench.elicitation import ElicitationRecord
 from elicitbench.errors import SchemaError, StageDependencyError
-from elicitbench.jsonlio import as_row, iter_jsonl, read_jsonl, write_jsonl, write_text
+from elicitbench.jsonlio import as_row, iter_jsonl, load_row, read_jsonl, write_jsonl, write_text
 from elicitbench.synthetic import SyntheticSuiteConfig, make_questions
 
 from helpers import make_scored
@@ -21,8 +22,11 @@ def _written_records():
         request_timestamp="1970-01-01T00:00:00Z", latency_ms=0.0, attempt_count=1,
         transport_status="ok",
     )
+    template = QuestionTemplate(template_id="t", prompt="{sex}?", axes={"sex": ["M"]},
+                                kind=TargetKind.PROPORTION, target_column="flag")
     return [question, question.truth, scored.triplet, transcript, scored,
-            apply(fit([1.0] * 20, 0.05, 15), scored), ConformalConfig(), SyntheticSuiteConfig()]
+            apply(fit([1.0] * 20, 0.05, 15), scored), ConformalConfig(), SyntheticSuiteConfig(),
+            template]
 
 
 @pytest.mark.parametrize("record", _written_records(), ids=lambda r: type(r).__name__)
@@ -30,6 +34,29 @@ def test_as_row_holds_exactly_the_fields(record):
     # as_row returns the instance dict: a slots record or a cached property
     # would drop or add keys in every artifact row
     assert as_row(record).keys() == {f.name for f in dataclasses.fields(record)}
+
+
+TRANSCRIPT_ROW = {
+    "question_id": "q", "model_id": "m", "effort": "low", "tools_enabled": False,
+    "raw_text": "42", "request_timestamp": "1970-01-01T00:00:00Z", "latency_ms": 12.5,
+    "attempt_count": 2, "transport_status": "ok",
+}
+
+
+@pytest.mark.parametrize("field, value", [
+    ("tools_enabled", "false"), ("tools_enabled", 0), ("tools_enabled", None),
+    ("attempt_count", 2.9), ("attempt_count", "2"), ("attempt_count", True),
+    ("latency_ms", "12"), ("latency_ms", True), ("latency_ms", None),
+])
+def test_load_row_does_not_coerce(field, value):
+    with pytest.raises(SchemaError, match=f"ElicitationRecord row: {field}: expected"):
+        load_row(ElicitationRecord, {**TRANSCRIPT_ROW, field: value})
+
+
+def test_load_row_reads_an_integer_float_field_as_a_float():
+    record = load_row(ElicitationRecord, {**TRANSCRIPT_ROW, "latency_ms": 12})
+    assert record.latency_ms == 12.0 and type(record.latency_ms) is float
+    assert load_row(ElicitationRecord, TRANSCRIPT_ROW).attempt_count == 2
 
 
 def test_as_row_rejects_non_records():
