@@ -20,7 +20,7 @@ from .conformal import ConformalConfig, calibrate_groups
 from .corpus import GroundTruth, Question, TargetKind, corpus_config_from_dict, generate_corpus
 from .elicitation import EffortLevel, ElicitationRecord, model_specs_from_config, run_batch
 from .errors import ConfigError, ElicitBenchError, SchemaError, StageDependencyError
-from .extraction import Triplet, extract_triplet
+from .extraction import Outcome, ParsedRecord, extract_triplet
 from .jsonlio import (
     as_row, canonical_dumps, config_hash, iter_jsonl, load_row, read_jsonl, write_jsonl,
     write_text,
@@ -188,43 +188,28 @@ def cmd_extract(args: argparse.Namespace) -> int:
     )
     # A resumed transcript can hold a key's failed attempt and its later
     # answer: the last record of each key wins, in order of first appearance.
-    parsed: dict[tuple, dict] = {}
+    parsed: dict[tuple, ParsedRecord] = {}
     for row in transcript:
         record = load_row(ElicitationRecord, row)
         qid = record.question_id
         if qid not in questions:
             raise SchemaError(f"transcript references unknown question {qid}")
         dataset_id, kind, _ = questions[qid]
-        base = {
-            "question_id": qid,
-            "model_id": record.model_id,
-            "effort": record.effort,
-            "tools_enabled": record.tools_enabled,
-            "dataset_id": dataset_id,
-            "kind": kind.value,
-        }
-        if record.transport_status != "ok":
-            base.update(
-                {"outcome": "transport_failed", "reason": None, "triplet": None,
-                 "failure_reason": record.failure_reason}
-            )
+        if record.transport_status == "ok":
+            parse = extract_triplet(record.raw_text, kind)
+            result = dict(outcome=Outcome.VALID if parse.valid else Outcome.INVALID,
+                          reason=parse.reason, triplet=parse.triplet)
         else:
-            outcome = extract_triplet(record.raw_text, kind)
-            base.update(outcome="valid" if outcome.valid else "invalid",
-                        reason=None if outcome.valid else outcome.reason.value,
-                        triplet=outcome.triplet)
-        parsed[(qid, record.model_id, record.effort, record.tools_enabled)] = base
-    counts = Counter(row["outcome"] for row in parsed.values())
+            result = dict(outcome=Outcome.TRANSPORT_FAILED, failure_reason=record.failure_reason)
+        key = (qid, record.model_id, record.effort, record.tools_enabled)
+        parsed[key] = ParsedRecord(*key, dataset_id=dataset_id, kind=kind, **result)
+    counts = Counter(record.outcome for record in parsed.values())
     write_jsonl(args.out, "parsed.v1", cfg_hash, parsed.values())
     print(
-        f"parsed {counts['valid']} valid, {counts['invalid']} invalid, "
-        f"{counts['transport_failed']} transport-failed -> {args.out}"
+        f"parsed {counts[Outcome.VALID]} valid, {counts[Outcome.INVALID]} invalid, "
+        f"{counts[Outcome.TRANSPORT_FAILED]} transport-failed -> {args.out}"
     )
     return EXIT_OK
-
-
-# Fields every parsed row carries, whatever its outcome.
-PARSED_KEY_FIELDS = ("question_id", "model_id", "effort", "tools_enabled", "outcome")
 
 
 def cmd_score(args: argparse.Namespace) -> int:
@@ -242,34 +227,27 @@ def cmd_score(args: argparse.Namespace) -> int:
     def score_rows() -> Iterator[dict]:
         nonlocal n_valid
         for row in parsed:
-            missing = [name for name in PARSED_KEY_FIELDS if name not in row]
-            if missing:
-                raise SchemaError(f"parsed row: missing field {missing[0]!r}")
-            if not isinstance(row["tools_enabled"], bool):
-                raise SchemaError(
-                    f"parsed row: tools_enabled must be true or false, got {row['tools_enabled']!r}"
-                )
-            qid = row["question_id"]
+            record = load_row(ParsedRecord, row)
+            qid = record.question_id
             if qid not in questions:
                 raise SchemaError(f"parsed records reference unknown question {qid}")
             dataset_id, kind, truth = questions[qid]
-            if row["outcome"] == "valid":
-                record = score_record(
+            if record.outcome is Outcome.VALID:
+                scored = score_record(
                     question_id=qid,
-                    model_id=row["model_id"],
-                    effort=row["effort"],
-                    tools_enabled=row["tools_enabled"],
+                    model_id=record.model_id,
+                    effort=record.effort,
+                    tools_enabled=record.tools_enabled,
                     dataset_id=dataset_id,
                     kind=kind,
-                    triplet=load_row(Triplet, row["triplet"]),
+                    triplet=record.triplet,
                     truth=truth,
                 )
                 n_valid += 1
-                yield {"outcome": "valid", **as_row(record)}
+                yield {"outcome": Outcome.VALID, **as_row(scored)}
             else:
-                unscored = {name: value for name, value in row.items() if name != "triplet"}
-                unscored.update(dataset_id=dataset_id, kind=kind.value)
-                unscored.setdefault("failure_reason", None)
+                unscored = {**as_row(record), "dataset_id": dataset_id, "kind": kind}
+                del unscored["triplet"]
                 yield unscored
 
     n_rows = write_jsonl(args.out, "scores.v1", cfg_hash, score_rows())

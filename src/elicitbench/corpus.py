@@ -19,7 +19,7 @@ from statistics import fmean, stdev
 from typing import Sequence
 
 from .errors import ConfigError, InputError, InsufficientDataError, SchemaError
-from .jsonlio import derive_seed, given_fields, load_row, stable_hash64
+from .jsonlio import derive_seed, load_row, stable_hash64
 
 # Central 95% two-sided normal quantile, frozen for byte-stable outputs.
 Z_95 = 1.9599639845400536
@@ -233,7 +233,7 @@ def enumerate_candidates(
         subgroups.setdefault(tuple(str(row[a]).strip() for a in axis_names), []).append(row)
     candidates: list[Question] = []
     for combo in itertools.product(*(template.axes[a] for a in axis_names)):
-        params = {a: str(v) for a, v in zip(axis_names, combo)}
+        params = dict(zip(axis_names, combo))
         subgroup = subgroups.get(tuple(params.values()))
         if not subgroup:
             continue
@@ -288,6 +288,10 @@ class CorpusConfig:
     seed: int = 0
     questions_per_dataset: int = 100
 
+    def __post_init__(self) -> None:
+        if not self.questions_per_dataset >= 1:
+            raise ConfigError(f"questions_per_dataset must be >= 1, got {self.questions_per_dataset}")
+
     def to_dict(self) -> dict:
         # The fixed "ci_level" and "column_map" keep corpus config hashes and downstream headers unchanged.
         return {
@@ -303,34 +307,14 @@ class CorpusConfig:
 
 def corpus_config_from_dict(raw: dict, base_dir: str | Path = ".") -> CorpusConfig:
     """Parse the generation config; table paths resolve against base_dir."""
-    try:
-        datasets = []
-        for ds in raw["datasets"]:
-            templates = [
-                QuestionTemplate(
-                    template_id=t["template_id"],
-                    prompt=t["prompt"],
-                    axes={str(a): [str(v) for v in vals] for a, vals in t["axes"].items()},
-                    kind=TargetKind(t["kind"]),
-                    target_column=t["target_column"],
-                    **given_fields(t, success_value=str, min_group_size=int),
-                )
-                for t in ds["templates"]
-            ]
-            if ds.get("column_map"):
-                raise ConfigError(f"{ds['dataset_id']}: column_map is not supported")
-            datasets.append(
-                DatasetConfig(
-                    dataset_id=ds["dataset_id"],
-                    table=str(Path(base_dir) / ds["table"]),
-                    templates=templates,
-                )
-            )
-        if float(raw.get("ci_level", 0.95)) != 0.95:
-            raise ConfigError(f"ci_level must be 0.95, got {raw['ci_level']!r}")
-        return CorpusConfig(datasets=datasets, **given_fields(raw, seed=int, questions_per_dataset=int))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad corpus config: {exc}") from exc
+    config = load_row(CorpusConfig, raw)
+    if raw.get("ci_level", 0.95) != 0.95:
+        raise ConfigError(f"ci_level must be 0.95, got {raw['ci_level']!r}")
+    for ds, raw_ds in zip(config.datasets, raw["datasets"]):
+        if raw_ds.get("column_map"):
+            raise ConfigError(f"{ds.dataset_id}: column_map is not supported")
+        ds.table = str(Path(base_dir) / ds.table)
+    return config
 
 
 def generate_corpus(config: CorpusConfig) -> tuple[list[Question], dict]:

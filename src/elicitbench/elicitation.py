@@ -24,8 +24,8 @@ from enum import Enum
 from typing import TYPE_CHECKING, Sequence
 
 from .corpus import Question, TargetKind
-from .errors import ConfigError
-from .jsonlio import canonical_dumps, given_fields, load_row, read_jsonl
+from .errors import ConfigError, SchemaError
+from .jsonlio import canonical_dumps, load_row, read_jsonl
 
 if TYPE_CHECKING:
     from .transport import Connections
@@ -93,35 +93,6 @@ class WebSearch:
             )
 
 
-@dataclass(frozen=True)
-class ModelSpec:
-    model_id: str
-    endpoint_url: str
-    auth_env_var: str | None = None
-    # None: a non-reasoning model, run at the control level only.
-    effort_mode: VendorParam | TokenBudget | None = field(default_factory=TokenBudget)
-    tool_policy: WebSearch | None = None
-    max_retries: int = 3
-    timeout: float = 60.0
-    rate_limit_per_minute: float = 60.0
-
-    def __post_init__(self) -> None:
-        if self.max_retries < 0:
-            raise ConfigError("max_retries must be >= 0")
-        if self.rate_limit_per_minute <= 0:
-            raise ConfigError("rate_limit_per_minute must be > 0")
-        if not isinstance(self.endpoint_url, str):  # the URL itself is checked by run_batch
-            raise ConfigError(
-                f"{self.model_id}: endpoint_url must be a string, got {self.endpoint_url!r}"
-            )
-
-    def levels_for(self, requested: Sequence[EffortLevel]) -> list[EffortLevel]:
-        """Non-reasoning specs always run the control level only."""
-        if self.effort_mode is None:
-            return [EffortLevel.NONE]
-        return [lv for lv in requested if lv is not EffortLevel.NONE]
-
-
 def _json_object(value: object, what: str) -> dict:
     if not isinstance(value, dict):
         raise ConfigError(f"{what} must be a JSON object, got {value!r}")
@@ -132,13 +103,12 @@ def _effort_mode(raw: object) -> VendorParam | TokenBudget | None:
     mode = _json_object(raw, "effort_mode")
     mode_type = mode.get("type", "token_budget")
     if mode_type == "vendor_param":
-        return VendorParam(param=mode["param"], values=dict(mode["values"]))
-    if mode_type == "token_budget":
-        budget = given_fields(mode, "param")
-        if "budgets" in mode:  # the file's "budgets" fill the record's `values`
-            budgets = _json_object(mode["budgets"], "budgets")
-            budget["values"] = {k: int(v) for k, v in budgets.items()}
-        return TokenBudget(**budget)
+        return load_row(VendorParam, mode)
+    if mode_type == "token_budget":  # the file's "budgets" fill the record's `values`
+        budget = {key: value for key, value in mode.items() if key != "values"}
+        if "budgets" in mode:
+            budget["values"] = mode["budgets"]
+        return load_row(TokenBudget, budget)
     if mode_type == "non_reasoning":
         return None
     raise ConfigError(f"unknown effort mode {mode_type!r}")
@@ -148,32 +118,59 @@ def _tool_policy(raw: object) -> WebSearch | None:
     tools = _json_object(raw, "tool_policy")
     if tools.get("type", "disabled") != "web_search":
         return None
-    return WebSearch(**given_fields(tools, max_searches=int))
+    return load_row(WebSearch, tools)
 
 
-def model_spec_from_dict(d: dict) -> ModelSpec:
-    d = _json_object(d, "a model spec")
-    try:
-        return ModelSpec(
-            model_id=d["model_id"],
-            endpoint_url=d["endpoint_url"],
-            **given_fields(
-                d, "auth_env_var", effort_mode=_effort_mode, tool_policy=_tool_policy,
-                max_retries=int, timeout=float, rate_limit_per_minute=float,
-            ),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad model spec: {exc}") from exc
+@dataclass(frozen=True)
+class ModelSpec:
+    model_id: str
+    endpoint_url: str  # checked to be an http(s) URL by run_batch
+    auth_env_var: str | None = None
+    # None: a non-reasoning model, run at the control level only. The JSON
+    # objects of effort_mode and tool_policy name the record they hold by "type".
+    effort_mode: VendorParam | TokenBudget | None = field(
+        default_factory=TokenBudget, metadata={"load": _effort_mode}
+    )
+    tool_policy: WebSearch | None = field(default=None, metadata={"load": _tool_policy})
+    max_retries: int = 3
+    timeout: float = 60.0
+    rate_limit_per_minute: float = 60.0
+
+    def __post_init__(self) -> None:
+        if self.max_retries < 0:
+            raise ConfigError("max_retries must be >= 0")
+        # Written `not x > 0` so that NaN fails too.
+        if not self.timeout > 0:
+            raise ConfigError(f"timeout must be > 0, got {self.timeout}")
+        if not self.rate_limit_per_minute > 0:
+            raise ConfigError(f"rate_limit_per_minute must be > 0, got {self.rate_limit_per_minute}")
+
+    def levels_for(self, requested: Sequence[EffortLevel]) -> list[EffortLevel]:
+        """Non-reasoning specs always run the control level only."""
+        if self.effort_mode is None:
+            return [EffortLevel.NONE]
+        return [lv for lv in requested if lv is not EffortLevel.NONE]
 
 
 def model_specs_from_config(raw: object, source: str) -> list[ModelSpec]:
-    """The specs of a models file: a JSON object with a non-empty "models" list."""
+    """The specs of a models file: a JSON object with a non-empty "models" list.
+
+    A bad spec's error names its `model_id`, or its index when that is not a string.
+    """
     models = _json_object(raw, source).get("models", [])
     if not isinstance(models, list):
         raise ConfigError(f'{source}: "models" must be a list, got {models!r}')
     if not models:
         raise ConfigError(f"{source}: no model specs configured")
-    return [model_spec_from_dict(d) for d in models]
+    specs = []
+    for index, spec in enumerate(models):
+        try:
+            specs.append(load_row(ModelSpec, spec))
+        except (ConfigError, SchemaError) as exc:
+            model_id = spec.get("model_id") if isinstance(spec, dict) else None
+            name = repr(model_id) if isinstance(model_id, str) else f"models[{index}]"
+            raise ConfigError(f"{source}: bad model spec {name}: {exc}") from exc
+    return specs
 
 
 @dataclass(frozen=True)

@@ -21,6 +21,7 @@ from math import isfinite
 from typing import Iterable
 
 from .corpus import TargetKind
+from .errors import SchemaError
 
 
 class Units(str, Enum):
@@ -54,6 +55,36 @@ class ParseOutcome:
     @property
     def valid(self) -> bool:
         return self.triplet is not None
+
+
+class Outcome(str, Enum):
+    VALID = "valid"
+    INVALID = "invalid"
+    TRANSPORT_FAILED = "transport_failed"
+
+
+@dataclass(frozen=True)
+class ParsedRecord:
+    """A `parsed.v1` row, with a triplet exactly when its outcome is valid.
+
+    Without the triplet, it is also the `scores.v1` row of an answer that was not scored.
+    """
+
+    question_id: str
+    model_id: str
+    effort: str
+    tools_enabled: bool
+    dataset_id: str
+    kind: TargetKind
+    outcome: Outcome
+    reason: InvalidReason | None = None
+    triplet: Triplet | None = None
+    failure_reason: str | None = None  # why the transport failed
+
+    def __post_init__(self) -> None:
+        if (self.triplet is None) == (self.outcome is Outcome.VALID):
+            raise SchemaError(f"ParsedRecord row: outcome {self.outcome.value!r} "
+                              f"with{'out' if self.triplet is None else ''} a triplet")
 
 
 # Numeric token: optional sign, thousands grouping, decimals, exponent,

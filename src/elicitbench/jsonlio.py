@@ -7,9 +7,10 @@ verify provenance and outputs stay byte-reproducible.
 Artifacts are written to a temporary file beside the target, which then
 replaces it: a failed write leaves the previous file, or none, in place.
 
-Records are frozen dataclasses. A record is written as its fields (str-Enums
-as their value, nested records as objects) and read back by `load_row`,
-which checks each field against its type hint.
+Records are dataclasses. A record is written as its fields (str-Enums as
+their value, nested records as objects) and read back by `load_row`, which
+checks each field against its type hint. The config files (model specs and
+the corpus config) are read by `load_row` too.
 """
 from __future__ import annotations
 
@@ -69,7 +70,21 @@ def _as_float(value: Any) -> float:
     return float(value)
 
 
-_CHECKED = {str: _as_str, bool: _as_bool, int: _as_int, float: _as_float}
+def _as_object(value: Any) -> dict:
+    if type(value) is not dict:
+        raise TypeError(f"expected an object, got {value!r}")
+    return value
+
+
+def _as_list(item: Callable[[Any], Any], value: Any) -> list:
+    if type(value) is not list:
+        raise TypeError(f"expected a list, got {value!r}")
+    return [item(v) for v in value]
+
+
+_CHECKED = {
+    str: _as_str, bool: _as_bool, int: _as_int, float: _as_float, object: lambda value: value,
+}
 
 
 def _converter(hint: Any) -> Callable[[Any], Any]:
@@ -84,7 +99,9 @@ def _converter(hint: Any) -> Callable[[Any], Any]:
         return lambda value: None if value is None else inner(value)
     if origin is dict:
         key, item = map(_converter, args)
-        return lambda value: {key(k): item(v) for k, v in dict(value).items()}
+        return lambda value: {key(k): item(v) for k, v in _as_object(value).items()}
+    if origin is list:
+        return functools.partial(_as_list, _converter(args[0]))
     return hint  # str-Enums convert by calling the type
 
 
@@ -95,7 +112,7 @@ def _plan(cls: type) -> tuple[tuple[str, Callable[[Any], Any], bool], ...]:
     return tuple(
         (
             f.name,
-            _converter(hints[f.name]),
+            f.metadata.get("load") or _converter(hints[f.name]),
             f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING,
         )
         for f in dataclasses.fields(cls)
@@ -103,15 +120,20 @@ def _plan(cls: type) -> tuple[tuple[str, Callable[[Any], Any], bool], ...]:
 
 
 def load_row(cls: type[R], row: dict) -> R:
-    """Rebuild a record from a decoded JSON row, checking each field against its hint.
+    """Rebuild a record from a decoded JSON object, checking each field against its hint.
 
     Supported hints are float, int, bool, str, str-Enums, nested records,
-    `dict[K, V]` and `X | None`. Nothing is coerced: a bool field takes only
-    true or false, an int field only an integer, and a float field an
-    integer or a float (read as a float). Keys the record does not define are
+    `dict[K, V]`, `list[X]`, `X | None` and `object` (any JSON value).
+    Nothing is coerced: a bool field takes only true or false, an int field
+    only an integer, a float field an integer or a float (read as a float),
+    a dict field and the row itself only a JSON object, and a list field
+    only a JSON list. A field may name its own converter instead, as
+    `field(metadata={"load": fn})`. Keys the record does not define are
     ignored; a field with a default may be absent. A malformed row raises
     SchemaError.
     """
+    if type(row) is not dict:
+        raise SchemaError(f"{cls.__name__} row: expected an object, got {row!r}")
     try:
         kwargs = {}
         for name, convert, required in _plan(cls):
@@ -130,16 +152,6 @@ def load_row(cls: type[R], row: dict) -> R:
         raise SchemaError(f"{cls.__name__} row: missing field {exc}") from exc
     except (TypeError, ValueError) as exc:
         raise SchemaError(f"{cls.__name__} row: {exc}") from exc
-
-
-def given_fields(raw: dict, *names: str, **convert: Callable[[Any], Any]) -> dict:
-    """The keys of a config object that `names` list, and those of `convert`, converted.
-
-    A key the object lacks is left out, so the record's own default applies.
-    """
-    fields = {name: raw[name] for name in names if name in raw}
-    fields.update((name, fn(raw[name])) for name, fn in convert.items() if name in raw)
-    return fields
 
 
 def canonical_dumps(obj: Any) -> str:

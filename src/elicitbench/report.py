@@ -13,7 +13,8 @@ from typing import Iterable, Sequence
 from .conformal import GroupCalibration
 from .corpus import TargetKind
 from .errors import SchemaError
-from .jsonlio import write_text
+from .extraction import Outcome, ParsedRecord
+from .jsonlio import load_row, write_text
 from .metrics import GroupSummary, ScoredRecord, baseline_win_rate, summarize_group
 from .stats import rank_biserial, wilcoxon_signed_rank
 from statistics import median
@@ -77,27 +78,21 @@ def render_text(title: str, columns: Sequence[str], rows: Sequence[Sequence[obje
     return "\n".join([title, rule, header, rule, *body]) + "\n"
 
 
-# Fields the summaries group an invalid score row by.
-INVALID_KEY_FIELDS = ("model_id", "effort", "dataset_id")
-
-
-def split_rows(score_rows: Iterable[dict]) -> tuple[list[ScoredRecord], list[dict]]:
-    """Score-file rows as (valid records, invalid rows); transport failures are dropped."""
+def split_rows(score_rows: Iterable[dict]) -> tuple[list[ScoredRecord], list[ParsedRecord]]:
+    """Score-file rows as (valid records, invalid records); transport failures are dropped."""
     valid, invalid = [], []
     for row in score_rows:
-        outcome = row.get("outcome")
-        if outcome == "valid":
+        if type(row) is dict and row.get("outcome") == "valid":
             valid.append(ScoredRecord.from_dict(row))
-        elif outcome == "invalid":
-            missing = [name for name in INVALID_KEY_FIELDS if name not in row]
-            if missing:
-                raise SchemaError(f"invalid score row: missing field {missing[0]!r}")
-            invalid.append(row)
+        else:
+            unscored = load_row(ParsedRecord, row)
+            if unscored.outcome is Outcome.INVALID:
+                invalid.append(unscored)
     return valid, invalid
 
 
 def _group_summaries(
-    valid: Sequence[ScoredRecord], invalid: Sequence[dict], by_dataset: bool
+    valid: Sequence[ScoredRecord], invalid: Sequence[ParsedRecord], by_dataset: bool
 ) -> list[GroupSummary]:
     def key_of(model: str, effort: str, dataset: str) -> tuple:
         return (model, effort, dataset) if by_dataset else (model, effort, "(all)")
@@ -109,8 +104,8 @@ def _group_summaries(
         key = key_of(r.model_id, r.effort, r.dataset_id)
         valid_by.setdefault(key, []).append(r)
         keys.add(key)
-    for row in invalid:
-        key = key_of(row["model_id"], row["effort"], row["dataset_id"])
+    for r in invalid:
+        key = key_of(r.model_id, r.effort, r.dataset_id)
         invalid_by[key] = invalid_by.get(key, 0) + 1
         keys.add(key)
     summaries = []
@@ -123,7 +118,7 @@ def _group_summaries(
 
 
 def summary_section(
-    valid: Sequence[ScoredRecord], invalid: Sequence[dict]
+    valid: Sequence[ScoredRecord], invalid: Sequence[ParsedRecord]
 ) -> tuple[str, str]:
     """Model x effort rollup: invalid%, MdAPE%, plus coverage/NLL/CV columns.
 
@@ -222,7 +217,7 @@ def calibration_section(fits: Sequence[Sequence[object]]) -> tuple[str, str]:
 
 
 def nll_sharpness_section(
-    valid: Sequence[ScoredRecord], invalid: Sequence[dict]
+    valid: Sequence[ScoredRecord], invalid: Sequence[ParsedRecord]
 ) -> tuple[str, str]:
     """Median NLL and CV per (model, effort, dataset)."""
     columns = ["model", "effort", "dataset", "n_valid", "median_nll", "median_cv", "coverage"]

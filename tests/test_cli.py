@@ -193,6 +193,15 @@ class TestGenerateCommand:
         assert a != b
 
 
+def _demo_config(**edits) -> str:
+    """The demo corpus config with top-level keys, or keys of its first template, edited."""
+    raw = json.loads((DATA / "templates_demo.json").read_text())
+    template = raw["datasets"][0]["templates"][0]
+    for key, value in edits.items():
+        (raw if key in raw else template)[key] = value
+    return json.dumps(raw)
+
+
 class TestExitCodes:
     def test_missing_artifact_is_3(self, tmp_path, capsys):
         code = main(["extract", "--transcript", str(tmp_path / "nope.jsonl"),
@@ -203,12 +212,32 @@ class TestExitCodes:
 
     def test_bad_config_is_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
-        for text, extra in [("{not json", []), ("[]", ["--seed", "3"])]:
+        shutil.copy(DATA / "health_fixture.csv", tmp_path / "health_fixture.csv")
+        for text, extra, message in [
+            ("{not json", [], "invalid JSON"),
+            ("[]", ["--seed", "3"], "CorpusConfig row: expected an object, got []"),
+            # config values are not coerced, and a count must be at least 1
+            (_demo_config(questions_per_dataset=2.9), [],
+             "CorpusConfig row: questions_per_dataset: expected an integer, got 2.9"),
+            (_demo_config(questions_per_dataset=-1), [], "questions_per_dataset must be >= 1, got -1"),
+            (_demo_config(questions_per_dataset=0), [], "questions_per_dataset must be >= 1, got 0"),
+            (_demo_config(seed="5"), [], "CorpusConfig row: seed: expected an integer, got '5'"),
+            (_demo_config(datasets={}), [], "CorpusConfig row: datasets: expected a list, got {}"),
+            (_demo_config(min_group_size=True), [],
+             "QuestionTemplate row: min_group_size: expected an integer, got True"),
+            (_demo_config(success_value=1), [],
+             "QuestionTemplate row: success_value: expected a string, got 1"),
+            (_demo_config(axes={"sex": [1, 2]}), [],
+             "QuestionTemplate row: axes: expected a string, got 1"),
+            (_demo_config(kind="share"), [], "QuestionTemplate row: kind: 'share' is not a valid"),
+        ]:
             bad.write_text(text)
             capsys.readouterr()
             code = main(["generate", "--config", str(bad), "--out", str(tmp_path / "c.jsonl"), *extra])
             assert code == 2, text
-            assert capsys.readouterr().err.startswith("error: "), text
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and message in err, (text, err)
+            assert not (tmp_path / "c.jsonl").exists(), text
 
     def test_partial_transport_failure_is_4(self, tmp_path, monkeypatch):
         monkeypatch.setenv("STUB_API_KEY", "k")
@@ -321,7 +350,39 @@ class TestExitCodes:
          ([], {"models": [{**STUB_SPEC, "endpoint_url": "https:///v1"}]}, BAD_URL),
          ([], {"models": [{**STUB_SPEC, "endpoint_url": "ftp://x:21/v1"}]}, BAD_URL),
          ([], {"models": [{**STUB_SPEC, "endpoint_url": 5}]},
-          "stub: endpoint_url must be a string"),
+          "bad model spec 'stub': ModelSpec row: endpoint_url: expected a string, got 5"),
+         # config values are not coerced, and a timeout or rate must be above 0
+         ([], {"models": [{**STUB_SPEC, "endpoint_url": "http://localhost", "auth_env_var": 5}]},
+          "bad model spec 'stub': ModelSpec row: auth_env_var: expected a string, got 5"),
+         ([], {"models": [{**STUB_SPEC, "endpoint_url": "http://localhost", "max_retries": 2.9}]},
+          "bad model spec 'stub': ModelSpec row: max_retries: expected an integer, got 2.9"),
+         ([], {"models": [{**STUB_SPEC, "endpoint_url": "http://localhost", "timeout": "60"}]},
+          "bad model spec 'stub': ModelSpec row: timeout: expected a number, got '60'"),
+         ([], {"models": [{**STUB_SPEC, "endpoint_url": "http://localhost",
+                           "timeout": float("nan")}]},
+          "bad model spec 'stub': timeout must be > 0, got nan"),
+         ([], {"models": [{**STUB_SPEC, "endpoint_url": "http://localhost", "timeout": -1}]},
+          "bad model spec 'stub': timeout must be > 0, got -1.0"),
+         ([], {"models": [{**STUB_SPEC, "endpoint_url": "http://localhost", "timeout": 0}]},
+          "bad model spec 'stub': timeout must be > 0, got 0.0"),
+         ([], {"models": [{**STUB_SPEC, "endpoint_url": "http://localhost",
+                           "rate_limit_per_minute": float("nan")}]},
+          "bad model spec 'stub': rate_limit_per_minute must be > 0, got nan"),
+         ([], {"models": [{**STUB_SPEC, "endpoint_url": "http://localhost",
+                           "effort_mode": {"budgets": {"low": "2000", "medium": 8000,
+                                                       "high": 16000}}}]},
+          "bad model spec 'stub': TokenBudget row: values: expected an integer, got '2000'"),
+         ([], {"models": [{**STUB_SPEC, "endpoint_url": "http://localhost",
+                           "effort_mode": {"type": "vendor_param", "param": 5, "values": {}}}]},
+          "bad model spec 'stub': VendorParam row: param: expected a string, got 5"),
+         ([], {"models": [{**STUB_SPEC, "endpoint_url": "http://localhost",
+                           "tool_policy": {"type": "web_search", "max_searches": "3"}}]},
+          "bad model spec 'stub': WebSearch row: max_searches: expected an integer, got '3'"),
+         ([], {"models": [{**STUB_SPEC, "endpoint_url": "http://localhost"},
+                          {**STUB_SPEC, "endpoint_url": "http://localhost", "model_id": 7}]},
+          "bad model spec models[1]: ModelSpec row: model_id: expected a string, got 7"),
+         ([], {"models": ["stub"]},
+          "bad model spec models[0]: ModelSpec row: expected an object, got 'stub'"),
          ([], {"models": [{**STUB_SPEC, "endpoint_url": "http://localhost",
                            "auth_env_var": "STUB_KEY_NEWLINE"}]}, BAD_KEY),
          ([], {"models": [{**STUB_SPEC, "endpoint_url": "http://localhost",
@@ -329,7 +390,10 @@ class TestExitCodes:
         ids=["unknown_effort", "empty_efforts", "zero_concurrency", "no_specs",
              "top_level_list", "models_not_a_list", "effort_mode_string", "tool_policy_string",
              "nothing_selected", "unknown_scheme", "not_a_url", "no_host", "other_scheme_with_port",
-             "not_a_string", "key_with_newline", "key_outside_latin1"],
+             "not_a_string", "auth_env_var_int", "max_retries_float", "timeout_string",
+             "timeout_nan", "timeout_negative", "timeout_zero", "rate_nan", "budget_string",
+             "vendor_param_int", "max_searches_string", "model_id_int", "spec_string",
+             "key_with_newline", "key_outside_latin1"],
     )
     def test_bad_elicit_config_is_2_before_the_transcript(self, tmp_path, monkeypatch, capsys,
                                                           extra, models, message):
@@ -564,7 +628,38 @@ class TestMalformedArtifacts:
         _edit_first_valid_row(root / "scores.jsonl", unscore)
         err = self.assert_schema_error(["report", "--scores", str(root / "scores.jsonl"),
                                         "--out-dir", str(root / "report")], capsys)
-        assert f"invalid score row: missing field {field!r}" in err
+        assert f"ParsedRecord row: missing field {field!r}" in err
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [(lambda row: row.update(triplet=None), "outcome 'valid' without a triplet"),
+         (lambda row: row.update(outcome="invalid", reason="no_numbers"),
+          "outcome 'invalid' with a triplet"),
+         (lambda row: row.update(outcome="maybe"), "outcome: 'maybe' is not a valid Outcome")],
+        ids=["valid_without_triplet", "invalid_with_triplet", "unknown_outcome"],
+    )
+    def test_parsed_row_with_a_bad_outcome(self, tmp_path, capsys, edit, message):
+        root = _small_chain(tmp_path)
+        _edit_first_valid_row(root / "parsed.jsonl", edit)
+        err = self.assert_schema_error(["score", "--parsed", str(root / "parsed.jsonl"),
+                                        "--corpus", str(root / "suite" / "corpus.jsonl"),
+                                        "--out", str(root / "scores2.jsonl")], capsys)
+        assert f"ParsedRecord row: {message}" in err
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [(lambda path: path.write_text(path.read_text(encoding="utf-8") + "[1]\n", encoding="utf-8"),
+          "ParsedRecord row: expected an object, got [1]"),
+         (lambda path: _edit_first_valid_row(path, lambda row: row.update(outcome="maybe")),
+          "ParsedRecord row: outcome: 'maybe' is not a valid Outcome")],
+        ids=["row_not_an_object", "unknown_outcome"],
+    )
+    def test_score_row_that_is_not_a_record(self, tmp_path, capsys, edit, message):
+        root = _small_chain(tmp_path)
+        edit(root / "scores.jsonl")
+        err = self.assert_schema_error(["report", "--scores", str(root / "scores.jsonl"),
+                                        "--out-dir", str(root / "report")], capsys)
+        assert message in err
 
     @pytest.mark.parametrize("fits_from", ["another run", "no scores hash"])
     def test_fits_not_fitted_on_these_scores(self, tmp_path, capsys, fits_from):

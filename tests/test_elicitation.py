@@ -17,11 +17,10 @@ from elicitbench.elicitation import (
     WebSearch,
     build_request,
     map_effort,
-    model_spec_from_dict,
     run_batch,
 )
 from elicitbench.errors import ConfigError
-from elicitbench.jsonlio import read_jsonl
+from elicitbench.jsonlio import load_row, read_jsonl
 from elicitbench.synthetic import SyntheticSuiteConfig, make_questions
 
 from stubserver import StubServer, StubState
@@ -130,12 +129,13 @@ class TestBuildRequest:
 
 class TestModelSpecParsing:
     def test_minimal(self):
-        spec = model_spec_from_dict({"model_id": "m", "endpoint_url": "http://x"})
+        spec = load_row(ModelSpec, {"model_id": "m", "endpoint_url": "http://x"})
         assert isinstance(spec.effort_mode, TokenBudget)
         assert spec.tool_policy is None
 
     def test_full(self):
-        spec = model_spec_from_dict(
+        spec = load_row(
+            ModelSpec,
             {
                 "model_id": "m",
                 "endpoint_url": "http://x",
@@ -146,7 +146,7 @@ class TestModelSpecParsing:
                 "max_retries": 1,
                 "timeout": 2.5,
                 "rate_limit_per_minute": 10,
-            }
+            },
         )
         assert spec.tool_policy == WebSearch(max_searches=3)
 
@@ -158,16 +158,14 @@ class TestModelSpecParsing:
         ids=["non_reasoning", "budgets"],
     )
     def test_effort_mode_json_keys(self, mode, expected):
-        spec = model_spec_from_dict({"model_id": "m", "endpoint_url": "http://x",
-                                     "effort_mode": mode})
+        spec = load_row(ModelSpec, {"model_id": "m", "endpoint_url": "http://x",
+                                    "effort_mode": mode})
         assert spec.effort_mode == expected
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ConfigError):
-            model_spec_from_dict(
-                {"model_id": "m", "endpoint_url": "http://x",
-                 "effort_mode": {"type": "quantum"}}
-            )
+            load_row(ModelSpec, {"model_id": "m", "endpoint_url": "http://x",
+                                 "effort_mode": {"type": "quantum"}})
 
 
 class TestRunBatch:

@@ -1,12 +1,14 @@
 import dataclasses
+import re
 from pathlib import Path
 
 import pytest
 
 from elicitbench.conformal import ConformalConfig, apply, fit
 from elicitbench.corpus import QuestionTemplate, TargetKind
-from elicitbench.elicitation import ElicitationRecord
+from elicitbench.elicitation import ElicitationRecord, VendorParam
 from elicitbench.errors import SchemaError, StageDependencyError
+from elicitbench.extraction import Outcome, ParsedRecord
 from elicitbench.jsonlio import as_row, iter_jsonl, load_row, read_jsonl, write_jsonl, write_text
 from elicitbench.synthetic import SyntheticSuiteConfig, make_questions
 
@@ -24,9 +26,12 @@ def _written_records():
     )
     template = QuestionTemplate(template_id="t", prompt="{sex}?", axes={"sex": ["M"]},
                                 kind=TargetKind.PROPORTION, target_column="flag")
+    parsed = ParsedRecord(question_id="q", model_id="m", effort="low", tools_enabled=False,
+                          dataset_id="d", kind=TargetKind.PROPORTION, outcome=Outcome.VALID,
+                          triplet=scored.triplet)
     return [question, question.truth, scored.triplet, transcript, scored,
             apply(fit([1.0] * 20, 0.05, 15), scored), ConformalConfig(), SyntheticSuiteConfig(),
-            template]
+            template, parsed]
 
 
 @pytest.mark.parametrize("record", _written_records(), ids=lambda r: type(r).__name__)
@@ -57,6 +62,32 @@ def test_load_row_reads_an_integer_float_field_as_a_float():
     record = load_row(ElicitationRecord, {**TRANSCRIPT_ROW, "latency_ms": 12})
     assert record.latency_ms == 12.0 and type(record.latency_ms) is float
     assert load_row(ElicitationRecord, TRANSCRIPT_ROW).attempt_count == 2
+
+
+TEMPLATE_ROW = {"template_id": "t", "prompt": "{sex}?", "axes": {"sex": ["M"]},
+                "kind": "proportion", "target_column": "flag"}
+
+
+@pytest.mark.parametrize("axes, message", [
+    ({"sex": {"M": 1}}, "expected a list, got {'M': 1}"),
+    ({"sex": "M"}, "expected a list, got 'M'"),
+    ([["sex", ["M"]]], "expected an object, got [['sex', ['M']]]"),
+], ids=["list_given_an_object", "list_given_a_string", "dict_given_pairs"])
+def test_load_row_takes_lists_and_objects_only_as_json_gives_them(axes, message):
+    with pytest.raises(SchemaError, match=re.escape(f"QuestionTemplate row: axes: {message}")):
+        load_row(QuestionTemplate, {**TEMPLATE_ROW, "axes": axes})
+    assert load_row(QuestionTemplate, TEMPLATE_ROW).axes == {"sex": ["M"]}
+
+
+@pytest.mark.parametrize("row", [[["question_id", "q"]], "q", None], ids=repr)
+def test_load_row_takes_only_an_object_as_the_row(row):
+    with pytest.raises(SchemaError, match="ElicitationRecord row: expected an object"):
+        load_row(ElicitationRecord, row)
+
+
+def test_object_hint_takes_any_json_value():
+    values = {"low": 1, "medium": "m", "high": [None, {"a": True}]}
+    assert load_row(VendorParam, {"param": "p", "values": values}).values == values
 
 
 def test_as_row_rejects_non_records():
