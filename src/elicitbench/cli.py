@@ -2,8 +2,9 @@
 
 Every stage reads and writes flat files with provenance headers and is
 re-runnable: identical inputs produce byte-identical outputs. Exit codes:
-0 success, 2 configuration error or malformed input artifact, 3 missing
-upstream artifact, 4 a run finished with transport failures.
+0 success, 2 configuration error, malformed input artifact or a path that
+cannot be read or written, 3 missing upstream artifact, 4 a run finished
+with transport failures.
 """
 from __future__ import annotations
 
@@ -13,7 +14,7 @@ import json
 import sys
 from collections import Counter
 from pathlib import Path
-from typing import Iterator, TypeVar
+from typing import Iterable, Iterator, TypeVar
 
 from . import __version__
 from .conformal import ConformalConfig, calibrate_groups
@@ -31,6 +32,8 @@ from .report import (
     calibration_section,
     nll_sharpness_section,
     read_fits,
+    render_text,
+    render_tsv,
     split_rows,
     summary_section,
     tool_comparison_section,
@@ -65,23 +68,27 @@ def _load_json(path: str | Path) -> dict:
         raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
 
 
-def _read_corpus(path: str | Path) -> tuple[dict, dict[str, Question]]:
-    header, rows = read_jsonl(_require(path, "generate (or simulate)"), "corpus.v1")
-    questions = {}
+def _unique_questions(path: str | Path, rows: Iterable[dict]) -> Iterator[Question]:
+    """The questions of corpus rows; a repeated question_id raises SchemaError."""
+    seen = set()
     for row in rows:
         q = Question.from_dict(row)
-        questions[q.question_id] = q
-    return header, questions
+        if q.question_id in seen:
+            raise SchemaError(f"{path}: question_id {q.question_id} is repeated")
+        seen.add(q.question_id)
+        yield q
+
+
+def _read_corpus(path: str | Path) -> tuple[dict, dict[str, Question]]:
+    header, rows = read_jsonl(_require(path, "generate (or simulate)"), "corpus.v1")
+    return header, {q.question_id: q for q in _unique_questions(path, rows)}
 
 
 def _corpus_index(path: str | Path) -> tuple[dict, dict[str, tuple[str, TargetKind, GroundTruth]]]:
     """The corpus header and question_id -> (dataset_id, kind, truth), read row by row."""
     header, rows = iter_jsonl(_require(path, "generate (or simulate)"), "corpus.v1")
-    index = {}
-    for row in rows:
-        q = Question.from_dict(row)
-        index[q.question_id] = (q.dataset_id, q.kind, q.truth)
-    return header, index
+    return header, {q.question_id: (q.dataset_id, q.kind, q.truth)
+                    for q in _unique_questions(path, rows)}
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
@@ -290,30 +297,21 @@ def cmd_report(args: argparse.Namespace) -> int:
         _, tool_rows = iter_jsonl(_require(args.tool_scores, "score"), "scores.v1")
         tool_valid = split_rows(tool_rows)[0]
 
-    out_dir = Path(args.out_dir)
-    stamp = f"config_hash: {scores_header.get('config_hash')}"
-
-    def emit(name: str, tsv: str, text: str) -> None:
-        write_text(out_dir / f"{name}.tsv", f"# {stamp}\n" + tsv)
-        write_text(out_dir / f"{name}.txt", text)
-
-    tsv, text = summary_section(valid, invalid)
-    emit("summary_by_model_effort", tsv, text)
-    tsv, text = nll_sharpness_section(valid, invalid)
-    emit("nll_sharpness", tsv, text)
-    tsv, text = baseline_section(valid)
-    emit("baseline_win_rate", tsv, text)
-
+    tables = [summary_section(valid, invalid), nll_sharpness_section(valid, invalid),
+              baseline_section(valid)]
     if fits is not None:
-        tsv, text = calibration_section(fits)
-        emit("coverage_calibration", tsv, text)
+        tables.append(calibration_section(fits))
     else:
         print("notice: no calibration fits supplied; coverage_calibration section skipped")
-
     if tool_valid is not None:
-        tsv, text = tool_comparison_section(valid, tool_valid)
-        emit("tool_comparison", tsv, text)
+        tables.append(tool_comparison_section(valid, tool_valid))
 
+    out_dir = Path(args.out_dir)
+    stamp = f"config_hash: {scores_header.get('config_hash')}"
+    for table in tables:
+        write_text(out_dir / f"{table.name}.tsv",
+                   render_tsv(table.columns, table.rows, comments=[stamp, table.comment]))
+        write_text(out_dir / f"{table.name}.txt", render_text(table))
     print(f"report written to {out_dir}")
     return EXIT_OK
 
@@ -404,6 +402,9 @@ def main(argv: list[str] | None = None) -> int:
     except ElicitBenchError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
+    except OSError as exc:  # an input path that cannot be read, an output path that cannot be written
+        print(f"error: {exc}", file=sys.stderr)
+        return ConfigError.exit_code
 
 
 if __name__ == "__main__":

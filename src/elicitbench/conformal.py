@@ -43,10 +43,13 @@ class ConformalConfig:
 class GroupCalibration:
     """One group's fit, and once evaluated, its test-set size and coverages.
 
+    The fields are the columns of the calibration fits table, in order.
     flag is "ok" or "insufficient_data"; q_hat is math.inf when the quantile
     index exceeds n_cal.
     """
-    group: tuple[str, str, str]  # (model_id, effort, dataset_id)
+    model: str
+    effort: str
+    dataset: str
     n_cal: int
     n_test: int
     q_hat: float
@@ -126,7 +129,7 @@ def fit(
         detail = "quantile_index_exceeds_n_cal"
     else:
         detail = "n_cal_below_minimum"
-    return GroupCalibration(group=group, n_cal=n_cal, n_test=0, q_hat=q_hat,
+    return GroupCalibration(*group, n_cal=n_cal, n_test=0, q_hat=q_hat,
                             coverage_before=None, coverage_after=None,
                             flag="insufficient_data" if detail else "ok", flag_detail=detail)
 

@@ -164,7 +164,10 @@ def continuous_ci(values: Sequence[float]) -> tuple[float, float, float, int]:
 
 
 def load_table(path: str | Path) -> list[dict[str, str]]:
-    """Read a delimited table (comma or tab, header row required)."""
+    """Read a delimited table (comma or tab, header row required).
+
+    A row whose number of cells differs from the header's raises SchemaError.
+    """
     path = Path(path)
     if not path.exists():
         raise InputError(f"dataset table not found: {path}")
@@ -175,7 +178,16 @@ def load_table(path: str | Path) -> list[dict[str, str]]:
                 raise InputError(f"{path}: empty dataset")
             delimiter = "\t" if "\t" in first else ","
             fh.seek(0)
-            rows = [dict(row) for row in csv.DictReader(fh, delimiter=delimiter)]
+            reader = csv.reader(fh, delimiter=delimiter)
+            header = next(reader)
+            rows = []
+            for cells in reader:
+                if not cells:
+                    continue  # a blank line
+                if len(cells) != len(header):
+                    raise SchemaError(f"{path}: line {reader.line_num} has {len(cells)} cells, "
+                                      f"the header {len(header)}")
+                rows.append(dict(zip(header, cells)))
         except UnicodeDecodeError as exc:
             raise SchemaError(f"{path}: not UTF-8 ({exc.reason})") from exc
     if not rows:
@@ -188,12 +200,12 @@ def _subgroup_truth(
 ) -> GroundTruth | None:
     if template.kind is TargetKind.PROPORTION:
         n = len(subgroup)
-        k = sum(1 for row in subgroup if str(row[template.target_column]).strip() == template.success_value)
+        k = sum(1 for row in subgroup if row[template.target_column].strip() == template.success_value)
         value = 100.0 * k / n
         lower, upper = proportion_ci(k, n)
         return GroundTruth(value=value, lower=lower, upper=upper, n=n,
                            family=CIFamily.BINOMIAL, k=k)
-    cells = [str(row[template.target_column]).strip() for row in subgroup]
+    cells = [row[template.target_column].strip() for row in subgroup]
     values = []
     for cell in cells:
         if cell == "":
@@ -230,7 +242,7 @@ def enumerate_candidates(
     axis_names = list(template.axes)
     subgroups: dict[tuple[str, ...], list[dict[str, str]]] = {}
     for row in records:
-        subgroups.setdefault(tuple(str(row[a]).strip() for a in axis_names), []).append(row)
+        subgroups.setdefault(tuple(row[a].strip() for a in axis_names), []).append(row)
     candidates: list[Question] = []
     for combo in itertools.product(*(template.axes[a] for a in axis_names)):
         params = dict(zip(axis_names, combo))
@@ -326,6 +338,7 @@ def generate_corpus(config: CorpusConfig) -> tuple[list[Question], dict]:
     """
     questions: list[Question] = []
     meta: dict = {"datasets": {}}
+    dataset_of: dict[str, str] = {}  # question_id -> the dataset it was sampled for
     for ds in config.datasets:
         rows = load_table(ds.table)
         pool: list[Question] = []
@@ -335,11 +348,11 @@ def generate_corpus(config: CorpusConfig) -> tuple[list[Question], dict]:
         sampled, took_all = sample_corpus(
             pool, config.questions_per_dataset, derive_seed(config.seed, ds.dataset_id)
         )
-        seen = set()
         for q in sampled:
-            if q.question_id in seen:
-                raise InputError(f"duplicate question id {q.question_id} in {ds.dataset_id}")
-            seen.add(q.question_id)
+            if q.question_id in dataset_of:
+                raise InputError(f"duplicate question id {q.question_id} in datasets "
+                                 f"{dataset_of[q.question_id]} and {ds.dataset_id}")
+            dataset_of[q.question_id] = ds.dataset_id
         questions.extend(sampled)
         meta["datasets"][ds.dataset_id] = {
             "candidates": len(pool),

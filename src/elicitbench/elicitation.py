@@ -67,18 +67,18 @@ class VendorParam:
 @dataclass(frozen=True)
 class TokenBudget:
     param: str = "thinking_budget_tokens"
-    values: dict[str, int] = field(  # effort level -> thinking-token budget
+    budgets: dict[str, int] = field(  # effort level -> thinking-token budget
         default_factory=lambda: dict(DEFAULT_TOKEN_BUDGETS)
     )
 
     def __post_init__(self) -> None:
         try:
-            low, med, high = (self.values[lv] for lv in ("low", "medium", "high"))
+            low, med, high = (self.budgets[lv] for lv in ("low", "medium", "high"))
         except KeyError as exc:
             raise ConfigError(f"token budgets must define low/medium/high: {exc}") from exc
         if not 0 < low < med < high:
             raise ConfigError(
-                f"token budgets must be positive and strictly increasing, got {self.values}"
+                f"token budgets must be positive and strictly increasing, got {self.budgets}"
             )
 
 
@@ -104,11 +104,8 @@ def _effort_mode(raw: object) -> VendorParam | TokenBudget | None:
     mode_type = mode.get("type", "token_budget")
     if mode_type == "vendor_param":
         return load_row(VendorParam, mode)
-    if mode_type == "token_budget":  # the file's "budgets" fill the record's `values`
-        budget = {key: value for key, value in mode.items() if key != "values"}
-        if "budgets" in mode:
-            budget["values"] = mode["budgets"]
-        return load_row(TokenBudget, budget)
+    if mode_type == "token_budget":
+        return load_row(TokenBudget, mode)
     if mode_type == "non_reasoning":
         return None
     raise ConfigError(f"unknown effort mode {mode_type!r}")
@@ -116,9 +113,12 @@ def _effort_mode(raw: object) -> VendorParam | TokenBudget | None:
 
 def _tool_policy(raw: object) -> WebSearch | None:
     tools = _json_object(raw, "tool_policy")
-    if tools.get("type", "disabled") != "web_search":
+    policy_type = tools.get("type", "disabled")
+    if policy_type == "web_search":
+        return load_row(WebSearch, tools)
+    if policy_type == "disabled":
         return None
-    return load_row(WebSearch, tools)
+    raise ConfigError(f"unknown tool policy {policy_type!r}")
 
 
 @dataclass(frozen=True)
@@ -142,6 +142,8 @@ class ModelSpec:
         # Written `not x > 0` so that NaN fails too.
         if not self.timeout > 0:
             raise ConfigError(f"timeout must be > 0, got {self.timeout}")
+        if not self.timeout <= threading.TIMEOUT_MAX:  # a socket timeout above it overflows
+            raise ConfigError(f"timeout must be <= {threading.TIMEOUT_MAX}, got {self.timeout}")
         if not self.rate_limit_per_minute > 0:
             raise ConfigError(f"rate_limit_per_minute must be > 0, got {self.rate_limit_per_minute}")
 
@@ -199,7 +201,8 @@ def map_effort(spec: ModelSpec, level: EffortLevel) -> dict:
         return {}
     if level is EffortLevel.NONE:
         raise ConfigError(f"{spec.model_id} is a reasoning model; effort 'none' is invalid")
-    return {mode.param: mode.values[level.value]}
+    values = mode.budgets if isinstance(mode, TokenBudget) else mode.values
+    return {mode.param: values[level.value]}
 
 
 def build_request(question: Question, spec: ModelSpec, level: EffortLevel) -> dict:

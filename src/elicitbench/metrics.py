@@ -185,6 +185,7 @@ class GroupSummary:
     median_nll: float | None
     mdape: float | None
     median_cv: float | None
+    n_suspect_scale: int = 0  # percent answers that look like [0,1] fractions
 
     @property
     def invalid_rate(self) -> float | None:
@@ -214,4 +215,5 @@ def summarize_group(
         median_nll=float(median(nlls)) if nlls else None,
         mdape=mdape(r.ape for r in scored),
         median_cv=float(median(cvs)) if cvs else None,
+        n_suspect_scale=sum(r.suspect_fraction_scale for r in scored),
     )

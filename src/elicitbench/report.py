@@ -1,17 +1,21 @@
 """Report tables: metric rollups, calibration outcomes, baseline and tool comparisons.
 
-Every section is emitted twice: a machine-readable TSV (full-precision
-values, '#' comment header) and an aligned human-readable text table with
-rounded values.
+Every section is a `Table`, written twice: a machine-readable TSV
+(full-precision values, '#' comment header) and an aligned human-readable
+text table with rounded values.
 """
 from __future__ import annotations
 
+import dataclasses
 import math
+import typing
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
 
 from .conformal import GroupCalibration
 from .corpus import TargetKind
+from .elicitation import EffortLevel
 from .errors import SchemaError
 from .extraction import Outcome, ParsedRecord
 from .jsonlio import load_row, write_text
@@ -19,11 +23,23 @@ from .metrics import GroupSummary, ScoredRecord, baseline_win_rate, summarize_gr
 from .stats import rank_biserial, wilcoxon_signed_rank
 from statistics import median
 
-EFFORT_ORDER = {"low": 0, "medium": 1, "high": 2, "none": 3}
+EFFORT_ORDER = {level.value: rank for rank, level in enumerate(EffortLevel)}
 
 
 def _effort_key(effort: str) -> tuple:
-    return (EFFORT_ORDER.get(effort, 99), effort)
+    """Efforts in EffortLevel order; an unknown effort after them, by name."""
+    return (EFFORT_ORDER.get(effort, len(EFFORT_ORDER)), effort)
+
+
+@dataclass(frozen=True)
+class Table:
+    """One report section, written as <name>.tsv and <name>.txt."""
+    name: str
+    comment: str  # the TSV's comment line
+    title: str  # the text table's title
+    columns: Sequence[str]
+    rows: Sequence[Sequence[object]]
+    digits: dict[str, int] = field(default_factory=dict)  # text decimals by column; 3 if absent
 
 
 def _cell(x: object) -> str:
@@ -36,7 +52,7 @@ def _cell(x: object) -> str:
     return str(x)
 
 
-def _round_cell(x: object, digits: int = 3) -> str:
+def _round_cell(x: object, digits: int) -> str:
     if x is None:
         return "-"
     if isinstance(x, float):
@@ -55,15 +71,11 @@ def render_tsv(columns: Sequence[str], rows: Sequence[Sequence[object]],
     return "\n".join(lines) + "\n"
 
 
-def render_text(title: str, columns: Sequence[str], rows: Sequence[Sequence[object]],
-                digits: int | dict[str, int] = 3) -> str:
-    def digits_for(col: str) -> int:
-        if isinstance(digits, dict):
-            return digits.get(col, 3)
-        return digits
-
+def render_text(table: Table) -> str:
+    columns = table.columns
     formatted = [
-        [_round_cell(v, digits_for(columns[i])) for i, v in enumerate(row)] for row in rows
+        [_round_cell(v, table.digits.get(col, 3)) for col, v in zip(columns, row)]
+        for row in table.rows
     ]
     widths = [
         max(len(col), *(len(row[i]) for row in formatted)) if formatted else len(col)
@@ -75,7 +87,7 @@ def render_text(title: str, columns: Sequence[str], rows: Sequence[Sequence[obje
         "  ".join(row[i].rjust(widths[i]) for i in range(len(columns)))
         for row in formatted
     ]
-    return "\n".join([title, rule, header, rule, *body]) + "\n"
+    return "\n".join([table.title, rule, header, rule, *body]) + "\n"
 
 
 def split_rows(score_rows: Iterable[dict]) -> tuple[list[ScoredRecord], list[ParsedRecord]]:
@@ -117,19 +129,12 @@ def _group_summaries(
     return summaries
 
 
-def summary_section(
-    valid: Sequence[ScoredRecord], invalid: Sequence[ParsedRecord]
-) -> tuple[str, str]:
+def summary_section(valid: Sequence[ScoredRecord], invalid: Sequence[ParsedRecord]) -> Table:
     """Model x effort rollup: invalid%, MdAPE%, plus coverage/NLL/CV columns.
 
     n_suspect_scale counts percent-kind answers that look like [0,1]
     fractions; they are scored as-is but surfaced here for auditing.
     """
-    suspects: dict[tuple, int] = {}
-    for r in valid:
-        if r.suspect_fraction_scale:
-            key = (r.model_id, r.effort)
-            suspects[key] = suspects.get(key, 0) + 1
     columns = [
         "model", "effort", "n_valid", "n_invalid", "invalid_pct", "mdape_pct",
         "coverage", "median_nll", "median_cv", "n_suspect_scale",
@@ -139,50 +144,43 @@ def summary_section(
         invalid_pct = None if s.invalid_rate is None else 100.0 * s.invalid_rate
         rows.append([
             s.model_id, s.effort, s.n_valid, s.n_invalid, invalid_pct,
-            s.mdape, s.coverage, s.median_nll, s.median_cv,
-            suspects.get((s.model_id, s.effort), 0),
+            s.mdape, s.coverage, s.median_nll, s.median_cv, s.n_suspect_scale,
         ])
-    return (
-        render_tsv(columns, rows, comments=["summary by model and effort"]),
-        render_text("Summary by model and effort", columns, rows,
-                    digits={"invalid_pct": 1, "mdape_pct": 1, "median_nll": 2}),
-    )
+    return Table("summary_by_model_effort", "summary by model and effort",
+                 "Summary by model and effort", columns, rows,
+                 digits={"invalid_pct": 1, "mdape_pct": 1, "median_nll": 2})
 
 
-def _optional_float(cell: str) -> float | None:
-    return None if cell == "" else float(cell)
-
-
-# The calibration fits table, which calibrate writes and report reads back:
-# column name -> the type read_fits gives its cells. q_hat is written as "inf"
-# when the quantile index exceeds n_cal, and float() reads that back.
+# The calibration fits table, which calibrate writes and report reads back.
+# Its columns are GroupCalibration's fields, and read_fits reads each cell as
+# its field's type: an empty cell is a None, and "inf" (the q_hat of a group
+# whose quantile index exceeds n_cal) reads back as math.inf.
 SCORES_STAMP = "scores_config_hash: {}"  # the fits' comment naming the scores they fit
-FIT_COLUMNS = {
-    "model": str, "effort": str, "dataset": str, "n_cal": int, "n_test": int, "q_hat": float,
-    "coverage_before": _optional_float, "coverage_after": _optional_float,
-    "flag": str, "flag_detail": str,
+FIT_COLUMNS = tuple(f.name for f in dataclasses.fields(GroupCalibration))
+_CELL_READERS = {
+    str: str, int: int, float: float,
+    float | None: lambda cell: None if cell == "" else float(cell),
 }
+_FIT_HINTS = typing.get_type_hints(GroupCalibration)
+_FIT_READERS = [_CELL_READERS[_FIT_HINTS[name]] for name in FIT_COLUMNS]
 
 
 def write_fits(
     path: str | Path, evaluations: Sequence[GroupCalibration], cfg_hash: str, scores_hash: str
 ) -> None:
-    """Write one fits row per group, in FIT_COLUMNS order, naming the scores they fit."""
-    rows = [
-        [*ev.group, ev.n_cal, ev.n_test, ev.q_hat,
-         ev.coverage_before, ev.coverage_after, ev.flag, ev.flag_detail]
-        for ev in evaluations
-    ]
-    write_text(path, render_tsv(list(FIT_COLUMNS), rows, comments=[
+    """Write one fits row per group, naming the scores they fit."""
+    rows = [dataclasses.astuple(ev) for ev in evaluations]
+    write_text(path, render_tsv(FIT_COLUMNS, rows, comments=[
         f"config_hash: {cfg_hash}", SCORES_STAMP.format(scores_hash), "conformal calibration fits",
     ]))
 
 
-def read_fits(path: str | Path, scores_hash: str) -> list[list[object]]:
-    """The rows of a fits table, each in FIT_COLUMNS order with its cells typed by column.
+def read_fits(path: str | Path, scores_hash: str) -> list[GroupCalibration]:
+    """The groups of a fits table, as write_fits wrote them.
 
-    An empty file, fits of other scores than `scores_hash`, a missing column,
-    a short row or a cell its column cannot hold raises SchemaError.
+    An empty file, fits of other scores than `scores_hash`, a header other
+    than FIT_COLUMNS, a row of another width or a cell its field cannot hold
+    raises SchemaError.
     """
     try:
         lines = [line for line in Path(path).read_text(encoding="utf-8").splitlines() if line]
@@ -193,45 +191,42 @@ def read_fits(path: str | Path, scores_hash: str) -> list[list[object]]:
     lines = [line for line in lines if not line.startswith("#")]
     if not lines:
         raise SchemaError(f"{path}: empty file, expected a calibration fits table")
-    header = lines[0].split("\t")
-    missing = [name for name in FIT_COLUMNS if name not in header]
-    if missing:
-        raise SchemaError(f"{path}: missing fits columns {missing}")
-    rows = []
+    header = tuple(lines[0].split("\t"))
+    if header != FIT_COLUMNS:
+        raise SchemaError(f"{path}: fits header {list(header)}, expected {list(FIT_COLUMNS)}")
+    fits = []
     for line in lines[1:]:
-        cells = dict(zip(header, line.split("\t")))
+        cells = line.split("\t")
+        if len(cells) != len(FIT_COLUMNS):
+            raise SchemaError(f"{path}: fits row {line!r} has {len(cells)} cells, "
+                              f"expected {len(FIT_COLUMNS)}")
         try:
-            rows.append([cell_type(cells[name]) for name, cell_type in FIT_COLUMNS.items()])
-        except (KeyError, ValueError) as exc:
+            fits.append(GroupCalibration(*(read(cell) for read, cell in zip(_FIT_READERS, cells))))
+        except ValueError as exc:
             raise SchemaError(f"{path}: malformed fits row {line!r} ({exc!r})") from exc
-    return rows
+    return fits
 
 
-def calibration_section(fits: Sequence[Sequence[object]]) -> tuple[str, str]:
-    """Per-group coverage before/after conformal recalibration, from read_fits rows."""
-    rows = sorted(fits, key=lambda row: (row[0], _effort_key(row[1]), row[2]))
-    return (
-        render_tsv(list(FIT_COLUMNS), rows, comments=["coverage before/after conformal recalibration"]),
-        render_text("Coverage before/after conformal recalibration", list(FIT_COLUMNS), rows),
-    )
+def calibration_section(fits: Sequence[GroupCalibration]) -> Table:
+    """Per-group coverage before/after conformal recalibration, from read_fits groups."""
+    ordered = sorted(fits, key=lambda ev: (ev.model, _effort_key(ev.effort), ev.dataset))
+    return Table("coverage_calibration", "coverage before/after conformal recalibration",
+                 "Coverage before/after conformal recalibration", FIT_COLUMNS,
+                 [dataclasses.astuple(ev) for ev in ordered])
 
 
-def nll_sharpness_section(
-    valid: Sequence[ScoredRecord], invalid: Sequence[ParsedRecord]
-) -> tuple[str, str]:
+def nll_sharpness_section(valid: Sequence[ScoredRecord], invalid: Sequence[ParsedRecord]) -> Table:
     """Median NLL and CV per (model, effort, dataset)."""
     columns = ["model", "effort", "dataset", "n_valid", "median_nll", "median_cv", "coverage"]
     rows = []
     for s in _group_summaries(valid, invalid, by_dataset=True):
         rows.append([s.model_id, s.effort, s.dataset_id, s.n_valid,
                      s.median_nll, s.median_cv, s.coverage])
-    return (
-        render_tsv(columns, rows, comments=["nll and sharpness by model, effort, dataset"]),
-        render_text("NLL and sharpness by model, effort, dataset", columns, rows),
-    )
+    return Table("nll_sharpness", "nll and sharpness by model, effort, dataset",
+                 "NLL and sharpness by model, effort, dataset", columns, rows)
 
 
-def baseline_section(valid: Sequence[ScoredRecord]) -> tuple[str, str]:
+def baseline_section(valid: Sequence[ScoredRecord]) -> Table:
     """Win rate vs. the constant-50 guess on percent-kind questions, by dataset."""
     proportion = [r for r in valid if r.kind is TargetKind.PROPORTION]
     columns = ["dataset", "model", "n", "win_rate"]
@@ -252,10 +247,8 @@ def baseline_section(valid: Sequence[ScoredRecord]) -> tuple[str, str]:
                 dataset, model, len(sub),
                 baseline_win_rate((m.triplet.value, m.truth.value) for m in sub),
             ])
-    return (
-        render_tsv(columns, rows, comments=["win rate vs naive 50% baseline (ties lose)"]),
-        render_text("Win rate vs naive 50% baseline", columns, rows),
-    )
+    return Table("baseline_win_rate", "win rate vs naive 50% baseline (ties lose)",
+                 "Win rate vs naive 50% baseline", columns, rows)
 
 
 def _absolute_errors(records: Sequence[ScoredRecord]) -> dict[tuple, float]:
@@ -267,7 +260,7 @@ def _absolute_errors(records: Sequence[ScoredRecord]) -> dict[tuple, float]:
 
 def tool_comparison_section(
     base_valid: Sequence[ScoredRecord], tool_valid: Sequence[ScoredRecord]
-) -> tuple[str, str]:
+) -> Table:
     """Matched-question comparison of tool-enabled vs. baseline absolute errors.
 
     Pairs match on (question_id, model, effort) and require a valid triplet on
@@ -306,7 +299,5 @@ def tool_comparison_section(
             wins / len(pairs), result.statistic, result.p_value, effect,
             result.method_note,
         ])
-    return (
-        render_tsv(columns, rows, comments=["tool-enabled vs baseline on matched questions"]),
-        render_text("Tool-enabled vs baseline (matched questions)", columns, rows),
-    )
+    return Table("tool_comparison", "tool-enabled vs baseline on matched questions",
+                 "Tool-enabled vs baseline (matched questions)", columns, rows)

@@ -50,18 +50,21 @@ class SyntheticSuiteConfig:
     effort: str = "low"
 
     def __post_init__(self) -> None:
+        # Each range check is written so that NaN fails it too.
         if self.n_questions < 1:
             raise ConfigError("n_questions must be >= 1")
         if not 0.0 <= self.proportion_fraction <= 1.0:
             raise ConfigError("proportion_fraction must be in [0, 1]")
-        if self.width_shrink <= 0.0:
-            raise ConfigError("width_shrink must be > 0")
-        if self.noise_sd < 0.0:
-            raise ConfigError("noise_sd must be >= 0")
+        if not self.width_shrink > 0.0:
+            raise ConfigError(f"width_shrink must be > 0, got {self.width_shrink}")
+        if not self.noise_sd >= 0.0:
+            raise ConfigError(f"noise_sd must be >= 0, got {self.noise_sd}")
         if not 0.0 <= self.refusal_rate <= 1.0:
             raise ConfigError("refusal_rate must be in [0, 1]")
-        if self.sigma_true <= 0.0:
-            raise ConfigError("sigma_true must be > 0")
+        if not self.sigma_true > 0.0:
+            raise ConfigError(f"sigma_true must be > 0, got {self.sigma_true}")
+        if not math.isfinite(self.bias):
+            raise ConfigError(f"bias must be finite, got {self.bias}")
 
 
 def _truth_deviation(seed: int, question_id: str, sigma_true: float) -> float:

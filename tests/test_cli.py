@@ -1,6 +1,7 @@
 import argparse
 import dataclasses
 import json
+import math
 import random
 import shutil
 from pathlib import Path
@@ -8,8 +9,9 @@ from pathlib import Path
 import pytest
 
 from elicitbench.cli import build_parser, main
-from elicitbench.conformal import ConformalConfig
+from elicitbench.conformal import ConformalConfig, GroupCalibration
 from elicitbench.jsonlio import read_jsonl, write_jsonl
+from elicitbench.report import FIT_COLUMNS, read_fits, write_fits
 from elicitbench.synthetic import SyntheticSuiteConfig
 
 from stubserver import StubServer, StubState
@@ -181,6 +183,32 @@ class TestGenerateCommand:
         assert err.startswith("error: ") and message in err
         assert not (tmp_path / "c.jsonl").exists()
 
+    def test_question_id_repeated_across_datasets_is_2(self, tmp_path, capsys):
+        # question ids hash the template id and params, not the dataset
+        config = self.write_config(tmp_path, lambda raw: raw["datasets"].append(
+            {**raw["datasets"][0], "dataset_id": "healthcopy"}))
+        capsys.readouterr()
+        assert main(["generate", "--config", str(config), "--out", str(tmp_path / "c.jsonl")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: duplicate question id ")
+        assert "in datasets healthfix and healthcopy" in err
+        assert not (tmp_path / "c.jsonl").exists()
+
+    @pytest.mark.parametrize("cut, cells", [(lambda line: line.rsplit(",", 2)[0], 2),
+                                            (lambda line: line + ",extra", 5)],
+                             ids=["short_rows", "long_rows"])
+    def test_row_of_another_width_than_the_header_is_2(self, tmp_path, capsys, cut, cells):
+        config = self.write_config(tmp_path, lambda raw: None)
+        table = tmp_path / "health_fixture.csv"
+        header, *rows = table.read_text(encoding="utf-8").splitlines()
+        rows = [cut(row) if i % 2 == 0 else row for i, row in enumerate(rows)]
+        table.write_text("\n".join([header, *rows]) + "\n", encoding="utf-8")
+        capsys.readouterr()
+        assert main(["generate", "--config", str(config), "--out", str(tmp_path / "c.jsonl")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"{table}: line 2 has {cells} cells, the header 4" in err
+        assert not (tmp_path / "c.jsonl").exists()
+
     def test_seed_override_changes_sample(self, tmp_path):
         config = tmp_path / "templates.json"
         shutil.copy(DATA / "templates_demo.json", config)
@@ -238,6 +266,59 @@ class TestExitCodes:
             err = capsys.readouterr().err
             assert err.startswith("error: ") and message in err, (text, err)
             assert not (tmp_path / "c.jsonl").exists(), text
+
+    @pytest.mark.parametrize(
+        "flag, field",
+        [("--width-shrink", "width_shrink"), ("--bias", "bias"), ("--noise", "noise_sd"),
+         ("--refusal-rate", "refusal_rate"), ("--sigma-true", "sigma_true"),
+         ("--proportion-fraction", "proportion_fraction")],
+    )
+    def test_simulate_flag_nan_is_2(self, tmp_path, capsys, flag, field):
+        capsys.readouterr()
+        assert main(["simulate", "--n-questions", "5", flag, "nan",
+                     "--out-dir", str(tmp_path / "suite")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {field} must be ")
+        assert not (tmp_path / "suite").exists()
+
+    @pytest.mark.parametrize("stage", ["elicit", "extract", "score"])
+    def test_corpus_with_a_repeated_question_id_is_2(self, tmp_path, capsys, stage):
+        root = _small_chain(tmp_path, n=5)
+        corpus = root / "suite" / "corpus.jsonl"
+        lines = corpus.read_text(encoding="utf-8").splitlines()
+        corpus.write_text("\n".join([*lines, lines[1]]) + "\n", encoding="utf-8")
+        repeated = json.loads(lines[1])["question_id"]
+        argv = {"elicit": ["--models", str(root / "models.json"), "--manifest", str(root / "m.json")],
+                "extract": ["--transcript", str(root / "suite" / "transcript.jsonl")],
+                "score": ["--parsed", str(root / "parsed.jsonl")]}[stage]
+        capsys.readouterr()
+        assert main([stage, "--corpus", str(corpus), *argv, "--out", str(root / "again.jsonl")]) == 2
+        assert capsys.readouterr().err == f"error: {corpus}: question_id {repeated} is repeated\n"
+        assert not (root / "again.jsonl").exists()
+
+    @pytest.mark.parametrize("bad", ["transcript_dir", "config_dir", "out_under_a_file",
+                                     "out_dir_under_a_file"])
+    def test_path_that_cannot_be_read_or_written_is_2(self, tmp_path, capsys, bad):
+        root = _small_chain(tmp_path, n=5)
+        (root / "a_file").write_text("", encoding="utf-8")
+        shutil.copy(DATA / "templates_demo.json", root / "templates.json")
+        shutil.copy(DATA / "health_fixture.csv", root / "health_fixture.csv")
+        argv = {
+            "transcript_dir": ["extract", "--transcript", str(root / "suite"),
+                               "--corpus", str(root / "suite" / "corpus.jsonl"),
+                               "--out", str(root / "again.jsonl")],
+            "config_dir": ["generate", "--config", str(root / "suite"),
+                           "--out", str(root / "again.jsonl")],
+            "out_under_a_file": ["generate", "--config", str(root / "templates.json"),
+                                 "--out", str(root / "a_file" / "again.jsonl")],
+            "out_dir_under_a_file": ["report", "--scores", str(root / "scores.jsonl"),
+                                     "--out-dir", str(root / "a_file" / "report")],
+        }[bad]
+        capsys.readouterr()
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert not (root / "again.jsonl").exists()
 
     def test_partial_transport_failure_is_4(self, tmp_path, monkeypatch):
         monkeypatch.setenv("STUB_API_KEY", "k")
@@ -365,19 +446,28 @@ class TestExitCodes:
           "bad model spec 'stub': timeout must be > 0, got -1.0"),
          ([], {"models": [{**STUB_SPEC, "endpoint_url": "http://localhost", "timeout": 0}]},
           "bad model spec 'stub': timeout must be > 0, got 0.0"),
+         # a socket cannot take a timeout above threading.TIMEOUT_MAX
+         ([], {"models": [{**STUB_SPEC, "endpoint_url": "http://localhost", "timeout": 1e10}]},
+          "bad model spec 'stub': timeout must be <= "),
+         ([], {"models": [{**STUB_SPEC, "endpoint_url": "http://localhost",
+                           "timeout": float("inf")}]},
+          "bad model spec 'stub': timeout must be <= "),
          ([], {"models": [{**STUB_SPEC, "endpoint_url": "http://localhost",
                            "rate_limit_per_minute": float("nan")}]},
           "bad model spec 'stub': rate_limit_per_minute must be > 0, got nan"),
          ([], {"models": [{**STUB_SPEC, "endpoint_url": "http://localhost",
                            "effort_mode": {"budgets": {"low": "2000", "medium": 8000,
                                                        "high": 16000}}}]},
-          "bad model spec 'stub': TokenBudget row: values: expected an integer, got '2000'"),
+          "bad model spec 'stub': TokenBudget row: budgets: expected an integer, got '2000'"),
          ([], {"models": [{**STUB_SPEC, "endpoint_url": "http://localhost",
                            "effort_mode": {"type": "vendor_param", "param": 5, "values": {}}}]},
           "bad model spec 'stub': VendorParam row: param: expected a string, got 5"),
          ([], {"models": [{**STUB_SPEC, "endpoint_url": "http://localhost",
                            "tool_policy": {"type": "web_search", "max_searches": "3"}}]},
           "bad model spec 'stub': WebSearch row: max_searches: expected an integer, got '3'"),
+         ([], {"models": [{**STUB_SPEC, "endpoint_url": "http://localhost",
+                           "tool_policy": {"type": "websearch"}}]},
+          "bad model spec 'stub': unknown tool policy 'websearch'"),
          ([], {"models": [{**STUB_SPEC, "endpoint_url": "http://localhost"},
                           {**STUB_SPEC, "endpoint_url": "http://localhost", "model_id": 7}]},
           "bad model spec models[1]: ModelSpec row: model_id: expected a string, got 7"),
@@ -391,8 +481,9 @@ class TestExitCodes:
              "top_level_list", "models_not_a_list", "effort_mode_string", "tool_policy_string",
              "nothing_selected", "unknown_scheme", "not_a_url", "no_host", "other_scheme_with_port",
              "not_a_string", "auth_env_var_int", "max_retries_float", "timeout_string",
-             "timeout_nan", "timeout_negative", "timeout_zero", "rate_nan", "budget_string",
-             "vendor_param_int", "max_searches_string", "model_id_int", "spec_string",
+             "timeout_nan", "timeout_negative", "timeout_zero", "timeout_1e10", "timeout_infinity",
+             "rate_nan", "budget_string", "vendor_param_int", "max_searches_string",
+             "unknown_tool_policy", "model_id_int", "spec_string",
              "key_with_newline", "key_outside_latin1"],
     )
     def test_bad_elicit_config_is_2_before_the_transcript(self, tmp_path, monkeypatch, capsys,
@@ -811,6 +902,35 @@ class TestFitsRoundTrip:
         (beta_line,) = [line for line in text.splitlines() if line.lstrip().startswith("beta")]
         cells = beta_line.split()
         assert cells[5] == "inf" and cells[7] == "-"
+
+    def test_fits_columns_are_the_record_fields_and_round_trip(self, tmp_path):
+        assert FIT_COLUMNS == tuple(f.name for f in dataclasses.fields(GroupCalibration))
+        ok = GroupCalibration("alpha", "low", "synthetic", 120, 280, 1.0 / 3.0, 0.1 + 0.2,
+                              0.9571428571428572, "ok", "")
+        flagged = GroupCalibration("beta", "medium", "synthetic", 12, 28, math.inf, 0.6428571428571429,
+                                   None, "insufficient_data", "quantile_index_exceeds_n_cal")
+        write_fits(tmp_path / "fits.tsv", [ok, flagged], "cfg", "scores")
+        assert read_fits(tmp_path / "fits.tsv", "scores") == [ok, flagged]
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [(lambda header, row: (header[1::-1] + header[2:], row), "fits header ['effort', 'model'"),
+         (lambda header, row: (header, row + ["extra"]), "has 11 cells, expected 10")],
+        ids=["reordered_header", "extra_cell"],
+    )
+    def test_fits_of_another_shape_are_2(self, tmp_path, capsys, edit, message):
+        root = _small_chain(tmp_path)
+        fits = root / "fits.tsv"
+        *comments, header, row = fits.read_text(encoding="utf-8").splitlines()
+        header, row = edit(header.split("\t"), row.split("\t"))
+        fits.write_text("\n".join([*comments, "\t".join(header), "\t".join(row)]) + "\n",
+                        encoding="utf-8")
+        capsys.readouterr()
+        assert main(["report", "--scores", str(root / "scores.jsonl"), "--calibration", str(fits),
+                     "--out-dir", str(root / "report")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {fits}: ") and message in err
+        assert not (root / "report").exists()
 
 
 def _subcommand(name: str) -> argparse.ArgumentParser:

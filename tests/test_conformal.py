@@ -212,7 +212,7 @@ class TestCalibrateGroups:
                                 model=model, qid=f"{model}-{i}")
                 )
         results = calibrate_groups(records, ConformalConfig(seed=0))
-        assert [r.evaluation.group[0] for r in results] == ["a-model", "b-model"]
+        assert [r.evaluation.model for r in results] == ["a-model", "b-model"]
         only_a = calibrate_groups(
             [r for r in records if r.model_id == "a-model"], ConformalConfig(seed=0)
         )

@@ -1,8 +1,10 @@
-"""The config examples the docs point to load through the config parsers as they stand."""
+"""The examples in the docs run, and their configs load, as the docs give them."""
 import json
 import re
+import shlex
 from pathlib import Path
 
+from elicitbench.cli import main
 from elicitbench.corpus import corpus_config_from_dict
 from elicitbench.elicitation import TokenBudget, VendorParam, WebSearch, model_specs_from_config
 
@@ -27,3 +29,28 @@ def test_demo_corpus_config_loads():
     assert dataset.table == str(DATA / "health_fixture.csv")
     assert [t.template_id for t in dataset.templates] == ["smoking-rate", "mean-bmi"]
     assert (config.seed, config.questions_per_dataset) == (20250810, 4)
+
+
+def test_readme_quickstart_runs(tmp_path, monkeypatch):
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    quickstart = readme.split("## Quickstart", 1)[1].split("\n## ", 1)[0]
+    (block,) = re.findall(r"```bash\n(.*?)```", quickstart, re.S)
+    commands = [shlex.split(line) for line in block.replace("\\\n", " ").splitlines()]
+    monkeypatch.chdir(tmp_path)
+    for command in commands:
+        assert command[0] == "elicitbench"
+        assert main(command[1:]) == 0, command
+    # The report files the README lists; the tool comparison only with --tool-scores.
+    (report,) = re.findall(r"`([^`]+)/` then contains", quickstart)
+    listed = re.findall(r"^- `(\w+)` - (.*?)(?=^- |\Z)", quickstart, re.M | re.S)
+    assert listed
+    ran_with_tools = any("--tool-scores" in command for command in commands)
+    for name, description in listed:
+        expected = ran_with_tools or "--tool-scores" not in description
+        for suffix in (".tsv", ".txt"):
+            assert (tmp_path / report / f"{name}{suffix}").exists() == expected, name
+    # The fits header the README gives is the one calibrate wrote.
+    (fits,) = [command[command.index("--fits") + 1] for command in commands if "--fits" in command]
+    header = next(line for line in (tmp_path / fits).read_text(encoding="utf-8").splitlines()
+                  if not line.startswith("#"))
+    assert f"```text\n  {header}\n  ```" in readme

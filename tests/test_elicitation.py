@@ -80,9 +80,9 @@ class TestMapEffort:
 
     def test_budgets_must_increase(self):
         with pytest.raises(ConfigError):
-            TokenBudget(values={"low": 8000, "medium": 8000, "high": 16000})
+            TokenBudget(budgets={"low": 8000, "medium": 8000, "high": 16000})
         with pytest.raises(ConfigError):
-            TokenBudget(values={"low": -1, "medium": 8, "high": 16})
+            TokenBudget(budgets={"low": -1, "medium": 8, "high": 16})
 
     def test_web_search_cap(self):
         with pytest.raises(ConfigError):
@@ -154,7 +154,7 @@ class TestModelSpecParsing:
         "mode, expected",
         [({"type": "non_reasoning"}, None),
          ({"type": "token_budget", "budgets": {"low": 1, "medium": 2, "high": 3}},
-          TokenBudget(values={"low": 1, "medium": 2, "high": 3}))],
+          TokenBudget(budgets={"low": 1, "medium": 2, "high": 3}))],
         ids=["non_reasoning", "budgets"],
     )
     def test_effort_mode_json_keys(self, mode, expected):

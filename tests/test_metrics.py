@@ -248,9 +248,9 @@ class TestScoredRecordsAndSummary:
             make_scored(40.0, 30.0, 50.0, truth_value=40.0, kind=TargetKind.PROPORTION, qid="q2"),
             make_scored(0.4, 0.3, 0.5, truth_value=40.0, qid="q3"),  # continuous: never suspect
         ]
-        tsv, _ = summary_section(records, [])
-        header, row = (line.split("\t") for line in tsv.splitlines() if not line.startswith("#"))
-        assert dict(zip(header, row))["n_suspect_scale"] == "1"
+        table = summary_section(records, [])
+        (row,) = table.rows
+        assert dict(zip(table.columns, row))["n_suspect_scale"] == 1
 
     def test_summary_matches_oracles(self):
         rng = random.Random(11)
