@@ -127,9 +127,12 @@ def _parse_efforts(raw: str) -> list[EffortLevel]:
         if not token:
             continue
         try:
-            levels.append(EffortLevel(token))
+            level = EffortLevel(token)
         except ValueError:
             raise ConfigError(f"unknown effort level {token!r}")
+        if level in levels:
+            raise ConfigError(f"effort level {token!r} is repeated")
+        levels.append(level)
     if not levels:
         raise ConfigError("no effort levels requested")
     return levels

@@ -18,7 +18,7 @@ from .corpus import TargetKind
 from .errors import ConfigError
 from .extraction import Triplet
 from .jsonlio import derive_seed
-from .metrics import ScoredRecord, coverage, floored_width, interval_covers
+from .metrics import ScoredRecord, floored_width, interval_covers, rate
 
 T = TypeVar("T")
 
@@ -171,15 +171,14 @@ def evaluate(
     test: Sequence[ScoredRecord],
     calibrated_test: Sequence[CalibratedRecord],
 ) -> GroupCalibration:
-    """The fit with its test-set size and before/after coverage; after is undefined when flagged."""
-    after = None
-    if fit_result.flag == "ok" and calibrated_test:
-        after = sum(c.covered_after for c in calibrated_test) / len(calibrated_test)
+    """The fit with its test-set size and the shares of stored `covered` and
+    `covered_after` bits on the test side; after is undefined when flagged."""
     return replace(
         fit_result,
         n_test=len(test),
-        coverage_before=coverage((r.triplet.lower, r.triplet.upper, r.truth.value) for r in test),
-        coverage_after=after,
+        coverage_before=rate(r.covered for r in test),
+        coverage_after=rate(c.covered_after for c in calibrated_test)
+        if fit_result.flag == "ok" else None,
     )
 
 

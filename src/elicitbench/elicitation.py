@@ -14,6 +14,7 @@ transport and `concurrent.futures`, so the offline stages load neither, nor
 from __future__ import annotations
 
 import json
+import math
 import os
 import threading
 import time
@@ -146,6 +147,10 @@ class ModelSpec:
             raise ConfigError(f"timeout must be <= {threading.TIMEOUT_MAX}, got {self.timeout}")
         if not self.rate_limit_per_minute > 0:
             raise ConfigError(f"rate_limit_per_minute must be > 0, got {self.rate_limit_per_minute}")
+        # The limiter sleeps up to 60 / rate_limit_per_minute seconds.
+        if not 60.0 / self.rate_limit_per_minute <= threading.TIMEOUT_MAX:
+            raise ConfigError(f"rate_limit_per_minute must be >= {60.0 / threading.TIMEOUT_MAX}, "
+                              f"got {self.rate_limit_per_minute}")
 
     def levels_for(self, requested: Sequence[EffortLevel]) -> list[EffortLevel]:
         """Non-reasoning specs always run the control level only."""
@@ -172,6 +177,13 @@ def model_specs_from_config(raw: object, source: str) -> list[ModelSpec]:
             model_id = spec.get("model_id") if isinstance(spec, dict) else None
             name = repr(model_id) if isinstance(model_id, str) else f"models[{index}]"
             raise ConfigError(f"{source}: bad model spec {name}: {exc}") from exc
+    # API keys, rate limiters and transcript keys are per model_id.
+    first_index: dict[str, int] = {}
+    for index, spec in enumerate(specs):
+        first = first_index.setdefault(spec.model_id, index)
+        if first != index:
+            raise ConfigError(f"{source}: model_id {spec.model_id!r} is repeated, "
+                              f"in models[{first}] and models[{index}]")
     return specs
 
 
@@ -301,7 +313,8 @@ def _elicit_one(
         if ok or not retryable:
             break
         if attempt < attempts_allowed:
-            time.sleep(backoff_base * (2 ** (attempt - 1)))
+            # backoff_base * 2^(attempt-1); 2**(attempt-1) as an int would not fit a float
+            time.sleep(math.ldexp(backoff_base, attempt - 1))
     return ElicitationRecord(
         question_id=question.question_id,
         model_id=spec.model_id,
@@ -362,12 +375,24 @@ def run_batch(
     existing transcript are skipped and counted in `skipped`; a transcript
     of another config is rejected. A bad concurrency, effort levels that
     select nothing for any spec, an API key that is missing or cannot go in
-    a header, an endpoint URL that is not http(s) with a host, or a proxy
-    that is not http:// abort before the transcript is opened. Every
-    connection opened is closed on return.
+    a header, an endpoint URL that is not http(s) with a host, a proxy that
+    is not http://, or a backoff_base that is not finite and >= 0 or whose
+    longest backoff is longer than a sleep can take abort before the
+    transcript is opened. Every connection opened is closed on return.
     """
     if concurrency < 1:
         raise ConfigError(f"concurrency must be >= 1, got {concurrency}")
+    if not 0.0 <= backoff_base < math.inf:  # NaN fails too
+        raise ConfigError(f"backoff_base must be finite and >= 0, got {backoff_base}")
+    for spec in specs:
+        # The longest backoff is backoff_base * 2^(max_retries-1); dividing the bound
+        # by 2^(max_retries-1) instead underflows to 0 where the product would overflow.
+        if spec.max_retries and backoff_base > math.ldexp(threading.TIMEOUT_MAX,
+                                                          1 - spec.max_retries):
+            raise ConfigError(
+                f"{spec.model_id}: backoff_base {backoff_base} with max_retries "
+                f"{spec.max_retries} backs off longer than {threading.TIMEOUT_MAX} s"
+            )
     if not any(spec.levels_for(levels) for spec in specs):
         raise ConfigError(
             f"efforts {[lv.value for lv in levels]} select no level of any model spec"

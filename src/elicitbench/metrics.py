@@ -4,7 +4,9 @@ A triplet is read as a central 95% interval: the Gaussian family evaluates
 the truth under Normal(value, sigma) with sigma = width / (2 * z), the
 binomial family evaluates the observed success count under Binomial(n,
 value/100). Coverage, relative sharpness (CV), absolute percentage error,
-and the naive 50%-baseline win rate complete the per-record scores.
+and the naive 50%-baseline win rate complete the per-record scores. Each
+statistic over a group is one of two reductions: `rate`, a share of true
+flags, or `median_of`.
 """
 from __future__ import annotations
 
@@ -44,20 +46,6 @@ def interval_covers(lower: float, upper: float, truth: float) -> bool:
     return lower <= truth <= upper
 
 
-def coverage(items: Iterable[tuple[float, float, float]]) -> float | None:
-    """Fraction of (lower, upper, truth) triples with the truth inside (closed).
-
-    Returns None for an empty input (undefined cell).
-    """
-    n = hits = 0
-    for lower, upper, truth in items:
-        n += 1
-        hits += interval_covers(lower, upper, truth)
-    if n == 0:
-        return None
-    return hits / n
-
-
 def relative_sharpness(triplet: Triplet) -> float | None:
     """Interval width over |value|; None when the value is numerically zero."""
     if abs(triplet.value) < CV_VALUE_EPS:
@@ -94,26 +82,28 @@ def ape(predicted: float, truth_value: float) -> float | None:
     return 100.0 * abs(predicted - truth_value) / abs(truth_value)
 
 
-def mdape(apes: Iterable[float | None]) -> float | None:
-    """Median APE over defined entries; even counts use the midpoint convention."""
-    values = [a for a in apes if a is not None]
-    if not values:
+def rate(flags: Iterable[bool]) -> float | None:
+    """Share of true flags; None for no flags (an undefined cell)."""
+    bits = list(flags)
+    if not bits:
         return None
-    return float(median(values))
+    return sum(bits) / len(bits)
+
+
+def median_of(values: Iterable[float | None]) -> float | None:
+    """Median of the defined values (even counts take the midpoint); None when none are."""
+    defined = [v for v in values if v is not None]
+    if not defined:
+        return None
+    return float(median(defined))
 
 
 def baseline_win_rate(pairs: Iterable[tuple[float, float]]) -> float | None:
-    """Fraction of (predicted, truth) pairs strictly beating a constant 50 guess.
+    """Share of (predicted, truth) pairs strictly beating a constant 50 guess.
 
     Ties count as losses. Only meaningful for percent-kind questions.
     """
-    n = wins = 0
-    for predicted, truth in pairs:
-        n += 1
-        wins += abs(predicted - truth) < abs(50.0 - truth)
-    if n == 0:
-        return None
-    return wins / n
+    return rate(abs(predicted - truth) < abs(50.0 - truth) for predicted, truth in pairs)
 
 
 @dataclass(frozen=True)
@@ -202,18 +192,19 @@ def summarize_group(
     scored: Sequence[ScoredRecord],
     n_invalid: int,
 ) -> GroupSummary:
-    """Roll one (model, effort, dataset) cell up; medians over valid records only."""
-    nlls = [r.nll for r in scored]
-    cvs = [r.cv for r in scored if r.cv is not None]
+    """Roll one (model, effort, dataset) cell up; medians over valid records only.
+
+    Coverage is the share of the records' stored `covered` bits.
+    """
     return GroupSummary(
         model_id=model_id,
         effort=effort,
         dataset_id=dataset_id,
         n_valid=len(scored),
         n_invalid=n_invalid,
-        coverage=coverage((r.triplet.lower, r.triplet.upper, r.truth.value) for r in scored),
-        median_nll=float(median(nlls)) if nlls else None,
-        mdape=mdape(r.ape for r in scored),
-        median_cv=float(median(cvs)) if cvs else None,
+        coverage=rate(r.covered for r in scored),
+        median_nll=median_of(r.nll for r in scored),
+        mdape=median_of(r.ape for r in scored),
+        median_cv=median_of(r.cv for r in scored),
         n_suspect_scale=sum(r.suspect_fraction_scale for r in scored),
     )

@@ -19,9 +19,9 @@ from .elicitation import EffortLevel
 from .errors import SchemaError
 from .extraction import Outcome, ParsedRecord
 from .jsonlio import load_row, write_text
-from .metrics import GroupSummary, ScoredRecord, baseline_win_rate, summarize_group
+from .metrics import (GroupSummary, ScoredRecord, baseline_win_rate, median_of, rate,
+                      summarize_group)
 from .stats import rank_biserial, wilcoxon_signed_rank
-from statistics import median
 
 EFFORT_ORDER = {level.value: rank for rank, level in enumerate(EffortLevel)}
 
@@ -288,15 +288,13 @@ def tool_comparison_section(
         if not pairs:
             continue
         diffs = [tool - base for base, tool in pairs]
-        wins = sum(1 for d in diffs if d < 0)
         result = wilcoxon_signed_rank(diffs)
         nonzero = [d for d in diffs if d != 0.0]
         effect = rank_biserial(diffs) if nonzero else None
         rows.append([
             scope, len(pairs),
-            float(median([b for b, _ in pairs])),
-            float(median([t for _, t in pairs])),
-            wins / len(pairs), result.statistic, result.p_value, effect,
+            median_of(b for b, _ in pairs), median_of(t for _, t in pairs),
+            rate(d < 0 for d in diffs), result.statistic, result.p_value, effect,
             result.method_note,
         ])
     return Table("tool_comparison", "tool-enabled vs baseline on matched questions",

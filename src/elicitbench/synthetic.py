@@ -17,7 +17,7 @@ from pathlib import Path
 from random import Random
 
 from .corpus import CIFamily, GroundTruth, Question, TargetKind, Z_95, proportion_ci, question_id_for
-from .elicitation import ElicitationRecord
+from .elicitation import CONTINUOUS_INSTRUCTION, PERCENT_INSTRUCTION, ElicitationRecord
 from .errors import ConfigError
 from .extraction import Triplet, Units, canonical_triplet_text
 from .jsonlio import config_hash, derive_seed, write_jsonl
@@ -123,11 +123,8 @@ def make_questions(config: SyntheticSuiteConfig) -> list[Question]:
             lower, upper = proportion_ci(k, config.proportion_n)
             truth = GroundTruth(value=value, lower=lower, upper=upper,
                                 n=config.proportion_n, family=CIFamily.BINOMIAL, k=k)
-            prompt = (
-                f"What percentage of the synthetic population has trait #{i}? "
-                "Provide the percentage and a 95% confidence interval as three "
-                "numbers: value, lower, upper."
-            )
+            prompt = (f"What percentage of the synthetic population has trait #{i}? "
+                      + PERCENT_INSTRUCTION)
             kind = TargetKind.PROPORTION
         else:
             template_id = f"{config.dataset_id}-continuous"
@@ -140,11 +137,8 @@ def make_questions(config: SyntheticSuiteConfig) -> list[Question]:
             half = Z_95 * config.sigma_true
             truth = GroundTruth(value=value, lower=value - half, upper=value + half,
                                 n=1000, family=CIFamily.GAUSSIAN)
-            prompt = (
-                f"Estimate synthetic quantity #{i} in its native units. "
-                "Provide your estimate and a 95% confidence interval as three "
-                "numbers: value, lower, upper."
-            )
+            prompt = (f"Estimate synthetic quantity #{i} in its native units. "
+                      + CONTINUOUS_INSTRUCTION)
             kind = TargetKind.CONTINUOUS
         questions.append(
             Question(question_id=qid, dataset_id=config.dataset_id, params=params,

@@ -25,10 +25,11 @@ from elicitbench.corpus import TargetKind, Z_95, continuous_ci, proportion_ci
 from elicitbench.extraction import ParseOutcome, extract_triplet
 from elicitbench.metrics import (
     baseline_win_rate,
-    coverage,
-    mdape,
+    interval_covers,
+    median_of,
     nll_binomial,
     nll_gaussian,
+    rate,
     relative_sharpness,
 )
 from elicitbench.stats import kruskal_wallis, rank_biserial, spearman, wilcoxon_signed_rank
@@ -94,7 +95,7 @@ def test_overconfidence_signature():
     n_cal = 2000 for the pure width-miscalibration oracle (limit 0.5*4 = 2)."""
     with criterion("Overconfidence signature (width_shrink=4)"):
         records = scored_suite(overconfident_suite(17, 10000, noise_sd=SIGMA_TRUE))
-        raw = coverage((r.triplet.lower, r.triplet.upper, r.truth.value) for r in records)
+        raw = rate(r.covered for r in records)
         assert 0.24 <= raw <= 0.32, raw
 
         records = scored_suite(overconfident_suite(13, 2000, noise_sd=0.0))
@@ -151,8 +152,8 @@ def test_metric_oracles():
                 truth = rng.uniform(0.5, 99.5)
                 items.append((a, b, truth))
                 pairs.append((rng.uniform(0, 100), truth))
-            assert coverage(items) == coverage_oracle(items)
-            assert mdape(
+            assert rate(interval_covers(*t) for t in items) == coverage_oracle(items)
+            assert median_of(
                 100.0 * abs(p - t) / abs(t) for p, t in pairs
             ) == mdape_oracle(pairs)
             assert baseline_win_rate(pairs) == winrate_oracle(pairs)

@@ -320,6 +320,47 @@ class TestExitCodes:
         assert err.startswith("error: ") and "Traceback" not in err
         assert not (root / "again.jsonl").exists()
 
+    @pytest.mark.parametrize(
+        "backoff, max_retries, message",
+        [("-1", 1, "backoff_base must be finite and >= 0, got -1.0"),
+         ("nan", 1, "backoff_base must be finite and >= 0, got nan"),
+         ("inf", 1, "backoff_base must be finite and >= 0, got inf"),
+         # 1 s doubled over 40 retries is 2^39 s, more than threading.TIMEOUT_MAX
+         ("1", 40, "stub: backoff_base 1.0 with max_retries 40 backs off longer than"),
+         # and 2^999999 does not fit a float
+         ("1e-300", 10**6, "stub: backoff_base 1e-300 with max_retries 1000000 backs off"),
+         ("0", 10**6, None)],
+        ids=["negative", "nan", "infinity", "too_long", "too_long_many_retries",
+             "zero_many_retries"],
+    )
+    def test_backoff_that_cannot_be_slept_is_2_before_the_transcript(
+            self, tmp_path, monkeypatch, capsys, backoff, max_retries, message):
+        monkeypatch.setenv("STUB_API_KEY", "k")
+        suite = tmp_path / "suite"
+        main(["simulate", "--n-questions", "2", "--seed", "0", "--out-dir", str(suite)])
+        state = StubState()
+        with StubServer(state) as server:
+            (tmp_path / "models.json").write_text(json.dumps({"models": [
+                {**STUB_SPEC, "endpoint_url": server.url, "max_retries": max_retries}]}))
+            argv = ["elicit", "--corpus", str(suite / "corpus.jsonl"),
+                    "--models", str(tmp_path / "models.json"), "--efforts", "low",
+                    "--out", str(tmp_path / "t.jsonl"), "--manifest", str(tmp_path / "m.json")]
+            capsys.readouterr()
+            code = main([*argv, "--backoff-base", backoff])
+            if message is None:  # no backoff is too long
+                assert code == 0
+                return
+            assert code == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and message in err
+            assert not (tmp_path / "t.jsonl").exists()
+            # nor is a transcript of this run config appended to on --resume
+            assert main([*argv, "--backoff-base", "0"]) == 0
+            before = (tmp_path / "t.jsonl").read_bytes()
+            assert main([*argv, "--backoff-base", backoff, "--resume"]) == 2
+        assert (tmp_path / "t.jsonl").read_bytes() == before
+        assert state.requests == 2
+
     def test_partial_transport_failure_is_4(self, tmp_path, monkeypatch):
         monkeypatch.setenv("STUB_API_KEY", "k")
         suite = tmp_path / "suite"
@@ -476,7 +517,26 @@ class TestExitCodes:
          ([], {"models": [{**STUB_SPEC, "endpoint_url": "http://localhost",
                            "auth_env_var": "STUB_KEY_NEWLINE"}]}, BAD_KEY),
          ([], {"models": [{**STUB_SPEC, "endpoint_url": "http://localhost",
-                           "auth_env_var": "STUB_KEY_WIDE"}]}, BAD_KEY)],
+                           "auth_env_var": "STUB_KEY_WIDE"}]}, BAD_KEY),
+         # specs share keys, headers and rate limiters by model_id
+         ([], {"models": [{**STUB_SPEC, "endpoint_url": "http://localhost/a"},
+                          {**STUB_SPEC, "endpoint_url": "http://localhost/c", "model_id": "other"},
+                          {**STUB_SPEC, "endpoint_url": "http://localhost/b",
+                           "auth_env_var": "STUB_KEY_B"}]},
+          "model_id 'stub' is repeated, in models[0] and models[2]"),
+         # a repeated effort level would request every key twice
+         (["--efforts", "low,low"], None, "effort level 'low' is repeated"),
+         (["--efforts", "low,high,LOW"], None, "effort level 'low' is repeated"),
+         # a sleep takes a finite length in [0, threading.TIMEOUT_MAX]
+         (["--backoff-base", "-1"], None, "backoff_base must be finite and >= 0, got -1.0"),
+         (["--backoff-base", "nan"], None, "backoff_base must be finite and >= 0, got nan"),
+         (["--backoff-base", "inf"], None, "backoff_base must be finite and >= 0, got inf"),
+         ([], {"models": [{**STUB_SPEC, "endpoint_url": "http://localhost",
+                           "rate_limit_per_minute": 1e-9}]},
+          "bad model spec 'stub': rate_limit_per_minute must be >= 6.5"),
+         ([], {"models": [{**STUB_SPEC, "endpoint_url": "http://localhost",
+                           "rate_limit_per_minute": 5e-324}]},
+          "bad model spec 'stub': rate_limit_per_minute must be >= 6.5")],
         ids=["unknown_effort", "empty_efforts", "zero_concurrency", "no_specs",
              "top_level_list", "models_not_a_list", "effort_mode_string", "tool_policy_string",
              "nothing_selected", "unknown_scheme", "not_a_url", "no_host", "other_scheme_with_port",
@@ -484,7 +544,9 @@ class TestExitCodes:
              "timeout_nan", "timeout_negative", "timeout_zero", "timeout_1e10", "timeout_infinity",
              "rate_nan", "budget_string", "vendor_param_int", "max_searches_string",
              "unknown_tool_policy", "model_id_int", "spec_string",
-             "key_with_newline", "key_outside_latin1"],
+             "key_with_newline", "key_outside_latin1", "model_id_repeated",
+             "effort_repeated", "effort_repeated_in_another_case", "backoff_negative",
+             "backoff_nan", "backoff_infinity", "rate_interval_too_long", "rate_interval_infinite"],
     )
     def test_bad_elicit_config_is_2_before_the_transcript(self, tmp_path, monkeypatch, capsys,
                                                           extra, models, message):

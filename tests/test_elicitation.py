@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from elicitbench import __version__
+from elicitbench import __version__, elicitation
 from elicitbench.cli import main
 from elicitbench.corpus import TargetKind
 from elicitbench.elicitation import (
@@ -289,6 +289,15 @@ class TestRunBatch:
                 run_batch(questions(2), [spec_for(server.url)], [EffortLevel.LOW],
                           1, tmp_path / "t.jsonl", "h")
         assert state.requests == 0
+
+    def test_zero_backoff_never_overflows(self, tmp_path, monkeypatch):
+        # backoff_base * 2**1024 overflows a float even when backoff_base is 0.
+        monkeypatch.setattr(elicitation, "_post_once", lambda *args: (False, True, "transport: X"))
+        spec = spec_for("http://127.0.0.1:9/v1", max_retries=1100, rate_limit_per_minute=1e12)
+        result = run_batch(questions(1), [spec], [EffortLevel.LOW], concurrency=1,
+                           out_path=tmp_path / "t.jsonl", cfg_hash="h", backoff_base=0.0)
+        assert result.failed == 1
+        assert [r["attempt_count"] for r in rows_of(tmp_path / "t.jsonl")] == [1101]
 
     def test_auth_header_sent(self, tmp_path):
         state = StubState()

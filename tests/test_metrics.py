@@ -13,11 +13,12 @@ from elicitbench.metrics import (
     ScoredRecord,
     ape,
     baseline_win_rate,
-    coverage,
     floored_width,
-    mdape,
+    interval_covers,
+    median_of,
     nll_binomial,
     nll_gaussian,
+    rate,
     relative_sharpness,
     score_record,
     sigma_from_interval,
@@ -40,17 +41,17 @@ from oracles import (
 class TestCoverage:
     def test_all_covered(self):
         items = [(0, 10, 5)] * 4
-        assert coverage(items) == 1.0
+        assert rate(interval_covers(*t) for t in items) == 1.0
 
     def test_boundary_counts(self):
-        assert coverage([(0.0, 7.0, 7.0)]) == 1.0
-        assert coverage([(7.0, 9.0, 7.0)]) == 1.0
+        assert rate(interval_covers(*t) for t in [(0.0, 7.0, 7.0)]) == 1.0
+        assert rate(interval_covers(*t) for t in [(7.0, 9.0, 7.0)]) == 1.0
 
     def test_half(self):
-        assert coverage([(0, 10, 5), (60, 70, 50)]) == 0.5
+        assert rate(interval_covers(*t) for t in [(0, 10, 5), (60, 70, 50)]) == 0.5
 
     def test_empty_undefined(self):
-        assert coverage([]) is None
+        assert rate([]) is None
 
     def test_matches_brute_force_on_random_sets(self):
         rng = random.Random(4)
@@ -59,7 +60,7 @@ class TestCoverage:
             for _ in range(rng.randint(1, 30)):
                 a, b = sorted((rng.uniform(-5, 5), rng.uniform(-5, 5)))
                 items.append((a, b, rng.uniform(-5, 5)))
-            assert coverage(items) == coverage_oracle(items)
+            assert rate(interval_covers(*t) for t in items) == coverage_oracle(items)
 
 
 class TestSharpness:
@@ -167,18 +168,18 @@ class TestBinomialNLL:
 class TestMdape:
     def test_odd(self):
         pairs = [(110, 100), (120, 100), (130, 100)]
-        assert mdape(ape(p, t) for p, t in pairs) == 20.0
+        assert median_of(ape(p, t) for p, t in pairs) == 20.0
 
     def test_perfect(self):
-        assert mdape([0.0, 0.0, 0.0]) == 0.0
+        assert median_of([0.0, 0.0, 0.0]) == 0.0
 
     def test_even_midpoint(self):
-        assert mdape([10.0, 20.0]) == 15.0
+        assert median_of([10.0, 20.0]) == 15.0
 
     def test_zero_truth_excluded(self):
         assert ape(5.0, 0.0) is None
-        assert mdape([None, 10.0]) == 10.0
-        assert mdape([None]) is None
+        assert median_of([None, 10.0]) == 10.0
+        assert median_of([None]) is None
 
 
 class TestBaselineWinRate:

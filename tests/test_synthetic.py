@@ -7,7 +7,7 @@ from elicitbench.conformal import ConformalConfig, calibrate_groups
 from elicitbench.corpus import TargetKind
 from elicitbench.errors import ConfigError
 from elicitbench.extraction import InvalidReason, extract_triplet
-from elicitbench.metrics import coverage
+from elicitbench.metrics import rate
 from elicitbench.synthetic import (
     SyntheticSuiteConfig,
     make_questions,
@@ -48,16 +48,14 @@ class TestRespond:
             cfg = SyntheticSuiteConfig(n_questions=10000, seed=seed, width_shrink=1.0,
                                        noise_sd=5.0)
             records = scored_suite(cfg)
-            covs.append(coverage(
-                (r.triplet.lower, r.triplet.upper, r.truth.value) for r in records
-            ))
+            covs.append(rate(r.covered for r in records))
         for cov in covs:
             assert 0.80 <= cov <= 0.90
 
     def test_overconfident_coverage(self):
         cfg = SyntheticSuiteConfig(n_questions=10000, seed=7, width_shrink=4.0, noise_sd=5.0)
         records = scored_suite(cfg)
-        cov = coverage((r.triplet.lower, r.triplet.upper, r.truth.value) for r in records)
+        cov = rate(r.covered for r in records)
         assert 0.24 <= cov <= 0.32
 
     def test_refusal_rate_concentrates(self):
