@@ -13,6 +13,7 @@ transport and `concurrent.futures`, so the offline stages load neither, nor
 """
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
@@ -366,19 +367,26 @@ def run_batch(
     resume: bool = False,
     backoff_base: float = 0.5,
 ) -> BatchResult:
-    """Fan out |questions| x |specs| x |levels per spec| requests.
+    """Send |questions| x |specs| x |levels per spec| requests.
 
     At most `concurrency` requests are in flight; each spec gets its own rate
-    limiter. Records are appended as they complete (they are self-contained,
-    so write order is irrelevant) and failures after retries are recorded,
-    not raised. With resume=True, planned keys already answered in the
-    existing transcript are skipped and counted in `skipped`; a transcript
-    of another config is rejected. A bad concurrency, effort levels that
-    select nothing for any spec, an API key that is missing or cannot go in
-    a header, an endpoint URL that is not http(s) with a host, a proxy that
-    is not http://, or a backoff_base that is not finite and >= 0 or whose
-    longest backoff is longer than a sleep can take abort before the
-    transcript is opened. Every connection opened is closed on return.
+    limiter. Requests start in plan order (question, spec, level), and the
+    plan is drawn lazily: at most `2 * concurrency` tasks are submitted and
+    not yet written, one running and one queued per worker, and each written
+    record lets one more task in. Memory therefore grows with the questions
+    and the concurrency, not with the number of requests. Records are
+    appended and flushed as they complete (they are self-contained, so write
+    order is irrelevant) and failures after retries are recorded, not
+    raised. If a task raises or the run is interrupted, the queued tasks are
+    dropped and only the running ones finish, unwritten. With resume=True,
+    planned keys already answered in the existing transcript are skipped and
+    counted in `skipped`; a transcript of another config is rejected. A bad
+    concurrency, effort levels that select nothing for any spec, an API key
+    that is missing or cannot go in a header, an endpoint URL that is not
+    http(s) with a host, a proxy that is not http://, or a backoff_base that
+    is not finite and >= 0 or whose longest backoff is longer than a sleep
+    can take abort before the transcript is opened. Every connection opened
+    is closed on return.
     """
     if concurrency < 1:
         raise ConfigError(f"concurrency must be >= 1, got {concurrency}")
@@ -400,57 +408,63 @@ def run_batch(
     out_path = Path(out_path)
     headers_by_spec = {spec.model_id: _auth_headers(spec) for spec in specs}
     # Only elicit runs threads and talks HTTP; the offline stages load neither.
-    from concurrent.futures import ThreadPoolExecutor, as_completed
+    from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 
     from .transport import Connections
 
     connections = Connections((spec.model_id, spec.endpoint_url) for spec in specs)
 
     done = _done_keys(out_path, cfg_hash) if resume else set()
-    tasks = []
-    skipped = 0
-    for question in questions:
-        for spec in specs:
-            for level in spec.levels_for(levels):
-                key = (
-                    question.question_id,
-                    spec.model_id,
-                    level.value,
-                    spec.tool_policy is not None,
-                )
-                if key in done:
-                    skipped += 1
-                    continue
-                tasks.append((question, spec, level))
-
     limiters = {spec.model_id: RateLimiter(spec.rate_limit_per_minute) for spec in specs}
-    ok = failed = 0
+    result = BatchResult(requested=0, skipped=0, ok=0, failed=0)
+
+    def plan():
+        """The arguments of each planned `_elicit_one` call, in plan order,
+        minus the answered keys; both are counted as they are drawn."""
+        for question in questions:
+            for spec in specs:
+                for level in spec.levels_for(levels):
+                    key = (
+                        question.question_id,
+                        spec.model_id,
+                        level.value,
+                        spec.tool_policy is not None,
+                    )
+                    if key in done:
+                        result.skipped += 1
+                        continue
+                    result.requested += 1
+                    yield (connections, question, spec, level, limiters[spec.model_id],
+                           headers_by_spec[spec.model_id], backoff_base)
+
     fresh = not (resume and out_path.exists())
     out_path.parent.mkdir(parents=True, exist_ok=True)
     with closing(connections), out_path.open("w" if fresh else "a", encoding="utf-8") as sink:
         if fresh:
             sink.write(canonical_dumps({"schema": "transcript.v1", "config_hash": cfg_hash}) + "\n")
-        if tasks:
-            with ThreadPoolExecutor(max_workers=concurrency) as pool:
-                futures = [
-                    pool.submit(
-                        _elicit_one,
-                        connections,
-                        question,
-                        spec,
-                        level,
-                        limiters[spec.model_id],
-                        headers_by_spec[spec.model_id],
-                        backoff_base,
-                    )
-                    for question, spec, level in tasks
-                ]
-                for future in as_completed(futures):
+        pool = ThreadPoolExecutor(max_workers=concurrency)
+        try:
+            tasks = plan()
+            # One running and one queued task per worker, so that no worker
+            # idles while this thread writes a record.
+            pending = {pool.submit(_elicit_one, *args)
+                       for args in itertools.islice(tasks, 2 * concurrency)}
+            while pending:
+                finished, pending = wait(pending, return_when=FIRST_COMPLETED)
+                for future in finished:
                     record = future.result()
                     sink.write(canonical_dumps(record) + "\n")
                     sink.flush()
                     if record.transport_status == "ok":
-                        ok += 1
+                        result.ok += 1
                     else:
-                        failed += 1
-    return BatchResult(requested=len(tasks), skipped=skipped, ok=ok, failed=failed)
+                        result.failed += 1
+                    args = next(tasks, None)
+                    if args is not None:
+                        pending.add(pool.submit(_elicit_one, *args))
+        finally:
+            # Nothing is queued here unless a task raised or the run was
+            # interrupted: then the queued tasks never start, and the running
+            # ones finish.
+            pool.shutdown(cancel_futures=True)
+    return result

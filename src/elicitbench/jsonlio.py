@@ -83,7 +83,8 @@ def _as_list(item: Callable[[Any], Any], value: Any) -> list:
 
 
 _CHECKED = {
-    str: _as_str, bool: _as_bool, int: _as_int, float: _as_float, object: lambda value: value,
+    str: _as_str, bool: _as_bool, int: _as_int, float: _as_float, dict: _as_object,
+    object: lambda value: value,
 }
 
 

@@ -1,5 +1,6 @@
 """Shared builders used across test modules."""
 from elicitbench.corpus import CIFamily, GroundTruth, TargetKind
+from elicitbench.elicitation import ElicitationRecord
 from elicitbench.extraction import Triplet, Units, extract_triplet
 from elicitbench.metrics import ScoredRecord, score_record
 from elicitbench.synthetic import SyntheticSuiteConfig, make_questions, respond
@@ -48,3 +49,13 @@ def scored_suite(config: SyntheticSuiteConfig) -> list[ScoredRecord]:
                          q.dataset_id, q.kind, outcome.triplet, q.truth)
         )
     return records
+
+
+def answer_at_once(connections, question, spec, level, limiter, headers, backoff_base):
+    """A stand-in for `elicitation._elicit_one` that answers without a request."""
+    return ElicitationRecord(
+        question_id=question.question_id, model_id=spec.model_id, effort=level.value,
+        tools_enabled=spec.tool_policy is not None, raw_text="42 (40, 44)",
+        request_timestamp="1970-01-01T00:00:00Z", latency_ms=0.0, attempt_count=1,
+        transport_status="ok",
+    )

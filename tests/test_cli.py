@@ -21,6 +21,9 @@ DATA = Path(__file__).parent / "data"
 # A model spec for the stub server, without its endpoint_url.
 STUB_SPEC = {"model_id": "stub", "auth_env_var": "STUB_API_KEY", "max_retries": 0,
              "rate_limit_per_minute": 100000}
+# Stands for the stub server's URL in specs written before the server starts, so
+# that a check which lets a request through reaches the stub and not a real port.
+STUB_URL = "<stub url>"
 BAD_URL = "stub: endpoint_url must be an http:// or https:// URL with a host"
 BAD_KEY = "holds a line break or a character outside Latin-1"
 # API keys that http.client cannot send in a header
@@ -460,10 +463,10 @@ class TestExitCodes:
          ([], {"models": []}, "no model specs configured"),
          ([], [], "models.json must be a JSON object"),
          ([], {"models": {}}, '"models" must be a list'),
-         ([], {"models": [{**STUB_SPEC, "endpoint_url": "http://localhost",
+         ([], {"models": [{**STUB_SPEC, "endpoint_url": STUB_URL,
                            "effort_mode": "non_reasoning"}]},
           "effort_mode must be a JSON object"),
-         ([], {"models": [{**STUB_SPEC, "endpoint_url": "http://localhost",
+         ([], {"models": [{**STUB_SPEC, "endpoint_url": STUB_URL,
                            "tool_policy": "web_search"}]},
           "tool_policy must be a JSON object"),
          (["--efforts", "none"], None, "select no level of any model spec"),
@@ -474,54 +477,54 @@ class TestExitCodes:
          ([], {"models": [{**STUB_SPEC, "endpoint_url": 5}]},
           "bad model spec 'stub': ModelSpec row: endpoint_url: expected a string, got 5"),
          # config values are not coerced, and a timeout or rate must be above 0
-         ([], {"models": [{**STUB_SPEC, "endpoint_url": "http://localhost", "auth_env_var": 5}]},
+         ([], {"models": [{**STUB_SPEC, "endpoint_url": STUB_URL, "auth_env_var": 5}]},
           "bad model spec 'stub': ModelSpec row: auth_env_var: expected a string, got 5"),
-         ([], {"models": [{**STUB_SPEC, "endpoint_url": "http://localhost", "max_retries": 2.9}]},
+         ([], {"models": [{**STUB_SPEC, "endpoint_url": STUB_URL, "max_retries": 2.9}]},
           "bad model spec 'stub': ModelSpec row: max_retries: expected an integer, got 2.9"),
-         ([], {"models": [{**STUB_SPEC, "endpoint_url": "http://localhost", "timeout": "60"}]},
+         ([], {"models": [{**STUB_SPEC, "endpoint_url": STUB_URL, "timeout": "60"}]},
           "bad model spec 'stub': ModelSpec row: timeout: expected a number, got '60'"),
-         ([], {"models": [{**STUB_SPEC, "endpoint_url": "http://localhost",
+         ([], {"models": [{**STUB_SPEC, "endpoint_url": STUB_URL,
                            "timeout": float("nan")}]},
           "bad model spec 'stub': timeout must be > 0, got nan"),
-         ([], {"models": [{**STUB_SPEC, "endpoint_url": "http://localhost", "timeout": -1}]},
+         ([], {"models": [{**STUB_SPEC, "endpoint_url": STUB_URL, "timeout": -1}]},
           "bad model spec 'stub': timeout must be > 0, got -1.0"),
-         ([], {"models": [{**STUB_SPEC, "endpoint_url": "http://localhost", "timeout": 0}]},
+         ([], {"models": [{**STUB_SPEC, "endpoint_url": STUB_URL, "timeout": 0}]},
           "bad model spec 'stub': timeout must be > 0, got 0.0"),
          # a socket cannot take a timeout above threading.TIMEOUT_MAX
-         ([], {"models": [{**STUB_SPEC, "endpoint_url": "http://localhost", "timeout": 1e10}]},
+         ([], {"models": [{**STUB_SPEC, "endpoint_url": STUB_URL, "timeout": 1e10}]},
           "bad model spec 'stub': timeout must be <= "),
-         ([], {"models": [{**STUB_SPEC, "endpoint_url": "http://localhost",
+         ([], {"models": [{**STUB_SPEC, "endpoint_url": STUB_URL,
                            "timeout": float("inf")}]},
           "bad model spec 'stub': timeout must be <= "),
-         ([], {"models": [{**STUB_SPEC, "endpoint_url": "http://localhost",
+         ([], {"models": [{**STUB_SPEC, "endpoint_url": STUB_URL,
                            "rate_limit_per_minute": float("nan")}]},
           "bad model spec 'stub': rate_limit_per_minute must be > 0, got nan"),
-         ([], {"models": [{**STUB_SPEC, "endpoint_url": "http://localhost",
+         ([], {"models": [{**STUB_SPEC, "endpoint_url": STUB_URL,
                            "effort_mode": {"budgets": {"low": "2000", "medium": 8000,
                                                        "high": 16000}}}]},
           "bad model spec 'stub': TokenBudget row: budgets: expected an integer, got '2000'"),
-         ([], {"models": [{**STUB_SPEC, "endpoint_url": "http://localhost",
+         ([], {"models": [{**STUB_SPEC, "endpoint_url": STUB_URL,
                            "effort_mode": {"type": "vendor_param", "param": 5, "values": {}}}]},
           "bad model spec 'stub': VendorParam row: param: expected a string, got 5"),
-         ([], {"models": [{**STUB_SPEC, "endpoint_url": "http://localhost",
+         ([], {"models": [{**STUB_SPEC, "endpoint_url": STUB_URL,
                            "tool_policy": {"type": "web_search", "max_searches": "3"}}]},
           "bad model spec 'stub': WebSearch row: max_searches: expected an integer, got '3'"),
-         ([], {"models": [{**STUB_SPEC, "endpoint_url": "http://localhost",
+         ([], {"models": [{**STUB_SPEC, "endpoint_url": STUB_URL,
                            "tool_policy": {"type": "websearch"}}]},
           "bad model spec 'stub': unknown tool policy 'websearch'"),
-         ([], {"models": [{**STUB_SPEC, "endpoint_url": "http://localhost"},
-                          {**STUB_SPEC, "endpoint_url": "http://localhost", "model_id": 7}]},
+         ([], {"models": [{**STUB_SPEC, "endpoint_url": STUB_URL},
+                          {**STUB_SPEC, "endpoint_url": STUB_URL, "model_id": 7}]},
           "bad model spec models[1]: ModelSpec row: model_id: expected a string, got 7"),
          ([], {"models": ["stub"]},
           "bad model spec models[0]: ModelSpec row: expected an object, got 'stub'"),
-         ([], {"models": [{**STUB_SPEC, "endpoint_url": "http://localhost",
+         ([], {"models": [{**STUB_SPEC, "endpoint_url": STUB_URL,
                            "auth_env_var": "STUB_KEY_NEWLINE"}]}, BAD_KEY),
-         ([], {"models": [{**STUB_SPEC, "endpoint_url": "http://localhost",
+         ([], {"models": [{**STUB_SPEC, "endpoint_url": STUB_URL,
                            "auth_env_var": "STUB_KEY_WIDE"}]}, BAD_KEY),
          # specs share keys, headers and rate limiters by model_id
-         ([], {"models": [{**STUB_SPEC, "endpoint_url": "http://localhost/a"},
-                          {**STUB_SPEC, "endpoint_url": "http://localhost/c", "model_id": "other"},
-                          {**STUB_SPEC, "endpoint_url": "http://localhost/b",
+         ([], {"models": [{**STUB_SPEC, "endpoint_url": STUB_URL + "/a"},
+                          {**STUB_SPEC, "endpoint_url": STUB_URL + "/c", "model_id": "other"},
+                          {**STUB_SPEC, "endpoint_url": STUB_URL + "/b",
                            "auth_env_var": "STUB_KEY_B"}]},
           "model_id 'stub' is repeated, in models[0] and models[2]"),
          # a repeated effort level would request every key twice
@@ -531,10 +534,10 @@ class TestExitCodes:
          (["--backoff-base", "-1"], None, "backoff_base must be finite and >= 0, got -1.0"),
          (["--backoff-base", "nan"], None, "backoff_base must be finite and >= 0, got nan"),
          (["--backoff-base", "inf"], None, "backoff_base must be finite and >= 0, got inf"),
-         ([], {"models": [{**STUB_SPEC, "endpoint_url": "http://localhost",
+         ([], {"models": [{**STUB_SPEC, "endpoint_url": STUB_URL,
                            "rate_limit_per_minute": 1e-9}]},
           "bad model spec 'stub': rate_limit_per_minute must be >= 6.5"),
-         ([], {"models": [{**STUB_SPEC, "endpoint_url": "http://localhost",
+         ([], {"models": [{**STUB_SPEC, "endpoint_url": STUB_URL,
                            "rate_limit_per_minute": 5e-324}]},
           "bad model spec 'stub': rate_limit_per_minute must be >= 6.5")],
         ids=["unknown_effort", "empty_efforts", "zero_concurrency", "no_specs",
@@ -559,7 +562,8 @@ class TestExitCodes:
         with StubServer(state) as server:
             argv = _elicit_argv(tmp_path, suite, server.url, *extra)
             if models is not None:
-                (tmp_path / "models.json").write_text(json.dumps(models))
+                models_json = json.dumps(models).replace(STUB_URL, server.url)
+                (tmp_path / "models.json").write_text(models_json)
             capsys.readouterr()
             code = main(argv)
         assert code == 2

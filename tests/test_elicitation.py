@@ -1,4 +1,5 @@
 import base64
+import itertools
 import json
 import socket
 import sys
@@ -23,6 +24,7 @@ from elicitbench.errors import ConfigError
 from elicitbench.jsonlio import load_row, read_jsonl
 from elicitbench.synthetic import SyntheticSuiteConfig, make_questions
 
+from helpers import answer_at_once
 from stubserver import StubServer, StubState
 
 
@@ -329,6 +331,26 @@ class TestRunBatch:
             run_batch(questions(8), [spec_for(server.url)], [EffortLevel.LOW],
                       concurrency=2, out_path=tmp_path / "t.jsonl", cfg_hash="h")
         assert state.max_active <= 2
+
+    @pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
+    def test_an_error_stops_the_batch_within_the_window(self, tmp_path, monkeypatch, error):
+        # At most 2 x concurrency tasks are submitted and unwritten, so a raising
+        # task or an interrupt cannot leave the rest of the plan queued behind it.
+        calls = itertools.count(1)
+
+        def elicit_one(*args):
+            if next(calls) == 5:
+                raise error("fifth task")
+            return answer_at_once(*args)
+
+        monkeypatch.setattr(elicitation, "_elicit_one", elicit_one)
+        out = tmp_path / "t.jsonl"
+        with pytest.raises(error, match="fifth task"):
+            run_batch(questions(2000), [spec_for("http://127.0.0.1:9/v1")],
+                      [EffortLevel.LOW, EffortLevel.MEDIUM, EffortLevel.HIGH],
+                      concurrency=2, out_path=out, cfg_hash="h")
+        called = next(calls) - 1
+        assert called <= len(rows_of(out)) + 2 * 2
 
     def test_payload_echoed_in_transcript(self, tmp_path):
         state = StubState()

@@ -52,6 +52,7 @@ TRANSCRIPT_ROW = {
     ("tools_enabled", "false"), ("tools_enabled", 0), ("tools_enabled", None),
     ("attempt_count", 2.9), ("attempt_count", "2"), ("attempt_count", True),
     ("latency_ms", "12"), ("latency_ms", True), ("latency_ms", None),
+    ("request_payload", [["model", "x"]]), ("request_payload", []), ("request_payload", "ab"),
 ])
 def test_load_row_does_not_coerce(field, value):
     with pytest.raises(SchemaError, match=f"ElicitationRecord row: {field}: expected"):

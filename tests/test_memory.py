@@ -1,23 +1,39 @@
-"""Each analysis stage holds one decoded row at a time, not its whole input.
+"""Each stage holds a bounded share of its input, not all of it.
 
-The stages run in this process under tracemalloc on a 4,000-question suite.
-A traced peak counts only what the stage allocates, so it repeats from run to
-run. Holding the file text, its lines and every decoded row, the stages
-peaked at about 20 / 17 / 14 / 14 MB on Python 3.11; streaming the rows, at
-about 5 / 2 / 5 / 4 MB. Each bound lies between the two.
+The stages run in this process under tracemalloc. A traced peak counts only
+what the stage allocates, so it repeats from run to run.
+
+The analysis stages run on a 4,000-question suite. Holding the file text, its
+lines and every decoded row, they peaked at about 20 / 17 / 14 / 14 MB on
+Python 3.11; streaming the rows, at about 5 / 2 / 5 / 4 MB. Each bound lies
+between the two.
+
+`elicit` keeps at most 2 x concurrency requests submitted and unwritten.
+Submitting the whole plan at once, it peaked at about 9 MB for 2,100
+requests and 22 MB for 8,400; with the window, the two peaks lie about
+0.5 MB apart.
 """
 import tracemalloc
+from typing import Callable
 
+from elicitbench import elicitation
 from elicitbench.cli import main
+from elicitbench.elicitation import EffortLevel, ModelSpec, run_batch
+from elicitbench.synthetic import SyntheticSuiteConfig, make_questions
+
+from helpers import answer_at_once
 
 # stage -> bound on its traced peak, in MB (1e6 bytes)
 BOUNDS_MB = {"extract": 10.0, "score": 6.0, "calibrate": 9.0, "report": 8.0}
+# bound on how much elicit's traced peak may grow from 2,100 to 8,400 requests, in MB
+ELICIT_GROWTH_MB = 1.0
 
 
-def _traced_peak_mb(argv: list[str]) -> float:
+def _traced_peak_mb(run: Callable[[], bool]) -> float:
+    """The traced peak of run(), in MB; run() must return true."""
     tracemalloc.start()
     try:
-        assert main(argv) == 0
+        assert run()
         return tracemalloc.get_traced_memory()[1] / 1e6
     finally:
         tracemalloc.stop()
@@ -37,6 +53,25 @@ def test_analysis_stages_stay_under_their_traced_peaks(tmp_path):
         "report": ["report", "--scores", scores, "--calibration", fits,
                    "--out-dir", str(tmp_path / "report")],
     }
-    peaks = {stage: round(_traced_peak_mb(argv), 2) for stage, argv in stages.items()}
+    peaks = {stage: round(_traced_peak_mb(lambda: main(argv) == 0), 2)
+             for stage, argv in stages.items()}
     over = {stage: peak for stage, peak in peaks.items() if peak >= BOUNDS_MB[stage]}
     assert not over, f"traced peaks {peaks} MB, bounds {BOUNDS_MB} MB"
+
+
+def test_elicit_peak_does_not_grow_with_the_plan(tmp_path, monkeypatch):
+    monkeypatch.setattr(elicitation, "_elicit_one", answer_at_once)
+    spec = ModelSpec(model_id="m", endpoint_url="http://127.0.0.1:9/v1")
+    efforts = [EffortLevel.LOW, EffortLevel.MEDIUM, EffortLevel.HIGH]
+
+    def elicit(plan: list) -> Callable[[], bool]:
+        out = tmp_path / f"{len(plan)}.jsonl"
+        return lambda: run_batch(plan, [spec], efforts, concurrency=2, out_path=out,
+                                 cfg_hash="h").ok == 3 * len(plan)
+
+    # The questions are made before tracing: only run_batch's own allocations count.
+    small, large = (make_questions(SyntheticSuiteConfig(n_questions=n)) for n in (700, 2800))
+    assert elicit(small[:1])()  # loads the transport and concurrent.futures
+    small_mb, large_mb = _traced_peak_mb(elicit(small)), _traced_peak_mb(elicit(large))
+    assert large_mb - small_mb < ELICIT_GROWTH_MB, \
+        f"traced peaks {small_mb:.2f} and {large_mb:.2f} MB"
