@@ -4,7 +4,7 @@ Every stage reads and writes flat files with provenance headers and is
 re-runnable: identical inputs produce byte-identical outputs. Exit codes:
 0 success, 2 configuration error, malformed input artifact or a path that
 cannot be read or written, 3 missing upstream artifact, 4 a run finished
-with transport failures.
+with transport failures, 130 `elicit` stopped by Ctrl-C (SIGINT).
 """
 from __future__ import annotations
 
@@ -19,7 +19,8 @@ from typing import Iterable, Iterator, TypeVar
 from . import __version__
 from .conformal import ConformalConfig, calibrate_groups
 from .corpus import GroundTruth, Question, TargetKind, corpus_config_from_dict, generate_corpus
-from .elicitation import EffortLevel, ElicitationRecord, model_specs_from_config, run_batch
+from .elicitation import (BatchResult, EffortLevel, ElicitationRecord, model_specs_from_config,
+                          run_batch)
 from .errors import ConfigError, ElicitBenchError, SchemaError, StageDependencyError
 from .extraction import Outcome, ParsedRecord, extract_triplet
 from .jsonlio import (
@@ -45,6 +46,7 @@ R = TypeVar("R")
 
 EXIT_OK = 0
 EXIT_PARTIAL_TRANSPORT = 4
+EXIT_INTERRUPTED = 130  # 128 + SIGINT, the shell's code for a Ctrl-C
 
 
 def _require(path: str | Path, produced_by: str) -> Path:
@@ -153,16 +155,14 @@ def cmd_elicit(args: argparse.Namespace) -> int:
         }
     )
     ordered = sorted(questions.values(), key=lambda q: q.question_id)
-    result = run_batch(
-        ordered,
-        specs,
-        levels,
-        concurrency=args.concurrency,
-        out_path=args.out,
-        cfg_hash=cfg_hash,
-        resume=args.resume,
-        backoff_base=args.backoff_base,
-    )
+    result = BatchResult()
+    try:
+        run_batch(ordered, specs, levels, concurrency=args.concurrency, out_path=args.out,
+                  cfg_hash=cfg_hash, resume=args.resume, backoff_base=args.backoff_base,
+                  result=result)
+        interrupted = False
+    except KeyboardInterrupt:
+        interrupted = True
     manifest = {
         "config_hash": cfg_hash,
         "seed": args.seed,
@@ -179,6 +179,10 @@ def cmd_elicit(args: argparse.Namespace) -> int:
         "tools": bool(args.tools),
     }
     write_text(args.manifest, canonical_dumps(manifest) + "\n")
+    if interrupted:
+        print(f"interrupted: {result.ok} ok and {result.failed} failed rows written to "
+              f"{args.out}; rerun with --resume to finish the plan", file=sys.stderr)
+        return EXIT_INTERRUPTED
     print(
         f"elicited {result.ok} ok, {result.failed} failed, "
         f"{result.skipped} skipped (resume) -> {args.out}"

@@ -11,14 +11,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import pairwise
 from random import Random
 from typing import Sequence, TypeVar
 
 from .corpus import TargetKind
-from .errors import ConfigError
+from .errors import ConfigError, SchemaError
 from .extraction import Triplet
 from .jsonlio import derive_seed
-from .metrics import ScoredRecord, floored_width, interval_covers, rate
+from .metrics import ScoredRecord, floored_width, group_by, interval_covers, rate
 
 T = TypeVar("T")
 
@@ -196,15 +197,18 @@ def calibrate_groups(
     Each group splits with a sub-seed derived from (seed, group key), so
     results do not depend on which other groups are present, and splits its
     records in (question_id, tools_enabled) order, so they do not depend on
-    the order of the input rows either.
+    the order of the input rows either. A (question_id, tools_enabled) that
+    appears twice in a group would make them depend on it, so it raises
+    SchemaError.
     """
-    groups: dict[tuple[str, str, str], list[ScoredRecord]] = {}
-    for record in records:
-        key = (record.model_id, record.effort, record.dataset_id)
-        groups.setdefault(key, []).append(record)
+    groups = group_by(records, lambda r: (r.model_id, r.effort, r.dataset_id))
     results = []
     for key in sorted(groups):
         members = sorted(groups[key], key=lambda r: (r.question_id, r.tools_enabled))
+        for a, b in pairwise(members):
+            if (a.question_id, a.tools_enabled) == (b.question_id, b.tools_enabled):
+                raise SchemaError(f"scores hold question {a.question_id} twice for model "
+                                  f"{key[0]}, effort {key[1]}, tools_enabled {a.tools_enabled}")
         cal, test = split(members, config.cal_fraction, derive_seed(config.seed, *key))
         scores = [nonconformity(r.triplet, r.truth.value) for r in cal]
         fit_result = fit(scores, config.alpha, config.min_cal, group=key)

@@ -351,10 +351,10 @@ def _done_keys(path: Path, cfg_hash: str) -> set[tuple]:
 
 @dataclass
 class BatchResult:
-    requested: int
-    skipped: int
-    ok: int
-    failed: int
+    requested: int = 0
+    skipped: int = 0
+    ok: int = 0
+    failed: int = 0
 
 
 def run_batch(
@@ -366,6 +366,7 @@ def run_batch(
     cfg_hash: str,
     resume: bool = False,
     backoff_base: float = 0.5,
+    result: BatchResult | None = None,
 ) -> BatchResult:
     """Send |questions| x |specs| x |levels per spec| requests.
 
@@ -378,7 +379,9 @@ def run_batch(
     appended and flushed as they complete (they are self-contained, so write
     order is irrelevant) and failures after retries are recorded, not
     raised. If a task raises or the run is interrupted, the queued tasks are
-    dropped and only the running ones finish, unwritten. With resume=True,
+    dropped and only the running ones finish, unwritten; the counts go into
+    `result` as they happen, so a caller that passes one still has them
+    after an interrupt. With resume=True,
     planned keys already answered in the existing transcript are skipped and
     counted in `skipped`; a transcript of another config is rejected. A bad
     concurrency, effort levels that select nothing for any spec, an API key
@@ -416,7 +419,7 @@ def run_batch(
 
     done = _done_keys(out_path, cfg_hash) if resume else set()
     limiters = {spec.model_id: RateLimiter(spec.rate_limit_per_minute) for spec in specs}
-    result = BatchResult(requested=0, skipped=0, ok=0, failed=0)
+    result = BatchResult() if result is None else result
 
     def plan():
         """The arguments of each planned `_elicit_one` call, in plan order,

@@ -4,16 +4,16 @@ A triplet is read as a central 95% interval: the Gaussian family evaluates
 the truth under Normal(value, sigma) with sigma = width / (2 * z), the
 binomial family evaluates the observed success count under Binomial(n,
 value/100). Coverage, relative sharpness (CV), absolute percentage error,
-and the naive 50%-baseline win rate complete the per-record scores. Each
-statistic over a group is one of two reductions: `rate`, a share of true
-flags, or `median_of`.
+and the naive 50%-baseline win rate complete the per-record scores. Records
+are grouped by `group_by`, and each statistic over a group is one of two
+reductions: `rate`, a share of true flags, or `median_of`.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from statistics import median
-from typing import Iterable, Sequence
+from typing import Callable, Hashable, Iterable, Sequence, TypeVar
 
 from .corpus import CIFamily, GroundTruth, TargetKind, Z_95
 from .errors import InputError
@@ -26,6 +26,9 @@ SIGMA_FLOOR_ABS = 1e-9
 SIGMA_FLOOR_REL = 1e-6
 CV_VALUE_EPS = 1e-9
 P_CLAMP = 1e-6
+
+T = TypeVar("T")
+K = TypeVar("K", bound=Hashable)
 
 
 def floored(scale: float, value: float) -> float:
@@ -80,6 +83,14 @@ def ape(predicted: float, truth_value: float) -> float | None:
     if truth_value == 0.0:
         return None
     return 100.0 * abs(predicted - truth_value) / abs(truth_value)
+
+
+def group_by(items: Iterable[T], key: Callable[[T], K]) -> dict[K, list[T]]:
+    """Items by `key`: keys in order of first appearance, each list in input order."""
+    groups: dict[K, list[T]] = {}
+    for item in items:
+        groups.setdefault(key(item), []).append(item)
+    return groups
 
 
 def rate(flags: Iterable[bool]) -> float | None:

@@ -2,7 +2,8 @@
 
 Every section is a `Table`, written twice: a machine-readable TSV
 (full-precision values, '#' comment header) and an aligned human-readable
-text table with rounded values.
+text table with rounded values. Sections group records with `group_by`,
+and comparisons on matched questions take their matches from `blocks`.
 """
 from __future__ import annotations
 
@@ -11,7 +12,7 @@ import math
 import typing
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Hashable, Iterable, Sequence
 
 from .conformal import GroupCalibration
 from .corpus import TargetKind
@@ -19,16 +20,17 @@ from .elicitation import EffortLevel
 from .errors import SchemaError
 from .extraction import Outcome, ParsedRecord
 from .jsonlio import load_row, write_text
-from .metrics import (GroupSummary, ScoredRecord, baseline_win_rate, median_of, rate,
-                      summarize_group)
+from .metrics import (GroupSummary, ScoredRecord, baseline_win_rate, group_by, median_of,
+                      rate, summarize_group)
 from .stats import rank_biserial, wilcoxon_signed_rank
 
 EFFORT_ORDER = {level.value: rank for rank, level in enumerate(EffortLevel)}
 
 
-def _effort_key(effort: str) -> tuple:
-    """Efforts in EffortLevel order; an unknown effort after them, by name."""
-    return (EFFORT_ORDER.get(effort, len(EFFORT_ORDER)), effort)
+def _group_order(model: str, effort: str, dataset: str) -> tuple:
+    """The sort key of a (model, effort, dataset) group: efforts in EffortLevel
+    order, an unknown effort after them, by name."""
+    return (model, EFFORT_ORDER.get(effort, len(EFFORT_ORDER)), effort, dataset)
 
 
 @dataclass(frozen=True)
@@ -106,27 +108,13 @@ def split_rows(score_rows: Iterable[dict]) -> tuple[list[ScoredRecord], list[Par
 def _group_summaries(
     valid: Sequence[ScoredRecord], invalid: Sequence[ParsedRecord], by_dataset: bool
 ) -> list[GroupSummary]:
-    def key_of(model: str, effort: str, dataset: str) -> tuple:
-        return (model, effort, dataset) if by_dataset else (model, effort, "(all)")
+    def key_of(r: ScoredRecord | ParsedRecord) -> tuple[str, str, str]:
+        return (r.model_id, r.effort, r.dataset_id if by_dataset else "(all)")
 
-    keys: set[tuple] = set()
-    valid_by: dict[tuple, list[ScoredRecord]] = {}
-    invalid_by: dict[tuple, int] = {}
-    for r in valid:
-        key = key_of(r.model_id, r.effort, r.dataset_id)
-        valid_by.setdefault(key, []).append(r)
-        keys.add(key)
-    for r in invalid:
-        key = key_of(r.model_id, r.effort, r.dataset_id)
-        invalid_by[key] = invalid_by.get(key, 0) + 1
-        keys.add(key)
-    summaries = []
-    for key in sorted(keys, key=lambda k: (k[0], _effort_key(k[1]), k[2])):
-        model, effort, dataset = key
-        summaries.append(
-            summarize_group(model, effort, dataset, valid_by.get(key, []), invalid_by.get(key, 0))
-        )
-    return summaries
+    valid_by = group_by(valid, key_of)
+    invalid_by = group_by(invalid, key_of)
+    return [summarize_group(*key, valid_by.get(key, []), len(invalid_by.get(key, [])))
+            for key in sorted(valid_by.keys() | invalid_by.keys(), key=lambda k: _group_order(*k))]
 
 
 def summary_section(valid: Sequence[ScoredRecord], invalid: Sequence[ParsedRecord]) -> Table:
@@ -209,7 +197,7 @@ def read_fits(path: str | Path, scores_hash: str) -> list[GroupCalibration]:
 
 def calibration_section(fits: Sequence[GroupCalibration]) -> Table:
     """Per-group coverage before/after conformal recalibration, from read_fits groups."""
-    ordered = sorted(fits, key=lambda ev: (ev.model, _effort_key(ev.effort), ev.dataset))
+    ordered = sorted(fits, key=lambda ev: _group_order(ev.model, ev.effort, ev.dataset))
     return Table("coverage_calibration", "coverage before/after conformal recalibration",
                  "Coverage before/after conformal recalibration", FIT_COLUMNS,
                  [dataclasses.astuple(ev) for ev in ordered])
@@ -230,32 +218,39 @@ def baseline_section(valid: Sequence[ScoredRecord]) -> Table:
     """Win rate vs. the constant-50 guess on percent-kind questions, by dataset."""
     proportion = [r for r in valid if r.kind is TargetKind.PROPORTION]
     columns = ["dataset", "model", "n", "win_rate"]
-    by_dataset: dict[str, list[ScoredRecord]] = {}
-    for r in proportion:
-        by_dataset.setdefault(r.dataset_id, []).append(r)
     rows = []
-    for dataset in sorted(by_dataset):
-        members = by_dataset[dataset]
-        pooled = baseline_win_rate((m.triplet.value, m.truth.value) for m in members)
-        rows.append([dataset, "(all)", len(members), pooled])
-        by_model: dict[str, list[ScoredRecord]] = {}
-        for m in members:
-            by_model.setdefault(m.model_id, []).append(m)
-        for model in sorted(by_model):
-            sub = by_model[model]
-            rows.append([
-                dataset, model, len(sub),
-                baseline_win_rate((m.triplet.value, m.truth.value) for m in sub),
-            ])
+    for dataset, members in sorted(group_by(proportion, lambda r: r.dataset_id).items()):
+        by_model = sorted(group_by(members, lambda r: r.model_id).items())
+        for model, sub in [("(all)", members), *by_model]:
+            rows.append([dataset, model, len(sub),
+                         baseline_win_rate((m.triplet.value, m.truth.value) for m in sub)])
     return Table("baseline_win_rate", "win rate vs naive 50% baseline (ties lose)",
                  "Win rate vs naive 50% baseline", columns, rows)
 
 
-def _absolute_errors(records: Sequence[ScoredRecord]) -> dict[tuple, float]:
-    return {
-        (r.question_id, r.model_id, r.effort): abs(r.triplet.value - r.truth.value)
-        for r in records
-    }
+def blocks(
+    levels: dict[str, Sequence[ScoredRecord]], within: Callable[[ScoredRecord], Hashable]
+) -> dict[Hashable, dict[str, dict[str, ScoredRecord]]]:
+    """Records matched on question across levels, per `within` key.
+
+    `levels` maps a level name to its records. For each `within` key, in
+    key order, the result maps question_id to {level: record}, in
+    question_id order and keeping only the questions that have a record at
+    every level. A second record for one (`within` key, question, level)
+    raises SchemaError.
+    """
+    matched: dict[Hashable, dict[str, dict[str, ScoredRecord]]] = {}
+    for level, records in levels.items():
+        for r in records:
+            key = within(r)
+            cell = matched.setdefault(key, {}).setdefault(r.question_id, {})
+            if level in cell:
+                raise SchemaError(f"the {level} records hold question {r.question_id} twice "
+                                  f"for {key}")
+            cell[level] = r
+    return {key: {qid: cell for qid, cell in sorted(matched[key].items())
+                  if len(cell) == len(levels)}
+            for key in sorted(matched)}
 
 
 def tool_comparison_section(
@@ -263,38 +258,31 @@ def tool_comparison_section(
 ) -> Table:
     """Matched-question comparison of tool-enabled vs. baseline absolute errors.
 
-    Pairs match on (question_id, model, effort) and require a valid triplet on
-    both sides; the paired test is the Wilcoxon signed rank on AE differences
-    (tool minus baseline), with the rank-biserial effect size. Win rate is the
-    strict fraction of pairs where tools reduced the error.
+    Pairs match on (question_id, model, effort) between the two runs and
+    require a valid triplet on both sides; each pair counts under the base
+    record's dataset. The paired test is the Wilcoxon signed rank on AE
+    differences (tool minus baseline), with the rank-biserial effect size.
+    Win rate is the strict fraction of pairs where tools reduced the error.
     """
-    dataset_of = {
-        (r.question_id, r.model_id, r.effort): r.dataset_id for r in base_valid
-    }
-    base_ae = _absolute_errors(base_valid)
-    tool_ae = _absolute_errors(tool_valid)
-    matched = sorted(set(base_ae) & set(tool_ae))
-    by_dataset: dict[str, list[tuple[float, float]]] = {}
-    for key in matched:
-        by_dataset.setdefault(dataset_of[key], []).append((base_ae[key], tool_ae[key]))
+    matched = blocks({"base": base_valid, "tools": tool_valid},
+                     within=lambda r: (r.model_id, r.effort))
+    pairs = [cell for questions in matched.values() for cell in questions.values()]
     columns = [
         "dataset", "n_pairs", "median_ae_base", "median_ae_tools", "win_rate",
         "wilcoxon_w", "p_value", "rank_biserial", "method",
     ]
     rows = []
-    scopes = [("(all)", [p for pairs in by_dataset.values() for p in pairs])]
-    scopes += [(ds, by_dataset[ds]) for ds in sorted(by_dataset)]
-    for scope, pairs in scopes:
-        if not pairs:
+    scopes = [("(all)", pairs), *sorted(group_by(pairs, lambda p: p["base"].dataset_id).items())]
+    for scope, scoped in scopes:
+        if not scoped:
             continue
-        diffs = [tool - base for base, tool in pairs]
+        base, tools = ([abs(p[side].triplet.value - p[side].truth.value) for p in scoped]
+                       for side in ("base", "tools"))
+        diffs = [t - b for b, t in zip(base, tools)]
         result = wilcoxon_signed_rank(diffs)
-        nonzero = [d for d in diffs if d != 0.0]
-        effect = rank_biserial(diffs) if nonzero else None
         rows.append([
-            scope, len(pairs),
-            median_of(b for b, _ in pairs), median_of(t for _, t in pairs),
-            rate(d < 0 for d in diffs), result.statistic, result.p_value, effect,
+            scope, len(scoped), median_of(base), median_of(tools), rate(d < 0 for d in diffs),
+            result.statistic, result.p_value, rank_biserial(diffs) if any(diffs) else None,
             result.method_note,
         ])
     return Table("tool_comparison", "tool-enabled vs baseline on matched questions",

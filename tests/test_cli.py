@@ -2,8 +2,13 @@ import argparse
 import dataclasses
 import json
 import math
+import os
 import random
 import shutil
+import signal
+import subprocess
+import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -387,6 +392,48 @@ class TestExitCodes:
         manifest = json.loads((tmp_path / "m.json").read_text())
         assert manifest["counts"]["failed"] == 2
 
+    def test_ctrl_c_during_elicit_is_130_with_a_manifest_and_resumes(self, tmp_path,
+                                                                     monkeypatch):
+        monkeypatch.setenv("STUB_API_KEY", "k")
+        suite = tmp_path / "suite"
+        assert main(["simulate", "--n-questions", "200", "--seed", "0",
+                     "--out-dir", str(suite)]) == 0
+        transcript = tmp_path / "t.jsonl"
+        # The child installs Python's SIGINT handler itself: a parent that runs
+        # in the background may have passed SIGINT on as ignored.
+        child = ("import signal, sys; signal.signal(signal.SIGINT, signal.default_int_handler); "
+                 "from elicitbench.cli import main; sys.exit(main(sys.argv[1:]))")
+        src = str(Path(__file__).parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+        with StubServer(StubState(delay=0.02)) as server:
+            argv = _elicit_argv(tmp_path, suite, server.url, "--efforts", "low",
+                                "--concurrency", "2")
+            proc = subprocess.Popen([sys.executable, "-c", child, *argv], env=env,
+                                    stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+            try:
+                deadline = time.monotonic() + 60
+                while (not transcript.exists()
+                       or len(transcript.read_bytes().splitlines()) < 2):
+                    assert proc.poll() is None and time.monotonic() < deadline
+                    time.sleep(0.01)
+                proc.send_signal(signal.SIGINT)
+                _, err = proc.communicate(timeout=60)
+            finally:
+                proc.kill()
+            assert proc.returncode == 130, err
+            assert "Traceback" not in err
+            assert "--resume" in err and len(err.splitlines()) == 1
+            _, rows = read_jsonl(transcript, "transcript.v1")
+            assert 0 < len(rows) < 200
+            counts = json.loads((tmp_path / "m.json").read_text())["counts"]
+            assert counts["ok"] + counts["failed"] == len(rows)
+            assert main([*argv, "--resume"]) == 0
+        _, rows = read_jsonl(transcript, "transcript.v1")
+        keys = [(r["question_id"], r["model_id"], r["effort"], r["tools_enabled"]) for r in rows]
+        assert len(keys) == len(set(keys)) == 200
+        assert all(r["transport_status"] == "ok" for r in rows)
+
     def test_elicit_ok_and_scoreable(self, tmp_path, monkeypatch):
         monkeypatch.setenv("STUB_API_KEY", "k")
         suite = tmp_path / "suite"
@@ -579,6 +626,17 @@ def _elicit_argv(root: Path, suite: Path, url: str, *extra: str) -> list[str]:
     models.write_text(json.dumps({"models": [{**STUB_SPEC, "endpoint_url": url}]}))
     return ["elicit", "--corpus", str(suite / "corpus.jsonl"), "--models", str(models),
             "--out", str(root / "t.jsonl"), "--manifest", str(root / "m.json"), *extra]
+
+
+def _scores(suite: Path, out: Path) -> Path:
+    """extract -> score of a simulated suite; returns the scores path."""
+    assert main(["extract", "--transcript", str(suite / "transcript.jsonl"),
+                 "--corpus", str(suite / "corpus.jsonl"),
+                 "--out", str(out / "parsed.jsonl")]) == 0
+    assert main(["score", "--parsed", str(out / "parsed.jsonl"),
+                 "--corpus", str(suite / "corpus.jsonl"),
+                 "--out", str(out / "scores.jsonl")]) == 0
+    return out / "scores.jsonl"
 
 
 def _small_chain(root: Path, seed: int = 3, n: int = 40) -> Path:
@@ -890,6 +948,49 @@ class TestCalibrateRowOrder:
                      "--fits", str(root / "fits2.tsv")]) == 0
         assert (root / "calibrated2.jsonl").read_bytes() == (root / "calibrated.jsonl").read_bytes()
         assert (root / "fits2.tsv").read_bytes() == (root / "fits.tsv").read_bytes()
+
+
+class TestRepeatedScoreKeys:
+    """A scores file that holds a (question, model, effort, tools) key twice
+    exits 2: which of the two rows counted would depend on the row order."""
+
+    @pytest.fixture
+    def scores(self, tmp_path):
+        """Two suites of the same questions, model and effort, and the rows
+        of both in one file, in each order."""
+        paths = {}
+        for bias in ("0", "4"):
+            suite = tmp_path / f"bias{bias}"
+            assert main(["simulate", "--n-questions", "60", "--seed", "3", "--bias", bias,
+                         "--out-dir", str(suite)]) == 0
+            paths[bias] = _scores(suite, suite)
+        for first, second in (("0", "4"), ("4", "0")):
+            header, *rows = paths[first].read_text(encoding="utf-8").splitlines()
+            rows += paths[second].read_text(encoding="utf-8").splitlines()[1:]
+            paths[first + second] = tmp_path / f"scores_{first}{second}.jsonl"
+            paths[first + second].write_text("\n".join([header, *rows]) + "\n", encoding="utf-8")
+        return paths
+
+    @pytest.mark.parametrize("order", ["04", "40"])
+    def test_calibrate_is_2(self, tmp_path, capsys, scores, order):
+        capsys.readouterr()
+        assert main(["calibrate", "--scores", str(scores[order]),
+                     "--out", str(tmp_path / "calibrated.jsonl"),
+                     "--fits", str(tmp_path / "fits.tsv")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: scores hold question ") and " twice " in err
+        assert not (tmp_path / "calibrated.jsonl").exists()
+
+    @pytest.mark.parametrize("order", ["04", "40"])
+    @pytest.mark.parametrize("side, level", [("--scores", "base"), ("--tool-scores", "tools")])
+    def test_report_with_tool_scores_is_2(self, tmp_path, capsys, scores, order, side, level):
+        inputs = {"--scores": scores["0"], "--tool-scores": scores["4"], side: scores[order]}
+        capsys.readouterr()
+        assert main(["report", *(arg for pair in inputs.items() for arg in map(str, pair)),
+                     "--out-dir", str(tmp_path / "report")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: the {level} records hold question ") and " twice " in err
+        assert not (tmp_path / "report").exists()
 
 
 class TestTranscriptRowOrder:

@@ -14,6 +14,7 @@ from elicitbench.metrics import (
     ape,
     baseline_win_rate,
     floored_width,
+    group_by,
     interval_covers,
     median_of,
     nll_binomial,
@@ -36,6 +37,16 @@ from oracles import (
     nll_gaussian_oracle,
     winrate_oracle,
 )
+
+
+class TestGroupBy:
+    def test_keys_in_first_appearance_order_and_items_in_input_order(self):
+        groups = group_by(iter(["b1", "a1", "b2", "c1", "a2", "b3"]), lambda s: s[0])
+        assert list(groups) == ["b", "a", "c"]
+        assert groups == {"b": ["b1", "b2", "b3"], "a": ["a1", "a2"], "c": ["c1"]}
+
+    def test_no_items_no_groups(self):
+        assert group_by([], lambda s: s) == {}
 
 
 class TestCoverage:
