@@ -4,7 +4,7 @@ Every stage reads and writes flat files with provenance headers and is
 re-runnable: identical inputs produce byte-identical outputs. Exit codes:
 0 success, 2 configuration error, malformed input artifact or a path that
 cannot be read or written, 3 missing upstream artifact, 4 a run finished
-with transport failures, 130 `elicit` stopped by Ctrl-C (SIGINT).
+with transport failures, 130 any stage stopped by Ctrl-C (SIGINT).
 """
 from __future__ import annotations
 
@@ -33,12 +33,12 @@ from .report import (
     calibration_section,
     nll_sharpness_section,
     read_fits,
+    render_fits,
     render_text,
     render_tsv,
     split_rows,
     summary_section,
     tool_comparison_section,
-    write_fits,
 )
 from .synthetic import SyntheticSuiteConfig, make_suite
 
@@ -281,10 +281,11 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
         }
     )
     results = calibrate_groups(valid, config)
-    write_jsonl(args.out, "calibrated.v1", cfg_hash, [row for res in results for row in res.rows])
-
     evaluations = [res.evaluation for res in results]
-    write_fits(args.fits, evaluations, cfg_hash, scores_header.get("config_hash"))
+    # The fits are rendered first: a group they cannot hold writes neither file.
+    fits_text = render_fits(evaluations, cfg_hash, scores_header.get("config_hash"))
+    write_jsonl(args.out, "calibrated.v1", cfg_hash, [row for res in results for row in res.rows])
+    write_text(args.fits, fits_text)
     flagged = sum(1 for ev in evaluations if ev.flag != "ok")
     print(
         f"calibrated {len(evaluations)} groups ({flagged} flagged insufficient) "
@@ -315,10 +316,11 @@ def cmd_report(args: argparse.Namespace) -> int:
 
     out_dir = Path(args.out_dir)
     stamp = f"config_hash: {scores_header.get('config_hash')}"
-    for table in tables:
-        write_text(out_dir / f"{table.name}.tsv",
-                   render_tsv(table.columns, table.rows, comments=[stamp, table.comment]))
-        write_text(out_dir / f"{table.name}.txt", render_text(table))
+    rendered = [(table.name, render_tsv(table.columns, table.rows, comments=[stamp, table.comment]),
+                 render_text(table)) for table in tables]
+    for name, tsv, text in rendered:
+        write_text(out_dir / f"{name}.tsv", tsv)
+        write_text(out_dir / f"{name}.txt", text)
     print(f"report written to {out_dir}")
     return EXIT_OK
 
@@ -412,6 +414,9 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:  # an input path that cannot be read, an output path that cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return ConfigError.exit_code
+    except KeyboardInterrupt:  # the artifact being written is removed, the others are whole
+        print(f"interrupted: {args.command} stopped by Ctrl-C", file=sys.stderr)
+        return EXIT_INTERRUPTED
 
 
 if __name__ == "__main__":

@@ -9,15 +9,18 @@ replaces it: a failed write leaves the previous file, or none, in place.
 
 Records are dataclasses. A record is written as its fields (str-Enums as
 their value, nested records as objects) and read back by `load_row`, which
-checks each field against its type hint. The config files (model specs and
-the corpus config) are read by `load_row` too.
+checks each field against its type hint with a loader written once per
+record type. The config files (model specs and the corpus config) are read
+by `load_row` too.
 """
 from __future__ import annotations
 
 import contextlib
 import dataclasses
+import enum
 import functools
 import hashlib
+import inspect
 import json
 import os
 import types
@@ -93,7 +96,7 @@ def _converter(hint: Any) -> Callable[[Any], Any]:
     if hint in _CHECKED:
         return _CHECKED[hint]
     if dataclasses.is_dataclass(hint):
-        return functools.partial(load_row, hint)
+        return _loader(hint)
     origin, args = typing.get_origin(hint), typing.get_args(hint)
     if origin in (typing.Union, types.UnionType):  # only X | None
         (inner,) = (_converter(a) for a in args if a is not type(None))
@@ -106,18 +109,98 @@ def _converter(hint: Any) -> Callable[[Any], Any]:
     return hint  # str-Enums convert by calling the type
 
 
+def _indented(lines: list[str]) -> list[str]:
+    return ["    " + line for line in lines]
+
+
+def _value_lines(hint: Any, name: str, env: dict) -> list[str]:
+    """Loader source that turns the decoded value `v` of field `name` into a `hint` value.
+
+    A value of the exact type a checked hint takes passes as it is, and any
+    other goes to the hint's converter, which converts it or raises. A
+    str-Enum value is looked up among the members; a miss calls the type,
+    which gives its own error. The objects the lines use are put in `env`
+    under names made from the field's.
+    """
+    if hint is object:
+        return []
+    if hint in _CHECKED:
+        env[f"_check_{name}"] = _CHECKED[hint]
+        return [f"if type(v) is not {hint.__name__}:", f"    v = _check_{name}(v)"]
+    if isinstance(hint, type) and issubclass(hint, enum.Enum):
+        env[f"_members_{name}"], env[f"_enum_{name}"] = hint._value2member_map_, hint
+        return ["try:", f"    v = _members_{name}[v]",
+                "except (KeyError, TypeError):", f"    v = _enum_{name}(v)"]
+    if typing.get_origin(hint) in (typing.Union, types.UnionType):  # only X | None
+        (inner,) = (a for a in typing.get_args(hint) if a is not type(None))
+        lines = _value_lines(inner, name, env)
+        return ["if v is not None:", *_indented(lines)] if lines else []
+    env[f"_convert_{name}"] = _converter(hint)
+    return [f"v = _convert_{name}(v)"]
+
+
 @functools.cache
-def _plan(cls: type) -> tuple[tuple[str, Callable[[Any], Any], bool], ...]:
-    """(field name, converter, required) for each field of a record type."""
+def _loader(cls: type[R]) -> Callable[[Any], R]:
+    """The function that builds a `cls` record from a decoded JSON object.
+
+    It is written as source once per record type, the way `dataclasses`
+    writes `__init__`, and does what `cls(**fields)` would: it sets each
+    field in order on `object.__new__(cls)` with `object.__setattr__` (as a
+    frozen `__init__` does), fills in the defaults, and runs
+    `__post_init__`. A type whose `__init__` takes other arguments than its
+    fields (an `init=False` field or an `InitVar`) raises TypeError.
+    """
+    fields = dataclasses.fields(cls)
+    names = [f.name for f in fields]
+    init = list(inspect.signature(cls.__init__).parameters)[1:]
+    if init != names:
+        raise TypeError(f"load_row cannot build {cls.__name__}: its __init__ takes {init}, "
+                        f"not its fields {names} (an init=False field or an InitVar)")
     hints = typing.get_type_hints(cls)
-    return tuple(
-        (
-            f.name,
-            f.metadata.get("load") or _converter(hints[f.name]),
-            f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING,
-        )
-        for f in dataclasses.fields(cls)
-    )
+    env = {"cls": cls, "NAME": cls.__name__, "SchemaError": SchemaError,
+           "MISSING": dataclasses.MISSING, "_new": object.__new__, "_set": object.__setattr__}
+    body = []
+    for f in fields:
+        if "load" in f.metadata:
+            env[f"_convert_{f.name}"] = f.metadata["load"]
+            convert = [f"v = _convert_{f.name}(v)"]
+        else:
+            convert = _value_lines(hints[f.name], f.name, env)
+        if convert:
+            convert = ["try:", *_indented(convert),
+                       "except (TypeError, ValueError) as exc:",
+                       f'    raise SchemaError(f"{{NAME}} row: {f.name}: {{exc}}") from exc']
+        if f.default is not dataclasses.MISSING:
+            env[f"_default_{f.name}"], default = f.default, f"_default_{f.name}"
+        elif f.default_factory is not dataclasses.MISSING:
+            env[f"_default_{f.name}"], default = f.default_factory, f"_default_{f.name}()"
+        else:
+            default = None
+        if default is None:
+            body += [f"v = row[{f.name!r}]", *convert]
+        else:
+            body += [f"v = row.get({f.name!r}, MISSING)", "if v is MISSING:", f"    v = {default}",
+                     *(["else:", *_indented(convert)] if convert else [])]
+        body.append(f"_set(self, {f.name!r}, v)")
+    if hasattr(cls, "__post_init__"):
+        body.append("self.__post_init__()")
+    source = "\n".join([
+        "def load(row):",
+        "    if type(row) is not dict:",
+        '        raise SchemaError(f"{NAME} row: expected an object, got {row!r}")',
+        "    self = _new(cls)",
+        "    try:",
+        *_indented(_indented(body)),
+        "    except KeyError as exc:",
+        '        raise SchemaError(f"{NAME} row: missing field {exc}") from exc',
+        "    except (TypeError, ValueError) as exc:",
+        '        raise SchemaError(f"{NAME} row: {exc}") from exc',
+        "    return self",
+    ])
+    exec(source, env)
+    load = env["load"]
+    load.__qualname__ = f"load_row[{cls.__qualname__}]"
+    return load
 
 
 def load_row(cls: type[R], row: dict) -> R:
@@ -131,35 +214,19 @@ def load_row(cls: type[R], row: dict) -> R:
     only a JSON list. A field may name its own converter instead, as
     `field(metadata={"load": fn})`. Keys the record does not define are
     ignored; a field with a default may be absent. A malformed row raises
-    SchemaError.
+    SchemaError. The loader of each record type is built on first use.
     """
-    if type(row) is not dict:
-        raise SchemaError(f"{cls.__name__} row: expected an object, got {row!r}")
-    try:
-        kwargs = {}
-        for name, convert, required in _plan(cls):
-            try:
-                value = row[name]
-            except KeyError:
-                if required:
-                    raise
-                continue
-            try:
-                kwargs[name] = convert(value)
-            except (TypeError, ValueError) as exc:
-                raise SchemaError(f"{cls.__name__} row: {name}: {exc}") from exc
-        return cls(**kwargs)
-    except KeyError as exc:
-        raise SchemaError(f"{cls.__name__} row: missing field {exc}") from exc
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(f"{cls.__name__} row: {exc}") from exc
+    return _loader(cls)(row)
+
+
+_ENCODER = json.JSONEncoder(
+    sort_keys=True, separators=(",", ":"), ensure_ascii=False, default=as_row
+)
 
 
 def canonical_dumps(obj: Any) -> str:
     """Serialize deterministically: sorted keys, compact separators, records as their fields."""
-    return json.dumps(
-        obj, sort_keys=True, separators=(",", ":"), ensure_ascii=False, default=as_row
-    )
+    return _ENCODER.encode(obj)
 
 
 def config_hash(obj: Any) -> str:
@@ -211,13 +278,18 @@ def write_jsonl(path: str | Path, schema: str, cfg_hash: str, rows: Iterable[Any
     return count
 
 
+_scan_once = json.JSONDecoder().scan_once  # (value, end) of the JSON value at an index
+
+
 def _decoded_lines(path: Path) -> Iterator[Any]:
     """Each non-blank line of the file decoded; a line that is not JSON raises SchemaError.
 
     The file is read in binary, so lines end only at "\\n" and not at every
     character `str.splitlines` breaks on (U+2028, U+2029 and U+0085 are
     written unescaped inside JSON strings), and a line that is not UTF-8 is
-    reported like any other line that is not JSON.
+    reported like any other line that is not JSON. A line that is one JSON
+    value from its first character to its "\\n" is decoded by the C scanner
+    alone; `json.loads` decodes, or rejects, every other line.
     """
     with path.open("rb") as fh:
         for number, raw in enumerate(fh, 1):
@@ -225,7 +297,13 @@ def _decoded_lines(path: Path) -> Iterator[Any]:
                 line = raw.decode("utf-8")
             except UnicodeDecodeError as exc:
                 raise SchemaError(f"{path}: line {number} is not JSON (not UTF-8)") from exc
-            if line.strip():
+            try:
+                value, end = _scan_once(line, 0)
+            except (StopIteration, ValueError):
+                end = 0  # no value starts the line, or a malformed one does
+            if end and line[end:] in ("\n", ""):
+                yield value
+            elif line.strip():
                 try:
                     yield json.loads(line)
                 except json.JSONDecodeError as exc:

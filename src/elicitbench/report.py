@@ -19,7 +19,7 @@ from .corpus import TargetKind
 from .elicitation import EffortLevel
 from .errors import SchemaError
 from .extraction import Outcome, ParsedRecord
-from .jsonlio import load_row, write_text
+from .jsonlio import load_row
 from .metrics import (GroupSummary, ScoredRecord, baseline_win_rate, group_by, median_of,
                       rate, summarize_group)
 from .stats import rank_biserial, wilcoxon_signed_rank
@@ -64,12 +64,20 @@ def _round_cell(x: object, digits: int) -> str:
     return str(x)
 
 
+def _tsv_cell(x: object) -> str:
+    if isinstance(x, str) and ("\t" in x or "\n" in x or "\r" in x):
+        raise SchemaError(f"TSV cell {x!r} holds a tab or a line break, which would split "
+                          "its row when the table is read")
+    return _cell(x)
+
+
 def render_tsv(columns: Sequence[str], rows: Sequence[Sequence[object]],
                comments: Sequence[str] = ()) -> str:
+    """The TSV text of a table; a str cell holding a tab, "\\n" or "\\r" raises SchemaError."""
     lines = [f"# {c}" for c in comments]
     lines.append("\t".join(columns))
     for row in rows:
-        lines.append("\t".join(_cell(v) for v in row))
+        lines.append("\t".join(_tsv_cell(v) for v in row))
     return "\n".join(lines) + "\n"
 
 
@@ -153,25 +161,24 @@ _FIT_HINTS = typing.get_type_hints(GroupCalibration)
 _FIT_READERS = [_CELL_READERS[_FIT_HINTS[name]] for name in FIT_COLUMNS]
 
 
-def write_fits(
-    path: str | Path, evaluations: Sequence[GroupCalibration], cfg_hash: str, scores_hash: str
-) -> None:
-    """Write one fits row per group, naming the scores they fit."""
+def render_fits(evaluations: Sequence[GroupCalibration], cfg_hash: str, scores_hash: str) -> str:
+    """The fits table's text: one row per group, naming the scores they fit."""
     rows = [dataclasses.astuple(ev) for ev in evaluations]
-    write_text(path, render_tsv(FIT_COLUMNS, rows, comments=[
+    return render_tsv(FIT_COLUMNS, rows, comments=[
         f"config_hash: {cfg_hash}", SCORES_STAMP.format(scores_hash), "conformal calibration fits",
-    ]))
+    ])
 
 
 def read_fits(path: str | Path, scores_hash: str) -> list[GroupCalibration]:
-    """The groups of a fits table, as write_fits wrote them.
+    """The groups of a fits table, as render_fits wrote them.
 
     An empty file, fits of other scores than `scores_hash`, a header other
     than FIT_COLUMNS, a row of another width or a cell its field cannot hold
     raises SchemaError.
     """
     try:
-        lines = [line for line in Path(path).read_text(encoding="utf-8").splitlines() if line]
+        # Rows end only at "\n", as in _decoded_lines: a cell may hold U+2028.
+        lines = [line for line in Path(path).read_text(encoding="utf-8").split("\n") if line]
     except UnicodeDecodeError as exc:
         raise SchemaError(f"{path}: not UTF-8 ({exc.reason})") from exc
     if "# " + SCORES_STAMP.format(scores_hash) not in lines:

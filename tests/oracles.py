@@ -1,10 +1,15 @@
 """Independent brute-force oracles the implementation is checked against.
 
 These deliberately share no code with the package: naive O(n^2) ranking,
-direct formula evaluation, Decimal index arithmetic, and scipy reference
-distributions.
+direct formula evaluation, Decimal index arithmetic, scipy reference
+distributions, and a record codec that walks each field's type hint on every
+row (only its exception type comes from the package).
 """
+import dataclasses
+import functools
 import math
+import types
+import typing
 from decimal import Decimal, ROUND_CEILING
 from itertools import product
 
@@ -152,3 +157,96 @@ def nll_gaussian_oracle(value, lower, upper, truth):
 def nll_binomial_oracle(value, n, k):
     p = min(max(value / 100.0, 1e-6), 1 - 1e-6)
     return -float(sps.binom.logpmf(k, n, p))
+
+
+# The record codec, one field at a time: load_row_reference(cls, row) must
+# give what jsonlio.load_row gives, the same record or the same error.
+
+def _ref_as_str(value):
+    if not isinstance(value, str):
+        raise TypeError(f"expected a string, got {value!r}")
+    return value
+
+
+def _ref_as_bool(value):
+    if type(value) is not bool:
+        raise TypeError(f"expected true or false, got {value!r}")
+    return value
+
+
+def _ref_as_int(value):
+    if type(value) is not int:
+        raise TypeError(f"expected an integer, got {value!r}")
+    return value
+
+
+def _ref_as_float(value):
+    if type(value) is float:
+        return value
+    if type(value) is not int:
+        raise TypeError(f"expected a number, got {value!r}")
+    return float(value)
+
+
+def _ref_as_object(value):
+    if type(value) is not dict:
+        raise TypeError(f"expected an object, got {value!r}")
+    return value
+
+
+def _ref_as_list(item, value):
+    if type(value) is not list:
+        raise TypeError(f"expected a list, got {value!r}")
+    return [item(v) for v in value]
+
+
+_REF_CHECKED = {
+    str: _ref_as_str, bool: _ref_as_bool, int: _ref_as_int, float: _ref_as_float,
+    dict: _ref_as_object, object: lambda value: value,
+}
+
+
+def _ref_converter(hint):
+    if hint in _REF_CHECKED:
+        return _REF_CHECKED[hint]
+    if dataclasses.is_dataclass(hint):
+        return functools.partial(load_row_reference, hint)
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin in (typing.Union, types.UnionType):  # only X | None
+        (inner,) = (_ref_converter(a) for a in args if a is not type(None))
+        return lambda value: None if value is None else inner(value)
+    if origin is dict:
+        key, item = map(_ref_converter, args)
+        return lambda value: {key(k): item(v) for k, v in _ref_as_object(value).items()}
+    if origin is list:
+        return functools.partial(_ref_as_list, _ref_converter(args[0]))
+    return hint  # str-Enums convert by calling the type
+
+
+def load_row_reference(cls, row):
+    """`cls(**fields)`, each field read from `row` and checked against its hint."""
+    # Imported here: the benchmark loads this module without the package on its path.
+    from elicitbench.errors import SchemaError
+
+    if type(row) is not dict:
+        raise SchemaError(f"{cls.__name__} row: expected an object, got {row!r}")
+    hints = typing.get_type_hints(cls)
+    try:
+        kwargs = {}
+        for f in dataclasses.fields(cls):
+            try:
+                value = row[f.name]
+            except KeyError:
+                if f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING:
+                    raise
+                continue
+            convert = f.metadata.get("load") or _ref_converter(hints[f.name])
+            try:
+                kwargs[f.name] = convert(value)
+            except (TypeError, ValueError) as exc:
+                raise SchemaError(f"{cls.__name__} row: {f.name}: {exc}") from exc
+        return cls(**kwargs)
+    except KeyError as exc:
+        raise SchemaError(f"{cls.__name__} row: missing field {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise SchemaError(f"{cls.__name__} row: {exc}") from exc

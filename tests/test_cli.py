@@ -16,7 +16,7 @@ import pytest
 from elicitbench.cli import build_parser, main
 from elicitbench.conformal import ConformalConfig, GroupCalibration
 from elicitbench.jsonlio import read_jsonl, write_jsonl
-from elicitbench.report import FIT_COLUMNS, read_fits, write_fits
+from elicitbench.report import FIT_COLUMNS, read_fits, render_fits
 from elicitbench.synthetic import SyntheticSuiteConfig
 
 from stubserver import StubServer, StubState
@@ -433,6 +433,30 @@ class TestExitCodes:
         keys = [(r["question_id"], r["model_id"], r["effort"], r["tools_enabled"]) for r in rows]
         assert len(keys) == len(set(keys)) == 200
         assert all(r["transport_status"] == "ok" for r in rows)
+
+    def test_ctrl_c_during_simulate_is_130_and_leaves_no_temp_file(self, tmp_path):
+        out = tmp_path / "suite"
+        child = ("import signal, sys; signal.signal(signal.SIGINT, signal.default_int_handler); "
+                 "from elicitbench.cli import main; sys.exit(main(sys.argv[1:]))")
+        src = str(Path(__file__).parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+        proc = subprocess.Popen(
+            [sys.executable, "-c", child, "simulate", "--n-questions", "20000",
+             "--out-dir", str(out)],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+        try:
+            deadline = time.monotonic() + 60
+            while not list(out.glob(".corpus.jsonl.*.tmp")):  # the corpus is being written
+                assert proc.poll() is None and time.monotonic() < deadline
+                time.sleep(0.005)
+            proc.send_signal(signal.SIGINT)
+            _, err = proc.communicate(timeout=60)
+        finally:
+            proc.kill()
+        assert proc.returncode == 130, err
+        assert "Traceback" not in err and len(err.splitlines()) == 1, err
+        assert not list(out.glob(".*.tmp"))
 
     def test_elicit_ok_and_scoreable(self, tmp_path, monkeypatch):
         monkeypatch.setenv("STUB_API_KEY", "k")
@@ -936,6 +960,40 @@ class TestUnicodeLineSeparators:
         assert [row["triplet"][k] for k in ("value", "lower", "upper")] == [42.0, 30.0, 50.0]
 
 
+class TestOddIdsInTables:
+    """Ids reach the TSV tables as cells, which end at a tab or a "\\n"."""
+
+    def scores(self, root: Path, model_id: str) -> Path:
+        suite = root / "suite"
+        assert main(["simulate", "--n-questions", "60", "--seed", "3", "--model-id", model_id,
+                     "--out-dir", str(suite)]) == 0
+        return _scores(suite, root)
+
+    def test_a_line_separator_in_an_id_round_trips_through_the_fits(self, tmp_path):
+        model_id = "m\u2028x"
+        scores = self.scores(tmp_path, model_id)
+        fits = tmp_path / "fits.tsv"
+        assert main(["calibrate", "--scores", str(scores), "--out",
+                     str(tmp_path / "calibrated.jsonl"), "--fits", str(fits)]) == 0
+        assert main(["report", "--scores", str(scores), "--calibration", str(fits),
+                     "--out-dir", str(tmp_path / "report")]) == 0
+        scores_hash = read_jsonl(scores, "scores.v1")[0]["config_hash"]
+        assert [fit.model for fit in read_fits(fits, scores_hash)] == [model_id]
+        text = (tmp_path / "report" / "coverage_calibration.tsv").read_text(encoding="utf-8")
+        assert [line.split("\t")[0] for line in text.split("\n")[3:-1]] == [model_id]
+
+    def test_a_tab_in_an_id_is_2_before_any_file(self, tmp_path, capsys):
+        scores = self.scores(tmp_path, "m\tx")
+        capsys.readouterr()
+        assert main(["calibrate", "--scores", str(scores), "--out",
+                     str(tmp_path / "calibrated.jsonl"), "--fits", str(tmp_path / "fits.tsv")]) == 2
+        assert "TSV cell 'm\\tx' holds a tab or a line break" in capsys.readouterr().err
+        assert not (tmp_path / "calibrated.jsonl").exists() and not (tmp_path / "fits.tsv").exists()
+        assert main(["report", "--scores", str(scores), "--out-dir", str(tmp_path / "report")]) == 2
+        assert "TSV cell 'm\\tx'" in capsys.readouterr().err
+        assert not (tmp_path / "report").exists()
+
+
 class TestCalibrateRowOrder:
     def test_shuffled_scores_calibrate_identically(self, tmp_path):
         root = _small_chain(tmp_path, n=200)
@@ -1076,7 +1134,8 @@ class TestFitsRoundTrip:
                               0.9571428571428572, "ok", "")
         flagged = GroupCalibration("beta", "medium", "synthetic", 12, 28, math.inf, 0.6428571428571429,
                                    None, "insufficient_data", "quantile_index_exceeds_n_cal")
-        write_fits(tmp_path / "fits.tsv", [ok, flagged], "cfg", "scores")
+        (tmp_path / "fits.tsv").write_text(render_fits([ok, flagged], "cfg", "scores"),
+                                          encoding="utf-8")
         assert read_fits(tmp_path / "fits.tsv", "scores") == [ok, flagged]
 
     @pytest.mark.parametrize(

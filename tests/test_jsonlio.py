@@ -1,18 +1,26 @@
+import copy
 import dataclasses
+import functools
+import json
 import re
+from dataclasses import InitVar, dataclass, field
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from elicitbench.conformal import ConformalConfig, apply, fit
-from elicitbench.corpus import QuestionTemplate, TargetKind
-from elicitbench.elicitation import ElicitationRecord, VendorParam
+from elicitbench.corpus import CorpusConfig, GroundTruth, Question, QuestionTemplate, TargetKind
+from elicitbench.elicitation import ElicitationRecord, ModelSpec, VendorParam
 from elicitbench.errors import SchemaError, StageDependencyError
-from elicitbench.extraction import Outcome, ParsedRecord
+from elicitbench.extraction import Outcome, ParsedRecord, Triplet
 from elicitbench.jsonlio import as_row, iter_jsonl, load_row, read_jsonl, write_jsonl, write_text
+from elicitbench.metrics import ScoredRecord
 from elicitbench.synthetic import SyntheticSuiteConfig, make_questions
 
 from helpers import make_scored
+from oracles import load_row_reference
 
 
 def _written_records():
@@ -89,6 +97,109 @@ def test_load_row_takes_only_an_object_as_the_row(row):
 def test_object_hint_takes_any_json_value():
     values = {"low": 1, "medium": "m", "high": [None, {"a": True}]}
     assert load_row(VendorParam, {"param": "p", "values": values}).values == values
+
+
+DATA = Path(__file__).parent / "data"
+
+
+def _fixture_rows() -> dict[type, list]:
+    """Rows of each record type the program reads, taken from the committed fixtures."""
+    named = json.loads((DATA / "codec_rows.json").read_text(encoding="utf-8"))
+    rows = {cls: named[cls.__name__]
+            for cls in (ElicitationRecord, ParsedRecord, Question, ModelSpec)}
+    for name in ("scores_fixture.jsonl", "tool_scores_fixture.jsonl"):
+        _, score_rows = read_jsonl(DATA / name, "scores.v1")
+        for row in score_rows[:40]:
+            if row["outcome"] == "valid":
+                rows.setdefault(ScoredRecord, []).append(row)
+            else:
+                rows[ParsedRecord].append(row)
+    rows[GroundTruth] = [row["truth"] for row in rows[ScoredRecord] + rows[Question]]
+    rows[Triplet] = [row["triplet"] for row in rows[ScoredRecord] + rows[ParsedRecord]
+                     if row.get("triplet")]
+    rows[CorpusConfig] = [json.loads((DATA / "templates_demo.json").read_text(encoding="utf-8"))]
+    return rows
+
+
+FIXTURE_ROWS = _fixture_rows()
+# Values of each JSON type; a mutation puts one of another type than the value it replaces.
+JSON_VALUES = [None, True, 0, -3, 2.5, "", "x", [], [1], {}, {"a": 1}]
+
+
+def _paths(value, path=()):
+    """The path of `value` and of every value nested in it, as key and index tuples."""
+    yield path
+    items = value.items() if type(value) is dict else enumerate(value) if type(value) is list else ()
+    for key, item in items:
+        yield from _paths(item, (*path, key))
+
+
+def _mutated(row, data):
+    """`row` with one drawn change: a field deleted, a value of another JSON type, or an
+    unknown enum string; or `row` as it is."""
+    row = copy.deepcopy(row)
+    path = data.draw(st.sampled_from(list(_paths(row))))
+    kind = data.draw(st.sampled_from(["none", "delete", "retype", "unknown_string"]))
+    if kind == "none":
+        return row
+    if not path:  # the row itself
+        return data.draw(st.sampled_from([v for v in JSON_VALUES if type(v) is not dict]))
+    *parents, key = path
+    container = functools.reduce(lambda value, k: value[k], parents, row)
+    if kind == "delete" and type(container) is dict:
+        del container[key]
+    elif kind == "unknown_string":
+        container[key] = "not-a-member"
+    else:
+        container[key] = data.draw(st.sampled_from(
+            [v for v in JSON_VALUES if type(v) is not type(container[key])]))
+    return row
+
+
+def _outcome(load, cls, row):
+    try:
+        return load(cls, copy.deepcopy(row))
+    except Exception as exc:
+        return exc
+
+
+@pytest.mark.parametrize("cls", list(FIXTURE_ROWS), ids=lambda cls: cls.__name__)
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_load_row_matches_the_reference_loader(cls, data):
+    row = _mutated(data.draw(st.sampled_from(FIXTURE_ROWS[cls])), data)
+    got, expected = _outcome(load_row, cls, row), _outcome(load_row_reference, cls, row)
+    assert type(got) is type(expected)
+    if isinstance(expected, Exception):
+        assert str(got) == str(expected)
+    else:
+        assert got == expected and vars(got) == vars(expected)
+
+
+@pytest.mark.parametrize("cls", list(FIXTURE_ROWS), ids=lambda cls: cls.__name__)
+def test_fixture_rows_load_unchanged(cls):
+    # the unmutated rows load, so the mutations above start from records
+    for row in FIXTURE_ROWS[cls]:
+        assert isinstance(load_row(cls, row), cls)
+
+
+@dataclass(frozen=True)
+class WithInitFalseField:
+    a: int
+    b: int = field(init=False, default=0)
+
+
+@dataclass(frozen=True)
+class WithInitVar:
+    a: int
+    scale: InitVar[int] = 1
+
+
+@pytest.mark.parametrize("cls", [WithInitFalseField, WithInitVar], ids=lambda cls: cls.__name__)
+def test_load_row_refuses_a_type_whose_init_takes_other_arguments_than_its_fields(cls):
+    # a loader that sets the fields would skip what such an __init__ does
+    with pytest.raises(TypeError, match=f"cannot build {cls.__name__}: .*init=False field or an InitVar"):
+        load_row(cls, {"a": 1})
 
 
 def test_as_row_rejects_non_records():
@@ -191,6 +302,23 @@ class TestIterJsonl:
         with pytest.raises(SchemaError, match="line 3 is not JSON"):
             next(rows)
         assert [fh.closed for fh in opened] == [True]
+
+    @pytest.mark.parametrize("line", [
+        '{"a": 1}\n', '{"a": 1}', '{"a": 1}\r\n', '  {"a": 1}  \n', '{"a": 1}\t\n', '7\n',
+        '"s"\n', '[1, {"b": NaN}]\n', '{"a": 1} {"b": 2}\n', '{"a": 1}x\n', '\ufeff{"a": 1}\n',
+        '{"a": 1,}\n', '{"a": "\u2028"}\n',
+    ], ids=repr)
+    def test_a_row_decodes_as_json_loads_decodes_its_line(self, tmp_path, line):
+        path = tmp_path / "scores.jsonl"
+        path.write_bytes(b'{"schema": "scores.v1"}\n' + line.encode("utf-8"))
+        _, rows = iter_jsonl(path, "scores.v1")
+        try:
+            expected = json.loads(line)
+        except json.JSONDecodeError as exc:
+            with pytest.raises(SchemaError, match=re.escape(f"line 2 is not JSON ({exc.msg})")):
+                list(rows)
+        else:
+            assert list(rows) == [expected]
 
     def test_bad_line_raises_when_reached_and_closes(self, tmp_path, opened):
         path = tmp_path / "scores.jsonl"

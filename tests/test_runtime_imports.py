@@ -6,6 +6,9 @@ worker threads; it imports `http.client` (with `ssl` and `urllib.request`)
 and `concurrent.futures` only when it runs, so the offline stages never load
 them. Fresh interpreters run the offline chain, and `elicit` against a local
 stub server, through `main` and then list the modules they loaded.
+
+The benchmark loads `tests/oracles.py` by its file path, without `src/` on
+the path, so loading it must not import the package.
 """
 import os
 import subprocess
@@ -85,3 +88,15 @@ def test_offline_chain_loads_no_third_party_package(tmp_path):
 
 def test_elicit_loads_no_third_party_package(tmp_path):
     assert run_child(ELICIT, tmp_path) == "[]"
+
+
+def test_oracles_load_without_importing_the_package():
+    code = ("import importlib.util, sys; "
+            "spec = importlib.util.spec_from_file_location('oracles', sys.argv[1]); "
+            "spec.loader.exec_module(importlib.util.module_from_spec(spec)); "
+            "print('elicitbench' in sys.modules)")
+    env = {**os.environ, "PYTHONPATH": ""}
+    done = subprocess.run([sys.executable, "-c", code, str(TESTS / "oracles.py")],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
