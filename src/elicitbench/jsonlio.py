@@ -11,7 +11,10 @@ Records are dataclasses. A record is written as its fields (str-Enums as
 their value, nested records as objects) and read back by `load_row`, which
 checks each field against its type hint with a loader written once per
 record type. The config files (model specs and the corpus config) are read
-by `load_row` too.
+by `load_row` too. A field's type hint is one of `str`, `bool`, `int`,
+`float`, `object` (any JSON value), a str-Enum, a nested record,
+`dict[K, V]` (or a bare `dict`, any JSON object), `list[X]` or `X | None`;
+any other hint is a TypeError when the loader is built.
 """
 from __future__ import annotations
 
@@ -46,97 +49,68 @@ def as_row(obj: Any) -> dict:
     return vars(obj)
 
 
-def _as_str(value: Any) -> str:
-    if not isinstance(value, str):
-        raise TypeError(f"expected a string, got {value!r}")
-    return value
-
-
-# JSON decodes to exact types, so `type(value) is int` also turns away a bool.
-def _as_bool(value: Any) -> bool:
-    if type(value) is not bool:
-        raise TypeError(f"expected true or false, got {value!r}")
-    return value
-
-
-def _as_int(value: Any) -> int:
-    if type(value) is not int:
-        raise TypeError(f"expected an integer, got {value!r}")
-    return value
-
-
-def _as_float(value: Any) -> float:
-    if type(value) is float:
-        return value
-    if type(value) is not int:
-        raise TypeError(f"expected a number, got {value!r}")
-    return float(value)
-
-
-def _as_object(value: Any) -> dict:
-    if type(value) is not dict:
-        raise TypeError(f"expected an object, got {value!r}")
-    return value
-
-
-def _as_list(item: Callable[[Any], Any], value: Any) -> list:
-    if type(value) is not list:
-        raise TypeError(f"expected a list, got {value!r}")
-    return [item(v) for v in value]
-
-
-_CHECKED = {
-    str: _as_str, bool: _as_bool, int: _as_int, float: _as_float, dict: _as_object,
-    object: lambda value: value,
-}
-
-
-def _converter(hint: Any) -> Callable[[Any], Any]:
-    """The function that turns a decoded JSON value into a `hint` value."""
-    if hint in _CHECKED:
-        return _CHECKED[hint]
-    if dataclasses.is_dataclass(hint):
-        return _loader(hint)
-    origin, args = typing.get_origin(hint), typing.get_args(hint)
-    if origin in (typing.Union, types.UnionType):  # only X | None
-        (inner,) = (_converter(a) for a in args if a is not type(None))
-        return lambda value: None if value is None else inner(value)
-    if origin is dict:
-        key, item = map(_converter, args)
-        return lambda value: {key(k): item(v) for k, v in _as_object(value).items()}
-    if origin is list:
-        return functools.partial(_as_list, _converter(args[0]))
-    return hint  # str-Enums convert by calling the type
+# What the message of a checked hint says it expected.
+_EXPECTED = {str: "a string", bool: "true or false", int: "an integer", float: "a number",
+             dict: "an object", list: "a list"}
 
 
 def _indented(lines: list[str]) -> list[str]:
     return ["    " + line for line in lines]
 
 
+def _refuse(hint: type, test: str) -> list[str]:
+    return [f"if {test}:", f'    raise TypeError(f"expected {_EXPECTED[hint]}, got {{v!r}}")']
+
+
 def _value_lines(hint: Any, name: str, env: dict) -> list[str]:
     """Loader source that turns the decoded value `v` of field `name` into a `hint` value.
 
-    A value of the exact type a checked hint takes passes as it is, and any
-    other goes to the hint's converter, which converts it or raises. A
+    A checked value is tested inline (JSON decodes to exact types, so an int
+    field turns away a bool, and a float field reads an int as a float). A
     str-Enum value is looked up among the members; a miss calls the type,
-    which gives its own error. The objects the lines use are put in `env`
-    under names made from the field's.
+    which gives its own error. A nested record goes to its loader, and each
+    key or item of a container to its `_converter`. The objects the lines
+    use are put in `env` under names made from the field's. A hint outside
+    the grammar that `load_row` states raises TypeError.
     """
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
     if hint is object:
         return []
-    if hint in _CHECKED:
-        env[f"_check_{name}"] = _CHECKED[hint]
-        return [f"if type(v) is not {hint.__name__}:", f"    v = _check_{name}(v)"]
-    if isinstance(hint, type) and issubclass(hint, enum.Enum):
+    if hint is str:  # a str subclass, such as a str-Enum member, is a string too
+        return _refuse(str, "not isinstance(v, str)")
+    if hint in (bool, int, dict):
+        return _refuse(hint, f"type(v) is not {hint.__name__}")
+    if hint is float:
+        return ["if type(v) is not float:", *_indented(_refuse(float, "type(v) is not int")),
+                "    v = float(v)"]
+    if origin is list:
+        env[f"_item_{name}"] = _converter(args[0])
+        return [*_refuse(list, "type(v) is not list"), f"v = [_item_{name}(x) for x in v]"]
+    if origin is dict:
+        env[f"_key_{name}"], env[f"_item_{name}"] = map(_converter, args)
+        return [*_refuse(dict, "type(v) is not dict"),
+                f"v = {{_key_{name}(k): _item_{name}(x) for k, x in v.items()}}"]
+    if origin in (typing.Union, types.UnionType) and len(args) == 2 and type(None) in args:
+        (inner,) = (a for a in args if a is not type(None))
+        lines = _value_lines(inner, name, env)
+        return ["if v is not None:", *_indented(lines)] if lines else []
+    if isinstance(hint, enum.EnumMeta) and issubclass(hint, str):
         env[f"_members_{name}"], env[f"_enum_{name}"] = hint._value2member_map_, hint
         return ["try:", f"    v = _members_{name}[v]",
                 "except (KeyError, TypeError):", f"    v = _enum_{name}(v)"]
-    if typing.get_origin(hint) in (typing.Union, types.UnionType):  # only X | None
-        (inner,) = (a for a in typing.get_args(hint) if a is not type(None))
-        lines = _value_lines(inner, name, env)
-        return ["if v is not None:", *_indented(lines)] if lines else []
-    env[f"_convert_{name}"] = _converter(hint)
-    return [f"v = _convert_{name}(v)"]
+    if dataclasses.is_dataclass(hint):
+        env[f"_load_{name}"] = _loader(hint)
+        return [f"v = _load_{name}(v)"]
+    raise TypeError(f"unsupported type hint {hint!r}")
+
+
+@functools.cache
+def _converter(hint: Any) -> Callable[[Any], Any]:
+    """`convert(v)`: the decoded JSON value `v` as a `hint` value, for container keys and items."""
+    env: dict = {}
+    lines = _value_lines(hint, "v", env)
+    exec("\n".join(["def convert(v):", *_indented(lines), "    return v"]), env)
+    return env["convert"]
 
 
 @functools.cache
@@ -165,7 +139,11 @@ def _loader(cls: type[R]) -> Callable[[Any], R]:
             env[f"_convert_{f.name}"] = f.metadata["load"]
             convert = [f"v = _convert_{f.name}(v)"]
         else:
-            convert = _value_lines(hints[f.name], f.name, env)
+            try:
+                convert = _value_lines(hints[f.name], f.name, env)
+            except TypeError as exc:
+                raise TypeError(f"load_row cannot build {cls.__name__}: "
+                                f"field {f.name}: {exc}") from None
         if convert:
             convert = ["try:", *_indented(convert),
                        "except (TypeError, ValueError) as exc:",
@@ -206,15 +184,17 @@ def _loader(cls: type[R]) -> Callable[[Any], R]:
 def load_row(cls: type[R], row: dict) -> R:
     """Rebuild a record from a decoded JSON object, checking each field against its hint.
 
-    Supported hints are float, int, bool, str, str-Enums, nested records,
-    `dict[K, V]`, `list[X]`, `X | None` and `object` (any JSON value).
-    Nothing is coerced: a bool field takes only true or false, an int field
-    only an integer, a float field an integer or a float (read as a float),
-    a dict field and the row itself only a JSON object, and a list field
-    only a JSON list. A field may name its own converter instead, as
-    `field(metadata={"load": fn})`. Keys the record does not define are
-    ignored; a field with a default may be absent. A malformed row raises
-    SchemaError. The loader of each record type is built on first use.
+    A field's type hint is one of `str`, `bool`, `int`, `float`, `object`
+    (any JSON value), a str-Enum, a nested record, `dict[K, V]` (or a bare
+    `dict`, any JSON object), `list[X]` or `X | None`; any other hint is a
+    TypeError when the loader is built. Nothing is coerced: a bool field
+    takes only true or false, an int field only an integer, a float field an
+    integer or a float (read as a float), a dict field and the row itself
+    only a JSON object, and a list field only a JSON list. A field may name
+    its own converter instead, as `field(metadata={"load": fn})`. Keys the
+    record does not define are ignored; a field with a default may be
+    absent. A malformed row raises SchemaError. The loader of each record
+    type is built on first use.
     """
     return _loader(cls)(row)
 

@@ -71,8 +71,7 @@ def nll_binomial(triplet: Triplet, truth: GroundTruth) -> float:
     """
     if truth.family is not CIFamily.BINOMIAL:
         raise InputError("binomial NLL needs a binomial ground truth")
-    n = truth.n
-    k = truth.k if truth.k is not None else round(n * truth.value / 100.0)
+    n, k = truth.n, truth.k
     p = min(max(triplet.value / 100.0, P_CLAMP), 1.0 - P_CLAMP)
     log_choose = math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
     return -(log_choose + k * math.log(p) + (n - k) * math.log(1.0 - p))

@@ -8,6 +8,7 @@ and comparisons on matched questions take their matches from `blocks`.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 import typing
 from dataclasses import dataclass, field
@@ -181,9 +182,11 @@ def read_fits(path: str | Path, scores_hash: str) -> list[GroupCalibration]:
         lines = [line for line in Path(path).read_text(encoding="utf-8").split("\n") if line]
     except UnicodeDecodeError as exc:
         raise SchemaError(f"{path}: not UTF-8 ({exc.reason})") from exc
-    if "# " + SCORES_STAMP.format(scores_hash) not in lines:
+    # The comments are the lines before the header; a row may start with "#".
+    comments = list(itertools.takewhile(lambda line: line.startswith("#"), lines))
+    if "# " + SCORES_STAMP.format(scores_hash) not in comments:
         raise SchemaError(f"{path}: not fitted on these scores ({SCORES_STAMP.format(scores_hash)})")
-    lines = [line for line in lines if not line.startswith("#")]
+    lines = lines[len(comments):]
     if not lines:
         raise SchemaError(f"{path}: empty file, expected a calibration fits table")
     header = tuple(lines[0].split("\t"))

@@ -969,18 +969,24 @@ class TestOddIdsInTables:
                      "--out-dir", str(suite)]) == 0
         return _scores(suite, root)
 
-    def test_a_line_separator_in_an_id_round_trips_through_the_fits(self, tmp_path):
-        model_id = "m\u2028x"
-        scores = self.scores(tmp_path, model_id)
-        fits = tmp_path / "fits.tsv"
+    def assert_round_trips_through_the_fits(self, root: Path, model_id: str):
+        scores = self.scores(root, model_id)
+        fits = root / "fits.tsv"
         assert main(["calibrate", "--scores", str(scores), "--out",
-                     str(tmp_path / "calibrated.jsonl"), "--fits", str(fits)]) == 0
+                     str(root / "calibrated.jsonl"), "--fits", str(fits)]) == 0
         assert main(["report", "--scores", str(scores), "--calibration", str(fits),
-                     "--out-dir", str(tmp_path / "report")]) == 0
+                     "--out-dir", str(root / "report")]) == 0
         scores_hash = read_jsonl(scores, "scores.v1")[0]["config_hash"]
         assert [fit.model for fit in read_fits(fits, scores_hash)] == [model_id]
-        text = (tmp_path / "report" / "coverage_calibration.tsv").read_text(encoding="utf-8")
+        text = (root / "report" / "coverage_calibration.tsv").read_text(encoding="utf-8")
         assert [line.split("\t")[0] for line in text.split("\n")[3:-1]] == [model_id]
+
+    def test_a_line_separator_in_an_id_round_trips_through_the_fits(self, tmp_path):
+        self.assert_round_trips_through_the_fits(tmp_path, "m\u2028x")
+
+    def test_a_hash_at_the_start_of_an_id_round_trips_through_the_fits(self, tmp_path):
+        # only the lines before the fits header are comments
+        self.assert_round_trips_through_the_fits(tmp_path, "#m")
 
     def test_a_tab_in_an_id_is_2_before_any_file(self, tmp_path, capsys):
         scores = self.scores(tmp_path, "m\tx")

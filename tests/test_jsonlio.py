@@ -202,6 +202,31 @@ def test_load_row_refuses_a_type_whose_init_takes_other_arguments_than_its_field
         load_row(cls, {"a": 1})
 
 
+@dataclass(frozen=True)
+class WithPair:
+    pair: tuple[int, int]
+
+
+@dataclass(frozen=True)
+class WithSet:
+    tags: set[str]
+
+
+@dataclass(frozen=True)
+class WithUnion:
+    either: int | str
+
+
+@pytest.mark.parametrize("cls, row", [
+    (WithPair, {"pair": [1, "x"]}), (WithSet, {"tags": ["a", 2]}), (WithUnion, {"either": 1}),
+], ids=["tuple_int_int", "set_str", "int_or_str"])
+def test_load_row_refuses_a_hint_it_cannot_check(cls, row):
+    # a hint outside the grammar would load its values unchecked
+    (name,) = row
+    with pytest.raises(TypeError, match=f"cannot build {cls.__name__}: field {name}: unsupported"):
+        load_row(cls, row)
+
+
 def test_as_row_rejects_non_records():
     with pytest.raises(TypeError):
         as_row(object())

@@ -9,11 +9,16 @@ stub server, through `main` and then list the modules they loaded.
 
 The benchmark loads `tests/oracles.py` by its file path, without `src/` on
 the path, so loading it must not import the package.
+
+No module in `src/` imports a name it does not use.
 """
+import ast
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src"
@@ -100,3 +105,23 @@ def test_oracles_load_without_importing_the_package():
                           env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "False"
+
+
+def _unused_imports(path: Path) -> list[str]:
+    """The names `path` imports and never reads (annotations, `TYPE_CHECKING` ones too)."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update((alias.asname or alias.name.split(".")[0], node.lineno)
+                            for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update((alias.asname or alias.name, node.lineno) for alias in node.names)
+    # the base of an attribute (`typing.get_args`) is a Name node as well
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{path.name}:{line}: {name}" for name, line in imported.items() if name not in used]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("elicitbench/*.py")), ids=lambda path: path.name)
+def test_every_import_is_used(path):
+    assert _unused_imports(path) == []
