@@ -19,8 +19,8 @@ from typing import Iterable, Iterator, TypeVar
 from . import __version__
 from .conformal import ConformalConfig, calibrate_groups
 from .corpus import GroundTruth, Question, TargetKind, corpus_config_from_dict, generate_corpus
-from .elicitation import (BatchResult, EffortLevel, ElicitationRecord, model_specs_from_config,
-                          run_batch)
+from .elicitation import (BatchResult, EffortLevel, ElicitationRecord, TransportStatus,
+                          model_specs_from_config, run_batch)
 from .errors import ConfigError, ElicitBenchError, SchemaError, StageDependencyError
 from .extraction import Outcome, ParsedRecord, extract_triplet
 from .jsonlio import (
@@ -190,32 +190,46 @@ def cmd_elicit(args: argparse.Namespace) -> int:
     return EXIT_PARTIAL_TRANSPORT if result.failed else EXIT_OK
 
 
-def cmd_extract(args: argparse.Namespace) -> int:
-    transcript_header, transcript = iter_jsonl(_require(args.transcript, "elicit (or simulate)"), "transcript.v1")
+def _corpus_join(args: argparse.Namespace, upstream: str, produced_by: str, record_type: type[R]
+                 ) -> tuple[str, Iterator[tuple[R, tuple[str, TargetKind, GroundTruth]]]]:
+    """The stage hash, and each upstream row as a `record_type` with its question's
+    (dataset_id, kind, truth).
+
+    `upstream` names the stage's input flag and its schema (`transcript`,
+    `parsed`). The hash covers the stage and the config hashes of both
+    headers. A row of a question that is not in `--corpus` raises
+    SchemaError when the rows reach it.
+    """
+    path = getattr(args, upstream)
+    header, rows = iter_jsonl(_require(path, produced_by), f"{upstream}.v1")
     corpus_header, questions = _corpus_index(args.corpus)
-    cfg_hash = config_hash(
-        {
-            "stage": "extract",
-            "transcript": transcript_header.get("config_hash"),
-            "corpus": corpus_header.get("config_hash"),
-        }
-    )
+    cfg_hash = config_hash({"stage": args.command, upstream: header.get("config_hash"),
+                            "corpus": corpus_header.get("config_hash")})
+
+    def joined():
+        for row in rows:
+            record = load_row(record_type, row)
+            question = questions.get(record.question_id)
+            if question is None:
+                raise SchemaError(f"{path}: a row references unknown question {record.question_id}")
+            yield record, question
+
+    return cfg_hash, joined()
+
+
+def cmd_extract(args: argparse.Namespace) -> int:
+    cfg_hash, joined = _corpus_join(args, "transcript", "elicit (or simulate)", ElicitationRecord)
     # A resumed transcript can hold a key's failed attempt and its later
     # answer: the last record of each key wins, in order of first appearance.
     parsed: dict[tuple, ParsedRecord] = {}
-    for row in transcript:
-        record = load_row(ElicitationRecord, row)
-        qid = record.question_id
-        if qid not in questions:
-            raise SchemaError(f"transcript references unknown question {qid}")
-        dataset_id, kind, _ = questions[qid]
-        if record.transport_status == "ok":
+    for record, (dataset_id, kind, _) in joined:
+        if record.transport_status is TransportStatus.OK:
             parse = extract_triplet(record.raw_text, kind)
             result = dict(outcome=Outcome.VALID if parse.valid else Outcome.INVALID,
                           reason=parse.reason, triplet=parse.triplet)
         else:
             result = dict(outcome=Outcome.TRANSPORT_FAILED, failure_reason=record.failure_reason)
-        key = (qid, record.model_id, record.effort, record.tools_enabled)
+        key = (record.question_id, record.model_id, record.effort, record.tools_enabled)
         parsed[key] = ParsedRecord(*key, dataset_id=dataset_id, kind=kind, **result)
     counts = Counter(record.outcome for record in parsed.values())
     write_jsonl(args.out, "parsed.v1", cfg_hash, parsed.values())
@@ -227,42 +241,21 @@ def cmd_extract(args: argparse.Namespace) -> int:
 
 
 def cmd_score(args: argparse.Namespace) -> int:
-    parsed_header, parsed = iter_jsonl(_require(args.parsed, "extract"), "parsed.v1")
-    corpus_header, questions = _corpus_index(args.corpus)
-    cfg_hash = config_hash(
-        {
-            "stage": "score",
-            "parsed": parsed_header.get("config_hash"),
-            "corpus": corpus_header.get("config_hash"),
-        }
-    )
+    cfg_hash, joined = _corpus_join(args, "parsed", "extract", ParsedRecord)
     n_valid = 0
 
     def score_rows() -> Iterator[dict]:
         nonlocal n_valid
-        for row in parsed:
-            record = load_row(ParsedRecord, row)
-            qid = record.question_id
-            if qid not in questions:
-                raise SchemaError(f"parsed records reference unknown question {qid}")
-            dataset_id, kind, truth = questions[qid]
+        for record, (dataset_id, kind, truth) in joined:
+            if record.dataset_id != dataset_id or record.kind is not kind:
+                raise SchemaError(
+                    f"{args.parsed}: question {record.question_id} is {record.dataset_id!r} "
+                    f"({record.kind.value}) here and {dataset_id!r} ({kind.value}) in the corpus")
             if record.outcome is Outcome.VALID:
-                scored = score_record(
-                    question_id=qid,
-                    model_id=record.model_id,
-                    effort=record.effort,
-                    tools_enabled=record.tools_enabled,
-                    dataset_id=dataset_id,
-                    kind=kind,
-                    triplet=record.triplet,
-                    truth=truth,
-                )
                 n_valid += 1
-                yield {"outcome": Outcome.VALID, **as_row(scored)}
+                yield {"outcome": Outcome.VALID, **as_row(score_record(record, truth))}
             else:
-                unscored = {**as_row(record), "dataset_id": dataset_id, "kind": kind}
-                del unscored["triplet"]
-                yield unscored
+                yield {name: value for name, value in as_row(record).items() if name != "triplet"}
 
     n_rows = write_jsonl(args.out, "scores.v1", cfg_hash, score_rows())
     print(f"scored {n_valid} valid records of {n_rows} -> {args.out}")

@@ -152,6 +152,13 @@ def proportion_ci(k: int, n: int) -> tuple[float, float]:
     return lower, upper
 
 
+def binomial_truth(k: int, n: int) -> GroundTruth:
+    """The truth of a proportion: k successes of n as 100·k/n percent, with its Wilson interval."""
+    lower, upper = proportion_ci(k, n)
+    return GroundTruth(value=100.0 * k / n, lower=lower, upper=upper, n=n,
+                       family=CIFamily.BINOMIAL, k=k)
+
+
 def continuous_ci(values: Sequence[float]) -> tuple[float, float, float, int]:
     """Mean with a normal-theory 95% CI (z quantile, sample SD with n-1 divisor)."""
     n = len(values)
@@ -199,12 +206,8 @@ def _subgroup_truth(
     template: QuestionTemplate, subgroup: list[dict[str, str]]
 ) -> GroundTruth | None:
     if template.kind is TargetKind.PROPORTION:
-        n = len(subgroup)
         k = sum(1 for row in subgroup if row[template.target_column].strip() == template.success_value)
-        value = 100.0 * k / n
-        lower, upper = proportion_ci(k, n)
-        return GroundTruth(value=value, lower=lower, upper=upper, n=n,
-                           family=CIFamily.BINOMIAL, k=k)
+        return binomial_truth(k, len(subgroup))
     cells = [row[template.target_column].strip() for row in subgroup]
     values = []
     for cell in cells:

@@ -188,6 +188,11 @@ def model_specs_from_config(raw: object, source: str) -> list[ModelSpec]:
     return specs
 
 
+class TransportStatus(str, Enum):
+    OK = "ok"
+    FAILED = "failed"
+
+
 @dataclass(frozen=True)
 class ElicitationRecord:
     question_id: str
@@ -198,7 +203,7 @@ class ElicitationRecord:
     request_timestamp: str
     latency_ms: float
     attempt_count: int
-    transport_status: str  # "ok" or "failed"
+    transport_status: TransportStatus
     failure_reason: str | None = None
     request_payload: dict | None = None
 
@@ -325,7 +330,7 @@ def _elicit_one(
         request_timestamp=timestamp,
         latency_ms=latency_ms,
         attempt_count=attempt,
-        transport_status="ok" if ok else "failed",
+        transport_status=TransportStatus.OK if ok else TransportStatus.FAILED,
         failure_reason=None if ok else text,
         request_payload=payload,
     )
@@ -345,7 +350,7 @@ def _done_keys(path: Path, cfg_hash: str) -> set[tuple]:
     return {
         (r.question_id, r.model_id, r.effort, r.tools_enabled)
         for r in records
-        if r.transport_status == "ok"
+        if r.transport_status is TransportStatus.OK
     }
 
 
@@ -458,7 +463,7 @@ def run_batch(
                     record = future.result()
                     sink.write(canonical_dumps(record) + "\n")
                     sink.flush()
-                    if record.transport_status == "ok":
+                    if record.transport_status is TransportStatus.OK:
                         result.ok += 1
                     else:
                         result.failed += 1

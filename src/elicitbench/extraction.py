@@ -136,6 +136,10 @@ _VALUE_RE = _label_re(["value", "estimate", "point"])
 _LOWER_RE = _label_re(["lower", "low", "lb"])
 _UPPER_RE = _label_re(["upper", "high", "ub"])
 
+# The minus sign reads as "-" and the no-break and thin spaces as a space,
+# before any rule reads the text.
+_TYPOGRAPHY = str.maketrans({"\u2212": "-", "\u00a0": " ", "\u2009": " ", "\u202f": " "})
+
 _CLARIFICATION_RE = re.compile(
     r"\?|clarif|could you|can you|please (?:provide|specify|share)"
     r"|more (?:information|context|details)|do you mean|what do you mean"
@@ -149,14 +153,12 @@ def _to_float(token: str) -> float:
 
 
 def find_numbers(text: str) -> list[float]:
-    """All numeric tokens in reading order (percent signs stripped)."""
-    text = text.replace("−", "-")  # unicode minus
+    """All numeric tokens in reading order (percent signs stripped); a minus is the ASCII "-"."""
     return [_to_float(m.group(0)) for m in _NUMBER_RE.finditer(text)]
 
 
 def _labeled_fields(text: str) -> tuple[float, float, float] | None:
     """(value, lower, upper) read from labels, or None when the labels do not settle it."""
-    text = text.replace("−", "-")
     value = list(_VALUE_RE.finditer(text))
     if not value:
         return None
@@ -202,6 +204,8 @@ def extract_triplet(raw_text: str, target_kind: TargetKind | str) -> ParseOutcom
     units = Units.PERCENT if kind is TargetKind.PROPORTION else Units.DATASET
     if raw_text is None or not raw_text.strip():
         return ParseOutcome(None, InvalidReason.EMPTY_OUTPUT)
+    if not raw_text.isascii():
+        raw_text = raw_text.translate(_TYPOGRAPHY)
 
     # Every level ends in "%" or "percent", so a text with neither skips the scan.
     has_level = "%" in raw_text or "percent" in raw_text.lower()

@@ -17,7 +17,7 @@ from typing import Callable, Hashable, Iterable, Sequence, TypeVar
 
 from .corpus import CIFamily, GroundTruth, TargetKind, Z_95
 from .errors import InputError
-from .extraction import Triplet, looks_fraction_scale
+from .extraction import ParsedRecord, Triplet, looks_fraction_scale
 from .jsonlio import load_row
 
 # Width floor shared with the conformal stage: degenerate intervals get a
@@ -137,17 +137,13 @@ class ScoredRecord:
     from_dict = classmethod(load_row)
 
 
-def score_record(
-    question_id: str,
-    model_id: str,
-    effort: str,
-    tools_enabled: bool,
-    dataset_id: str,
-    kind: TargetKind,
-    triplet: Triplet,
-    truth: GroundTruth,
-) -> ScoredRecord:
-    """Score one valid triplet with the family matching the question kind."""
+def score_record(parsed: ParsedRecord, truth: GroundTruth) -> ScoredRecord:
+    """Score a valid parsed record against its question's truth.
+
+    The key fields, `dataset_id` and `kind` are the parsed record's; the
+    kind picks the NLL family.
+    """
+    triplet, kind = parsed.triplet, parsed.kind
     if kind is TargetKind.PROPORTION:
         nll = nll_binomial(triplet, truth)
         family = CIFamily.BINOMIAL
@@ -156,11 +152,11 @@ def score_record(
         family = CIFamily.GAUSSIAN
     record_ape = ape(triplet.value, truth.value)
     return ScoredRecord(
-        question_id=question_id,
-        model_id=model_id,
-        effort=effort,
-        tools_enabled=tools_enabled,
-        dataset_id=dataset_id,
+        question_id=parsed.question_id,
+        model_id=parsed.model_id,
+        effort=parsed.effort,
+        tools_enabled=parsed.tools_enabled,
+        dataset_id=parsed.dataset_id,
         kind=kind,
         triplet=triplet,
         truth=truth,

@@ -16,8 +16,10 @@ from dataclasses import dataclass
 from pathlib import Path
 from random import Random
 
-from .corpus import CIFamily, GroundTruth, Question, TargetKind, Z_95, proportion_ci, question_id_for
-from .elicitation import CONTINUOUS_INSTRUCTION, PERCENT_INSTRUCTION, ElicitationRecord
+from .corpus import (CIFamily, GroundTruth, Question, TargetKind, Z_95, binomial_truth,
+                     question_id_for)
+from .elicitation import (CONTINUOUS_INSTRUCTION, PERCENT_INSTRUCTION, EffortLevel,
+                          ElicitationRecord, ModelSpec, TransportStatus, build_request)
 from .errors import ConfigError
 from .extraction import Triplet, Units, canonical_triplet_text
 from .jsonlio import config_hash, derive_seed, write_jsonl
@@ -112,24 +114,15 @@ def make_questions(config: SyntheticSuiteConfig) -> list[Question]:
     n_prop = int(math.floor(config.proportion_fraction * config.n_questions))
     questions = []
     for i in range(config.n_questions):
-        if i < n_prop:
-            template_id = f"{config.dataset_id}-proportion"
-            params = {"index": str(i)}
-            qid = question_id_for(template_id, params)
+        kind = TargetKind.PROPORTION if i < n_prop else TargetKind.CONTINUOUS
+        params = {"index": str(i)}
+        qid = question_id_for(f"{config.dataset_id}-{kind.value}", params)
+        if kind is TargetKind.PROPORTION:
             theta = Random(derive_seed(config.seed, "prop-theta", qid)).gauss(_logit(0.3), 0.8)
-            p = _sigmoid(theta)
-            k = round(config.proportion_n * p)
-            value = 100.0 * k / config.proportion_n
-            lower, upper = proportion_ci(k, config.proportion_n)
-            truth = GroundTruth(value=value, lower=lower, upper=upper,
-                                n=config.proportion_n, family=CIFamily.BINOMIAL, k=k)
+            truth = binomial_truth(round(config.proportion_n * _sigmoid(theta)), config.proportion_n)
             prompt = (f"What percentage of the synthetic population has trait #{i}? "
                       + PERCENT_INSTRUCTION)
-            kind = TargetKind.PROPORTION
         else:
-            template_id = f"{config.dataset_id}-continuous"
-            params = {"index": str(i)}
-            qid = question_id_for(template_id, params)
             center = Random(derive_seed(config.seed, "center", qid)).gauss(
                 config.mu_center, config.mu_spread
             )
@@ -139,7 +132,6 @@ def make_questions(config: SyntheticSuiteConfig) -> list[Question]:
                                 n=1000, family=CIFamily.GAUSSIAN)
             prompt = (f"Estimate synthetic quantity #{i} in its native units. "
                       + CONTINUOUS_INSTRUCTION)
-            kind = TargetKind.CONTINUOUS
         questions.append(
             Question(question_id=qid, dataset_id=config.dataset_id, params=params,
                      prompt=prompt, kind=kind, truth=truth)
@@ -160,6 +152,9 @@ def make_suite(config: SyntheticSuiteConfig, out_dir: str | Path) -> dict:
     corpus_path = out_dir / "corpus.jsonl"
     write_jsonl(corpus_path, "corpus.v1", cfg_hash, questions)
 
+    # The elicitor is a non-reasoning model without tools: `elicit` would send it these payloads.
+    spec = ModelSpec(model_id=config.model_id, endpoint_url="", effort_mode=None)
+
     def transcript_rows():
         for q in questions:
             yield ElicitationRecord(
@@ -171,12 +166,8 @@ def make_suite(config: SyntheticSuiteConfig, out_dir: str | Path) -> dict:
                 request_timestamp=EPOCH_TIMESTAMP,
                 latency_ms=0.0,
                 attempt_count=1,
-                transport_status="ok",
-                request_payload={
-                    "model": config.model_id,
-                    "messages": [{"role": "user", "content": q.prompt}],
-                    "temperature": 0,
-                },
+                transport_status=TransportStatus.OK,
+                request_payload=build_request(q, spec, EffortLevel.NONE),
             )
 
     transcript_path = out_dir / "transcript.jsonl"

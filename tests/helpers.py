@@ -1,7 +1,7 @@
 """Shared builders used across test modules."""
 from elicitbench.corpus import CIFamily, GroundTruth, TargetKind
-from elicitbench.elicitation import ElicitationRecord
-from elicitbench.extraction import Triplet, Units, extract_triplet
+from elicitbench.elicitation import ElicitationRecord, TransportStatus
+from elicitbench.extraction import Outcome, ParsedRecord, Triplet, Units, extract_triplet
 from elicitbench.metrics import ScoredRecord, score_record
 from elicitbench.synthetic import SyntheticSuiteConfig, make_questions, respond
 
@@ -34,7 +34,8 @@ def make_scored(value, lower, upper, truth_value, kind=TargetKind.CONTINUOUS,
         if kind is TargetKind.PROPORTION
         else make_truth_gaussian(truth_value)
     )
-    return score_record(qid, model, effort, False, dataset, kind, triplet, truth)
+    parsed = ParsedRecord(qid, model, effort, False, dataset, kind, Outcome.VALID, triplet=triplet)
+    return score_record(parsed, truth)
 
 
 def scored_suite(config: SyntheticSuiteConfig) -> list[ScoredRecord]:
@@ -44,10 +45,9 @@ def scored_suite(config: SyntheticSuiteConfig) -> list[ScoredRecord]:
         outcome = extract_triplet(respond(config, q), q.kind)
         if not outcome.valid:
             continue
-        records.append(
-            score_record(q.question_id, config.model_id, config.effort, False,
-                         q.dataset_id, q.kind, outcome.triplet, q.truth)
-        )
+        parsed = ParsedRecord(q.question_id, config.model_id, config.effort, False,
+                              q.dataset_id, q.kind, Outcome.VALID, triplet=outcome.triplet)
+        records.append(score_record(parsed, q.truth))
     return records
 
 
@@ -57,5 +57,5 @@ def answer_at_once(connections, question, spec, level, limiter, headers, backoff
         question_id=question.question_id, model_id=spec.model_id, effort=level.value,
         tools_enabled=spec.tool_policy is not None, raw_text="42 (40, 44)",
         request_timestamp="1970-01-01T00:00:00Z", latency_ms=0.0, attempt_count=1,
-        transport_status="ok",
+        transport_status=TransportStatus.OK,
     )

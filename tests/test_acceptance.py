@@ -186,7 +186,8 @@ def test_parser_corpus_and_fuzz():
         import json
 
         fixtures = Path(__file__).parent / "data" / "parser_fixtures.jsonl"
-        cases = [json.loads(line) for line in fixtures.open(encoding="utf-8")]
+        with fixtures.open(encoding="utf-8") as lines:
+            cases = [json.loads(line) for line in lines]
         assert len(cases) >= 60
         for case in cases:
             out = extract_triplet(case["raw_text"], case["kind"])

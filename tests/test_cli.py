@@ -741,6 +741,35 @@ class TestMalformedArtifacts:
                                         "--out", str(root / "again.jsonl")], capsys)
         assert "unknown question no-such-q" in err
 
+    @pytest.mark.parametrize(
+        "edit",
+        [{"dataset_id": "other"}, {"kind": "proportion"},
+         {"dataset_id": "other", "kind": "proportion"}],
+        ids=["dataset_id", "kind", "both"],
+    )
+    def test_parsed_row_disagreeing_with_the_corpus(self, tmp_path, capsys, edit):
+        # score scores the parsed row as read; it does not take the corpus's values over
+        root = _small_chain(tmp_path)
+        edited = {}
+        _edit_first_valid_row(root / "parsed.jsonl",
+                              lambda row: (edited.update(row), row.update(edit)))
+        err = self.assert_schema_error(["score", "--parsed", str(root / "parsed.jsonl"),
+                                        "--corpus", str(root / "suite" / "corpus.jsonl"),
+                                        "--out", str(root / "scores2.jsonl")], capsys)
+        assert f"question {edited['question_id']}" in err
+        assert not (root / "scores2.jsonl").exists()
+
+    def test_transcript_row_with_an_unknown_transport_status(self, tmp_path, capsys):
+        # an answered row spelled "OK" is neither "ok" nor "failed", not a transport failure
+        root = _small_chain(tmp_path)
+        _edit_first_valid_row(root / "suite" / "transcript.jsonl",
+                              lambda row: row.update(transport_status="OK"))
+        err = self.assert_schema_error(["extract", "--transcript", str(root / "suite" / "transcript.jsonl"),
+                                        "--corpus", str(root / "suite" / "corpus.jsonl"),
+                                        "--out", str(root / "parsed2.jsonl")], capsys)
+        assert "transport_status" in err and "'OK'" in err
+        assert not (root / "parsed2.jsonl").exists()
+
     def test_non_numeric_triplet_value(self, tmp_path, capsys):
         root = _small_chain(tmp_path)
         _edit_first_valid_row(root / "parsed.jsonl",

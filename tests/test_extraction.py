@@ -125,6 +125,26 @@ class TestGrammar:
         assert (t.value, t.lower, t.upper) == expected
         assert not t.value_outside_interval
 
+    @pytest.mark.parametrize(
+        "text, expected",
+        [("My estimate is 40, with range 30\u221250% CI", (40.0, 30.0, 50.0)),
+         ("40% (30\u221250% interval)", (40.0, 30.0, 50.0)),
+         ("Estimate 40, 95\u00a0% CI 30 to 50", (40.0, 30.0, 50.0)),
+         ("Estimate 40, 95\u2009% CI 30 to 50", (40.0, 30.0, 50.0)),
+         ("Estimate 40, 95\u202f% CI 30 to 50", (40.0, 30.0, 50.0)),
+         ("value: \u22123, lower: \u22125, upper: \u22121", (-3.0, -5.0, -1.0)),
+         ("\u22123 (\u22125 to \u22121)", (-3.0, -5.0, -1.0))],
+        ids=["minus_range_ci", "minus_range_interval", "no_break_space", "thin_space",
+             "narrow_no_break_space", "minus_labeled", "minus_positional"],
+    )
+    def test_typographic_minus_and_spaces_read_as_ascii(self, text, expected):
+        # U+2212 is "-" and U+00A0, U+2009 and U+202F are a space before any rule reads the text
+        ascii_text = text.translate({0x2212: "-", 0xA0: " ", 0x2009: " ", 0x202F: " "})
+        assert extract_triplet(text, "continuous") == extract_triplet(ascii_text, "continuous")
+        t = extract_triplet(text, "continuous").triplet
+        assert (t.value, t.lower, t.upper) == expected
+        assert not t.value_outside_interval
+
     def test_value_label_after_the_bounds(self):
         t = extract_triplet("30 to 50, estimate 42", "proportion").triplet
         assert (t.value, t.lower, t.upper) == (42.0, 30.0, 50.0)

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from elicitbench.conformal import ConformalConfig, apply, fit
 from elicitbench.corpus import CorpusConfig, GroundTruth, Question, QuestionTemplate, TargetKind
-from elicitbench.elicitation import ElicitationRecord, ModelSpec, VendorParam
+from elicitbench.elicitation import ElicitationRecord, ModelSpec, TransportStatus, VendorParam
 from elicitbench.errors import SchemaError, StageDependencyError
 from elicitbench.extraction import Outcome, ParsedRecord, Triplet
 from elicitbench.jsonlio import as_row, iter_jsonl, load_row, read_jsonl, write_jsonl, write_text
@@ -30,7 +30,7 @@ def _written_records():
     transcript = ElicitationRecord(
         question_id="q", model_id="m", effort="low", tools_enabled=False, raw_text="42",
         request_timestamp="1970-01-01T00:00:00Z", latency_ms=0.0, attempt_count=1,
-        transport_status="ok",
+        transport_status=TransportStatus.OK,
     )
     template = QuestionTemplate(template_id="t", prompt="{sex}?", axes={"sex": ["M"]},
                                 kind=TargetKind.PROPORTION, target_column="flag")

@@ -5,8 +5,10 @@ import pytest
 
 from elicitbench.conformal import ConformalConfig, calibrate_groups
 from elicitbench.corpus import TargetKind
+from elicitbench.elicitation import EffortLevel, ModelSpec, build_request
 from elicitbench.errors import ConfigError
 from elicitbench.extraction import InvalidReason, extract_triplet
+from elicitbench.jsonlio import read_jsonl
 from elicitbench.metrics import rate
 from elicitbench.synthetic import (
     SyntheticSuiteConfig,
@@ -81,6 +83,15 @@ class TestMakeSuite:
         assert m1["counts"] == {"questions": 400, "records": 400}
         for name in ("corpus.jsonl", "transcript.jsonl"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+    def test_request_payload_is_what_elicit_sends_a_non_reasoning_model(self, tmp_path):
+        cfg = SyntheticSuiteConfig(n_questions=30, seed=4, proportion_fraction=0.5, model_id="sim")
+        make_suite(cfg, tmp_path)
+        _, rows = read_jsonl(tmp_path / "transcript.jsonl", "transcript.v1")
+        spec = ModelSpec(model_id="sim", endpoint_url="http://localhost:1/v1", effort_mode=None)
+        sent = {q.question_id: build_request(q, spec, EffortLevel.NONE) for q in make_questions(cfg)}
+        assert {row["question_id"]: row["request_payload"] for row in rows} == sent
+        assert {tuple(payload) for payload in sent.values()} == {("model", "messages", "temperature")}
 
     def test_different_seed_changes_bytes(self, tmp_path):
         make_suite(SyntheticSuiteConfig(n_questions=10, seed=1), tmp_path / "a")
