@@ -6,7 +6,9 @@ alpha/low, which calibrates, and beta/high, which is flagged
 tool-enabled run of 12 of alpha's questions, so every tool-comparison scope
 has at most 12 pairs and its p-value comes from exact enumeration. The
 digests below are of what `calibrate` and `report` wrote from these fixtures
-with the code of commit e609c96. A change that alters these bytes on purpose
+with the code of commit e609c96. `TRANSCRIPT_PINNED` holds the digests of
+what `simulate`, `extract` and `score` wrote for a 300-question suite with
+the code of commit b0d7d8f. A change that alters these bytes on purpose
 updates the digests and says why.
 """
 import hashlib
@@ -46,4 +48,32 @@ def test_calibrate_and_report_bytes_match_the_pinned_digests(tmp_path):
     }
     assert sorted(digests) == sorted(PINNED)
     changed = [name for name in PINNED if digests[name] != PINNED[name]]
+    assert not changed, f"output bytes differ from the pinned digests: {changed}"
+
+
+TRANSCRIPT_PINNED = {
+    "suite/corpus.jsonl": "22a1b925e9700313f50b57bb3587eee130e857a17ab9d0b66e1a9a89a8a7eacc",
+    "suite/manifest.json": "c2f52ba3e8d846e196b38308bac6684a94bde9abe895f9b8af5e88b92f678497",
+    "suite/transcript.jsonl": "1352389279dbbc804ebe331c344982595da3157a6579bd30461df68243b7d20b",
+    "parsed.jsonl": "fcafa03c7cd13786637dbc6938af5f2da835bfeabd99b8f92c636052d22bf200",
+    "scores.jsonl": "d8e9568e77e7098751be7ffdf803a5971ffaa474e4feebf2bdc8207d5554598c",
+}
+
+
+def test_simulate_extract_and_score_bytes_match_the_pinned_digests(tmp_path):
+    suite = tmp_path / "suite"
+    corpus, parsed = str(suite / "corpus.jsonl"), str(tmp_path / "parsed.jsonl")
+    assert main(["simulate", "--n-questions", "300", "--width-shrink", "4", "--noise", "5",
+                 "--refusal-rate", "0.1", "--proportion-fraction", "0.3", "--seed", "7",
+                 "--out-dir", str(suite)]) == 0
+    assert main(["extract", "--transcript", str(suite / "transcript.jsonl"), "--corpus", corpus,
+                 "--out", parsed]) == 0
+    assert main(["score", "--parsed", parsed, "--corpus", corpus,
+                 "--out", str(tmp_path / "scores.jsonl")]) == 0
+    digests = {
+        path.relative_to(tmp_path).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in tmp_path.rglob("*") if path.is_file()
+    }
+    assert sorted(digests) == sorted(TRANSCRIPT_PINNED)
+    changed = [name for name in TRANSCRIPT_PINNED if digests[name] != TRANSCRIPT_PINNED[name]]
     assert not changed, f"output bytes differ from the pinned digests: {changed}"
