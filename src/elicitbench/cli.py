@@ -14,12 +14,12 @@ import json
 import sys
 from collections import Counter
 from pathlib import Path
-from typing import Iterable, Iterator, TypeVar
+from typing import Callable, Iterable, Iterator, TypeVar
 
 from . import __version__
 from .conformal import ConformalConfig, calibrate_groups
-from .corpus import GroundTruth, Question, TargetKind, corpus_config_from_dict, generate_corpus
-from .elicitation import (BatchResult, EffortLevel, ElicitationRecord, TransportStatus,
+from .corpus import Question, corpus_config_from_dict, generate_corpus
+from .elicitation import (DECODING, BatchResult, EffortLevel, ElicitationRecord, TransportStatus,
                           model_specs_from_config, run_batch)
 from .errors import ConfigError, ElicitBenchError, SchemaError, StageDependencyError
 from .extraction import Outcome, ParsedRecord, extract_triplet
@@ -43,6 +43,7 @@ from .report import (
 from .synthetic import SyntheticSuiteConfig, make_suite
 
 R = TypeVar("R")
+K = TypeVar("K")
 
 EXIT_OK = 0
 EXIT_PARTIAL_TRANSPORT = 4
@@ -86,11 +87,14 @@ def _read_corpus(path: str | Path) -> tuple[dict, dict[str, Question]]:
     return header, {q.question_id: q for q in _unique_questions(path, rows)}
 
 
-def _corpus_index(path: str | Path) -> tuple[dict, dict[str, tuple[str, TargetKind, GroundTruth]]]:
-    """The corpus header and question_id -> (dataset_id, kind, truth), read row by row."""
+def _corpus_index(path: str | Path, keep: Callable[[Question], K]) -> tuple[dict, dict[str, K]]:
+    """The corpus header and question_id -> keep(question), read row by row.
+
+    `keep` takes only what the stage reads of a question, so the index
+    holds no more than that.
+    """
     header, rows = iter_jsonl(_require(path, "generate (or simulate)"), "corpus.v1")
-    return header, {q.question_id: (q.dataset_id, q.kind, q.truth)
-                    for q in _unique_questions(path, rows)}
+    return header, {q.question_id: keep(q) for q in _unique_questions(path, rows)}
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
@@ -172,7 +176,7 @@ def cmd_elicit(args: argparse.Namespace) -> int:
             "ok": result.ok,
             "failed": result.failed,
         },
-        "decoding": {"temperature": 0},
+        "decoding": DECODING,
         "concurrency": args.concurrency,
         "models": [s.model_id for s in specs],
         "efforts": [lv.value for lv in levels],
@@ -190,10 +194,9 @@ def cmd_elicit(args: argparse.Namespace) -> int:
     return EXIT_PARTIAL_TRANSPORT if result.failed else EXIT_OK
 
 
-def _corpus_join(args: argparse.Namespace, upstream: str, produced_by: str, record_type: type[R]
-                 ) -> tuple[str, Iterator[tuple[R, tuple[str, TargetKind, GroundTruth]]]]:
-    """The stage hash, and each upstream row as a `record_type` with its question's
-    (dataset_id, kind, truth).
+def _corpus_join(args: argparse.Namespace, upstream: str, produced_by: str, record_type: type[R],
+                 keep: Callable[[Question], K]) -> tuple[str, Iterator[tuple[R, K]]]:
+    """The stage hash, and each upstream row as a `record_type` with keep(its question).
 
     `upstream` names the stage's input flag and its schema (`transcript`,
     `parsed`). The hash covers the stage and the config hashes of both
@@ -202,7 +205,7 @@ def _corpus_join(args: argparse.Namespace, upstream: str, produced_by: str, reco
     """
     path = getattr(args, upstream)
     header, rows = iter_jsonl(_require(path, produced_by), f"{upstream}.v1")
-    corpus_header, questions = _corpus_index(args.corpus)
+    corpus_header, questions = _corpus_index(args.corpus, keep)
     cfg_hash = config_hash({"stage": args.command, upstream: header.get("config_hash"),
                             "corpus": corpus_header.get("config_hash")})
 
@@ -218,18 +221,22 @@ def _corpus_join(args: argparse.Namespace, upstream: str, produced_by: str, reco
 
 
 def cmd_extract(args: argparse.Namespace) -> int:
-    cfg_hash, joined = _corpus_join(args, "transcript", "elicit (or simulate)", ElicitationRecord)
+    # Every parsed row is held until the last one is read, so each repeated
+    # dataset_id, model_id and effort is held as one shared string.
+    cfg_hash, joined = _corpus_join(args, "transcript", "elicit (or simulate)", ElicitationRecord,
+                                    keep=lambda q: (sys.intern(q.dataset_id), q.kind))
     # A resumed transcript can hold a key's failed attempt and its later
     # answer: the last record of each key wins, in order of first appearance.
     parsed: dict[tuple, ParsedRecord] = {}
-    for record, (dataset_id, kind, _) in joined:
+    for record, (dataset_id, kind) in joined:
         if record.transport_status is TransportStatus.OK:
             parse = extract_triplet(record.raw_text, kind)
             result = dict(outcome=Outcome.VALID if parse.valid else Outcome.INVALID,
                           reason=parse.reason, triplet=parse.triplet)
         else:
             result = dict(outcome=Outcome.TRANSPORT_FAILED, failure_reason=record.failure_reason)
-        key = (record.question_id, record.model_id, record.effort, record.tools_enabled)
+        key = (record.question_id, sys.intern(record.model_id), sys.intern(record.effort),
+               record.tools_enabled)
         parsed[key] = ParsedRecord(*key, dataset_id=dataset_id, kind=kind, **result)
     counts = Counter(record.outcome for record in parsed.values())
     write_jsonl(args.out, "parsed.v1", cfg_hash, parsed.values())
@@ -241,7 +248,8 @@ def cmd_extract(args: argparse.Namespace) -> int:
 
 
 def cmd_score(args: argparse.Namespace) -> int:
-    cfg_hash, joined = _corpus_join(args, "parsed", "extract", ParsedRecord)
+    cfg_hash, joined = _corpus_join(args, "parsed", "extract", ParsedRecord,
+                                    keep=lambda q: (q.dataset_id, q.kind, q.truth))
     n_valid = 0
 
     def score_rows() -> Iterator[dict]:
@@ -264,7 +272,7 @@ def cmd_score(args: argparse.Namespace) -> int:
 
 def cmd_calibrate(args: argparse.Namespace) -> int:
     scores_header, score_rows = iter_jsonl(_require(args.scores, "score"), "scores.v1")
-    valid = split_rows(score_rows)[0]
+    groups = split_rows(score_rows)
     config = _record_from_flags(ConformalConfig, args)
     cfg_hash = config_hash(
         {
@@ -273,11 +281,11 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
             "conformal": config,
         }
     )
-    results = calibrate_groups(valid, config)
+    results = calibrate_groups(groups, config)
     evaluations = [res.evaluation for res in results]
     # The fits are rendered first: a group they cannot hold writes neither file.
     fits_text = render_fits(evaluations, cfg_hash, scores_header.get("config_hash"))
-    write_jsonl(args.out, "calibrated.v1", cfg_hash, [row for res in results for row in res.rows])
+    write_jsonl(args.out, "calibrated.v1", cfg_hash, (row for res in results for row in res.rows()))
     write_text(args.fits, fits_text)
     flagged = sum(1 for ev in evaluations if ev.flag != "ok")
     print(
@@ -290,22 +298,21 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
 def cmd_report(args: argparse.Namespace) -> int:
     # Every input is read and checked before the first file is written.
     scores_header, score_rows = iter_jsonl(_require(args.scores, "score"), "scores.v1")
-    valid, invalid = split_rows(score_rows)
-    fits = tool_valid = None
+    groups = split_rows(score_rows, "the base records")
+    fits = tool_groups = None
     if args.calibration:
         fits = read_fits(_require(args.calibration, "calibrate"), scores_header.get("config_hash"))
     if args.tool_scores:
         _, tool_rows = iter_jsonl(_require(args.tool_scores, "score"), "scores.v1")
-        tool_valid = split_rows(tool_rows)[0]
+        tool_groups = split_rows(tool_rows, "the tools records")
 
-    tables = [summary_section(valid, invalid), nll_sharpness_section(valid, invalid),
-              baseline_section(valid)]
+    tables = [summary_section(groups), nll_sharpness_section(groups), baseline_section(groups)]
     if fits is not None:
         tables.append(calibration_section(fits))
     else:
         print("notice: no calibration fits supplied; coverage_calibration section skipped")
-    if tool_valid is not None:
-        tables.append(tool_comparison_section(valid, tool_valid))
+    if tool_groups is not None:
+        tables.append(tool_comparison_section(groups, tool_groups))
 
     out_dir = Path(args.out_dir)
     stamp = f"config_hash: {scores_header.get('config_hash')}"

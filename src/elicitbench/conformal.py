@@ -11,15 +11,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import pairwise
 from random import Random
-from typing import Sequence, TypeVar
+from typing import Iterable, Iterator, Sequence, TypeVar
 
 from .corpus import TargetKind
-from .errors import ConfigError, SchemaError
-from .extraction import Triplet
+from .errors import ConfigError
 from .jsonlio import derive_seed
-from .metrics import ScoredRecord, floored_width, group_by, interval_covers, rate
+from .metrics import ScoreColumns, floored_width, interval_covers, rate
 
 T = TypeVar("T")
 
@@ -60,6 +58,9 @@ class GroupCalibration:
     flag_detail: str
 
 
+GROUP_FIELDS = ("model_id", "effort", "dataset_id")  # the keys of a calibrated row's group
+
+
 @dataclass(frozen=True)
 class CalibratedRecord:
     """One calibrated.v1 row. A calibration-side row has no new interval."""
@@ -87,9 +88,10 @@ def split(records: Sequence[T], cal_fraction: float, seed: int) -> tuple[list[T]
     return cal, test
 
 
-def nonconformity(triplet: Triplet, truth_value: float) -> float:
-    """Normalized residual |truth - value| / width, width floored as in scoring."""
-    return abs(truth_value - triplet.value) / floored_width(triplet)
+def nonconformity(columns: ScoreColumns, i: int) -> float:
+    """Row i's normalized residual |truth - value| / width, width floored as in scoring."""
+    return abs(columns.truth[i] - columns.value[i]) / floored_width(
+        columns.lower[i], columns.upper[i], columns.value[i])
 
 
 def conformal_quantile(scores: Sequence[float], alpha: float) -> tuple[float, int]:
@@ -135,89 +137,95 @@ def fit(
                             flag="insufficient_data" if detail else "ok", flag_detail=detail)
 
 
-def apply(
-    fit_result: GroupCalibration, record: ScoredRecord, group: dict[str, str] | None = None
-) -> CalibratedRecord:
-    """Expand one test record to value +/- q_hat * width.
+def recalibrated(fit_result: GroupCalibration, columns: ScoreColumns, i: int
+                 ) -> tuple[float, float]:
+    """Row i's interval expanded to value +/- q_hat * width; unmodified when the fit is flagged.
 
     Uses the identical floored width as nonconformity (same score function on
     both sides of the split). Percent-kind intervals are clipped to [0, 100]
-    after expansion. Records pass through unmodified when the fit is flagged.
-    `group` is the row's group field, shared by all rows of a group; by
-    default it is built from the record.
+    after expansion.
     """
-    t = record.triplet
-    new_lower, new_upper = t.lower, t.upper
-    calibrated = fit_result.flag == "ok"
-    if calibrated:
-        half = fit_result.q_hat * floored_width(t)
-        new_lower, new_upper = t.value - half, t.value + half
-        if record.kind is TargetKind.PROPORTION:
-            new_lower = max(0.0, new_lower)
-            new_upper = min(100.0, new_upper)
+    value, lower, upper = columns.value[i], columns.lower[i], columns.upper[i]
+    if fit_result.flag != "ok":
+        return lower, upper
+    half = fit_result.q_hat * floored_width(lower, upper, value)
+    lower, upper = value - half, value + half
+    if columns.kind[i] is TargetKind.PROPORTION:
+        lower, upper = max(0.0, lower), min(100.0, upper)
+    return lower, upper
+
+
+def apply(fit_result: GroupCalibration, columns: ScoreColumns, i: int,
+          group: dict[str, str] | None = None) -> CalibratedRecord:
+    """Row i as a test-side row: its `recalibrated` interval and whether it covers the truth.
+
+    `group` is the row's group field, shared by all rows of a group; by
+    default it is built from the columns' key.
+    """
+    new_lower, new_upper = recalibrated(fit_result, columns, i)
     return CalibratedRecord(
-        group=group or {"model_id": record.model_id, "effort": record.effort,
-                        "dataset_id": record.dataset_id},
-        question_id=record.question_id,
+        group=group or dict(zip(GROUP_FIELDS, columns.key)),
+        question_id=columns.question_id[i],
         split="test",
-        calibrated=calibrated,
+        calibrated=fit_result.flag == "ok",
         new_lower=new_lower,
         new_upper=new_upper,
-        covered_after=interval_covers(new_lower, new_upper, record.truth.value),
+        covered_after=interval_covers(new_lower, new_upper, columns.truth[i]),
     )
 
 
-def evaluate(
-    fit_result: GroupCalibration,
-    test: Sequence[ScoredRecord],
-    calibrated_test: Sequence[CalibratedRecord],
-) -> GroupCalibration:
-    """The fit with its test-set size and the shares of stored `covered` and
-    `covered_after` bits on the test side; after is undefined when flagged."""
+def evaluate(fit_result: GroupCalibration, columns: ScoreColumns, test: Sequence[int]
+             ) -> GroupCalibration:
+    """The fit with its test-set size, the share of the test rows' stored
+    `covered` bits, and the share whose `recalibrated` interval covers the
+    truth; after is undefined when flagged."""
     return replace(
         fit_result,
         n_test=len(test),
-        coverage_before=rate(r.covered for r in test),
-        coverage_after=rate(c.covered_after for c in calibrated_test)
-        if fit_result.flag == "ok" else None,
+        coverage_before=rate(columns.covered[i] for i in test),
+        coverage_after=rate(interval_covers(*recalibrated(fit_result, columns, i), columns.truth[i])
+                            for i in test) if fit_result.flag == "ok" else None,
     )
 
 
 @dataclass(frozen=True)
 class GroupResult:
+    """One group's evaluated fit, and the rows of its split: row indices of `columns`."""
     evaluation: GroupCalibration
-    rows: list[CalibratedRecord]  # the calibration side first, then the test side
+    columns: ScoreColumns
+    cal: list[int]
+    test: list[int]
+
+    def rows(self) -> Iterator[CalibratedRecord]:
+        """The group's calibrated.v1 rows, made as they are written: the
+        calibration side first, then the test side."""
+        group = dict(zip(GROUP_FIELDS, self.columns.key))
+        for i in self.cal:
+            yield CalibratedRecord(group=group, question_id=self.columns.question_id[i],
+                                   split="cal", calibrated=False, new_lower=None,
+                                   new_upper=None, covered_after=None)
+        for i in self.test:
+            yield apply(self.evaluation, self.columns, i, group)
 
 
-def calibrate_groups(
-    records: Sequence[ScoredRecord], config: ConformalConfig
-) -> list[GroupResult]:
-    """Run split/fit/apply/evaluate independently per (model, effort, dataset).
+def calibrate_groups(groups: Iterable[ScoreColumns], config: ConformalConfig
+                     ) -> list[GroupResult]:
+    """Run split/fit/evaluate independently per (model, effort, dataset) group
+    that has valid rows, in key order.
 
     Each group splits with a sub-seed derived from (seed, group key), so
     results do not depend on which other groups are present, and splits its
-    records in (question_id, tools_enabled) order, so they do not depend on
-    the order of the input rows either. A (question_id, tools_enabled) that
-    appears twice in a group would make them depend on it, so it raises
-    SchemaError.
+    rows in (question_id, tools_enabled) order, so they do not depend on the
+    order of the input rows either. That order is total only if no
+    (question_id, tools_enabled) appears twice in a group, which
+    `report.split_rows` ensures when it reads a score file.
     """
-    groups = group_by(records, lambda r: (r.model_id, r.effort, r.dataset_id))
     results = []
-    for key in sorted(groups):
-        members = sorted(groups[key], key=lambda r: (r.question_id, r.tools_enabled))
-        for a, b in pairwise(members):
-            if (a.question_id, a.tools_enabled) == (b.question_id, b.tools_enabled):
-                raise SchemaError(f"scores hold question {a.question_id} twice for model "
-                                  f"{key[0]}, effort {key[1]}, tools_enabled {a.tools_enabled}")
-        cal, test = split(members, config.cal_fraction, derive_seed(config.seed, *key))
-        scores = [nonconformity(r.triplet, r.truth.value) for r in cal]
-        fit_result = fit(scores, config.alpha, config.min_cal, group=key)
-        group = dict(zip(("model_id", "effort", "dataset_id"), key))
-        calibrated = [apply(fit_result, r, group) for r in test]
-        cal_rows = [
-            CalibratedRecord(group=group, question_id=r.question_id, split="cal",
-                             calibrated=False, new_lower=None, new_upper=None, covered_after=None)
-            for r in cal
-        ]
-        results.append(GroupResult(evaluate(fit_result, test, calibrated), cal_rows + calibrated))
+    for columns in sorted((g for g in groups if len(g)), key=lambda g: g.key):
+        order = sorted(range(len(columns)),
+                       key=lambda i: (columns.question_id[i], columns.tools_enabled[i]))
+        cal, test = split(order, config.cal_fraction, derive_seed(config.seed, *columns.key))
+        fit_result = fit([nonconformity(columns, i) for i in cal], config.alpha, config.min_cal,
+                         group=columns.key)
+        results.append(GroupResult(evaluate(fit_result, columns, test), columns, cal, test))
     return results

@@ -34,6 +34,8 @@ if TYPE_CHECKING:
 
 DEFAULT_TOKEN_BUDGETS = {"low": 2000, "medium": 8000, "high": 16000}
 MAX_WEB_SEARCHES = 5
+# The decoding settings of every request; the elicit manifest records them.
+DECODING = {"temperature": 0}
 # HTTP statuses worth retrying; other 4xx are permanent config problems.
 RETRYABLE_STATUSES = {408, 429, 500, 502, 503, 504}
 
@@ -236,7 +238,7 @@ def build_request(question: Question, spec: ModelSpec, level: EffortLevel) -> di
     payload: dict = {
         "model": spec.model_id,
         "messages": [{"role": "user", "content": prompt}],
-        "temperature": 0,
+        **DECODING,
     }
     payload.update(map_effort(spec, level))
     if spec.tool_policy is not None:

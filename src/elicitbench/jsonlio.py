@@ -247,13 +247,23 @@ def _replacing(path: str | Path) -> Iterator[IO[str]]:
         raise
 
 
+@contextlib.contextmanager
+def jsonl_writer(path: str | Path, schema: str, cfg_hash: str) -> Iterator[Callable[[Any], None]]:
+    """`write(row)`, which writes one row (a dict or a record) after the header.
+
+    The file replaces `path` when the block ends, and is removed if it raises.
+    """
+    with _replacing(path) as fh:
+        fh.write(canonical_dumps({"schema": schema, "config_hash": cfg_hash}) + "\n")
+        yield lambda row: fh.write(canonical_dumps(row) + "\n")
+
+
 def write_jsonl(path: str | Path, schema: str, cfg_hash: str, rows: Iterable[Any]) -> int:
     """Write header + rows (dicts or records); returns the number of data rows written."""
     count = 0
-    with _replacing(path) as fh:
-        fh.write(canonical_dumps({"schema": schema, "config_hash": cfg_hash}) + "\n")
+    with jsonl_writer(path, schema, cfg_hash) as write:
         for row in rows:
-            fh.write(canonical_dumps(row) + "\n")
+            write(row)
             count += 1
     return count
 

@@ -4,16 +4,19 @@ A triplet is read as a central 95% interval: the Gaussian family evaluates
 the truth under Normal(value, sigma) with sigma = width / (2 * z), the
 binomial family evaluates the observed success count under Binomial(n,
 value/100). Coverage, relative sharpness (CV), absolute percentage error,
-and the naive 50%-baseline win rate complete the per-record scores. Records
-are grouped by `group_by`, and each statistic over a group is one of two
-reductions: `rate`, a share of true flags, or `median_of`.
+and the naive 50%-baseline win rate complete the per-record scores. The
+analysis stages hold a score file as `ScoreColumns`, one per (model, effort,
+dataset) group, and pool groups with `group_by`; each statistic over a pool
+is one of two reductions: `rate`, a share of true flags, or `median_of`.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from array import array
+from dataclasses import dataclass, field
+from itertools import chain
 from statistics import median
-from typing import Callable, Hashable, Iterable, Sequence, TypeVar
+from typing import Callable, Hashable, Iterable, Iterator, Sequence, TypeVar
 
 from .corpus import CIFamily, GroundTruth, TargetKind, Z_95
 from .errors import InputError
@@ -35,9 +38,9 @@ def floored(scale: float, value: float) -> float:
     return max(scale, SIGMA_FLOOR_ABS, SIGMA_FLOOR_REL * abs(value))
 
 
-def floored_width(triplet: Triplet) -> float:
+def floored_width(lower: float, upper: float, value: float) -> float:
     """Interval width with the degenerate-interval floor applied."""
-    return floored(triplet.upper - triplet.lower, triplet.value)
+    return floored(upper - lower, value)
 
 
 def sigma_from_interval(triplet: Triplet) -> float:
@@ -137,6 +140,60 @@ class ScoredRecord:
     from_dict = classmethod(load_row)
 
 
+def _floats() -> array:
+    return array("d")
+
+
+@dataclass
+class ScoreColumns:
+    """One (model, effort, dataset) group of a score file: its valid rows as
+    columns, and how many of its rows are invalid.
+
+    Row i of the group is entry i of every column. A column holds one field
+    of the rows' `ScoredRecord`s: value, lower and upper are the triplet's,
+    truth is the truth's value and suspect is `suspect_fraction_scale`. The
+    columns that are always numbers are arrays of doubles.
+    """
+    model_id: str
+    effort: str
+    dataset_id: str
+    n_invalid: int = 0
+    question_id: list[str] = field(default_factory=list)
+    tools_enabled: list[bool] = field(default_factory=list)
+    value: array = field(default_factory=_floats)
+    lower: array = field(default_factory=_floats)
+    upper: array = field(default_factory=_floats)
+    truth: array = field(default_factory=_floats)
+    kind: list[TargetKind] = field(default_factory=list)
+    covered: list[bool] = field(default_factory=list)
+    nll: array = field(default_factory=_floats)
+    cv: list[float | None] = field(default_factory=list)
+    ape: list[float | None] = field(default_factory=list)
+    suspect: list[bool] = field(default_factory=list)
+
+    @property
+    def key(self) -> tuple[str, str, str]:
+        return (self.model_id, self.effort, self.dataset_id)
+
+    def __len__(self) -> int:
+        return len(self.question_id)
+
+    def append(self, record: ScoredRecord) -> None:
+        """Add a valid row of the group."""
+        self.question_id.append(record.question_id)
+        self.tools_enabled.append(record.tools_enabled)
+        self.value.append(record.triplet.value)
+        self.lower.append(record.triplet.lower)
+        self.upper.append(record.triplet.upper)
+        self.truth.append(record.truth.value)
+        self.kind.append(record.kind)
+        self.covered.append(record.covered)
+        self.nll.append(record.nll)
+        self.cv.append(record.cv)
+        self.ape.append(record.ape)
+        self.suspect.append(record.suspect_fraction_scale)
+
+
 def score_record(parsed: ParsedRecord, truth: GroundTruth) -> ScoredRecord:
     """Score a valid parsed record against its question's truth.
 
@@ -192,25 +249,25 @@ class GroupSummary:
 
 
 def summarize_group(
-    model_id: str,
-    effort: str,
-    dataset_id: str,
-    scored: Sequence[ScoredRecord],
-    n_invalid: int,
+    model_id: str, effort: str, dataset_id: str, groups: Sequence[ScoreColumns]
 ) -> GroupSummary:
-    """Roll one (model, effort, dataset) cell up; medians over valid records only.
+    """Roll one (model, effort, dataset) cell, the pool of `groups`, up; medians
+    over valid rows only.
 
-    Coverage is the share of the records' stored `covered` bits.
+    Coverage is the share of the rows' stored `covered` bits.
     """
+    def pooled(column: Callable[[ScoreColumns], Iterable[T]]) -> Iterator[T]:
+        return chain.from_iterable(map(column, groups))
+
     return GroupSummary(
         model_id=model_id,
         effort=effort,
         dataset_id=dataset_id,
-        n_valid=len(scored),
-        n_invalid=n_invalid,
-        coverage=rate(r.covered for r in scored),
-        median_nll=median_of(r.nll for r in scored),
-        mdape=median_of(r.ape for r in scored),
-        median_cv=median_of(r.cv for r in scored),
-        n_suspect_scale=sum(r.suspect_fraction_scale for r in scored),
+        n_valid=sum(map(len, groups)),
+        n_invalid=sum(g.n_invalid for g in groups),
+        coverage=rate(pooled(lambda g: g.covered)),
+        median_nll=median_of(pooled(lambda g: g.nll)),
+        mdape=median_of(pooled(lambda g: g.ape)),
+        median_cv=median_of(pooled(lambda g: g.cv)),
+        n_suspect_scale=sum(pooled(lambda g: g.suspect)),
     )

@@ -2,8 +2,9 @@
 
 Every section is a `Table`, written twice: a machine-readable TSV
 (full-precision values, '#' comment header) and an aligned human-readable
-text table with rounded values. Sections group records with `group_by`,
-and comparisons on matched questions take their matches from `blocks`.
+text table with rounded values. Sections read a score file as the
+`ScoreColumns` of its groups, pool groups with `group_by`, and comparisons
+on matched questions take their matches from `blocks`.
 """
 from __future__ import annotations
 
@@ -21,8 +22,8 @@ from .elicitation import EffortLevel
 from .errors import SchemaError
 from .extraction import Outcome, ParsedRecord
 from .jsonlio import load_row
-from .metrics import (GroupSummary, ScoredRecord, baseline_win_rate, group_by, median_of,
-                      rate, summarize_group)
+from .metrics import (GroupSummary, ScoreColumns, ScoredRecord, baseline_win_rate, group_by,
+                      median_of, rate, summarize_group)
 from .stats import rank_biserial, wilcoxon_signed_rank
 
 EFFORT_ORDER = {level.value: rank for rank, level in enumerate(EffortLevel)}
@@ -101,32 +102,52 @@ def render_text(table: Table) -> str:
     return "\n".join([table.title, rule, header, rule, *body]) + "\n"
 
 
-def split_rows(score_rows: Iterable[dict]) -> tuple[list[ScoredRecord], list[ParsedRecord]]:
-    """Score-file rows as (valid records, invalid records); transport failures are dropped."""
-    valid, invalid = [], []
+def split_rows(score_rows: Iterable[dict], source: str = "scores") -> list[ScoreColumns]:
+    """Score-file rows as the columns of each (model, effort, dataset) group,
+    in order of first appearance.
+
+    Each valid row is loaded as a `ScoredRecord`, which checks it, and then
+    added to its group's columns; an invalid row counts toward its group's
+    n_invalid, and a transport failure is dropped. A (question, model,
+    effort, tools) key that a valid or invalid row repeats raises
+    SchemaError, which names the rows `source`: which of the two rows counted
+    would depend on the row order.
+    """
+    groups: dict[tuple[str, str, str], ScoreColumns] = {}
+    answered: dict[tuple[str, str, bool], set[str]] = {}
     for row in score_rows:
         if type(row) is dict and row.get("outcome") == "valid":
-            valid.append(ScoredRecord.from_dict(row))
+            record = ScoredRecord.from_dict(row)
         else:
-            unscored = load_row(ParsedRecord, row)
-            if unscored.outcome is Outcome.INVALID:
-                invalid.append(unscored)
-    return valid, invalid
+            record = load_row(ParsedRecord, row)
+            if record.outcome is not Outcome.INVALID:
+                continue
+        questions = answered.setdefault((record.model_id, record.effort, record.tools_enabled),
+                                        set())
+        if record.question_id in questions:
+            raise SchemaError(f"{source} hold question {record.question_id} twice for model "
+                              f"{record.model_id}, effort {record.effort}, "
+                              f"tools_enabled {record.tools_enabled}")
+        questions.add(record.question_id)
+        key = (record.model_id, record.effort, record.dataset_id)
+        columns = groups.get(key)
+        if columns is None:
+            columns = groups[key] = ScoreColumns(*key)
+        if isinstance(record, ScoredRecord):
+            columns.append(record)
+        else:
+            columns.n_invalid += 1
+    return list(groups.values())
 
 
-def _group_summaries(
-    valid: Sequence[ScoredRecord], invalid: Sequence[ParsedRecord], by_dataset: bool
-) -> list[GroupSummary]:
-    def key_of(r: ScoredRecord | ParsedRecord) -> tuple[str, str, str]:
-        return (r.model_id, r.effort, r.dataset_id if by_dataset else "(all)")
-
-    valid_by = group_by(valid, key_of)
-    invalid_by = group_by(invalid, key_of)
-    return [summarize_group(*key, valid_by.get(key, []), len(invalid_by.get(key, [])))
-            for key in sorted(valid_by.keys() | invalid_by.keys(), key=lambda k: _group_order(*k))]
+def _group_summaries(groups: Sequence[ScoreColumns], by_dataset: bool) -> list[GroupSummary]:
+    pools = group_by(groups, lambda g: (g.model_id, g.effort,
+                                        g.dataset_id if by_dataset else "(all)"))
+    return [summarize_group(*key, pools[key])
+            for key in sorted(pools, key=lambda k: _group_order(*k))]
 
 
-def summary_section(valid: Sequence[ScoredRecord], invalid: Sequence[ParsedRecord]) -> Table:
+def summary_section(groups: Sequence[ScoreColumns]) -> Table:
     """Model x effort rollup: invalid%, MdAPE%, plus coverage/NLL/CV columns.
 
     n_suspect_scale counts percent-kind answers that look like [0,1]
@@ -137,7 +158,7 @@ def summary_section(valid: Sequence[ScoredRecord], invalid: Sequence[ParsedRecor
         "coverage", "median_nll", "median_cv", "n_suspect_scale",
     ]
     rows = []
-    for s in _group_summaries(valid, invalid, by_dataset=False):
+    for s in _group_summaries(groups, by_dataset=False):
         invalid_pct = None if s.invalid_rate is None else 100.0 * s.invalid_rate
         rows.append([
             s.model_id, s.effort, s.n_valid, s.n_invalid, invalid_pct,
@@ -213,80 +234,86 @@ def calibration_section(fits: Sequence[GroupCalibration]) -> Table:
                  [dataclasses.astuple(ev) for ev in ordered])
 
 
-def nll_sharpness_section(valid: Sequence[ScoredRecord], invalid: Sequence[ParsedRecord]) -> Table:
+def nll_sharpness_section(groups: Sequence[ScoreColumns]) -> Table:
     """Median NLL and CV per (model, effort, dataset)."""
     columns = ["model", "effort", "dataset", "n_valid", "median_nll", "median_cv", "coverage"]
     rows = []
-    for s in _group_summaries(valid, invalid, by_dataset=True):
+    for s in _group_summaries(groups, by_dataset=True):
         rows.append([s.model_id, s.effort, s.dataset_id, s.n_valid,
                      s.median_nll, s.median_cv, s.coverage])
     return Table("nll_sharpness", "nll and sharpness by model, effort, dataset",
                  "NLL and sharpness by model, effort, dataset", columns, rows)
 
 
-def baseline_section(valid: Sequence[ScoredRecord]) -> Table:
+def baseline_section(groups: Sequence[ScoreColumns]) -> Table:
     """Win rate vs. the constant-50 guess on percent-kind questions, by dataset."""
-    proportion = [r for r in valid if r.kind is TargetKind.PROPORTION]
+    answers = [(g, [(g.value[i], g.truth[i]) for i, kind in enumerate(g.kind)
+                    if kind is TargetKind.PROPORTION]) for g in groups]
+    answers = [(g, pairs) for g, pairs in answers if pairs]
     columns = ["dataset", "model", "n", "win_rate"]
     rows = []
-    for dataset, members in sorted(group_by(proportion, lambda r: r.dataset_id).items()):
-        by_model = sorted(group_by(members, lambda r: r.model_id).items())
+    for dataset, members in sorted(group_by(answers, lambda a: a[0].dataset_id).items()):
+        by_model = sorted(group_by(members, lambda a: a[0].model_id).items())
         for model, sub in [("(all)", members), *by_model]:
-            rows.append([dataset, model, len(sub),
-                         baseline_win_rate((m.triplet.value, m.truth.value) for m in sub)])
+            pairs = [pair for _, group_pairs in sub for pair in group_pairs]
+            rows.append([dataset, model, len(pairs), baseline_win_rate(pairs)])
     return Table("baseline_win_rate", "win rate vs naive 50% baseline (ties lose)",
                  "Win rate vs naive 50% baseline", columns, rows)
 
 
-def blocks(
-    levels: dict[str, Sequence[ScoredRecord]], within: Callable[[ScoredRecord], Hashable]
-) -> dict[Hashable, dict[str, dict[str, ScoredRecord]]]:
-    """Records matched on question across levels, per `within` key.
+Row = tuple[ScoreColumns, int]  # row i of a group's columns
 
-    `levels` maps a level name to its records. For each `within` key, in
-    key order, the result maps question_id to {level: record}, in
-    question_id order and keeping only the questions that have a record at
-    every level. A second record for one (`within` key, question, level)
-    raises SchemaError.
+
+def blocks(
+    levels: dict[str, Iterable[ScoreColumns]], within: Callable[[ScoreColumns], Hashable]
+) -> dict[Hashable, dict[str, dict[str, Row]]]:
+    """Rows matched on question across levels, per `within` key of their group.
+
+    `levels` maps a level name to its groups. For each `within` key, in key
+    order, the result maps question_id to {level: row}, in question_id order
+    and keeping only the questions that have a row at every level. A second
+    row for one (`within` key, question, level) raises SchemaError.
     """
-    matched: dict[Hashable, dict[str, dict[str, ScoredRecord]]] = {}
-    for level, records in levels.items():
-        for r in records:
-            key = within(r)
-            cell = matched.setdefault(key, {}).setdefault(r.question_id, {})
-            if level in cell:
-                raise SchemaError(f"the {level} records hold question {r.question_id} twice "
-                                  f"for {key}")
-            cell[level] = r
+    matched: dict[Hashable, dict[str, dict[str, Row]]] = {}
+    for level, groups in levels.items():
+        for g in groups:
+            key = within(g)
+            questions = matched.setdefault(key, {})
+            for i, question_id in enumerate(g.question_id):
+                cell = questions.setdefault(question_id, {})
+                if level in cell:
+                    raise SchemaError(f"the {level} records hold question {question_id} twice "
+                                      f"for {key}")
+                cell[level] = (g, i)
     return {key: {qid: cell for qid, cell in sorted(matched[key].items())
                   if len(cell) == len(levels)}
             for key in sorted(matched)}
 
 
 def tool_comparison_section(
-    base_valid: Sequence[ScoredRecord], tool_valid: Sequence[ScoredRecord]
+    base_groups: Sequence[ScoreColumns], tool_groups: Sequence[ScoreColumns]
 ) -> Table:
     """Matched-question comparison of tool-enabled vs. baseline absolute errors.
 
     Pairs match on (question_id, model, effort) between the two runs and
     require a valid triplet on both sides; each pair counts under the base
-    record's dataset. The paired test is the Wilcoxon signed rank on AE
+    row's dataset. The paired test is the Wilcoxon signed rank on AE
     differences (tool minus baseline), with the rank-biserial effect size.
     Win rate is the strict fraction of pairs where tools reduced the error.
     """
-    matched = blocks({"base": base_valid, "tools": tool_valid},
-                     within=lambda r: (r.model_id, r.effort))
+    matched = blocks({"base": base_groups, "tools": tool_groups},
+                     within=lambda g: (g.model_id, g.effort))
     pairs = [cell for questions in matched.values() for cell in questions.values()]
     columns = [
         "dataset", "n_pairs", "median_ae_base", "median_ae_tools", "win_rate",
         "wilcoxon_w", "p_value", "rank_biserial", "method",
     ]
     rows = []
-    scopes = [("(all)", pairs), *sorted(group_by(pairs, lambda p: p["base"].dataset_id).items())]
+    scopes = [("(all)", pairs), *sorted(group_by(pairs, lambda p: p["base"][0].dataset_id).items())]
     for scope, scoped in scopes:
         if not scoped:
             continue
-        base, tools = ([abs(p[side].triplet.value - p[side].truth.value) for p in scoped]
+        base, tools = ([abs(g.value[i] - g.truth[i]) for g, i in (p[side] for p in scoped)]
                        for side in ("base", "tools"))
         diffs = [t - b for b, t in zip(base, tools)]
         result = wilcoxon_signed_rank(diffs)

@@ -15,6 +15,7 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 from random import Random
+from typing import Iterator
 
 from .corpus import (CIFamily, GroundTruth, Question, TargetKind, Z_95, binomial_truth,
                      question_id_for)
@@ -22,7 +23,7 @@ from .elicitation import (CONTINUOUS_INSTRUCTION, PERCENT_INSTRUCTION, EffortLev
                           ElicitationRecord, ModelSpec, TransportStatus, build_request)
 from .errors import ConfigError
 from .extraction import Triplet, Units, canonical_triplet_text
-from .jsonlio import config_hash, derive_seed, write_jsonl
+from .jsonlio import config_hash, derive_seed, jsonl_writer, write_jsonl
 
 CLARIFICATION_TEXT = (
     "Could you clarify which population and time period you mean? "
@@ -104,15 +105,14 @@ def _sigmoid(x: float) -> float:
     return 1.0 / (1.0 + math.exp(-x))
 
 
-def make_questions(config: SyntheticSuiteConfig) -> list[Question]:
-    """Deterministic synthetic questions with known truth spread.
+def make_questions(config: SyntheticSuiteConfig) -> Iterator[Question]:
+    """Deterministic synthetic questions with known truth spread, made one at a time.
 
     The first floor(proportion_fraction * n) questions are percent-kind with
     a logit-normal truth (schema exercise only); the rest are continuous with
     truth = latent center + Normal(0, sigma_true).
     """
     n_prop = int(math.floor(config.proportion_fraction * config.n_questions))
-    questions = []
     for i in range(config.n_questions):
         kind = TargetKind.PROPORTION if i < n_prop else TargetKind.CONTINUOUS
         params = {"index": str(i)}
@@ -132,31 +132,28 @@ def make_questions(config: SyntheticSuiteConfig) -> list[Question]:
                                 n=1000, family=CIFamily.GAUSSIAN)
             prompt = (f"Estimate synthetic quantity #{i} in its native units. "
                       + CONTINUOUS_INSTRUCTION)
-        questions.append(
-            Question(question_id=qid, dataset_id=config.dataset_id, params=params,
-                     prompt=prompt, kind=kind, truth=truth)
-        )
-    return questions
+        yield Question(question_id=qid, dataset_id=config.dataset_id, params=params,
+                       prompt=prompt, kind=kind, truth=truth)
 
 
 def make_suite(config: SyntheticSuiteConfig, out_dir: str | Path) -> dict:
     """Write corpus.jsonl and transcript.jsonl in the production schemas.
 
+    Both files are written in one pass over the questions, each question
+    made, written and answered in turn: the suite is never held in memory.
     Timestamps are fixed to the epoch so repeat runs are byte-identical.
     Returns a manifest dict with paths, counts, and the config hash.
     """
     out_dir = Path(out_dir)
     cfg_hash = config_hash(config)
-    questions = make_questions(config)
-
     corpus_path = out_dir / "corpus.jsonl"
-    write_jsonl(corpus_path, "corpus.v1", cfg_hash, questions)
-
+    transcript_path = out_dir / "transcript.jsonl"
     # The elicitor is a non-reasoning model without tools: `elicit` would send it these payloads.
     spec = ModelSpec(model_id=config.model_id, endpoint_url="", effort_mode=None)
 
-    def transcript_rows():
-        for q in questions:
+    def transcript_rows(write_question):
+        for q in make_questions(config):
+            write_question(q)
             yield ElicitationRecord(
                 question_id=q.question_id,
                 model_id=config.model_id,
@@ -170,13 +167,14 @@ def make_suite(config: SyntheticSuiteConfig, out_dir: str | Path) -> dict:
                 request_payload=build_request(q, spec, EffortLevel.NONE),
             )
 
-    transcript_path = out_dir / "transcript.jsonl"
-    n_rows = write_jsonl(transcript_path, "transcript.v1", cfg_hash, transcript_rows())
+    with jsonl_writer(corpus_path, "corpus.v1", cfg_hash) as write_question:
+        n_rows = write_jsonl(transcript_path, "transcript.v1", cfg_hash,
+                             transcript_rows(write_question))
     # names, not paths: manifests must stay byte-identical across directories
     return {
         "config_hash": cfg_hash,
         "seed": config.seed,
         "corpus": corpus_path.name,
         "transcript": transcript_path.name,
-        "counts": {"questions": len(questions), "records": n_rows},
+        "counts": {"questions": n_rows, "records": n_rows},  # one transcript row per question
     }

@@ -2,7 +2,7 @@
 from elicitbench.corpus import CIFamily, GroundTruth, TargetKind
 from elicitbench.elicitation import ElicitationRecord, TransportStatus
 from elicitbench.extraction import Outcome, ParsedRecord, Triplet, Units, extract_triplet
-from elicitbench.metrics import ScoredRecord, score_record
+from elicitbench.metrics import ScoreColumns, ScoredRecord, group_by, score_record
 from elicitbench.synthetic import SyntheticSuiteConfig, make_questions, respond
 
 
@@ -49,6 +49,18 @@ def scored_suite(config: SyntheticSuiteConfig) -> list[ScoredRecord]:
                               q.dataset_id, q.kind, Outcome.VALID, triplet=outcome.triplet)
         records.append(score_record(parsed, q.truth))
     return records
+
+
+def as_columns(records) -> list[ScoreColumns]:
+    """Scored records as the columns of their (model, effort, dataset) groups,
+    in order of first appearance; unlike `report.split_rows`, a repeated
+    question is kept."""
+    groups = []
+    for key, members in group_by(records, lambda r: (r.model_id, r.effort, r.dataset_id)).items():
+        groups.append(ScoreColumns(*key))
+        for record in members:
+            groups[-1].append(record)
+    return groups
 
 
 def answer_at_once(connections, question, spec, level, limiter, headers, backoff_base):

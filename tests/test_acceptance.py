@@ -35,7 +35,7 @@ from elicitbench.metrics import (
 from elicitbench.stats import kruskal_wallis, rank_biserial, spearman, wilcoxon_signed_rank
 from elicitbench.synthetic import SyntheticSuiteConfig
 
-from helpers import make_scored, make_triplet, make_truth_binomial, scored_suite
+from helpers import as_columns, make_scored, make_triplet, make_truth_binomial, scored_suite
 from oracles import (
     coverage_oracle,
     cv_oracle,
@@ -77,9 +77,10 @@ def test_cp_coverage_guarantee():
         coverages = []
         for seed in range(200):
             records = scored_suite(overconfident_suite(seed, 200, noise_sd=SIGMA_TRUE))
-            cal, test = split(records, 0.30, seed=seed)
-            f = fit([nonconformity(r.triplet, r.truth.value) for r in cal], 0.05, 15)
-            ev = evaluate(f, test, [apply(f, r) for r in test])
+            (columns,) = as_columns(records)
+            cal, test = split(range(len(columns)), 0.30, seed=seed)
+            f = fit([nonconformity(columns, i) for i in cal], 0.05, 15)
+            ev = evaluate(f, columns, test)
             assert ev.n_cal == 60 and ev.n_test == 140
             assert ev.flag == "ok"
             coverages.append(ev.coverage_after)
@@ -98,8 +99,8 @@ def test_overconfidence_signature():
         raw = rate(r.covered for r in records)
         assert 0.24 <= raw <= 0.32, raw
 
-        records = scored_suite(overconfident_suite(13, 2000, noise_sd=0.0))
-        f = fit([nonconformity(r.triplet, r.truth.value) for r in records], 0.05, 15)
+        (columns,) = as_columns(scored_suite(overconfident_suite(13, 2000, noise_sd=0.0)))
+        f = fit([nonconformity(columns, i) for i in range(len(columns))], 0.05, 15)
         assert f.n_cal == 2000
         assert 1.7 <= f.q_hat <= 2.3, f.q_hat
 
@@ -111,11 +112,12 @@ def test_honest_oracle_fixed_point():
             n_questions=2200, seed=11, sigma_true=SIGMA_TRUE, width_shrink=1.0, noise_sd=0.0
         )
         records = scored_suite(config)
-        cal, test = records[:2000], records[2000:]
-        f = fit([nonconformity(r.triplet, r.truth.value) for r in cal], 0.05, 15)
+        (columns,) = as_columns(records)
+        cal, test = range(2000), range(2000, len(records))
+        f = fit([nonconformity(columns, i) for i in cal], 0.05, 15)
         assert 0.42 <= f.q_hat <= 0.58, f.q_hat
-        for record in test:
-            calibrated = apply(f, record)
+        for i in test:
+            record, calibrated = records[i], apply(f, columns, i)
             old_width = record.triplet.upper - record.triplet.lower
             new_width = calibrated.new_upper - calibrated.new_lower
             assert abs(new_width / old_width - 1.0) <= 0.20

@@ -392,6 +392,24 @@ class TestExitCodes:
         manifest = json.loads((tmp_path / "m.json").read_text())
         assert manifest["counts"]["failed"] == 2
 
+    def test_manifest_decoding_is_what_the_requests_sent(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("STUB_API_KEY", "k")
+        suite = tmp_path / "suite"
+        main(["simulate", "--n-questions", "2", "--seed", "0", "--out-dir", str(suite)])
+        state = StubState()
+        with StubServer(state) as server:
+            (tmp_path / "models.json").write_text(json.dumps({"models": [
+                {**STUB_SPEC, "endpoint_url": server.url}]}))
+            assert main(["elicit", "--corpus", str(suite / "corpus.jsonl"),
+                         "--models", str(tmp_path / "models.json"), "--efforts", "low",
+                         "--out", str(tmp_path / "t.jsonl"),
+                         "--manifest", str(tmp_path / "m.json")]) == 0
+        decoding = json.loads((tmp_path / "m.json").read_text())["decoding"]
+        assert decoding == {"temperature": 0}
+        assert len(state.payloads) == 2
+        for payload in state.payloads:
+            assert {name: payload[name] for name in decoding} == decoding
+
     def test_ctrl_c_during_elicit_is_130_with_a_manifest_and_resumes(self, tmp_path,
                                                                      monkeypatch):
         monkeypatch.setenv("STUB_API_KEY", "k")
@@ -1084,6 +1102,40 @@ class TestRepeatedScoreKeys:
         err = capsys.readouterr().err
         assert err.startswith(f"error: the {level} records hold question ") and " twice " in err
         assert not (tmp_path / "report").exists()
+
+
+    @pytest.mark.parametrize("order", ["04", "40"])
+    def test_report_is_2(self, tmp_path, capsys, scores, order):
+        capsys.readouterr()
+        assert main(["report", "--scores", str(scores[order]),
+                     "--out-dir", str(tmp_path / "report")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: the base records hold question ") and " twice " in err
+        assert not (tmp_path / "report").exists()
+
+    @pytest.mark.parametrize("outcome", ["valid", "invalid"])
+    def test_one_repeated_row_is_2_for_calibrate_and_report(self, tmp_path, capsys, outcome):
+        # Once, a 50-question suite with one valid row repeated reported n_valid 51.
+        suite = tmp_path / "suite"
+        assert main(["simulate", "--n-questions", "50", "--seed", "3", "--refusal-rate", "0.3",
+                     "--out-dir", str(suite)]) == 0
+        header, *rows = _scores(suite, tmp_path).read_text(encoding="utf-8").splitlines()
+        repeated = next(row for row in rows if json.loads(row)["outcome"] == outcome)
+        scores = tmp_path / "repeated.jsonl"
+        scores.write_text("\n".join([header, *rows, repeated]) + "\n", encoding="utf-8")
+        capsys.readouterr()
+        assert main(["calibrate", "--scores", str(scores), "--out", str(tmp_path / "c.jsonl"),
+                     "--fits", str(tmp_path / "fits.tsv")]) == 2
+        assert main(["report", "--scores", str(scores),
+                     "--out-dir", str(tmp_path / "report")]) == 2
+        question = json.loads(repeated)["question_id"]
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: scores hold question {question} twice for model synthetic, effort low, "
+            "tools_enabled False",
+            f"error: the base records hold question {question} twice for model synthetic, "
+            "effort low, tools_enabled False",
+        ]
+        assert not (tmp_path / "c.jsonl").exists() and not (tmp_path / "report").exists()
 
 
 class TestTranscriptRowOrder:

@@ -17,7 +17,7 @@ from elicitbench.corpus import TargetKind
 from elicitbench.errors import ConfigError
 from elicitbench.synthetic import SyntheticSuiteConfig
 
-from helpers import make_scored, make_triplet, scored_suite
+from helpers import as_columns, make_scored, scored_suite
 from oracles import quantile_oracle
 
 
@@ -44,15 +44,21 @@ class TestSplit:
         assert result.flag_detail == "empty_calibration_set"
 
 
+def one_row(value, lower, upper, truth, kind=TargetKind.CONTINUOUS):
+    """The columns of one scored row."""
+    (columns,) = as_columns([make_scored(value, lower, upper, truth_value=truth, kind=kind)])
+    return columns
+
+
 class TestNonconformity:
     def test_zero_at_truth(self):
-        assert nonconformity(make_triplet(10, 8, 12), 10.0) == 0.0
+        assert nonconformity(one_row(10, 8, 12, 10.0), 0) == 0.0
 
     def test_unit_example(self):
-        assert nonconformity(make_triplet(10, 8, 12), 14.0) == 1.0
+        assert nonconformity(one_row(10, 8, 12, 14.0), 0) == 1.0
 
     def test_zero_width_floor(self):
-        s = nonconformity(make_triplet(10, 10, 10), 11.0)
+        s = nonconformity(one_row(10, 10, 10, 11.0), 0)
         assert math.isfinite(s) and s > 1e4
 
 
@@ -118,55 +124,54 @@ class TestFit:
 
 class TestApply:
     def record(self, value=10.0, lower=8.0, upper=12.0, truth=10.0, kind=TargetKind.CONTINUOUS):
-        return make_scored(value, lower, upper, truth_value=truth, kind=kind)
+        return one_row(value, lower, upper, truth, kind=kind)
 
     def test_q_half_recovers_original(self):
         f = fit([0.5] * 60, 0.05, 15)
-        cal = apply(f, self.record())
+        cal = apply(f, self.record(), 0)
         assert cal.new_lower == pytest.approx(8.0)
         assert cal.new_upper == pytest.approx(12.0)
         assert cal.calibrated
 
     def test_q_two_expands(self):
         f = fit([2.0] * 60, 0.05, 15)
-        cal = apply(f, self.record())
+        cal = apply(f, self.record(), 0)
         assert (cal.new_lower, cal.new_upper) == (pytest.approx(2.0), pytest.approx(18.0))
 
     def test_proportion_clipped(self):
         f = fit([3.0] * 60, 0.05, 15)
         cal = apply(f, self.record(value=5.0, lower=3.0, upper=7.0, truth=5.0,
-                                   kind=TargetKind.PROPORTION))
+                                   kind=TargetKind.PROPORTION), 0)
         assert cal.new_lower == 0.0
         assert cal.new_upper == pytest.approx(17.0)
 
     def test_insufficient_passes_through(self):
         f = fit([1.0] * 5, 0.05, 15)
         rec = self.record(truth=11.0)
-        cal = apply(f, rec)
+        cal = apply(f, rec, 0)
         assert not cal.calibrated
-        assert (cal.new_lower, cal.new_upper) == (rec.triplet.lower, rec.triplet.upper)
-        assert cal.covered_after == (rec.triplet.lower <= 11.0 <= rec.triplet.upper)
+        assert (cal.new_lower, cal.new_upper) == (rec.lower[0], rec.upper[0])
+        assert cal.covered_after == (rec.lower[0] <= 11.0 <= rec.upper[0])
 
     def test_symmetry_before_clipping(self):
         f = fit([1.7] * 60, 0.05, 15)
         rec = self.record(value=4.0, lower=1.0, upper=5.0, truth=3.0)
-        cal = apply(f, rec)
+        cal = apply(f, rec, 0)
         assert cal.new_upper - 4.0 == pytest.approx(4.0 - cal.new_lower)
 
 
 class TestEvaluate:
     def test_infinite_q_hat_flags_and_undefines_after(self):
         f = fit([1.0] * 10, 0.05, 15)
-        rec = make_scored(10, 8, 12, truth_value=10.0)
-        ev = evaluate(f, [rec], [apply(f, rec)])
+        ev = evaluate(f, one_row(10, 8, 12, 10.0), [0])
         assert ev.coverage_after is None
         assert ev.flag == "insufficient_data"
         assert ev.coverage_before == 1.0
 
     def test_full_coverage_after(self):
         f = fit([2.0] * 60, 0.05, 15)
-        records = [make_scored(10, 9, 11, truth_value=t) for t in (8.0, 11.0, 12.0)]
-        ev = evaluate(f, records, [apply(f, r) for r in records])
+        (columns,) = as_columns([make_scored(10, 9, 11, truth_value=t) for t in (8.0, 11.0, 12.0)])
+        ev = evaluate(f, columns, range(3))
         assert ev.coverage_after == 1.0
         assert ev.coverage_before == pytest.approx(1 / 3)
 
@@ -177,8 +182,8 @@ class TestWidthShrinkageInversion:
         for k in (2, 4, 8):
             cfg = SyntheticSuiteConfig(n_questions=2000, seed=13, width_shrink=float(k),
                                        noise_sd=0.0)
-            records = scored_suite(cfg)
-            f = fit([nonconformity(r.triplet, r.truth.value) for r in records], 0.05, 15)
+            (columns,) = as_columns(scored_suite(cfg))
+            f = fit([nonconformity(columns, i) for i in range(len(columns))], 0.05, 15)
             assert abs(f.q_hat / (0.5 * k) - 1.0) <= 0.15, (k, f.q_hat)
 
 
@@ -190,10 +195,10 @@ class TestMarginalCoverage:
         for seed in range(50):
             cfg = SyntheticSuiteConfig(n_questions=200, seed=seed, width_shrink=4.0,
                                        noise_sd=5.0)
-            records = scored_suite(cfg)
-            cal, test = split(records, 0.30, seed=seed)
-            f = fit([nonconformity(r.triplet, r.truth.value) for r in cal], 0.05, 15)
-            ev = evaluate(f, test, [apply(f, r) for r in test])
+            (columns,) = as_columns(scored_suite(cfg))
+            cal, test = split(range(len(columns)), 0.30, seed=seed)
+            f = fit([nonconformity(columns, i) for i in cal], 0.05, 15)
+            ev = evaluate(f, columns, test)
             assert ev.n_cal == 60 and ev.n_test == 140
             covs.append(ev.coverage_after)
         mean = sum(covs) / len(covs)
@@ -211,10 +216,10 @@ class TestCalibrateGroups:
                     make_scored(v, v - 2, v + 2, truth_value=rng.uniform(0, 100),
                                 model=model, qid=f"{model}-{i}")
                 )
-        results = calibrate_groups(records, ConformalConfig(seed=0))
+        results = calibrate_groups(as_columns(records), ConformalConfig(seed=0))
         assert [r.evaluation.model for r in results] == ["a-model", "b-model"]
         only_a = calibrate_groups(
-            [r for r in records if r.model_id == "a-model"], ConformalConfig(seed=0)
+            as_columns([r for r in records if r.model_id == "a-model"]), ConformalConfig(seed=0)
         )
         assert only_a[0].evaluation.q_hat == results[0].evaluation.q_hat
         assert only_a[0].evaluation == results[0].evaluation

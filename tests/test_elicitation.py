@@ -43,7 +43,7 @@ def spec_for(url, **kwargs):
 
 
 def questions(n=2, seed=0):
-    return make_questions(SyntheticSuiteConfig(n_questions=n, seed=seed))
+    return list(make_questions(SyntheticSuiteConfig(n_questions=n, seed=seed)))
 
 
 @pytest.fixture(autouse=True)
@@ -115,7 +115,7 @@ class TestBuildRequest:
 
     def test_percent_instruction_for_proportion(self):
         cfg = SyntheticSuiteConfig(n_questions=1, seed=0, proportion_fraction=1.0)
-        q = make_questions(cfg)[0]
+        q = next(make_questions(cfg))
         from dataclasses import replace
 
         bare = replace(q, prompt="Share of people with trait?")

@@ -19,7 +19,7 @@ from elicitbench.jsonlio import as_row, iter_jsonl, load_row, read_jsonl, write_
 from elicitbench.metrics import ScoredRecord
 from elicitbench.synthetic import SyntheticSuiteConfig, make_questions
 
-from helpers import make_scored
+from helpers import as_columns, make_scored
 from oracles import load_row_reference
 
 
@@ -37,8 +37,9 @@ def _written_records():
     parsed = ParsedRecord(question_id="q", model_id="m", effort="low", tools_enabled=False,
                           dataset_id="d", kind=TargetKind.PROPORTION, outcome=Outcome.VALID,
                           triplet=scored.triplet)
+    (columns,) = as_columns([scored])
     return [question, question.truth, scored.triplet, transcript, scored,
-            apply(fit([1.0] * 20, 0.05, 15), scored), ConformalConfig(), SyntheticSuiteConfig(),
+            apply(fit([1.0] * 20, 0.05, 15), columns, 0), ConformalConfig(), SyntheticSuiteConfig(),
             template, parsed]
 
 

@@ -5,13 +5,25 @@ what the stage allocates, so it repeats from run to run.
 
 The analysis stages run on a 4,000-question suite. Holding the file text, its
 lines and every decoded row, they peaked at about 20 / 17 / 14 / 14 MB on
-Python 3.11; streaming the rows, at about 5 / 2 / 5 / 4 MB. Each bound lies
-between the two.
+Python 3.11; streaming the rows, at about 5 / 2 / 5 / 4 MB. Still holding one
+record per row, extract, calibrate and report peaked at about 4.5, 4.5 and
+3.7 MB. Holding only (dataset, kind) per corpus question and one shared
+string per repeated model, effort and dataset, extract peaks at about 2.9 MB;
+holding each group's valid score rows as columns, calibrate and report peak
+at about 1.2 and 1.0 MB. Each bound lies between the last two figures of its
+stage (score's, between the first two).
 
-The valid score rows of that suite load as 3,568 `ScoredRecord`s. Built as
-the frozen `__init__` builds them, with `object.__setattr__`, they hold
-about 472 bytes each on Python 3.11: the field values stay inline in the
-object. Filling each record's `__dict__` instead holds about 663 bytes.
+`simulate` writes both of its files in one pass over the questions, made one
+at a time. Writing the corpus from a list of every question first, it peaked
+at about 2.0 MB for 2,000 questions and 7.8 MB for 8,000; now the two peaks
+lie about 0.01 MB apart.
+
+The valid score rows of that suite load as 3,568 `ScoredRecord`s.
+`report.split_rows` keeps only their columns, but a caller that keeps the
+records holds them whole. Built as the frozen `__init__` builds them, with
+`object.__setattr__`, they hold about 472 bytes each on Python 3.11: the
+field values stay inline in the object. Filling each record's `__dict__`
+instead holds about 663 bytes.
 
 `elicit` keeps at most 2 x concurrency requests submitted and unwritten.
 Submitting the whole plan at once, it peaked at about 9 MB for 2,100
@@ -31,7 +43,9 @@ from elicitbench.synthetic import SyntheticSuiteConfig, make_questions
 from helpers import answer_at_once
 
 # stage -> bound on its traced peak, in MB (1e6 bytes)
-BOUNDS_MB = {"extract": 10.0, "score": 6.0, "calibrate": 9.0, "report": 8.0}
+BOUNDS_MB = {"extract": 3.5, "score": 6.0, "calibrate": 2.5, "report": 2.0}
+# bound on how much simulate's traced peak may grow from 2,000 to 8,000 questions, in MB
+SIMULATE_GROWTH_MB = 1.0
 # bound on how much elicit's traced peak may grow from 2,100 to 8,400 requests, in MB
 ELICIT_GROWTH_MB = 1.0
 # bound on the traced bytes a loaded ScoredRecord holds, its Triplet and GroundTruth included
@@ -70,6 +84,17 @@ def test_analysis_stages_stay_under_their_traced_peaks(tmp_path):
     assert not over, f"traced peaks {peaks} MB, bounds {BOUNDS_MB} MB"
 
 
+def test_simulate_peak_does_not_grow_with_the_suite(tmp_path):
+    def simulate(n: int) -> Callable[[], bool]:
+        flags = [*SUITE_FLAGS[2:], "--n-questions", str(n), "--out-dir", str(tmp_path / str(n))]
+        return lambda: main(["simulate", *flags]) == 0
+
+    assert simulate(1)()  # builds the record encoders before tracing
+    small_mb, large_mb = _traced_peak_mb(simulate(2000)), _traced_peak_mb(simulate(8000))
+    assert large_mb - small_mb < SIMULATE_GROWTH_MB, \
+        f"traced peaks {small_mb:.2f} and {large_mb:.2f} MB"
+
+
 def test_elicit_peak_does_not_grow_with_the_plan(tmp_path, monkeypatch):
     monkeypatch.setattr(elicitation, "_elicit_one", answer_at_once)
     spec = ModelSpec(model_id="m", endpoint_url="http://127.0.0.1:9/v1")
@@ -81,7 +106,7 @@ def test_elicit_peak_does_not_grow_with_the_plan(tmp_path, monkeypatch):
                                  cfg_hash="h").ok == 3 * len(plan)
 
     # The questions are made before tracing: only run_batch's own allocations count.
-    small, large = (make_questions(SyntheticSuiteConfig(n_questions=n)) for n in (700, 2800))
+    small, large = (list(make_questions(SyntheticSuiteConfig(n_questions=n))) for n in (700, 2800))
     assert elicit(small[:1])()  # loads the transport and concurrent.futures
     small_mb, large_mb = _traced_peak_mb(elicit(small)), _traced_peak_mb(elicit(large))
     assert large_mb - small_mb < ELICIT_GROWTH_MB, \

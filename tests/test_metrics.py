@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import random
@@ -28,7 +29,7 @@ from elicitbench.metrics import (
 
 from elicitbench.report import summary_section
 
-from helpers import make_scored, make_triplet, make_truth_binomial, make_truth_gaussian
+from helpers import as_columns, make_scored, make_triplet, make_truth_binomial, make_truth_gaussian
 from oracles import (
     coverage_oracle,
     cv_oracle,
@@ -260,7 +261,7 @@ class TestScoredRecordsAndSummary:
             make_scored(40.0, 30.0, 50.0, truth_value=40.0, kind=TargetKind.PROPORTION, qid="q2"),
             make_scored(0.4, 0.3, 0.5, truth_value=40.0, qid="q3"),  # continuous: never suspect
         ]
-        table = summary_section(records, [])
+        table = summary_section(as_columns(records))
         (row,) = table.rows
         assert dict(zip(table.columns, row))["n_suspect_scale"] == 1
 
@@ -274,7 +275,8 @@ class TestScoredRecordsAndSummary:
                 make_scored(v, v - rng.uniform(0, 10), v + rng.uniform(0, 10),
                             truth_value=truth, kind=TargetKind.PROPORTION, qid=f"q{i}")
             )
-        s = summarize_group("m", "low", "d", records, n_invalid=20)
+        (columns,) = as_columns(records)
+        s = summarize_group("m", "low", "d", [dataclasses.replace(columns, n_invalid=20)])
         assert s.n_valid == 60 and s.n_invalid == 20
         assert s.invalid_rate == 0.25
         assert s.coverage == coverage_oracle(
@@ -293,15 +295,15 @@ class TestScoredRecordsAndSummary:
         ]
         shuffled = records[:]
         rng.shuffle(shuffled)
-        a = summarize_group("m", "low", "d", records, 0)
-        b = summarize_group("m", "low", "d", shuffled, 0)
+        a = summarize_group("m", "low", "d", as_columns(records))
+        b = summarize_group("m", "low", "d", as_columns(shuffled))
         assert a == b
 
 
 class TestSigmaFloors:
     def test_floored_width_positive(self):
         t = make_triplet(10, 10, 10)
-        assert floored_width(t) == pytest.approx(1e-5, rel=1e-12)  # 1e-6 * |10|
+        assert floored_width(t.lower, t.upper, t.value) == pytest.approx(1e-5, rel=1e-12)  # 1e-6 * |10|
 
     def test_sigma_floor_absolute(self):
         t = make_triplet(0.0, 0.0, 0.0)

@@ -7,7 +7,7 @@ import pytest
 from elicitbench.errors import SchemaError
 from elicitbench.report import blocks, tool_comparison_section
 
-from helpers import make_scored
+from helpers import as_columns, make_scored
 
 
 def answer(qid, value, model="m", effort="low", truth=10.0):
@@ -19,9 +19,22 @@ def by_model_effort(r):
     return (r.model_id, r.effort)
 
 
+def matching(levels):
+    """blocks of the levels' records, each level's records as the columns of their groups."""
+    return blocks({level: as_columns(records) for level, records in levels.items()},
+                  within=by_model_effort)
+
+
+def answered(record):
+    return (record.model_id, record.effort, record.question_id, record.triplet.value)
+
+
 def ordered(matched):
-    """The blocks as nested lists, so that comparing them compares their order too."""
-    return [(key, [(qid, list(cell.items())) for qid, cell in questions.items()])
+    """The blocks as nested lists, so that comparing them compares their order too; each
+    matched row is given as `answered` gives its record."""
+    return [(key, [(qid, [(level, (g.model_id, g.effort, g.question_id[i], g.value[i]))
+                          for level, (g, i) in cell.items()])
+                   for qid, cell in questions.items()])
             for key, questions in matched.items()]
 
 
@@ -29,10 +42,10 @@ class TestBlocks:
     def test_a_question_missing_at_one_level_is_dropped(self):
         base = [answer("q1", 11.0), answer("q2", 12.0), answer("q3", 13.0)]
         tools = [answer("q3", 23.0), answer("q1", 21.0)]
-        matched = blocks({"base": base, "tools": tools}, within=by_model_effort)
+        matched = matching({"base": base, "tools": tools})
         assert ordered(matched) == [(("m", "low"), [
-            ("q1", [("base", base[0]), ("tools", tools[1])]),
-            ("q3", [("base", base[2]), ("tools", tools[0])]),
+            ("q1", [("base", answered(base[0])), ("tools", answered(tools[1]))]),
+            ("q3", [("base", answered(base[2])), ("tools", answered(tools[0]))]),
         ])]
 
     def test_shuffled_records_give_the_same_blocks_in_question_id_order(self):
@@ -43,11 +56,11 @@ class TestBlocks:
                     for i in range(30) if rng.random() < 0.8]
             for level in ("low", "medium", "high")
         }
-        matched = blocks(levels, within=by_model_effort)
+        matched = matching(levels)
         for seed in range(5):
             shuffled = {level: random.Random(seed).sample(records, len(records))
                         for level, records in levels.items()}
-            assert ordered(blocks(shuffled, within=by_model_effort)) == ordered(matched)
+            assert ordered(matching(shuffled)) == ordered(matched)
         assert list(matched) == [("alpha", "high"), ("alpha", "low"), ("beta", "high"),
                                  ("beta", "low")]
         for key, questions in matched.items():
@@ -63,14 +76,14 @@ class TestBlocks:
         levels = {"base": [answer("q1", 11.0)], "tools": [answer("q1", 21.0)]}
         levels[level].append(answer("q1", 31.0))
         with pytest.raises(SchemaError, match=f"the {level} records hold question q1 twice"):
-            blocks(levels, within=by_model_effort)
+            matching(levels)
 
     def test_one_question_under_two_within_keys_is_two_blocks(self):
         base = [answer("q1", 11.0, model="a"), answer("q1", 12.0, model="b")]
         tools = [answer("q1", 21.0, model="b")]
-        matched = blocks({"base": base, "tools": tools}, within=by_model_effort)
+        matched = matching({"base": base, "tools": tools})
         assert ordered(matched) == [(("a", "low"), []), (("b", "low"), [
-            ("q1", [("base", base[1]), ("tools", tools[0])]),
+            ("q1", [("base", answered(base[1])), ("tools", answered(tools[0]))]),
         ])]
 
 
@@ -78,7 +91,7 @@ def test_tool_comparison_pairs_only_the_matched_questions():
     # Truth 10 everywhere: base AEs 2, 4 and 10, tool AEs 1 and 7; q3 has no tool answer.
     base = [answer("q1", 12.0), answer("q2", 14.0), answer("q3", 20.0)]
     tools = [answer("q2", 17.0), answer("q1", 11.0)]
-    table = tool_comparison_section(base, tools)
+    table = tool_comparison_section(as_columns(base), as_columns(tools))
     assert [row[0] for row in table.rows] == ["(all)", "d"]
     for row in table.rows:
         cells = dict(zip(table.columns, row))

@@ -17,13 +17,13 @@ from elicitbench.synthetic import (
     respond,
 )
 
-from helpers import scored_suite
+from helpers import as_columns, scored_suite
 
 
 class TestRespond:
     def test_deterministic_per_seed_and_question(self):
         cfg = SyntheticSuiteConfig(n_questions=5, seed=3, noise_sd=2.0, width_shrink=2.0)
-        questions = make_questions(cfg)
+        questions = list(make_questions(cfg))
         assert [respond(cfg, q) for q in questions] == [respond(cfg, q) for q in questions]
         other = dataclasses.replace(cfg, seed=4)
         assert respond(other, questions[0]) != respond(cfg, questions[0])
@@ -104,7 +104,7 @@ class TestMakeSuite:
         # mixed kinds, refusals included: extraction -> metrics -> conformal
         cfg = SyntheticSuiteConfig(n_questions=150, seed=11, proportion_fraction=0.5,
                                    refusal_rate=0.1, width_shrink=2.0, noise_sd=1.0)
-        questions = make_questions(cfg)
+        questions = list(make_questions(cfg))
         kinds = {q.kind for q in questions}
         assert kinds == {TargetKind.PROPORTION, TargetKind.CONTINUOUS}
         for q in questions:
@@ -113,7 +113,7 @@ class TestMakeSuite:
                 assert 0.0 <= q.truth.lower and q.truth.upper <= 100.0
         records = scored_suite(cfg)
         assert 100 < len(records) <= 150
-        results = calibrate_groups(records, ConformalConfig(seed=0))
+        results = calibrate_groups(as_columns(records), ConformalConfig(seed=0))
         assert len(results) == 1
 
     def test_proportion_reply_clipped(self):
