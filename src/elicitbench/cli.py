@@ -18,14 +18,14 @@ from typing import Callable, Iterable, Iterator, TypeVar
 
 from . import __version__
 from .conformal import ConformalConfig, calibrate_groups
-from .corpus import Question, corpus_config_from_dict, generate_corpus
+from .corpus import Question, TargetKind, TruthColumns, corpus_config_from_dict, generate_corpus
 from .elicitation import (DECODING, BatchResult, EffortLevel, ElicitationRecord, TransportStatus,
                           model_specs_from_config, run_batch)
 from .errors import ConfigError, ElicitBenchError, SchemaError, StageDependencyError
 from .extraction import Outcome, ParsedRecord, extract_triplet
 from .jsonlio import (
-    as_row, canonical_dumps, config_hash, iter_jsonl, load_row, read_jsonl, write_jsonl,
-    write_text,
+    as_row, canonical_dumps, config_hash, iter_jsonl, keyed_jsonl_writer, load_row, read_jsonl,
+    write_jsonl, write_text,
 )
 from .metrics import score_record
 from .report import (
@@ -71,20 +71,21 @@ def _load_json(path: str | Path) -> dict:
         raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
 
 
-def _unique_questions(path: str | Path, rows: Iterable[dict]) -> Iterator[Question]:
-    """The questions of corpus rows; a repeated question_id raises SchemaError."""
-    seen = set()
+def _question_index(path: str | Path, rows: Iterable[dict],
+                    keep: Callable[[Question], K]) -> dict[str, K]:
+    """question_id -> keep(question) of corpus rows; a repeated question_id raises SchemaError."""
+    index: dict[str, K] = {}
     for row in rows:
         q = Question.from_dict(row)
-        if q.question_id in seen:
+        if q.question_id in index:
             raise SchemaError(f"{path}: question_id {q.question_id} is repeated")
-        seen.add(q.question_id)
-        yield q
+        index[q.question_id] = keep(q)
+    return index
 
 
 def _read_corpus(path: str | Path) -> tuple[dict, dict[str, Question]]:
     header, rows = read_jsonl(_require(path, "generate (or simulate)"), "corpus.v1")
-    return header, {q.question_id: q for q in _unique_questions(path, rows)}
+    return header, _question_index(path, rows, keep=lambda q: q)
 
 
 def _corpus_index(path: str | Path, keep: Callable[[Question], K]) -> tuple[dict, dict[str, K]]:
@@ -94,7 +95,18 @@ def _corpus_index(path: str | Path, keep: Callable[[Question], K]) -> tuple[dict
     holds no more than that.
     """
     header, rows = iter_jsonl(_require(path, "generate (or simulate)"), "corpus.v1")
-    return header, {q.question_id: keep(q) for q in _unique_questions(path, rows)}
+    return header, _question_index(path, rows, keep)
+
+
+def _shared_labels() -> Callable[[Question], tuple[str, TargetKind]]:
+    """A question's (dataset_id, kind), one tuple held for each distinct pair."""
+    held: dict[tuple[str, TargetKind], tuple[str, TargetKind]] = {}
+
+    def label(q: Question) -> tuple[str, TargetKind]:
+        pair = (q.dataset_id, q.kind)
+        return held.setdefault(pair, pair)
+
+    return label
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
@@ -221,25 +233,31 @@ def _corpus_join(args: argparse.Namespace, upstream: str, produced_by: str, reco
 
 
 def cmd_extract(args: argparse.Namespace) -> int:
-    # Every parsed row is held until the last one is read, so each repeated
-    # dataset_id, model_id and effort is held as one shared string.
+    label = _shared_labels()
     cfg_hash, joined = _corpus_join(args, "transcript", "elicit (or simulate)", ElicitationRecord,
-                                    keep=lambda q: (sys.intern(q.dataset_id), q.kind))
+                                    keep=lambda q: (q.question_id, label(q)))
     # A resumed transcript can hold a key's failed attempt and its later
     # answer: the last record of each key wins, in order of first appearance.
-    parsed: dict[tuple, ParsedRecord] = {}
-    for record, (dataset_id, kind) in joined:
-        if record.transport_status is TransportStatus.OK:
-            parse = extract_triplet(record.raw_text, kind)
-            result = dict(outcome=Outcome.VALID if parse.valid else Outcome.INVALID,
-                          reason=parse.reason, triplet=parse.triplet)
-        else:
-            result = dict(outcome=Outcome.TRANSPORT_FAILED, failure_reason=record.failure_reason)
-        key = (record.question_id, sys.intern(record.model_id), sys.intern(record.effort),
-               record.tools_enabled)
-        parsed[key] = ParsedRecord(*key, dataset_id=dataset_id, kind=kind, **result)
-    counts = Counter(record.outcome for record in parsed.values())
-    write_jsonl(args.out, "parsed.v1", cfg_hash, parsed.values())
+    # Each row is written as it is parsed; a key, held until the end, shares
+    # its question_id, model_id and effort strings with the other keys.
+    outcomes: list[Outcome] = []  # row number -> the outcome of its key's last record
+    with keyed_jsonl_writer(args.out, "parsed.v1", cfg_hash) as write:
+        for record, (question_id, (dataset_id, kind)) in joined:
+            if record.transport_status is TransportStatus.OK:
+                parse = extract_triplet(record.raw_text, kind)
+                result = dict(outcome=Outcome.VALID if parse.valid else Outcome.INVALID,
+                              reason=parse.reason, triplet=parse.triplet)
+            else:
+                result = dict(outcome=Outcome.TRANSPORT_FAILED,
+                              failure_reason=record.failure_reason)
+            key = (question_id, sys.intern(record.model_id), sys.intern(record.effort),
+                   record.tools_enabled)
+            number = write(key, ParsedRecord(*key, dataset_id=dataset_id, kind=kind, **result))
+            if number == len(outcomes):
+                outcomes.append(result["outcome"])
+            else:
+                outcomes[number] = result["outcome"]
+    counts = Counter(outcomes)
     print(
         f"parsed {counts[Outcome.VALID]} valid, {counts[Outcome.INVALID]} invalid, "
         f"{counts[Outcome.TRANSPORT_FAILED]} transport-failed -> {args.out}"
@@ -248,20 +266,21 @@ def cmd_extract(args: argparse.Namespace) -> int:
 
 
 def cmd_score(args: argparse.Namespace) -> int:
+    label, truths = _shared_labels(), TruthColumns()
     cfg_hash, joined = _corpus_join(args, "parsed", "extract", ParsedRecord,
-                                    keep=lambda q: (q.dataset_id, q.kind, q.truth))
+                                    keep=lambda q: (label(q), truths.append(q.truth)))
     n_valid = 0
 
     def score_rows() -> Iterator[dict]:
         nonlocal n_valid
-        for record, (dataset_id, kind, truth) in joined:
+        for record, ((dataset_id, kind), row) in joined:
             if record.dataset_id != dataset_id or record.kind is not kind:
                 raise SchemaError(
                     f"{args.parsed}: question {record.question_id} is {record.dataset_id!r} "
                     f"({record.kind.value}) here and {dataset_id!r} ({kind.value}) in the corpus")
             if record.outcome is Outcome.VALID:
                 n_valid += 1
-                yield {"outcome": Outcome.VALID, **as_row(score_record(record, truth))}
+                yield {"outcome": Outcome.VALID, **as_row(score_record(record, truths[row]))}
             else:
                 yield {name: value for name, value in as_row(record).items() if name != "triplet"}
 

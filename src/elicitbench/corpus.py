@@ -12,8 +12,10 @@ import itertools
 import math
 import random
 import string
-from dataclasses import dataclass
+from array import array
+from dataclasses import dataclass, field
 from enum import Enum
+from functools import partial
 from pathlib import Path
 from statistics import fmean, stdev
 from typing import Sequence
@@ -64,6 +66,36 @@ class GroundTruth:
                 raise InputError("success count must satisfy 0 <= k <= n")
             if not 0.0 <= self.value <= 100.0:
                 raise InputError("proportion ground truth must lie in [0, 100]")
+
+
+@dataclass
+class TruthColumns:
+    """Ground truths as columns: row i of every column is one `GroundTruth`'s field.
+
+    value, lower and upper are arrays of doubles; n and k stay lists of
+    ints, so a count of any size is held as it was read.
+    """
+    value: array = field(default_factory=partial(array, "d"))
+    lower: array = field(default_factory=partial(array, "d"))
+    upper: array = field(default_factory=partial(array, "d"))
+    n: list[int] = field(default_factory=list)
+    family: list[CIFamily] = field(default_factory=list)
+    k: list[int | None] = field(default_factory=list)
+
+    def append(self, truth: GroundTruth) -> int:
+        """Add a truth; returns its row number."""
+        self.value.append(truth.value)
+        self.lower.append(truth.lower)
+        self.upper.append(truth.upper)
+        self.n.append(truth.n)
+        self.family.append(truth.family)
+        self.k.append(truth.k)
+        return len(self.n) - 1
+
+    def __getitem__(self, i: int) -> GroundTruth:
+        """Row i as the `GroundTruth` it was added as."""
+        return GroundTruth(self.value[i], self.lower[i], self.upper[i], self.n[i],
+                           self.family[i], self.k[i])
 
 
 @dataclass(frozen=True)

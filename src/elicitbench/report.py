@@ -11,10 +11,12 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
+import operator
 import typing
+from array import array
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Hashable, Iterable, Sequence
+from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
 from .conformal import GroupCalibration
 from .corpus import TargetKind
@@ -264,30 +266,47 @@ def baseline_section(groups: Sequence[ScoreColumns]) -> Table:
 Row = tuple[ScoreColumns, int]  # row i of a group's columns
 
 
+def _in_question_order(level: int, number: int, group: ScoreColumns
+                       ) -> Iterator[tuple[str, int, int, int]]:
+    """(question_id, level, number, i) of each row i of a group, in question_id order."""
+    order = sorted(range(len(group)), key=group.question_id.__getitem__)
+    return ((group.question_id[i], level, number, i) for i in order)
+
+
 def blocks(
     levels: dict[str, Iterable[ScoreColumns]], within: Callable[[ScoreColumns], Hashable]
-) -> dict[Hashable, dict[str, dict[str, Row]]]:
+) -> Iterator[tuple[Hashable, str, dict[str, Row]]]:
     """Rows matched on question across levels, per `within` key of their group.
 
-    `levels` maps a level name to its groups. For each `within` key, in key
-    order, the result maps question_id to {level: row}, in question_id order
-    and keeping only the questions that have a row at every level. A second
+    `levels` maps a level name to its groups. Yields (`within` key,
+    question_id, {level: row}) for each question that has a row at every
+    level, in key order and then question_id order, the levels in `levels`
+    order. The rows under one key are matched by merging each group's row
+    numbers sorted by question, so what is held is those numbers. A second
     row for one (`within` key, question, level) raises SchemaError.
     """
-    matched: dict[Hashable, dict[str, dict[str, Row]]] = {}
-    for level, groups in levels.items():
+    # Imported here: every stage imports this module, and loading heapq would
+    # add to the peak RSS of each, though only a comparison merges.
+    import heapq
+
+    names = list(levels)
+    keyed: dict[Hashable, list[tuple[int, ScoreColumns]]] = {}
+    for level, groups in enumerate(levels.values()):
         for g in groups:
-            key = within(g)
-            questions = matched.setdefault(key, {})
-            for i, question_id in enumerate(g.question_id):
-                cell = questions.setdefault(question_id, {})
-                if level in cell:
-                    raise SchemaError(f"the {level} records hold question {question_id} twice "
-                                      f"for {key}")
-                cell[level] = (g, i)
-    return {key: {qid: cell for qid, cell in sorted(matched[key].items())
-                  if len(cell) == len(levels)}
-            for key in sorted(matched)}
+            keyed.setdefault(within(g), []).append((level, g))
+    for key in sorted(keyed):
+        groups = keyed[key]
+        rows = heapq.merge(*(_in_question_order(level, number, g)
+                             for number, (level, g) in enumerate(groups)))
+        for question_id, same in itertools.groupby(rows, key=operator.itemgetter(0)):
+            cell: dict[str, Row] = {}
+            for _, level, number, i in same:
+                if names[level] in cell:
+                    raise SchemaError(f"the {names[level]} records hold question {question_id} "
+                                      f"twice for {key}")
+                cell[names[level]] = (groups[number][1], i)
+            if len(cell) == len(names):
+                yield key, question_id, cell
 
 
 def tool_comparison_section(
@@ -301,24 +320,30 @@ def tool_comparison_section(
     differences (tool minus baseline), with the rank-biserial effect size.
     Win rate is the strict fraction of pairs where tools reduced the error.
     """
-    matched = blocks({"base": base_groups, "tools": tool_groups},
-                     within=lambda g: (g.model_id, g.effort))
-    pairs = [cell for questions in matched.values() for cell in questions.values()]
+    # The (base, tools) absolute errors of every matched pair, and of the pairs
+    # of each base dataset, in match order.
+    matched: tuple[array, array] = (array("d"), array("d"))
+    by_dataset: dict[str, tuple[array, array]] = {}
+    for _, _, cell in blocks({"base": base_groups, "tools": tool_groups},
+                             within=lambda g: (g.model_id, g.effort)):
+        (b, i), (t, j) = cell["base"], cell["tools"]
+        base_ae, tools_ae = abs(b.value[i] - b.truth[i]), abs(t.value[j] - t.truth[j])
+        scoped = by_dataset.setdefault(b.dataset_id, (array("d"), array("d")))
+        for base, tools in (matched, scoped):
+            base.append(base_ae)
+            tools.append(tools_ae)
     columns = [
         "dataset", "n_pairs", "median_ae_base", "median_ae_tools", "win_rate",
         "wilcoxon_w", "p_value", "rank_biserial", "method",
     ]
     rows = []
-    scopes = [("(all)", pairs), *sorted(group_by(pairs, lambda p: p["base"][0].dataset_id).items())]
-    for scope, scoped in scopes:
-        if not scoped:
+    for scope, (base, tools) in [("(all)", matched), *sorted(by_dataset.items())]:
+        if not base:
             continue
-        base, tools = ([abs(g.value[i] - g.truth[i]) for g, i in (p[side] for p in scoped)]
-                       for side in ("base", "tools"))
         diffs = [t - b for b, t in zip(base, tools)]
         result = wilcoxon_signed_rank(diffs)
         rows.append([
-            scope, len(scoped), median_of(base), median_of(tools), rate(d < 0 for d in diffs),
+            scope, len(base), median_of(base), median_of(tools), rate(d < 0 for d in diffs),
             result.statistic, result.p_value, rank_biserial(diffs) if any(diffs) else None,
             result.method_note,
         ])

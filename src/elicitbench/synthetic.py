@@ -74,8 +74,13 @@ def _truth_deviation(seed: int, question_id: str, sigma_true: float) -> float:
     return Random(derive_seed(seed, "truth-dev", question_id)).gauss(0.0, sigma_true)
 
 
-def respond(config: SyntheticSuiteConfig, question: Question) -> str:
-    """The suite's deterministic reply: a labeled triplet or a clarification sentence."""
+def respond(config: SyntheticSuiteConfig, question: Question,
+            deviation: float | None = None) -> str:
+    """The suite's deterministic reply: a labeled triplet or a clarification sentence.
+
+    `deviation` is a continuous question's truth deviation as `make_questions`
+    drew it; when it is not given, it is drawn again.
+    """
     rng = Random(derive_seed(config.seed, "respond", question.question_id))
     if rng.random() < config.refusal_rate:
         return CLARIFICATION_TEXT
@@ -88,9 +93,9 @@ def respond(config: SyntheticSuiteConfig, question: Question) -> str:
         upper = min(100.0, value + half)
         units = Units.PERCENT
     else:
-        center = question.truth.value - _truth_deviation(
-            config.seed, question.question_id, config.sigma_true
-        )
+        if deviation is None:
+            deviation = _truth_deviation(config.seed, question.question_id, config.sigma_true)
+        center = question.truth.value - deviation
         value = center + config.bias + noise
         lower, upper = value - half, value + half
         units = Units.DATASET
@@ -112,11 +117,18 @@ def make_questions(config: SyntheticSuiteConfig) -> Iterator[Question]:
     a logit-normal truth (schema exercise only); the rest are continuous with
     truth = latent center + Normal(0, sigma_true).
     """
+    return (question for question, _ in _questions_and_deviations(config))
+
+
+def _questions_and_deviations(config: SyntheticSuiteConfig
+                              ) -> Iterator[tuple[Question, float | None]]:
+    """The questions of `make_questions`, each with its truth deviation (None when percent-kind)."""
     n_prop = int(math.floor(config.proportion_fraction * config.n_questions))
     for i in range(config.n_questions):
         kind = TargetKind.PROPORTION if i < n_prop else TargetKind.CONTINUOUS
         params = {"index": str(i)}
         qid = question_id_for(f"{config.dataset_id}-{kind.value}", params)
+        deviation = None
         if kind is TargetKind.PROPORTION:
             theta = Random(derive_seed(config.seed, "prop-theta", qid)).gauss(_logit(0.3), 0.8)
             truth = binomial_truth(round(config.proportion_n * _sigmoid(theta)), config.proportion_n)
@@ -126,14 +138,15 @@ def make_questions(config: SyntheticSuiteConfig) -> Iterator[Question]:
             center = Random(derive_seed(config.seed, "center", qid)).gauss(
                 config.mu_center, config.mu_spread
             )
-            value = center + _truth_deviation(config.seed, qid, config.sigma_true)
+            deviation = _truth_deviation(config.seed, qid, config.sigma_true)
+            value = center + deviation
             half = Z_95 * config.sigma_true
             truth = GroundTruth(value=value, lower=value - half, upper=value + half,
                                 n=1000, family=CIFamily.GAUSSIAN)
             prompt = (f"Estimate synthetic quantity #{i} in its native units. "
                       + CONTINUOUS_INSTRUCTION)
         yield Question(question_id=qid, dataset_id=config.dataset_id, params=params,
-                       prompt=prompt, kind=kind, truth=truth)
+                       prompt=prompt, kind=kind, truth=truth), deviation
 
 
 def make_suite(config: SyntheticSuiteConfig, out_dir: str | Path) -> dict:
@@ -152,14 +165,14 @@ def make_suite(config: SyntheticSuiteConfig, out_dir: str | Path) -> dict:
     spec = ModelSpec(model_id=config.model_id, endpoint_url="", effort_mode=None)
 
     def transcript_rows(write_question):
-        for q in make_questions(config):
+        for q, deviation in _questions_and_deviations(config):
             write_question(q)
             yield ElicitationRecord(
                 question_id=q.question_id,
                 model_id=config.model_id,
                 effort=config.effort,
                 tools_enabled=False,
-                raw_text=respond(config, q),
+                raw_text=respond(config, q, deviation),
                 request_timestamp=EPOCH_TIMESTAMP,
                 latency_ms=0.0,
                 attempt_count=1,

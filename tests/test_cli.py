@@ -1171,6 +1171,81 @@ class TestTranscriptRowOrder:
                     == (tmp_path / "transcript" / rel).read_bytes()), rel
 
 
+def _failed(row: dict) -> dict:
+    return {**row, "raw_text": "", "transport_status": "failed", "failure_reason": "http 503"}
+
+
+def _unanswered(row: dict) -> dict:
+    return {**row, "raw_text": "I cannot estimate that."}
+
+
+class TestExtractRepeatedKeys:
+    """A (question, model, effort, tools) key that a transcript repeats gives one
+    parsed row, at the place of the key's first record, parsed from its last."""
+
+    def suite(self, tmp_path: Path) -> tuple[Path, list[dict]]:
+        suite = tmp_path / "suite"
+        assert main(["simulate", "--n-questions", "3", "--seed", "0",
+                     "--out-dir", str(suite)]) == 0
+        _, rows = read_jsonl(suite / "transcript.jsonl", "transcript.v1")
+        return suite, rows
+
+    def extract(self, suite: Path, rows: list[dict], out: Path, capsys):
+        """extract of a transcript holding `rows`: its exit code and what it printed."""
+        transcript = out.with_suffix(".transcript.jsonl")
+        write_jsonl(transcript, "transcript.v1", "h", rows)
+        capsys.readouterr()
+        code = main(["extract", "--transcript", str(transcript),
+                     "--corpus", str(suite / "corpus.jsonl"), "--out", str(out)])
+        return code, capsys.readouterr()
+
+    def test_a_transport_failure_after_a_valid_row_replaces_it(self, tmp_path, capsys):
+        suite, (a, b, c) = self.suite(tmp_path)
+        code, printed = self.extract(suite, [a, b, _failed(a), c], tmp_path / "parsed.jsonl",
+                                     capsys)
+        assert code == 0
+        assert "parsed 2 valid, 0 invalid, 1 transport-failed" in printed.out
+        _, parsed = read_jsonl(tmp_path / "parsed.jsonl", "parsed.v1")
+        assert [r["question_id"] for r in parsed] == [r["question_id"] for r in (a, b, c)]
+        assert [r["outcome"] for r in parsed] == ["transport_failed", "valid", "valid"]
+        assert (parsed[0]["failure_reason"], parsed[0]["triplet"]) == ("http 503", None)
+        # the same bytes as a transcript that holds only the last record of the key
+        assert self.extract(suite, [_failed(a), b, c], tmp_path / "once.jsonl", capsys)[0] == 0
+        assert ((tmp_path / "parsed.jsonl").read_bytes()
+                == (tmp_path / "once.jsonl").read_bytes())
+
+    def test_three_records_of_one_key_between_other_keys(self, tmp_path, capsys):
+        suite, (a, b, c) = self.suite(tmp_path)
+        a_high = {**a, "effort": "high"}  # another key of the same question
+        rows = [_failed(a), b, _unanswered(a), a_high, c, a]
+        code, printed = self.extract(suite, rows, tmp_path / "parsed.jsonl", capsys)
+        assert code == 0
+        assert "parsed 4 valid, 0 invalid, 0 transport-failed" in printed.out
+        _, parsed = read_jsonl(tmp_path / "parsed.jsonl", "parsed.v1")
+        assert ([(r["question_id"], r["effort"]) for r in parsed]
+                == [(r["question_id"], r["effort"]) for r in (a, b, a_high, c)])
+        assert [r["outcome"] for r in parsed] == ["valid"] * 4
+        assert self.extract(suite, [a, b, a_high, c], tmp_path / "once.jsonl", capsys)[0] == 0
+        assert ((tmp_path / "parsed.jsonl").read_bytes()
+                == (tmp_path / "once.jsonl").read_bytes())
+        # the last record decides the outcome that is counted, not the first
+        rows = [a, b, _failed(a), c, _unanswered(a)]
+        code, printed = self.extract(suite, rows, tmp_path / "last.jsonl", capsys)
+        assert code == 0
+        assert "parsed 2 valid, 1 invalid, 0 transport-failed" in printed.out
+        _, parsed = read_jsonl(tmp_path / "last.jsonl", "parsed.v1")
+        assert [r["outcome"] for r in parsed] == ["invalid", "valid", "valid"]
+
+    def test_an_unknown_question_is_2_and_leaves_no_file(self, tmp_path, capsys):
+        suite, (a, b, c) = self.suite(tmp_path)
+        out_dir = tmp_path / "out"
+        rows = [a, b, {**c, "question_id": "no-such-q"}]
+        code, printed = self.extract(suite, rows, out_dir / "parsed.jsonl", capsys)
+        assert code == 2
+        assert "unknown question no-such-q" in printed.err
+        assert sorted(p.name for p in out_dir.iterdir()) == ["parsed.transcript.jsonl"]
+
+
 class TestFitsRoundTrip:
     def test_report_repeats_fits_in_effort_order_with_flagged_group(self, tmp_path):
         suites = [("alpha", "low", 400), ("alpha", "high", 400), ("beta", "medium", 40)]

@@ -8,10 +8,15 @@ lines and every decoded row, they peaked at about 20 / 17 / 14 / 14 MB on
 Python 3.11; streaming the rows, at about 5 / 2 / 5 / 4 MB. Still holding one
 record per row, extract, calibrate and report peaked at about 4.5, 4.5 and
 3.7 MB. Holding only (dataset, kind) per corpus question and one shared
-string per repeated model, effort and dataset, extract peaks at about 2.9 MB;
+string per repeated model, effort and dataset, extract peaked at about 2.9 MB;
 holding each group's valid score rows as columns, calibrate and report peak
-at about 1.2 and 1.0 MB. Each bound lies between the last two figures of its
-stage (score's, between the first two).
+at about 1.2 and 1.0 MB. Writing each parsed row as it is parsed and holding
+only each key's row number, extract peaks at about 1.4 MB; holding the corpus
+truths as columns instead of one `GroundTruth` per question, score goes from
+about 2.1 to 1.4 MB. `report --tool-scores` of the suite's scores against
+themselves peaked at about 3.5 MB while it held a dict per matched question;
+merging the row numbers of each level sorted by question, at about 2.0 MB.
+Each bound lies between the last two figures of its stage.
 
 `simulate` writes both of its files in one pass over the questions, made one
 at a time. Writing the corpus from a list of every question first, it peaked
@@ -43,7 +48,8 @@ from elicitbench.synthetic import SyntheticSuiteConfig, make_questions
 from helpers import answer_at_once
 
 # stage -> bound on its traced peak, in MB (1e6 bytes)
-BOUNDS_MB = {"extract": 3.5, "score": 6.0, "calibrate": 2.5, "report": 2.0}
+BOUNDS_MB = {"extract": 2.0, "score": 1.8, "calibrate": 2.5, "report": 2.0,
+             "report --tool-scores": 2.5}
 # bound on how much simulate's traced peak may grow from 2,000 to 8,000 questions, in MB
 SIMULATE_GROWTH_MB = 1.0
 # bound on how much elicit's traced peak may grow from 2,100 to 8,400 requests, in MB
@@ -77,6 +83,8 @@ def test_analysis_stages_stay_under_their_traced_peaks(tmp_path):
                       "--fits", fits],
         "report": ["report", "--scores", scores, "--calibration", fits,
                    "--out-dir", str(tmp_path / "report")],
+        "report --tool-scores": ["report", "--scores", scores, "--calibration", fits,
+                                 "--tool-scores", scores, "--out-dir", str(tmp_path / "tools")],
     }
     peaks = {stage: round(_traced_peak_mb(lambda: main(argv) == 0), 2)
              for stage, argv in stages.items()}

@@ -5,9 +5,10 @@ import random
 
 import pytest
 
-from elicitbench.corpus import CIFamily, GroundTruth, Question, TargetKind, Z_95
+from elicitbench.corpus import (CIFamily, GroundTruth, Question, TargetKind, TruthColumns, Z_95,
+                               binomial_truth)
 from elicitbench.errors import InputError
-from elicitbench.extraction import Triplet, Units
+from elicitbench.extraction import Outcome, ParsedRecord, Triplet, Units
 from elicitbench.jsonlio import canonical_dumps, load_row
 from elicitbench.metrics import (
     GroupSummary,
@@ -209,6 +210,24 @@ class TestBaselineWinRate:
         for _ in range(200):
             pairs = [(rng.uniform(0, 100), rng.uniform(0.1, 100)) for _ in range(rng.randint(1, 40))]
             assert baseline_win_rate(pairs) == winrate_oracle(pairs)
+
+
+class TestTruthColumns:
+    @pytest.mark.parametrize("kind, truth", [
+        (TargetKind.PROPORTION, binomial_truth(2**69 + 3, 2**70)),  # a count beyond 64 bits
+        (TargetKind.CONTINUOUS, make_truth_gaussian(103.25, half=4.5)),
+    ], ids=["binomial_2_70", "gaussian"])
+    def test_a_truth_scores_as_its_hydrated_record(self, kind, truth):
+        hydrated = load_row(GroundTruth, json.loads(canonical_dumps(truth)))
+        columns = TruthColumns()
+        columns.append(make_truth_binomial(7, 20))  # so that the row is not the first
+        row = columns.append(hydrated)
+        assert row == 1
+        assert columns[row] == hydrated
+        parsed = ParsedRecord("q", "m", "low", False, "d", kind, Outcome.VALID,
+                              triplet=make_triplet(51.0, 40.0, 62.0, kind=kind))
+        assert (canonical_dumps(score_record(parsed, columns[row]))
+                == canonical_dumps(score_record(parsed, hydrated)))
 
 
 class TestScoredRecordsAndSummary:

@@ -20,9 +20,10 @@ def by_model_effort(r):
 
 
 def matching(levels):
-    """blocks of the levels' records, each level's records as the columns of their groups."""
-    return blocks({level: as_columns(records) for level, records in levels.items()},
-                  within=by_model_effort)
+    """blocks of the levels' records, each level's records as the columns of their groups,
+    as a list."""
+    return list(blocks({level: as_columns(records) for level, records in levels.items()},
+                       within=by_model_effort))
 
 
 def answered(record):
@@ -30,12 +31,11 @@ def answered(record):
 
 
 def ordered(matched):
-    """The blocks as nested lists, so that comparing them compares their order too; each
-    matched row is given as `answered` gives its record."""
-    return [(key, [(qid, [(level, (g.model_id, g.effort, g.question_id[i], g.value[i]))
-                          for level, (g, i) in cell.items()])
-                   for qid, cell in questions.items()])
-            for key, questions in matched.items()]
+    """The matched questions with their rows as lists, so that comparing them compares their
+    order too; each matched row is given as `answered` gives its record."""
+    return [(key, qid, [(level, (g.model_id, g.effort, g.question_id[i], g.value[i]))
+                        for level, (g, i) in cell.items()])
+            for key, qid, cell in matched]
 
 
 class TestBlocks:
@@ -43,10 +43,10 @@ class TestBlocks:
         base = [answer("q1", 11.0), answer("q2", 12.0), answer("q3", 13.0)]
         tools = [answer("q3", 23.0), answer("q1", 21.0)]
         matched = matching({"base": base, "tools": tools})
-        assert ordered(matched) == [(("m", "low"), [
-            ("q1", [("base", answered(base[0])), ("tools", answered(tools[1]))]),
-            ("q3", [("base", answered(base[2])), ("tools", answered(tools[0]))]),
-        ])]
+        assert ordered(matched) == [
+            (("m", "low"), "q1", [("base", answered(base[0])), ("tools", answered(tools[1]))]),
+            (("m", "low"), "q3", [("base", answered(base[2])), ("tools", answered(tools[0]))]),
+        ]
 
     def test_shuffled_records_give_the_same_blocks_in_question_id_order(self):
         rng = random.Random(5)
@@ -61,15 +61,18 @@ class TestBlocks:
             shuffled = {level: random.Random(seed).sample(records, len(records))
                         for level, records in levels.items()}
             assert ordered(matching(shuffled)) == ordered(matched)
-        assert list(matched) == [("alpha", "high"), ("alpha", "low"), ("beta", "high"),
-                                 ("beta", "low")]
-        for key, questions in matched.items():
-            assert list(questions) == sorted(questions)
+        keys = [key for key, _, _ in matched]
+        assert list(dict.fromkeys(keys)) == [("alpha", "high"), ("alpha", "low"),
+                                             ("beta", "high"), ("beta", "low")]
+        assert keys == sorted(keys)
+        for key in dict.fromkeys(keys):
+            questions = [qid for k, qid, _ in matched if k == key]
+            assert questions == sorted(set(questions))
             expected = set.intersection(*({r.question_id for r in records
                                            if by_model_effort(r) == key}
                                           for records in levels.values()))
             assert set(questions) == expected
-            assert all(list(cell) == ["low", "medium", "high"] for cell in questions.values())
+        assert all(list(cell) == ["low", "medium", "high"] for _, _, cell in matched)
 
     @pytest.mark.parametrize("level", ["base", "tools"])
     def test_a_second_record_for_a_question_at_one_level_is_a_schema_error(self, level):
@@ -78,13 +81,20 @@ class TestBlocks:
         with pytest.raises(SchemaError, match=f"the {level} records hold question q1 twice"):
             matching(levels)
 
+    def test_a_repeat_of_a_question_the_other_level_lacks_is_a_schema_error(self):
+        # the merge reads every row of a level, past the last question the levels share
+        levels = {"base": [answer("q1", 11.0), answer("q9", 19.0), answer("q9", 29.0)],
+                  "tools": [answer("q1", 21.0)]}
+        with pytest.raises(SchemaError, match="the base records hold question q9 twice"):
+            matching(levels)
+
     def test_one_question_under_two_within_keys_is_two_blocks(self):
         base = [answer("q1", 11.0, model="a"), answer("q1", 12.0, model="b")]
         tools = [answer("q1", 21.0, model="b")]
         matched = matching({"base": base, "tools": tools})
-        assert ordered(matched) == [(("a", "low"), []), (("b", "low"), [
-            ("q1", [("base", answered(base[1])), ("tools", answered(tools[0]))]),
-        ])]
+        assert ordered(matched) == [
+            (("b", "low"), "q1", [("base", answered(base[1])), ("tools", answered(tools[0]))]),
+        ]
 
 
 def test_tool_comparison_pairs_only_the_matched_questions():
