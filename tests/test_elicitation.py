@@ -1,4 +1,5 @@
 import base64
+import gc
 import itertools
 import json
 import socket
@@ -316,6 +317,10 @@ class TestRunBatch:
         state = StubState()
         with StubServer(state) as server:
             spec = spec_for(server.url, rate_limit_per_minute=60 / 0.08)  # 80 ms interval
+            # A full collection pauses every thread (about 0.1 s once the whole suite has
+            # loaded); one between a request's start and its send moves that arrival. When
+            # it falls depends on what earlier tests allocated, so it is run here, first.
+            gc.collect()
             started = time.monotonic()
             run_batch(questions(4), [spec], [EffortLevel.LOW], concurrency=4,
                       out_path=tmp_path / "t.jsonl", cfg_hash="h")
