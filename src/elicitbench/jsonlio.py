@@ -26,7 +26,6 @@ import hashlib
 import inspect
 import json
 import os
-import tempfile
 import types
 import typing
 from pathlib import Path
@@ -275,6 +274,8 @@ def keyed_jsonl_writer(path: str | Path, schema: str, cfg_hash: str
     only the key numbers and the rows of repeated keys are held. The file
     replaces `path` when the block ends, and is removed if it raises.
     """
+    import tempfile  # here, not at the top: it loads shutil and the compression modules
+
     numbers: dict[Hashable, int] = {}
     later: dict[int, str] = {}  # row number -> the last row of its repeated key
 

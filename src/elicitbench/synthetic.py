@@ -70,16 +70,11 @@ class SyntheticSuiteConfig:
             raise ConfigError(f"bias must be finite, got {self.bias}")
 
 
-def _truth_deviation(seed: int, question_id: str, sigma_true: float) -> float:
-    return Random(derive_seed(seed, "truth-dev", question_id)).gauss(0.0, sigma_true)
-
-
-def respond(config: SyntheticSuiteConfig, question: Question,
-            deviation: float | None = None) -> str:
+def respond(config: SyntheticSuiteConfig, question: Question, deviation: float | None) -> str:
     """The suite's deterministic reply: a labeled triplet or a clarification sentence.
 
-    `deviation` is a continuous question's truth deviation as `make_questions`
-    drew it; when it is not given, it is drawn again.
+    `deviation` is the question's truth deviation as `make_questions` gives
+    it with the question (None for a percent-kind question).
     """
     rng = Random(derive_seed(config.seed, "respond", question.question_id))
     if rng.random() < config.refusal_rate:
@@ -93,8 +88,6 @@ def respond(config: SyntheticSuiteConfig, question: Question,
         upper = min(100.0, value + half)
         units = Units.PERCENT
     else:
-        if deviation is None:
-            deviation = _truth_deviation(config.seed, question.question_id, config.sigma_true)
         center = question.truth.value - deviation
         value = center + config.bias + noise
         lower, upper = value - half, value + half
@@ -110,19 +103,14 @@ def _sigmoid(x: float) -> float:
     return 1.0 / (1.0 + math.exp(-x))
 
 
-def make_questions(config: SyntheticSuiteConfig) -> Iterator[Question]:
+def make_questions(config: SyntheticSuiteConfig) -> Iterator[tuple[Question, float | None]]:
     """Deterministic synthetic questions with known truth spread, made one at a time.
 
     The first floor(proportion_fraction * n) questions are percent-kind with
     a logit-normal truth (schema exercise only); the rest are continuous with
-    truth = latent center + Normal(0, sigma_true).
+    truth = latent center + Normal(0, sigma_true). Each question comes with
+    that truth deviation, which `respond` takes (None when percent-kind).
     """
-    return (question for question, _ in _questions_and_deviations(config))
-
-
-def _questions_and_deviations(config: SyntheticSuiteConfig
-                              ) -> Iterator[tuple[Question, float | None]]:
-    """The questions of `make_questions`, each with its truth deviation (None when percent-kind)."""
     n_prop = int(math.floor(config.proportion_fraction * config.n_questions))
     for i in range(config.n_questions):
         kind = TargetKind.PROPORTION if i < n_prop else TargetKind.CONTINUOUS
@@ -138,7 +126,9 @@ def _questions_and_deviations(config: SyntheticSuiteConfig
             center = Random(derive_seed(config.seed, "center", qid)).gauss(
                 config.mu_center, config.mu_spread
             )
-            deviation = _truth_deviation(config.seed, qid, config.sigma_true)
+            deviation = Random(derive_seed(config.seed, "truth-dev", qid)).gauss(
+                0.0, config.sigma_true
+            )
             value = center + deviation
             half = Z_95 * config.sigma_true
             truth = GroundTruth(value=value, lower=value - half, upper=value + half,
@@ -165,7 +155,7 @@ def make_suite(config: SyntheticSuiteConfig, out_dir: str | Path) -> dict:
     spec = ModelSpec(model_id=config.model_id, endpoint_url="", effort_mode=None)
 
     def transcript_rows(write_question):
-        for q, deviation in _questions_and_deviations(config):
+        for q, deviation in make_questions(config):
             write_question(q)
             yield ElicitationRecord(
                 question_id=q.question_id,

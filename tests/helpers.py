@@ -41,8 +41,8 @@ def make_scored(value, lower, upper, truth_value, kind=TargetKind.CONTINUOUS,
 def scored_suite(config: SyntheticSuiteConfig) -> list[ScoredRecord]:
     """Synthetic questions answered, parsed, and scored through the real modules."""
     records = []
-    for q in make_questions(config):
-        outcome = extract_triplet(respond(config, q), q.kind)
+    for q, deviation in make_questions(config):
+        outcome = extract_triplet(respond(config, q, deviation), q.kind)
         if not outcome.valid:
             continue
         parsed = ParsedRecord(q.question_id, config.model_id, config.effort, False,

@@ -26,7 +26,7 @@ from oracles import load_row_reference
 def _written_records():
     """One instance of every record type that artifacts and config hashes serialize."""
     scored = make_scored(10.0, 8.0, 12.0, truth_value=11.0)
-    (question,) = make_questions(SyntheticSuiteConfig(n_questions=1))
+    ((question, _),) = make_questions(SyntheticSuiteConfig(n_questions=1))
     transcript = ElicitationRecord(
         question_id="q", model_id="m", effort="low", tools_enabled=False, raw_text="42",
         request_timestamp="1970-01-01T00:00:00Z", latency_ms=0.0, attempt_count=1,

@@ -114,7 +114,8 @@ def test_elicit_peak_does_not_grow_with_the_plan(tmp_path, monkeypatch):
                                  cfg_hash="h").ok == 3 * len(plan)
 
     # The questions are made before tracing: only run_batch's own allocations count.
-    small, large = (list(make_questions(SyntheticSuiteConfig(n_questions=n))) for n in (700, 2800))
+    small, large = ([q for q, _ in make_questions(SyntheticSuiteConfig(n_questions=n))]
+                    for n in (700, 2800))
     assert elicit(small[:1])()  # loads the transport and concurrent.futures
     small_mb, large_mb = _traced_peak_mb(elicit(small)), _traced_peak_mb(elicit(large))
     assert large_mb - small_mb < ELICIT_GROWTH_MB, \

@@ -24,21 +24,22 @@ class TestRespond:
     def test_deterministic_per_seed_and_question(self):
         cfg = SyntheticSuiteConfig(n_questions=5, seed=3, noise_sd=2.0, width_shrink=2.0)
         questions = list(make_questions(cfg))
-        assert [respond(cfg, q) for q in questions] == [respond(cfg, q) for q in questions]
+        assert [respond(cfg, *qd) for qd in questions] == [respond(cfg, *qd) for qd in questions]
         other = dataclasses.replace(cfg, seed=4)
-        assert respond(other, questions[0]) != respond(cfg, questions[0])
+        assert respond(other, *questions[0]) != respond(cfg, *questions[0])
 
     def test_reply_parses_to_labeled_triplet(self):
         cfg = SyntheticSuiteConfig(n_questions=3, seed=1)
-        for q in make_questions(cfg):
-            out = extract_triplet(respond(cfg, q), q.kind)
+        for q, deviation in make_questions(cfg):
+            out = extract_triplet(respond(cfg, q, deviation), q.kind)
             assert out.valid
             assert not out.triplet.bounds_reordered
 
     def test_full_refusal_is_clarification_downstream(self):
         cfg = SyntheticSuiteConfig(n_questions=20, seed=2, refusal_rate=1.0)
         outcomes = [
-            extract_triplet(respond(cfg, q), q.kind) for q in make_questions(cfg)
+            extract_triplet(respond(cfg, q, deviation), q.kind)
+            for q, deviation in make_questions(cfg)
         ]
         assert all(o.reason is InvalidReason.CLARIFICATION for o in outcomes)
 
@@ -63,7 +64,8 @@ class TestRespond:
     def test_refusal_rate_concentrates(self):
         cfg = SyntheticSuiteConfig(n_questions=400, seed=5, refusal_rate=0.25)
         outcomes = [
-            extract_triplet(respond(cfg, q), q.kind) for q in make_questions(cfg)
+            extract_triplet(respond(cfg, q, deviation), q.kind)
+            for q, deviation in make_questions(cfg)
         ]
         refusal_share = sum(not o.valid for o in outcomes) / len(outcomes)
         assert abs(refusal_share - 0.25) <= 0.05
@@ -89,7 +91,7 @@ class TestMakeSuite:
         make_suite(cfg, tmp_path)
         _, rows = read_jsonl(tmp_path / "transcript.jsonl", "transcript.v1")
         spec = ModelSpec(model_id="sim", endpoint_url="http://localhost:1/v1", effort_mode=None)
-        sent = {q.question_id: build_request(q, spec, EffortLevel.NONE) for q in make_questions(cfg)}
+        sent = {q.question_id: build_request(q, spec, EffortLevel.NONE) for q, _ in make_questions(cfg)}
         assert {row["question_id"]: row["request_payload"] for row in rows} == sent
         assert {tuple(payload) for payload in sent.values()} == {("model", "messages", "temperature")}
 
@@ -104,7 +106,7 @@ class TestMakeSuite:
         # mixed kinds, refusals included: extraction -> metrics -> conformal
         cfg = SyntheticSuiteConfig(n_questions=150, seed=11, proportion_fraction=0.5,
                                    refusal_rate=0.1, width_shrink=2.0, noise_sd=1.0)
-        questions = list(make_questions(cfg))
+        questions = [q for q, _ in make_questions(cfg)]
         kinds = {q.kind for q in questions}
         assert kinds == {TargetKind.PROPORTION, TargetKind.CONTINUOUS}
         for q in questions:
@@ -119,7 +121,7 @@ class TestMakeSuite:
     def test_proportion_reply_clipped(self):
         cfg = SyntheticSuiteConfig(n_questions=40, seed=13, proportion_fraction=1.0,
                                    width_shrink=0.25, sigma_true=30.0)
-        for q in make_questions(cfg):
-            out = extract_triplet(respond(cfg, q), q.kind)
+        for q, deviation in make_questions(cfg):
+            out = extract_triplet(respond(cfg, q, deviation), q.kind)
             assert out.valid
             assert 0.0 <= out.triplet.lower <= out.triplet.upper <= 100.0
