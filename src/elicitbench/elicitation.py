@@ -23,11 +23,11 @@ from contextlib import closing
 from dataclasses import dataclass, field
 from pathlib import Path
 from enum import Enum
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from .corpus import Question, TargetKind
 from .errors import ConfigError, SchemaError
-from .jsonlio import canonical_dumps, load_row, read_jsonl
+from .jsonlio import canonical_dumps, header_line, load_row, read_jsonl
 
 if TYPE_CHECKING:
     from .transport import Connections
@@ -103,26 +103,17 @@ def _json_object(value: object, what: str) -> dict:
     return value
 
 
-def _effort_mode(raw: object) -> VendorParam | TokenBudget | None:
-    mode = _json_object(raw, "effort_mode")
-    mode_type = mode.get("type", "token_budget")
-    if mode_type == "vendor_param":
-        return load_row(VendorParam, mode)
-    if mode_type == "token_budget":
-        return load_row(TokenBudget, mode)
-    if mode_type == "non_reasoning":
-        return None
-    raise ConfigError(f"unknown effort mode {mode_type!r}")
-
-
-def _tool_policy(raw: object) -> WebSearch | None:
-    tools = _json_object(raw, "tool_policy")
-    policy_type = tools.get("type", "disabled")
-    if policy_type == "web_search":
-        return load_row(WebSearch, tools)
-    if policy_type == "disabled":
-        return None
-    raise ConfigError(f"unknown tool policy {policy_type!r}")
+def _tagged(name: str, default: str, records: dict[str, type | None]) -> Callable[[object], object]:
+    """The loader of field `name`: a JSON object whose "type" (`default` when
+    absent) names its record in `records`; a record of None loads as None."""
+    def load(raw: object) -> object:
+        tagged = _json_object(raw, name)
+        tag = tagged.get("type", default)
+        if not isinstance(tag, str) or tag not in records:
+            raise ConfigError(f"unknown {name.replace('_', ' ')} {tag!r}")
+        record = records[tag]
+        return None if record is None else load_row(record, tagged)
+    return load
 
 
 @dataclass(frozen=True)
@@ -133,9 +124,10 @@ class ModelSpec:
     # None: a non-reasoning model, run at the control level only. The JSON
     # objects of effort_mode and tool_policy name the record they hold by "type".
     effort_mode: VendorParam | TokenBudget | None = field(
-        default_factory=TokenBudget, metadata={"load": _effort_mode}
-    )
-    tool_policy: WebSearch | None = field(default=None, metadata={"load": _tool_policy})
+        default_factory=TokenBudget, metadata={"load": _tagged("effort_mode", "token_budget", {
+            "vendor_param": VendorParam, "token_budget": TokenBudget, "non_reasoning": None})})
+    tool_policy: WebSearch | None = field(default=None, metadata={"load": _tagged(
+        "tool_policy", "disabled", {"web_search": WebSearch, "disabled": None})})
     max_retries: int = 3
     timeout: float = 60.0
     rate_limit_per_minute: float = 60.0
@@ -296,9 +288,12 @@ def _post_once(
     if status != 200:
         return False, status in RETRYABLE_STATUSES, f"http status {status}"
     try:
-        return True, False, json.loads(reply)["choices"][0]["message"]["content"]
+        text = json.loads(reply)["choices"][0]["message"]["content"]
     except (ValueError, KeyError, IndexError, TypeError):
+        text = None
+    if not isinstance(text, str):  # a null content too: `extract` reads only strings
         return False, True, "malformed response body"
+    return True, False, text
 
 
 def _elicit_one(
@@ -451,7 +446,7 @@ def run_batch(
     out_path.parent.mkdir(parents=True, exist_ok=True)
     with closing(connections), out_path.open("w" if fresh else "a", encoding="utf-8") as sink:
         if fresh:
-            sink.write(canonical_dumps({"schema": "transcript.v1", "config_hash": cfg_hash}) + "\n")
+            sink.write(header_line("transcript.v1", cfg_hash))
         pool = ThreadPoolExecutor(max_workers=concurrency)
         try:
             tasks = plan()

@@ -247,7 +247,8 @@ def _replacing(path: str | Path) -> Iterator[IO[str]]:
         raise
 
 
-def _header_line(schema: str, cfg_hash: str) -> str:
+def header_line(schema: str, cfg_hash: str) -> str:
+    """An artifact's first line: its schema name and the hash of its run configuration."""
     return canonical_dumps({"schema": schema, "config_hash": cfg_hash}) + "\n"
 
 
@@ -258,7 +259,7 @@ def jsonl_writer(path: str | Path, schema: str, cfg_hash: str) -> Iterator[Calla
     The file replaces `path` when the block ends, and is removed if it raises.
     """
     with _replacing(path) as fh:
-        fh.write(_header_line(schema, cfg_hash))
+        fh.write(header_line(schema, cfg_hash))
         yield lambda row: fh.write(canonical_dumps(row) + "\n")
 
 
@@ -274,7 +275,9 @@ def keyed_jsonl_writer(path: str | Path, schema: str, cfg_hash: str
     only the key numbers and the rows of repeated keys are held. The file
     replaces `path` when the block ends, and is removed if it raises.
     """
-    import tempfile  # here, not at the top: it loads shutil and the compression modules
+    # Imported here, so that only extract, which writes a draft, loads tempfile. What it
+    # imports (shutil and the compression modules) argparse loads in every stage.
+    import tempfile
 
     numbers: dict[Hashable, int] = {}
     later: dict[int, str] = {}  # row number -> the last row of its repeated key
@@ -292,7 +295,7 @@ def keyed_jsonl_writer(path: str | Path, schema: str, cfg_hash: str
     with _replacing(path) as fh, tempfile.TemporaryFile(
             "w+", encoding="utf-8", newline="\n", dir=Path(path).parent) as draft:
         yield write
-        fh.write(_header_line(schema, cfg_hash))
+        fh.write(header_line(schema, cfg_hash))
         draft.seek(0)
         for number, line in enumerate(draft):
             fh.write(later.get(number, line))

@@ -48,23 +48,13 @@ class Table:
     digits: dict[str, int] = field(default_factory=dict)  # text decimals by column; 3 if absent
 
 
-def _cell(x: object) -> str:
+def _cell(x: object, empty: str, spec: str) -> str:
+    """A cell's text: `empty` for None, "inf" for an infinite float, another
+    float in format `spec` ("" is its repr)."""
     if x is None:
-        return ""
+        return empty
     if isinstance(x, float):
-        if math.isinf(x):
-            return "inf"
-        return repr(x)
-    return str(x)
-
-
-def _round_cell(x: object, digits: int) -> str:
-    if x is None:
-        return "-"
-    if isinstance(x, float):
-        if math.isinf(x):
-            return "inf"
-        return f"{x:.{digits}f}"
+        return "inf" if math.isinf(x) else format(x, spec)
     return str(x)
 
 
@@ -72,7 +62,7 @@ def _tsv_cell(x: object) -> str:
     if isinstance(x, str) and ("\t" in x or "\n" in x or "\r" in x):
         raise SchemaError(f"TSV cell {x!r} holds a tab or a line break, which would split "
                           "its row when the table is read")
-    return _cell(x)
+    return _cell(x, "", "")
 
 
 def render_tsv(columns: Sequence[str], rows: Sequence[Sequence[object]],
@@ -88,7 +78,7 @@ def render_tsv(columns: Sequence[str], rows: Sequence[Sequence[object]],
 def render_text(table: Table) -> str:
     columns = table.columns
     formatted = [
-        [_round_cell(v, table.digits.get(col, 3)) for col, v in zip(columns, row)]
+        [_cell(v, "-", f".{table.digits.get(col, 3)}f") for col, v in zip(columns, row)]
         for row in table.rows
     ]
     widths = [
@@ -290,10 +280,8 @@ def blocks(
     import heapq
 
     names = list(levels)
-    keyed: dict[Hashable, list[tuple[int, ScoreColumns]]] = {}
-    for level, groups in enumerate(levels.values()):
-        for g in groups:
-            keyed.setdefault(within(g), []).append((level, g))
+    keyed = group_by(((level, g) for level, groups in enumerate(levels.values()) for g in groups),
+                     lambda pair: within(pair[1]))
     for key in sorted(keyed):
         groups = keyed[key]
         rows = heapq.merge(*(_in_question_order(level, number, g)

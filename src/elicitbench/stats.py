@@ -1,4 +1,10 @@
-"""Nonparametric significance tests used by the report stage.
+"""Nonparametric significance tests.
+
+The report stage uses `wilcoxon_signed_rank` and `rank_biserial`, in its
+tool comparison. `spearman` and `bonferroni` wait for the effort and model
+comparisons (ROADMAP items 4 and 9), as does `kruskal_wallis`, which those
+items may replace with a Friedman test; item 3's coverage floor will invert
+`_betainc`.
 
 All tests rank with midranks. Zero differences are dropped for the paired
 tests. Tail probabilities need only the standard library: the chi-square

@@ -5,7 +5,9 @@ With `keep_alive` it speaks HTTP/1.1 and keeps connections open; with
 `close_silently` it speaks HTTP/1.1 but closes each connection after its
 reply without saying so, as a server that drops idle connections does.
 `hang_up_on` names requests (counted from 1) that are read and then answered
-by closing the connection, as a gateway that drops a slow call does.
+by closing the connection, as a gateway that drops a slow call does. `body`
+is sent as the raw body of every 200 reply, in place of a chat completion
+whose content is `reply`.
 """
 import json
 import threading
@@ -18,8 +20,9 @@ class StubState:
 
     def __init__(self, reply="value: 42, lower: 40, upper: 44", fail_first=0,
                  fail_status=503, delay=0.0, permanent_status=None,
-                 keep_alive=False, close_silently=False, hang_up_on=()):
+                 keep_alive=False, close_silently=False, hang_up_on=(), body=None):
         self.reply = reply
+        self.body = body                  # raw bytes of each 200 reply when set
         self.fail_first = fail_first      # first N requests fail with fail_status
         self.fail_status = fail_status
         self.permanent_status = permanent_status  # fail every request when set
@@ -90,9 +93,9 @@ class _Handler(BaseHTTPRequestHandler):
             if index <= state.fail_first:
                 self._send_empty(state.fail_status)
                 return
-            body = json.dumps(
-                {"choices": [{"message": {"content": state.reply}}]}
-            ).encode()
+            body = state.body
+            if body is None:
+                body = json.dumps({"choices": [{"message": {"content": state.reply}}]}).encode()
             self.send_response(200)
             self.send_header("Content-Type", "application/json")
             self.send_header("Content-Length", str(len(body)))

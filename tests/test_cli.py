@@ -289,6 +289,19 @@ class TestExitCodes:
         assert err.startswith(f"error: {field} must be ")
         assert not (tmp_path / "suite").exists()
 
+    @pytest.mark.parametrize("stage, flag, message",
+                             [("simulate", "--n-questions", "n_questions must be >= 1"),
+                              ("calibrate", "--min-cal", "min_cal must be >= 1")])
+    def test_count_of_zero_is_2_before_any_file(self, tmp_path, capsys, stage, flag, message):
+        root = _small_chain(tmp_path, n=5) if stage == "calibrate" else tmp_path
+        argv = {"simulate": ["--out-dir", str(root / "zero")],
+                "calibrate": ["--scores", str(root / "scores.jsonl"), "--out",
+                              str(root / "zero" / "c.jsonl"), "--fits", str(root / "zero" / "f.tsv")]}
+        capsys.readouterr()
+        assert main([stage, flag, "0", *argv[stage]]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (root / "zero").exists()
+
     @pytest.mark.parametrize("stage", ["elicit", "extract", "score"])
     def test_corpus_with_a_repeated_question_id_is_2(self, tmp_path, capsys, stage):
         root = _small_chain(tmp_path, n=5)
@@ -544,6 +557,24 @@ class TestExitCodes:
         assert (tmp_path / "t.jsonl").read_bytes() == before
         assert state.requests == 2
 
+    def test_resume_without_a_transcript_runs_the_whole_plan(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("STUB_API_KEY", "k")
+        suite = tmp_path / "suite"
+        main(["simulate", "--n-questions", "2", "--seed", "0", "--out-dir", str(suite)])
+        state = StubState()
+        with StubServer(state) as server:
+            assert main(_elicit_argv(tmp_path, suite, server.url, "--efforts", "low,high",
+                                     "--out", str(tmp_path / "fresh.jsonl"))) == 0
+            assert main(_elicit_argv(tmp_path, suite, server.url, "--efforts", "low,high",
+                                     "--resume")) == 0
+        assert state.requests == 8
+        lines = (tmp_path / "t.jsonl").read_text(encoding="utf-8").splitlines()
+        assert lines[0] == (tmp_path / "fresh.jsonl").read_text(encoding="utf-8").splitlines()[0]
+        rows = [json.loads(line) for line in lines[1:]]
+        assert [row["transport_status"] for row in rows] == ["ok"] * 4
+        counts = json.loads((tmp_path / "m.json").read_text())["counts"]
+        assert (counts["requested"], counts["skipped_resume"]) == (4, 0)
+
     @pytest.mark.parametrize(
         "extra, models, message",
         [(["--efforts", "low,extreme"], None, "unknown effort level 'extreme'"),
@@ -601,6 +632,11 @@ class TestExitCodes:
          ([], {"models": [{**STUB_SPEC, "endpoint_url": STUB_URL,
                            "tool_policy": {"type": "websearch"}}]},
           "bad model spec 'stub': unknown tool policy 'websearch'"),
+         ([], {"models": [{**STUB_SPEC, "endpoint_url": STUB_URL,
+                           "effort_mode": {"type": "thinking"}}]},
+          "bad model spec 'stub': unknown effort mode 'thinking'"),
+         ([], {"models": [{**STUB_SPEC, "endpoint_url": STUB_URL, "max_retries": -1}]},
+          "bad model spec 'stub': max_retries must be >= 0"),
          ([], {"models": [{**STUB_SPEC, "endpoint_url": STUB_URL},
                           {**STUB_SPEC, "endpoint_url": STUB_URL, "model_id": 7}]},
           "bad model spec models[1]: ModelSpec row: model_id: expected a string, got 7"),
@@ -635,7 +671,8 @@ class TestExitCodes:
              "not_a_string", "auth_env_var_int", "max_retries_float", "timeout_string",
              "timeout_nan", "timeout_negative", "timeout_zero", "timeout_1e10", "timeout_infinity",
              "rate_nan", "budget_string", "vendor_param_int", "max_searches_string",
-             "unknown_tool_policy", "model_id_int", "spec_string",
+             "unknown_tool_policy", "unknown_effort_mode", "max_retries_negative",
+             "model_id_int", "spec_string",
              "key_with_newline", "key_outside_latin1", "model_id_repeated",
              "effort_repeated", "effort_repeated_in_another_case", "backoff_negative",
              "backoff_nan", "backoff_infinity", "rate_interval_too_long", "rate_interval_infinite"],
@@ -803,6 +840,17 @@ class TestMalformedArtifacts:
         self.assert_schema_error(["report", "--scores", str(root / "scores.jsonl"),
                                   "--calibration", str(root / "fits.tsv"),
                                   "--out-dir", str(root / "report")], capsys)
+
+    def test_fits_of_only_their_comment_lines(self, tmp_path, capsys):
+        root = _small_chain(tmp_path)
+        lines = (root / "fits.tsv").read_text(encoding="utf-8").splitlines(keepends=True)
+        (root / "fits.tsv").write_text("".join(line for line in lines if line.startswith("#")),
+                                       encoding="utf-8")
+        err = self.assert_schema_error(["report", "--scores", str(root / "scores.jsonl"),
+                                        "--calibration", str(root / "fits.tsv"),
+                                        "--out-dir", str(root / "report")], capsys)
+        assert "empty file, expected a calibration fits table" in err
+        assert not (root / "report").exists()
 
     def test_non_numeric_fits_cell(self, tmp_path, capsys):
         root = _small_chain(tmp_path)
@@ -1059,6 +1107,35 @@ class TestCalibrateRowOrder:
                      "--fits", str(root / "fits2.tsv")]) == 0
         assert (root / "calibrated2.jsonl").read_bytes() == (root / "calibrated.jsonl").read_bytes()
         assert (root / "fits2.tsv").read_bytes() == (root / "fits.tsv").read_bytes()
+
+
+class TestTransportFailedScoreRows:
+    def test_calibrate_and_report_drop_them(self, tmp_path):
+        # A failure row beside each scored or invalid row, on its key, and one
+        # of a question no other row holds.
+        root = _small_chain(tmp_path, n=200)
+        header, *rows = (root / "scores.jsonl").read_text(encoding="utf-8").splitlines()
+        failure = {"outcome": "transport_failed", "reason": None, "failure_reason": "http status 503"}
+        key_fields = ("question_id", "model_id", "effort", "tools_enabled", "dataset_id", "kind")
+        lines = [header]
+        for row in rows:
+            key = {k: json.loads(row)[k] for k in key_fields}
+            lines += [row, json.dumps({**key, **failure})]
+        lines.append(json.dumps({**key, **failure, "question_id": "unasked"}))
+        with_failures = root / "with_failures.jsonl"
+        with_failures.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        outputs = {}
+        for name, scores in (("clean", root / "scores.jsonl"), ("failures", with_failures)):
+            out = root / name
+            assert main(["calibrate", "--scores", str(scores), "--out", str(out / "calibrated.jsonl"),
+                         "--fits", str(out / "calibration_fits.tsv")]) == 0
+            assert main(["report", "--scores", str(scores),
+                         "--calibration", str(out / "calibration_fits.tsv"),
+                         "--tool-scores", str(scores), "--out-dir", str(out / "report")]) == 0
+            outputs[name] = {path.relative_to(out): path.read_bytes()
+                             for path in sorted(out.rglob("*")) if path.is_file()}
+        assert len(outputs["clean"]) == 12  # calibrated, fits, and 5 tables as TSV and text
+        assert outputs["failures"] == outputs["clean"]
 
 
 class TestRepeatedScoreKeys:

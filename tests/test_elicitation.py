@@ -1,5 +1,6 @@
 import base64
 import gc
+import http.client
 import itertools
 import json
 import socket
@@ -471,6 +472,63 @@ class TestTransport:
         assert [r["attempt_count"] for r in rows] == [2, 2]
         assert all(r["failure_reason"].startswith("transport: ") for r in rows)
         assert state.requests == 4
+
+    @pytest.mark.parametrize(
+        "body",
+        [b"not json", b'{"choices": []}', b'{"choices": [{"message": {}}]}',
+         b'{"choices": [{"message": {"content": null}}]}'],
+        ids=["not_json", "no_choices", "no_content", "null_content"],
+    )
+    def test_malformed_reply_uses_every_attempt_and_exits_4(self, tmp_path, body):
+        state = StubState(body=body)
+        with StubServer(state) as server:
+            assert self.elicit(tmp_path, server.url, max_retries=2) == 4
+        rows = rows_of(tmp_path / "t.jsonl")
+        assert [(r["transport_status"], r["failure_reason"], r["attempt_count"]) for r in rows] \
+            == [("failed", "malformed response body", 3)] * 2
+        assert state.requests == 6
+
+    @staticmethod
+    def fail_first_send(monkeypatch, error, on_reused):
+        """Make the first `request` on a reused (or a new) connection raise `error`."""
+        send = http.client.HTTPConnection.request
+        failed = []
+
+        def request(conn, *args, **kwargs):
+            if (conn.sock is not None) == on_reused and not failed:
+                failed.append(error)
+                raise error
+            return send(conn, *args, **kwargs)
+
+        monkeypatch.setattr(http.client.HTTPConnection, "request", request)
+        return failed
+
+    @pytest.mark.parametrize("error", [BrokenPipeError, ConnectionResetError])
+    def test_a_failed_send_on_a_reused_connection_is_resent_without_an_attempt(
+            self, tmp_path, monkeypatch, error):
+        failed = self.fail_first_send(monkeypatch, error, on_reused=True)
+        state = StubState(keep_alive=True)
+        with StubServer(state) as server:
+            result = run_batch(questions(2), [spec_for(server.url)], [EffortLevel.LOW],
+                               concurrency=1, out_path=tmp_path / "t.jsonl", cfg_hash="h",
+                               backoff_base=0.01)
+        assert failed == [error]
+        assert result.ok == 2 and state.requests == 2
+        assert [r["attempt_count"] for r in rows_of(tmp_path / "t.jsonl")] == [1, 1]
+        assert state.ports[0] != state.ports[1]  # sent again on a new connection
+
+    @pytest.mark.parametrize("error", [BrokenPipeError, ConnectionResetError])
+    def test_a_failed_send_on_a_new_connection_is_a_counted_attempt(
+            self, tmp_path, monkeypatch, error):
+        failed = self.fail_first_send(monkeypatch, error, on_reused=False)
+        state = StubState(keep_alive=True)
+        with StubServer(state) as server:
+            result = run_batch(questions(1), [spec_for(server.url)], [EffortLevel.LOW],
+                               concurrency=1, out_path=tmp_path / "t.jsonl", cfg_hash="h",
+                               backoff_base=0.01)
+        assert failed == [error]
+        assert result.ok == 1 and state.requests == 1
+        assert [r["attempt_count"] for r in rows_of(tmp_path / "t.jsonl")] == [2]
 
     def test_http_proxy_gets_the_absolute_target(self, tmp_path, monkeypatch):
         state = StubState()

@@ -149,6 +149,14 @@ class TestGrammar:
         t = extract_triplet("30 to 50, estimate 42", "proportion").triplet
         assert (t.value, t.lower, t.upper) == (42.0, 30.0, 50.0)
 
+    def test_value_label_with_one_bound_label(self):
+        # One bound label does not settle the labels: the last three numbers are read.
+        t = extract_triplet("Estimate: 42, lower: 30, and the top of my range is 55",
+                            "continuous").triplet
+        assert (t.value, t.lower, t.upper) == (42.0, 30.0, 55.0)
+        out = extract_triplet("estimate 42, lb 30", "continuous")
+        assert out.reason is InvalidReason.INCOMPLETE_TRIPLET
+
     def test_scientific_notation(self):
         assert find_numbers("1.5e-3 2E+2") == [0.0015, 200.0]
 

@@ -7,6 +7,12 @@ and `concurrent.futures` only when it runs, so the offline stages never load
 them. Fresh interpreters run the offline chain, and `elicit` against a local
 stub server, through `main` and then list the modules they loaded.
 
+`tempfile` and `heapq` are imported only by the code that uses them, so
+that a stage which does not use them keeps them out of its memory: only
+`extract` writes through a draft file, and only `report --tool-scores`
+merges rows. Each stage runs in a fresh `python -S` interpreter, where no
+site `.pth` file has loaded them first.
+
 The benchmark loads `tests/oracles.py` by its file path, without `src/` on
 the path, so loading it must not import the package.
 
@@ -76,11 +82,21 @@ print([m for m in ("numpy", "scipy", "requests") if m in sys.modules])
 """
 
 
-def run_child(code, tmp_path):
+STAGE = r"""
+import sys
+
+from elicitbench.cli import main
+
+assert main(sys.argv[1:]) == 0
+print(sorted(m for m in ("tempfile", "heapq") if m in sys.modules))
+"""
+
+
+def run_child(code, *args, flags=()):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), str(TESTS), env.get("PYTHONPATH")]))
     done = subprocess.run(
-        [sys.executable, "-c", code, str(tmp_path)],
+        [sys.executable, *flags, "-c", code, *map(str, args)],
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 0, done.stderr
@@ -93,6 +109,25 @@ def test_offline_chain_loads_no_third_party_package(tmp_path):
 
 def test_elicit_loads_no_third_party_package(tmp_path):
     assert run_child(ELICIT, tmp_path) == "[]"
+
+
+def test_only_extract_and_the_tool_comparison_load_tempfile_or_heapq(tmp_path):
+    suite, parsed, scores = tmp_path / "suite", tmp_path / "parsed.jsonl", tmp_path / "scores.jsonl"
+    fits = tmp_path / "fits.tsv"
+    stages = [
+        (["simulate", "--n-questions", "50", "--seed", "7", "--out-dir", suite], "[]"),
+        (["extract", "--transcript", suite / "transcript.jsonl", "--corpus", suite / "corpus.jsonl",
+          "--out", parsed], "['tempfile']"),
+        (["score", "--parsed", parsed, "--corpus", suite / "corpus.jsonl", "--out", scores], "[]"),
+        (["calibrate", "--scores", scores, "--out", tmp_path / "calibrated.jsonl", "--fits", fits],
+         "[]"),
+        (["report", "--scores", scores, "--calibration", fits, "--out-dir", tmp_path / "report"],
+         "[]"),
+        (["report", "--scores", scores, "--calibration", fits, "--tool-scores", scores,
+          "--out-dir", tmp_path / "report"], "['heapq']"),
+    ]
+    assert [run_child(STAGE, *argv, flags=["-S"]) for argv, _ in stages] \
+        == [loaded for _, loaded in stages]
 
 
 def test_oracles_load_without_importing_the_package():
