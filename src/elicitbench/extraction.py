@@ -2,15 +2,15 @@
 
 Precedence: labeled fields win over bare numbers; when all three of a
 value/lower/upper label family are present anywhere in the text, those are
-taken (last occurrence of each label). When only the value label is present
-and its number is one of the last three numeric tokens, that number is the
-value and the other two, in reading order, are (lower, upper). Otherwise the
-last three bare numeric tokens, in reading order, are read as (value, lower,
-upper). A confidence
-level such as the 95 of "95% CI" is never one of those numbers. Reversed bounds
-are repaired and flagged; a value outside its own interval is kept and
-flagged. Anything without three parseable numbers is invalid, with refusals
-that ask a question or request details classified as clarifications.
+taken (last occurrence of each label). Otherwise, when the value label is
+present and its number is one of the last three numeric tokens, that number
+is the value and the other two, in reading order, are (lower, upper), so
+"lower: 30, 55, estimate 42" reads (42, 30, 55). Otherwise the last three
+bare numeric tokens, in reading order, are read as (value, lower, upper). A
+confidence level such as the 95 of "95% CI" is never one of those numbers.
+Reversed bounds are repaired and flagged; a value outside its own interval is
+kept and flagged. Anything without three parseable numbers is invalid, with
+refusals that ask a question or request details classified as clarifications.
 """
 from __future__ import annotations
 
@@ -166,10 +166,8 @@ def _labeled_fields(text: str) -> tuple[float, float, float] | None:
     upper = list(_UPPER_RE.finditer(text))
     if lower and upper:
         return tuple(_to_float(found[-1].group(1)) for found in (value, lower, upper))
-    if lower or upper:
-        return None
-    # Only the value is labelled ("95% CI: 30 to 50; point estimate 42"): when
-    # its number is one of the last three, the other two are the bounds.
+    # Not both bounds are labelled ("95% CI: 30 to 50; point estimate 42"): when
+    # the value's number is one of the last three, the other two are the bounds.
     last_three = list(_NUMBER_RE.finditer(text))[-3:]
     starts = [number.start() for number in last_three]
     if len(last_three) < 3 or value[-1].start(1) not in starts:
@@ -202,7 +200,7 @@ def extract_triplet(raw_text: str, target_kind: TargetKind | str) -> ParseOutcom
     """Total, deterministic parse of a response into a triplet or an invalid reason."""
     kind = TargetKind(target_kind)
     units = Units.PERCENT if kind is TargetKind.PROPORTION else Units.DATASET
-    if raw_text is None or not raw_text.strip():
+    if not raw_text.strip():
         return ParseOutcome(None, InvalidReason.EMPTY_OUTPUT)
     if not raw_text.isascii():
         raw_text = raw_text.translate(_TYPOGRAPHY)

@@ -13,8 +13,8 @@ checks each field against its type hint with a loader written once per
 record type. The config files (model specs and the corpus config) are read
 by `load_row` too. A field's type hint is one of `str`, `bool`, `int`,
 `float`, `object` (any JSON value), a str-Enum, a nested record,
-`dict[K, V]` (or a bare `dict`, any JSON object), `list[X]` or `X | None`;
-any other hint is a TypeError when the loader is built.
+`dict[str, V]` (JSON keys are strings; a bare `dict` is any JSON object),
+`list[X]` or `X | None`; any other hint is a TypeError when the loader is built.
 """
 from __future__ import annotations
 
@@ -69,9 +69,9 @@ def _value_lines(hint: Any, name: str, env: dict) -> list[str]:
     field turns away a bool, and a float field reads an int as a float). A
     str-Enum value is looked up among the members; a miss calls the type,
     which gives its own error. A nested record goes to its loader, and each
-    key or item of a container to its `_converter`. The objects the lines
-    use are put in `env` under names made from the field's. A hint outside
-    the grammar that `load_row` states raises TypeError.
+    list item or dict value to its `_converter` (a key is a JSON string). The
+    objects the lines use are put in `env` under names made from the field's.
+    A hint outside the grammar that `load_row` states raises TypeError.
     """
     origin, args = typing.get_origin(hint), typing.get_args(hint)
     if hint is object:
@@ -86,10 +86,10 @@ def _value_lines(hint: Any, name: str, env: dict) -> list[str]:
     if origin is list:
         env[f"_item_{name}"] = _converter(args[0])
         return [*_refuse(list, "type(v) is not list"), f"v = [_item_{name}(x) for x in v]"]
-    if origin is dict:
-        env[f"_key_{name}"], env[f"_item_{name}"] = map(_converter, args)
+    if origin is dict and args[0] is str:
+        env[f"_item_{name}"] = _converter(args[1])
         return [*_refuse(dict, "type(v) is not dict"),
-                f"v = {{_key_{name}(k): _item_{name}(x) for k, x in v.items()}}"]
+                f"v = {{k: _item_{name}(x) for k, x in v.items()}}"]
     if origin in (typing.Union, types.UnionType) and len(args) == 2 and type(None) in args:
         (inner,) = (a for a in args if a is not type(None))
         lines = _value_lines(inner, name, env)
@@ -106,7 +106,7 @@ def _value_lines(hint: Any, name: str, env: dict) -> list[str]:
 
 @functools.cache
 def _converter(hint: Any) -> Callable[[Any], Any]:
-    """`convert(v)`: the decoded JSON value `v` as a `hint` value, for container keys and items."""
+    """`convert(v)`: the decoded JSON value `v` as a `hint` value, for container items."""
     env: dict = {}
     lines = _value_lines(hint, "v", env)
     exec("\n".join(["def convert(v):", *_indented(lines), "    return v"]), env)
@@ -185,16 +185,16 @@ def load_row(cls: type[R], row: dict) -> R:
     """Rebuild a record from a decoded JSON object, checking each field against its hint.
 
     A field's type hint is one of `str`, `bool`, `int`, `float`, `object`
-    (any JSON value), a str-Enum, a nested record, `dict[K, V]` (or a bare
-    `dict`, any JSON object), `list[X]` or `X | None`; any other hint is a
-    TypeError when the loader is built. Nothing is coerced: a bool field
-    takes only true or false, an int field only an integer, a float field an
-    integer or a float (read as a float), a dict field and the row itself
-    only a JSON object, and a list field only a JSON list. A field may name
-    its own converter instead, as `field(metadata={"load": fn})`. Keys the
-    record does not define are ignored; a field with a default may be
-    absent. A malformed row raises SchemaError. The loader of each record
-    type is built on first use.
+    (any JSON value), a str-Enum, a nested record, `dict[str, V]` (JSON keys
+    are strings; a bare `dict` is any JSON object), `list[X]` or `X | None`;
+    any other hint is a TypeError when the loader is built. Nothing is
+    coerced: a bool field takes only true or false, an int field only an
+    integer, a float field an integer or a float (read as a float), a dict
+    field and the row itself only a JSON object, and a list field only a
+    JSON list. A field may name its own converter instead, as
+    `field(metadata={"load": fn})`. Keys the record does not define are
+    ignored; a field with a default may be absent. A malformed row raises
+    SchemaError. The loader of each record type is built on first use.
     """
     return _loader(cls)(row)
 

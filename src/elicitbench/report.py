@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
-import math
 import operator
 import typing
 from array import array
@@ -49,12 +48,12 @@ class Table:
 
 
 def _cell(x: object, empty: str, spec: str) -> str:
-    """A cell's text: `empty` for None, "inf" for an infinite float, another
-    float in format `spec` ("" is its repr)."""
+    """A cell's text: `empty` for None, a float in format `spec` ("" is its
+    repr; an infinite float reads "inf" in either)."""
     if x is None:
         return empty
     if isinstance(x, float):
-        return "inf" if math.isinf(x) else format(x, spec)
+        return format(x, spec)
     return str(x)
 
 

@@ -188,11 +188,10 @@ def wilcoxon_signed_rank(differences: Sequence[float]) -> TestResult:
                           f"exact enumeration of sign assignments (n <= {EXACT_WILCOXON_MAX_N})")
     mean = n * (n + 1) / 4.0
     tie_term = sum(t**3 - t for t in _tie_counts([abs(d) for d in diffs])) / 48.0
+    # The tie term is at most (n^3 - n)/48, so var >= n(n+1)^2/16 > 0.
     var = n * (n + 1) * (2 * n + 1) / 24.0 - tie_term
-    if var <= 0.0:
-        return TestResult(w, 1.0, n, "degenerate variance (all |d| tied to zero spread)")
     z = (w - mean + 0.5) / math.sqrt(var)
-    p = min(1.0, 2.0 * (1.0 - normal_sf(z)) if z > 0 else 2.0 * normal_sf(-z))
+    p = min(1.0, 2.0 * normal_sf(-z))
     return TestResult(w, p, n,
                       "normal approximation, continuity correction, tie-adjusted variance")
 

@@ -133,6 +133,23 @@ class TestPipeline:
         assert header[:5] == ["dataset", "n_pairs", "median_ae_base", "median_ae_tools", "win_rate"]
         assert any(line.startswith("(all)") for line in lines[1:])
 
+    def test_tool_comparison_of_runs_that_share_no_key_is_its_header(self, tmp_path):
+        # the tool run's model id differs, so no (question, model, effort) is matched
+        runs = []
+        for name, extra in (("base", []), ("tools", ["--model-id", "other"])):
+            suite = tmp_path / name / "suite"
+            assert main(["simulate", "--n-questions", "20", "--seed", "1",
+                         "--out-dir", str(suite), *extra]) == 0
+            runs.append(_scores(suite, tmp_path / name))
+        out = tmp_path / "report"
+        assert main(["report", "--scores", str(runs[0]), "--tool-scores", str(runs[1]),
+                     "--out-dir", str(out)]) == 0
+        tsv = (out / "tool_comparison.tsv").read_text().splitlines()
+        columns = [line for line in tsv if not line.startswith("#")]
+        assert len(columns) == 1 and columns[0].startswith("dataset\tn_pairs\t")
+        title, rule, header, closing = (out / "tool_comparison.txt").read_text().splitlines()
+        assert header.split() == columns[0].split("\t") and rule == closing
+
     def test_proportion_baseline_rows(self, tmp_path):
         root = run_synthetic_chain(tmp_path / "run",
                                    extra_simulate=["--proportion-fraction", "0.5"])
@@ -274,6 +291,13 @@ class TestExitCodes:
             err = capsys.readouterr().err
             assert err.startswith("error: ") and message in err, (text, err)
             assert not (tmp_path / "c.jsonl").exists(), text
+
+    def test_generate_without_its_config_file_is_2(self, tmp_path, capsys):
+        missing = tmp_path / "templates.json"
+        capsys.readouterr()
+        assert main(["generate", "--config", str(missing), "--out", str(tmp_path / "c.jsonl")]) == 2
+        assert capsys.readouterr().err == f"error: config file not found: {missing}\n"
+        assert not (tmp_path / "c.jsonl").exists()
 
     @pytest.mark.parametrize(
         "flag, field",
@@ -813,6 +837,16 @@ class TestMalformedArtifacts:
                                         "--out", str(root / "scores2.jsonl")], capsys)
         assert f"question {edited['question_id']}" in err
         assert not (root / "scores2.jsonl").exists()
+
+    def test_corpus_truth_without_a_sample_is_2(self, tmp_path, capsys):
+        root = _small_chain(tmp_path, n=5)
+        corpus = root / "suite" / "corpus.jsonl"
+        _edit_first_valid_row(corpus, lambda row: row["truth"].update(n=0))
+        err = self.assert_schema_error(
+            ["extract", "--transcript", str(root / "suite" / "transcript.jsonl"),
+             "--corpus", str(corpus), "--out", str(root / "again.jsonl")], capsys)
+        assert "ground truth sample size must be positive" in err
+        assert not (root / "again.jsonl").exists()
 
     def test_transcript_row_with_an_unknown_transport_status(self, tmp_path, capsys):
         # an answered row spelled "OK" is neither "ok" nor "failed", not a transport failure

@@ -7,9 +7,11 @@ from pathlib import Path
 from elicitbench.cli import main
 from elicitbench.corpus import corpus_config_from_dict
 from elicitbench.elicitation import TokenBudget, VendorParam, WebSearch, model_specs_from_config
+from elicitbench.extraction import extract_triplet
 
 ROOT = Path(__file__).parent.parent
 DATA = Path(__file__).parent / "data"
+README = (ROOT / "README.md").read_text(encoding="utf-8")
 
 
 def test_readme_models_file_example_loads():
@@ -54,3 +56,29 @@ def test_readme_quickstart_runs(tmp_path, monkeypatch):
     header = next(line for line in (tmp_path / fits).read_text(encoding="utf-8").splitlines()
                   if not line.startswith("#"))
     assert f"```text\n  {header}\n  ```" in readme
+
+
+def _readme_section(title: str) -> str:
+    return README.split(f"\n## {title}\n", 1)[1].split("\n## ", 1)[0]
+
+
+def test_readme_parse_examples_parse_as_given():
+    # An example may wrap across lines, and names a character it holds as <U+XXXX>.
+    section = " ".join(line.strip() for line in _readme_section(
+        "Scoring and calibration semantics").splitlines())
+    section = re.sub(r"<U\+([0-9A-F]{4})>", lambda m: chr(int(m.group(1), 16)), section)
+    found = re.findall(r"`([^`]+)` parses to \(([^)]+)\)(?:, and so does `([^`]+)`)?", section)
+    examples = []
+    for text, triplet, same in found:
+        examples += [(text, triplet), (same, triplet)] if same else [(text, triplet)]
+    assert len(examples) == section.count("parses to") + section.count("and so does") > 0
+    for text, triplet in examples:
+        t = extract_triplet(text, "continuous").triplet
+        assert (t.value, t.lower, t.upper) == tuple(float(x) for x in triplet.split(",")), text
+
+
+def test_readme_layout_lists_every_module():
+    (layout,) = re.findall(r"```\n(src/elicitbench/.*?)```", _readme_section("Layout"), re.S)
+    listed = set(re.findall(r"^  (\w+\.py) ", layout, re.M))
+    modules = {path.name for path in (ROOT / "src" / "elicitbench").glob("*.py")}
+    assert listed == modules - {"__init__.py"}

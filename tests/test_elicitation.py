@@ -25,6 +25,7 @@ from elicitbench.elicitation import (
 from elicitbench.errors import ConfigError
 from elicitbench.jsonlio import load_row, read_jsonl
 from elicitbench.synthetic import SyntheticSuiteConfig, make_questions
+from elicitbench.transport import Connections
 
 from helpers import answer_at_once
 from stubserver import StubServer, StubState
@@ -567,6 +568,30 @@ class TestTransport:
             assert self.elicit(tmp_path, server.url) == 0
         assert [r["attempt_count"] for r in rows_of(tmp_path / "t.jsonl")] == [1, 1]
         assert state.targets == ["/v1/chat/completions"] * 2
+
+    def test_a_proxy_port_out_of_range_is_2_before_the_transcript(self, tmp_path, monkeypatch,
+                                                                   capsys, no_network):
+        monkeypatch.setenv("HTTP_PROXY", "http://proxy:99999")
+        capsys.readouterr()
+        assert self.elicit(tmp_path, "http://elicit.invalid/v1/chat/completions") == 2
+        assert "http proxy 'http://proxy:99999': expected http://host[:port]" \
+            in capsys.readouterr().err
+        assert not (tmp_path / "t.jsonl").exists()
+
+    def test_a_reused_connection_takes_the_timeout_of_its_request(self):
+        # two model specs on one endpoint share a worker's connection
+        state = StubState(keep_alive=True)
+        with StubServer(state) as server:
+            connections = Connections([("a", server.url), ("b", server.url)])
+            try:
+                statuses = [connections.post(server.url, {"model": model}, {}, timeout)[0]
+                            for model, timeout in (("a", 5.0), ("b", 7.5))]
+                (conn,) = connections._opened
+                assert conn.sock.gettimeout() == 7.5
+            finally:
+                connections.close()
+        assert statuses == [200, 200]
+        assert len(state.ports) == 2 and len(set(state.ports)) == 1
 
     def test_proxy_that_is_not_http_is_a_config_error(self, tmp_path, monkeypatch):
         monkeypatch.setenv("HTTP_PROXY", "socks5://127.0.0.1:1080")

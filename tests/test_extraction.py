@@ -150,10 +150,13 @@ class TestGrammar:
         assert (t.value, t.lower, t.upper) == (42.0, 30.0, 50.0)
 
     def test_value_label_with_one_bound_label(self):
-        # One bound label does not settle the labels: the last three numbers are read.
+        # One bound label does not settle the labels: the value-only rule reads the
+        # labelled value among the last three numbers, wherever it stands.
         t = extract_triplet("Estimate: 42, lower: 30, and the top of my range is 55",
                             "continuous").triplet
         assert (t.value, t.lower, t.upper) == (42.0, 30.0, 55.0)
+        out = extract_triplet("lower: 30, 55, estimate 42", "continuous")
+        assert out.triplet == Triplet(42.0, 30.0, 55.0, Units.DATASET)
         out = extract_triplet("estimate 42, lb 30", "continuous")
         assert out.reason is InvalidReason.INCOMPLETE_TRIPLET
 

@@ -218,11 +218,17 @@ class WithUnion:
     either: int | str
 
 
+@dataclass(frozen=True)
+class WithIntKeys:
+    names: dict[int, str]
+
+
 @pytest.mark.parametrize("cls, row", [
     (WithPair, {"pair": [1, "x"]}), (WithSet, {"tags": ["a", 2]}), (WithUnion, {"either": 1}),
-], ids=["tuple_int_int", "set_str", "int_or_str"])
+    (WithIntKeys, {"names": {"1": "a"}}),
+], ids=["tuple_int_int", "set_str", "int_or_str", "dict_int_str"])
 def test_load_row_refuses_a_hint_it_cannot_check(cls, row):
-    # a hint outside the grammar would load its values unchecked
+    # a hint outside the grammar would load its values unchecked; JSON keys are always strings
     (name,) = row
     with pytest.raises(TypeError, match=f"cannot build {cls.__name__}: field {name}: unsupported"):
         load_row(cls, row)

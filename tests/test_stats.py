@@ -154,13 +154,16 @@ class TestWilcoxon:
 
     def test_matches_oracle_exact_and_approx(self):
         rng = random.Random(25)
+        # Every |d| tied, one sign; W+ = W-, so z > 0; those ties and one larger |d|.
+        cases = [[1.0] * 13, [1.0, -1.0] * 7, [1.0, -1.0] * 7 + [2.0]]
         for trial in range(30):
             n = rng.choice([5, 8, 12, 13, 20, 40])
             diffs = [rng.gauss(0.3, 1) for _ in range(n)]
             if rng.random() < 0.4:  # force ties in |d|
                 diffs = [round(d, 0) for d in diffs]
-            if all(d == 0 for d in diffs):
-                continue
+            if not all(d == 0 for d in diffs):
+                cases.append(diffs)
+        for diffs in cases:
             result = wilcoxon_signed_rank(diffs)
             w_o, p_o = wilcoxon_oracle(diffs)
             assert result.statistic == pytest.approx(w_o, abs=1e-6)
