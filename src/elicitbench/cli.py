@@ -21,11 +21,11 @@ from .conformal import ConformalConfig, calibrate_groups
 from .corpus import Question, TargetKind, TruthColumns, corpus_config_from_dict, generate_corpus
 from .elicitation import (DECODING, BatchResult, EffortLevel, ElicitationRecord, TransportStatus,
                           model_specs_from_config, run_batch)
-from .errors import ConfigError, ElicitBenchError, SchemaError, StageDependencyError
+from .errors import ConfigError, ElicitBenchError, InputError, SchemaError, StageDependencyError
 from .extraction import Outcome, ParsedRecord, extract_triplet
 from .jsonlio import (
-    as_row, canonical_dumps, config_hash, iter_jsonl, keyed_jsonl_writer, load_row, read_jsonl,
-    write_jsonl, write_text,
+    as_row, canonical_dumps, config_hash, iter_jsonl, load_row, read_jsonl, write_jsonl,
+    write_text,
 )
 from .metrics import score_record
 from .report import (
@@ -71,12 +71,25 @@ def _load_json(path: str | Path) -> dict:
         raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
 
 
+def _loaded(path: str | Path, rows: Iterable[dict], load: Callable[[dict], R]) -> Iterator[R]:
+    """load(row) of each row of the file at `path`.
+
+    A row that `load` refuses with an InputError raises SchemaError naming the
+    file and the row, counting data rows from 1.
+    """
+    for number, row in enumerate(rows, 1):
+        try:
+            item = load(row)
+        except InputError as exc:
+            raise SchemaError(f"{path}: row {number}: {exc}") from exc
+        yield item
+
+
 def _question_index(path: str | Path, rows: Iterable[dict],
                     keep: Callable[[Question], K]) -> dict[str, K]:
     """question_id -> keep(question) of corpus rows; a repeated question_id raises SchemaError."""
     index: dict[str, K] = {}
-    for row in rows:
-        q = Question.from_dict(row)
+    for q in _loaded(path, rows, Question.from_dict):
         if q.question_id in index:
             raise SchemaError(f"{path}: question_id {q.question_id} is repeated")
         index[q.question_id] = keep(q)
@@ -222,8 +235,7 @@ def _corpus_join(args: argparse.Namespace, upstream: str, produced_by: str, reco
                             "corpus": corpus_header.get("config_hash")})
 
     def joined():
-        for row in rows:
-            record = load_row(record_type, row)
+        for record in _loaded(path, rows, lambda row: load_row(record_type, row)):
             question = questions.get(record.question_id)
             if question is None:
                 raise SchemaError(f"{path}: a row references unknown question {record.question_id}")
@@ -236,28 +248,34 @@ def cmd_extract(args: argparse.Namespace) -> int:
     label = _shared_labels()
     cfg_hash, joined = _corpus_join(args, "transcript", "elicit (or simulate)", ElicitationRecord,
                                     keep=lambda q: (q.question_id, label(q)))
-    # A resumed transcript can hold a key's failed attempt and its later
-    # answer: the last record of each key wins, in order of first appearance.
-    # Each row is written as it is parsed; a key, held until the end, shares
-    # its question_id, model_id and effort strings with the other keys.
-    outcomes: list[Outcome] = []  # row number -> the outcome of its key's last record
-    with keyed_jsonl_writer(args.out, "parsed.v1", cfg_hash) as write:
-        for record, (question_id, (dataset_id, kind)) in joined:
-            if record.transport_status is TransportStatus.OK:
-                parse = extract_triplet(record.raw_text, kind)
-                result = dict(outcome=Outcome.VALID if parse.valid else Outcome.INVALID,
-                              reason=parse.reason, triplet=parse.triplet)
-            else:
-                result = dict(outcome=Outcome.TRANSPORT_FAILED,
-                              failure_reason=record.failure_reason)
+    counts: Counter[Outcome] = Counter()
+    # A resumed transcript holds a key's failed attempts before its answer.
+    # An answer is written as it is parsed. A failure is held until a later
+    # record of its key answers it; a key never answered gets its last failure
+    # after the answers, in the order the keys first failed.
+    failed: dict[tuple, tuple] = {}  # key -> its last (failure reason, (dataset, kind))
+    causes: dict[tuple, tuple] = {}  # one such tuple shared by every failure that has it
+
+    def parsed_rows() -> Iterator[ParsedRecord]:
+        for record, (question_id, pair) in joined:
             key = (question_id, sys.intern(record.model_id), sys.intern(record.effort),
                    record.tools_enabled)
-            number = write(key, ParsedRecord(*key, dataset_id=dataset_id, kind=kind, **result))
-            if number == len(outcomes):
-                outcomes.append(result["outcome"])
+            if record.transport_status is TransportStatus.OK:
+                failed.pop(key, None)
+                parse = extract_triplet(record.raw_text, pair[1])
+                outcome = Outcome.VALID if parse.valid else Outcome.INVALID
+                counts[outcome] += 1
+                yield ParsedRecord(*key, *pair, outcome=outcome, reason=parse.reason,
+                                   triplet=parse.triplet)
             else:
-                outcomes[number] = result["outcome"]
-    counts = Counter(outcomes)
+                cause = (record.failure_reason, pair)
+                failed[key] = causes.setdefault(cause, cause)
+        for key, (reason, pair) in failed.items():
+            counts[Outcome.TRANSPORT_FAILED] += 1
+            yield ParsedRecord(*key, *pair, outcome=Outcome.TRANSPORT_FAILED,
+                               failure_reason=reason)
+
+    write_jsonl(args.out, "parsed.v1", cfg_hash, parsed_rows())
     print(
         f"parsed {counts[Outcome.VALID]} valid, {counts[Outcome.INVALID]} invalid, "
         f"{counts[Outcome.TRANSPORT_FAILED]} transport-failed -> {args.out}"

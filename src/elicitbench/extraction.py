@@ -5,12 +5,15 @@ value/lower/upper label family are present anywhere in the text, those are
 taken (last occurrence of each label). Otherwise, when the value label is
 present and its number is one of the last three numeric tokens, that number
 is the value and the other two, in reading order, are (lower, upper), so
-"lower: 30, 55, estimate 42" reads (42, 30, 55). Otherwise the last three
-bare numeric tokens, in reading order, are read as (value, lower, upper). A
-confidence level such as the 95 of "95% CI" is never one of those numbers.
-Reversed bounds are repaired and flagged; a value outside its own interval is
-kept and flagged. Anything without three parseable numbers is invalid, with
-refusals that ask a question or request details classified as clarifications.
+"lower: 30, 55, estimate 42" reads (42, 30, 55). Otherwise, when both bound
+labels are present and their numbers are among the last three, the third of
+those numbers is the value, so "Lower: 30; upper: 50; most likely 40" reads
+(40, 30, 50). Otherwise the last three bare numeric tokens, in reading order,
+are read as (value, lower, upper). A confidence level such as the 95 of
+"95% CI" is never one of those numbers. Reversed bounds are repaired and
+flagged; a value outside its own interval is kept and flagged. Anything
+without three parseable numbers is invalid, with refusals that ask a
+question or request details classified as clarifications.
 """
 from __future__ import annotations
 
@@ -160,21 +163,23 @@ def find_numbers(text: str) -> list[float]:
 def _labeled_fields(text: str) -> tuple[float, float, float] | None:
     """(value, lower, upper) read from labels, or None when the labels do not settle it."""
     value = list(_VALUE_RE.finditer(text))
-    if not value:
-        return None
     lower = list(_LOWER_RE.finditer(text))
     upper = list(_UPPER_RE.finditer(text))
-    if lower and upper:
+    if value and lower and upper:
         return tuple(_to_float(found[-1].group(1)) for found in (value, lower, upper))
-    # Not both bounds are labelled ("95% CI: 30 to 50; point estimate 42"): when
-    # the value's number is one of the last three, the other two are the bounds.
-    last_three = list(_NUMBER_RE.finditer(text))[-3:]
-    starts = [number.start() for number in last_three]
-    if len(last_three) < 3 or value[-1].start(1) not in starts:
+    if not value and not (lower and upper):
         return None
-    numbers = [_to_float(number.group(0)) for number in last_three]
-    labelled = numbers.pop(starts.index(value[-1].start(1)))
-    return labelled, numbers[0], numbers[1]
+    # The value labelled ("95% CI: 30 to 50; point estimate 42") or both bounds
+    # ("Lower: 30; upper: 50; most likely 40"): when those numbers are among the
+    # last three, the others of the three, in reading order, take the other places.
+    places = {number.start(): _to_float(number.group(0))
+              for number in list(_NUMBER_RE.finditer(text))[-3:]}
+    starts = [found[-1].start(1) for found in ([value] if value else [lower, upper])]
+    if len(places) < 3 or any(start not in places for start in starts):
+        return None
+    labelled = [places.pop(start) for start in starts]
+    rest = list(places.values())
+    return (labelled[0], *rest) if value else (rest[0], *labelled)
 
 
 def _normalize(value: float, lower: float, upper: float, units: Units) -> ParseOutcome:

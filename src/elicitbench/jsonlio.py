@@ -29,7 +29,7 @@ import os
 import types
 import typing
 from pathlib import Path
-from typing import IO, Any, Callable, Hashable, Iterable, Iterator, TypeVar
+from typing import IO, Any, Callable, Iterable, Iterator, TypeVar
 
 from .errors import SchemaError, StageDependencyError
 
@@ -261,44 +261,6 @@ def jsonl_writer(path: str | Path, schema: str, cfg_hash: str) -> Iterator[Calla
     with _replacing(path) as fh:
         fh.write(header_line(schema, cfg_hash))
         yield lambda row: fh.write(canonical_dumps(row) + "\n")
-
-
-@contextlib.contextmanager
-def keyed_jsonl_writer(path: str | Path, schema: str, cfg_hash: str
-                       ) -> Iterator[Callable[[Hashable, Any], int]]:
-    """`write(key, row)`, which returns the row's number: the file holds one row
-    per key, in order of each key's first row, and that row is the key's last.
-
-    A key's first row goes to an unnamed draft beside `path` as it comes, and
-    a later row of the key is held until the block ends, when the draft is
-    copied after the header with each held row in place of its key's row. So
-    only the key numbers and the rows of repeated keys are held. The file
-    replaces `path` when the block ends, and is removed if it raises.
-    """
-    # Imported here, so that only extract, which writes a draft, loads tempfile. What it
-    # imports (shutil and the compression modules) argparse loads in every stage.
-    import tempfile
-
-    numbers: dict[Hashable, int] = {}
-    later: dict[int, str] = {}  # row number -> the last row of its repeated key
-
-    def write(key: Hashable, row: Any) -> int:
-        line = canonical_dumps(row) + "\n"
-        new = len(numbers)
-        number = numbers.setdefault(key, new)
-        if number == new:
-            draft.write(line)
-        else:
-            later[number] = line
-        return number
-
-    with _replacing(path) as fh, tempfile.TemporaryFile(
-            "w+", encoding="utf-8", newline="\n", dir=Path(path).parent) as draft:
-        yield write
-        fh.write(header_line(schema, cfg_hash))
-        draft.seek(0)
-        for number, line in enumerate(draft):
-            fh.write(later.get(number, line))
 
 
 def write_jsonl(path: str | Path, schema: str, cfg_hash: str, rows: Iterable[Any]) -> int:

@@ -561,7 +561,8 @@ class TestExitCodes:
                      "--out", str(tmp_path / "parsed.jsonl")]) == 0
         assert "parsed 2 valid, 0 invalid, 0 transport-failed" in capsys.readouterr().out
         _, parsed = read_jsonl(tmp_path / "parsed.jsonl", "parsed.v1")
-        assert [r["question_id"] for r in parsed] == [r["question_id"] for r in transcript[:2]]
+        # in the answers' order, which need not be the failures' order
+        assert [r["question_id"] for r in parsed] == [r["question_id"] for r in transcript[2:]]
         assert [r["outcome"] for r in parsed] == ["valid", "valid"]
 
     def test_resume_with_other_efforts_is_2(self, tmp_path, monkeypatch, capsys):
@@ -845,18 +846,19 @@ class TestMalformedArtifacts:
         err = self.assert_schema_error(
             ["extract", "--transcript", str(root / "suite" / "transcript.jsonl"),
              "--corpus", str(corpus), "--out", str(root / "again.jsonl")], capsys)
-        assert "ground truth sample size must be positive" in err
+        assert f"{corpus}: row 1: ground truth sample size must be positive" in err
         assert not (root / "again.jsonl").exists()
 
     def test_transcript_row_with_an_unknown_transport_status(self, tmp_path, capsys):
         # an answered row spelled "OK" is neither "ok" nor "failed", not a transport failure
         root = _small_chain(tmp_path)
-        _edit_first_valid_row(root / "suite" / "transcript.jsonl",
-                              lambda row: row.update(transport_status="OK"))
-        err = self.assert_schema_error(["extract", "--transcript", str(root / "suite" / "transcript.jsonl"),
+        transcript = root / "suite" / "transcript.jsonl"
+        _edit_first_valid_row(transcript, lambda row: row.update(transport_status="OK"))
+        err = self.assert_schema_error(["extract", "--transcript", str(transcript),
                                         "--corpus", str(root / "suite" / "corpus.jsonl"),
                                         "--out", str(root / "parsed2.jsonl")], capsys)
-        assert "transport_status" in err and "'OK'" in err
+        assert f"{transcript}: row 1: ElicitationRecord row: transport_status" in err
+        assert "'OK'" in err
         assert not (root / "parsed2.jsonl").exists()
 
     def test_non_numeric_triplet_value(self, tmp_path, capsys):
@@ -1282,8 +1284,8 @@ class TestTranscriptRowOrder:
                     == (tmp_path / "transcript" / rel).read_bytes()), rel
 
 
-def _failed(row: dict) -> dict:
-    return {**row, "raw_text": "", "transport_status": "failed", "failure_reason": "http 503"}
+def _failed(row: dict, reason: str = "http 503") -> dict:
+    return {**row, "raw_text": "", "transport_status": "failed", "failure_reason": reason}
 
 
 def _unanswered(row: dict) -> dict:
@@ -1291,8 +1293,10 @@ def _unanswered(row: dict) -> dict:
 
 
 class TestExtractRepeatedKeys:
-    """A (question, model, effort, tools) key that a transcript repeats gives one
-    parsed row, at the place of the key's first record, parsed from its last."""
+    """An answer of a (question, model, effort, tools) key is written as it is
+    parsed. A transport failure of the key is dropped when a later record
+    answers it; a key never answered gets its last failure after the answers,
+    in the order the keys first failed."""
 
     def suite(self, tmp_path: Path) -> tuple[Path, list[dict]]:
         suite = tmp_path / "suite"
@@ -1310,42 +1314,88 @@ class TestExtractRepeatedKeys:
                      "--corpus", str(suite / "corpus.jsonl"), "--out", str(out)])
         return code, capsys.readouterr()
 
-    def test_a_transport_failure_after_a_valid_row_replaces_it(self, tmp_path, capsys):
+    def calibrate(self, suite: Path, parsed: Path, capsys):
+        """score and calibrate of `parsed`: calibrate's exit code and what it printed."""
+        scores = parsed.with_suffix(".scores.jsonl")
+        assert main(["score", "--parsed", str(parsed), "--corpus", str(suite / "corpus.jsonl"),
+                     "--out", str(scores)]) == 0
+        capsys.readouterr()
+        code = main(["calibrate", "--scores", str(scores),
+                     "--out", str(parsed.with_suffix(".calibrated.jsonl")),
+                     "--fits", str(parsed.with_suffix(".fits.tsv"))])
+        return code, capsys.readouterr()
+
+    def test_an_answer_drops_the_failure_of_its_key(self, tmp_path, capsys):
         suite, (a, b, c) = self.suite(tmp_path)
-        code, printed = self.extract(suite, [a, b, _failed(a), c], tmp_path / "parsed.jsonl",
+        code, printed = self.extract(suite, [_failed(a), b, a, c], tmp_path / "parsed.jsonl",
                                      capsys)
         assert code == 0
-        assert "parsed 2 valid, 0 invalid, 1 transport-failed" in printed.out
+        assert "parsed 3 valid, 0 invalid, 0 transport-failed" in printed.out
         _, parsed = read_jsonl(tmp_path / "parsed.jsonl", "parsed.v1")
-        assert [r["question_id"] for r in parsed] == [r["question_id"] for r in (a, b, c)]
-        assert [r["outcome"] for r in parsed] == ["transport_failed", "valid", "valid"]
-        assert (parsed[0]["failure_reason"], parsed[0]["triplet"]) == ("http 503", None)
-        # the same bytes as a transcript that holds only the last record of the key
-        assert self.extract(suite, [_failed(a), b, c], tmp_path / "once.jsonl", capsys)[0] == 0
+        assert [r["question_id"] for r in parsed] == [r["question_id"] for r in (b, a, c)]
+        # the same bytes as a transcript without the failure
+        assert self.extract(suite, [b, a, c], tmp_path / "once.jsonl", capsys)[0] == 0
         assert ((tmp_path / "parsed.jsonl").read_bytes()
                 == (tmp_path / "once.jsonl").read_bytes())
 
     def test_three_records_of_one_key_between_other_keys(self, tmp_path, capsys):
         suite, (a, b, c) = self.suite(tmp_path)
         a_high = {**a, "effort": "high"}  # another key of the same question
-        rows = [_failed(a), b, _unanswered(a), a_high, c, a]
+        rows = [_failed(a), b, _failed(a, "timeout"), a_high, c, _unanswered(a)]
         code, printed = self.extract(suite, rows, tmp_path / "parsed.jsonl", capsys)
         assert code == 0
-        assert "parsed 4 valid, 0 invalid, 0 transport-failed" in printed.out
+        assert "parsed 3 valid, 1 invalid, 0 transport-failed" in printed.out
         _, parsed = read_jsonl(tmp_path / "parsed.jsonl", "parsed.v1")
         assert ([(r["question_id"], r["effort"]) for r in parsed]
-                == [(r["question_id"], r["effort"]) for r in (a, b, a_high, c)])
-        assert [r["outcome"] for r in parsed] == ["valid"] * 4
-        assert self.extract(suite, [a, b, a_high, c], tmp_path / "once.jsonl", capsys)[0] == 0
+                == [(r["question_id"], r["effort"]) for r in (b, a_high, c, a)])
+        assert [r["outcome"] for r in parsed] == ["valid", "valid", "valid", "invalid"]
+        assert self.extract(suite, [b, a_high, c, _unanswered(a)], tmp_path / "once.jsonl",
+                            capsys)[0] == 0
         assert ((tmp_path / "parsed.jsonl").read_bytes()
                 == (tmp_path / "once.jsonl").read_bytes())
-        # the last record decides the outcome that is counted, not the first
-        rows = [a, b, _failed(a), c, _unanswered(a)]
-        code, printed = self.extract(suite, rows, tmp_path / "last.jsonl", capsys)
+
+    def test_a_key_never_answered_gets_its_last_failure_after_the_answers(self, tmp_path,
+                                                                           capsys):
+        suite, (a, b, c) = self.suite(tmp_path)
+        rows = [_failed(b), _failed(a), c, _failed(a, "timeout"), _failed(b, "http 500")]
+        code, printed = self.extract(suite, rows, tmp_path / "parsed.jsonl", capsys)
         assert code == 0
-        assert "parsed 2 valid, 1 invalid, 0 transport-failed" in printed.out
-        _, parsed = read_jsonl(tmp_path / "last.jsonl", "parsed.v1")
-        assert [r["outcome"] for r in parsed] == ["invalid", "valid", "valid"]
+        assert "parsed 1 valid, 0 invalid, 2 transport-failed" in printed.out
+        _, parsed = read_jsonl(tmp_path / "parsed.jsonl", "parsed.v1")
+        assert ([(r["question_id"], r["outcome"], r["failure_reason"]) for r in parsed]
+                == [(c["question_id"], "valid", None),
+                    (b["question_id"], "transport_failed", "http 500"),
+                    (a["question_id"], "transport_failed", "timeout")])
+        assert all(r["triplet"] is None for r in parsed[1:])
+
+    def test_a_failure_after_an_answer_writes_both_rows(self, tmp_path, capsys):
+        # elicit does not write this transcript: --resume asks only for keys without an answer
+        suite, (a, b, c) = self.suite(tmp_path)
+        code, printed = self.extract(suite, [a, b, _failed(a), c], tmp_path / "parsed.jsonl",
+                                     capsys)
+        assert code == 0
+        assert "parsed 3 valid, 0 invalid, 1 transport-failed" in printed.out
+        _, parsed = read_jsonl(tmp_path / "parsed.jsonl", "parsed.v1")
+        assert ([(r["question_id"], r["outcome"]) for r in parsed]
+                == [(a["question_id"], "valid"), (b["question_id"], "valid"),
+                    (c["question_id"], "valid"), (a["question_id"], "transport_failed")])
+        # where the scores are read, the failure is dropped
+        assert self.calibrate(suite, tmp_path / "parsed.jsonl", capsys)[0] == 0
+        assert self.extract(suite, [a, b, c], tmp_path / "once.jsonl", capsys)[0] == 0
+        assert self.calibrate(suite, tmp_path / "once.jsonl", capsys)[0] == 0
+        for suffix in (".calibrated.jsonl", ".fits.tsv"):
+            assert ((tmp_path / "parsed.jsonl").with_suffix(suffix).read_bytes()
+                    == (tmp_path / "once.jsonl").with_suffix(suffix).read_bytes())
+
+    def test_a_second_answer_of_a_key_makes_calibrate_exit_2(self, tmp_path, capsys):
+        suite, (a, b, c) = self.suite(tmp_path)
+        code, printed = self.extract(suite, [a, b, _unanswered(a), c],
+                                     tmp_path / "parsed.jsonl", capsys)
+        assert code == 0
+        assert "parsed 3 valid, 1 invalid, 0 transport-failed" in printed.out
+        code, printed = self.calibrate(suite, tmp_path / "parsed.jsonl", capsys)
+        assert code == 2
+        assert printed.err.startswith(f"error: scores hold question {a['question_id']} twice ")
 
     def test_an_unknown_question_is_2_and_leaves_no_file(self, tmp_path, capsys):
         suite, (a, b, c) = self.suite(tmp_path)

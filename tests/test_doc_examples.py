@@ -1,4 +1,5 @@
 """The examples in the docs run, and their configs load, as the docs give them."""
+import importlib
 import json
 import re
 import shlex
@@ -82,3 +83,17 @@ def test_readme_layout_lists_every_module():
     listed = set(re.findall(r"^  (\w+\.py) ", layout, re.M))
     modules = {path.name for path in (ROOT / "src" / "elicitbench").glob("*.py")}
     assert listed == modules - {"__init__.py"}
+
+
+def test_readme_code_references_exist():
+    # `<module>.<name>[.<name>]` of a package module; a file name such as `corpus.jsonl` is not one.
+    modules = {path.stem for path in (ROOT / "src" / "elicitbench").glob("*.py")}
+    references = [(module, names) for module, names in re.findall(r"`(\w+)((?:\.\w+){1,2})`", README)
+                  if module in modules
+                  and names not in {".jsonl", ".json", ".tsv", ".txt", ".csv", ".py"}]
+    assert references
+    for module, names in references:
+        obj = importlib.import_module(f"elicitbench.{module}")
+        for name in names.split(".")[1:]:
+            assert hasattr(obj, name), f"{module}{names}"
+            obj = getattr(obj, name)

@@ -233,6 +233,7 @@ PHRASINGS = [
     "- Estimate: {v}%\n- Credible interval: {l}%–{u}%",
     "Estimate: {v} percent\nConfidence interval: {l} to {u} percent",
     "95% CI: {l} to {u}; point estimate {v}",
+    "Lower: {l}; upper: {u}; most likely {v}",
 ]
 
 

@@ -11,12 +11,14 @@ record per row, extract, calibrate and report peaked at about 4.5, 4.5 and
 string per repeated model, effort and dataset, extract peaked at about 2.9 MB;
 holding each group's valid score rows as columns, calibrate and report peak
 at about 1.2 and 1.0 MB. Writing each parsed row as it is parsed and holding
-only each key's row number, extract peaks at about 1.4 MB; holding the corpus
-truths as columns instead of one `GroundTruth` per question, score goes from
-about 2.1 to 1.4 MB. `report --tool-scores` of the suite's scores against
-themselves peaked at about 3.5 MB while it held a dict per matched question;
-merging the row numbers of each level sorted by question, at about 2.0 MB.
-Each bound lies between the last two figures of its stage.
+only each key's row number, extract peaked at about 1.4 MB; holding only the
+transport failures that no later record has answered, at about 1.1 MB.
+Holding the corpus truths as columns instead of one `GroundTruth` per
+question, score goes from about 2.1 to 1.4 MB. `report --tool-scores` of the
+suite's scores against themselves peaked at about 3.5 MB while it held a dict
+per matched question; merging the row numbers of each level sorted by
+question, at about 2.0 MB. Each bound lies above its stage's last figure and
+below the figure before the change it was set for (2.9 MB for extract).
 
 `simulate` writes both of its files in one pass over the questions, made one
 at a time. Writing the corpus from a list of every question first, it peaked

@@ -7,11 +7,10 @@ and `concurrent.futures` only when it runs, so the offline stages never load
 them. Fresh interpreters run the offline chain, and `elicit` against a local
 stub server, through `main` and then list the modules they loaded.
 
-`tempfile` and `heapq` are imported only by the code that uses them, so
-that a stage which does not use them keeps them out of its memory: only
-`extract` writes through a draft file, and only `report --tool-scores`
-merges rows. Each stage runs in a fresh `python -S` interpreter, where no
-site `.pth` file has loaded them first.
+No stage loads `tempfile`, and `heapq` is imported only by the code that
+uses it, so that a stage which does not use it keeps it out of its memory:
+only `report --tool-scores` merges rows. Each stage runs in a fresh
+`python -S` interpreter, where no site `.pth` file has loaded them first.
 
 The benchmark loads `tests/oracles.py` by its file path, without `src/` on
 the path, so loading it must not import the package.
@@ -111,13 +110,13 @@ def test_elicit_loads_no_third_party_package(tmp_path):
     assert run_child(ELICIT, tmp_path) == "[]"
 
 
-def test_only_extract_and_the_tool_comparison_load_tempfile_or_heapq(tmp_path):
+def test_no_stage_loads_tempfile_and_only_the_tool_comparison_loads_heapq(tmp_path):
     suite, parsed, scores = tmp_path / "suite", tmp_path / "parsed.jsonl", tmp_path / "scores.jsonl"
     fits = tmp_path / "fits.tsv"
     stages = [
         (["simulate", "--n-questions", "50", "--seed", "7", "--out-dir", suite], "[]"),
         (["extract", "--transcript", suite / "transcript.jsonl", "--corpus", suite / "corpus.jsonl",
-          "--out", parsed], "['tempfile']"),
+          "--out", parsed], "[]"),
         (["score", "--parsed", parsed, "--corpus", suite / "corpus.jsonl", "--out", scores], "[]"),
         (["calibrate", "--scores", scores, "--out", tmp_path / "calibrated.jsonl", "--fits", fits],
          "[]"),
