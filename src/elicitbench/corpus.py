@@ -20,7 +20,7 @@ from pathlib import Path
 from statistics import fmean, stdev
 from typing import Sequence
 
-from .errors import ConfigError, InputError, InsufficientDataError, SchemaError
+from .errors import ConfigError, InputError, SchemaError
 from .jsonlio import derive_seed, load_row, stable_hash64
 
 # Central 95% two-sided normal quantile, frozen for byte-stable outputs.
@@ -155,6 +155,12 @@ class Question:
 
     from_dict = classmethod(load_row)
 
+    def __post_init__(self) -> None:
+        family = CIFamily.BINOMIAL if self.kind is TargetKind.PROPORTION else CIFamily.GAUSSIAN
+        if self.truth.family is not family:
+            raise InputError(f"a {self.kind.value} question needs a {family.value} truth, "
+                             f"not a {self.truth.family.value} one")
+
 
 def question_id_for(template_id: str, params: dict[str, str]) -> str:
     """Stable 64-bit id: hash of template id plus the sorted-axis assignment."""
@@ -192,10 +198,8 @@ def binomial_truth(k: int, n: int) -> GroundTruth:
 
 
 def continuous_ci(values: Sequence[float]) -> tuple[float, float, float, int]:
-    """Mean with a normal-theory 95% CI (z quantile, sample SD with n-1 divisor)."""
+    """Mean with a normal-theory 95% CI (z quantile, sample SD with n-1 divisor) of 2+ values."""
     n = len(values)
-    if n < 2:
-        raise InsufficientDataError(f"continuous CI needs at least 2 values, got {n}")
     mean = fmean(values)
     s = stdev(values)
     half = Z_95 * s / math.sqrt(n)
@@ -205,7 +209,8 @@ def continuous_ci(values: Sequence[float]) -> tuple[float, float, float, int]:
 def load_table(path: str | Path) -> list[dict[str, str]]:
     """Read a delimited table (comma or tab, header row required).
 
-    A row whose number of cells differs from the header's raises SchemaError.
+    A header that names a column twice, or a row whose number of cells
+    differs from the header's, raises SchemaError.
     """
     path = Path(path)
     if not path.exists():
@@ -219,6 +224,9 @@ def load_table(path: str | Path) -> list[dict[str, str]]:
             fh.seek(0)
             reader = csv.reader(fh, delimiter=delimiter)
             header = next(reader)
+            for i, name in enumerate(header):
+                if name in header[:i]:
+                    raise SchemaError(f"{path}: the header names column {name!r} twice")
             rows = []
             for cells in reader:
                 if not cells:
@@ -263,13 +271,12 @@ def enumerate_candidates(
 ) -> list[Question]:
     """One candidate question per Cartesian-product assignment with a usable subgroup.
 
-    A subgroup is the rows, in file order, whose whitespace-stripped cell
-    equals the assigned value on every axis.
-    Empty subgroups are skipped, as are continuous subgroups with fewer than
-    two numeric values (no CI can be formed for them).
+    `records` are `load_table`'s rows, so there is at least one. A subgroup is
+    the rows, in file order, whose whitespace-stripped cell equals the
+    assigned value on every axis. Empty subgroups are skipped, as are
+    continuous subgroups with fewer than two numeric values (no CI can be
+    formed for them).
     """
-    if not records:
-        raise InputError(f"{template.template_id}: empty dataset")
     needed = list(template.axes) + [template.target_column]
     for col in needed:
         if col not in records[0]:
@@ -302,8 +309,6 @@ def enumerate_candidates(
 
 def filter_by_sample_size(candidates: Sequence[Question], min_n: int) -> list[Question]:
     """Keep candidates with ground-truth n >= min_n (inclusive), order preserved."""
-    if min_n < 1:
-        raise InputError("min_n must be >= 1")
     return [c for c in candidates if c.truth.n >= min_n]
 
 

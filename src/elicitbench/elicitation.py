@@ -203,16 +203,13 @@ class ElicitationRecord:
 
 
 def map_effort(spec: ModelSpec, level: EffortLevel) -> dict:
-    """Request fragment for one effort level: named param, budget, or nothing."""
+    """Request fragment for one effort level: named param, budget, or nothing.
+
+    The level is one that `ModelSpec.levels_for` chose for the spec.
+    """
     mode = spec.effort_mode
     if mode is None:
-        if level is not EffortLevel.NONE:
-            raise ConfigError(
-                f"{spec.model_id} is non-reasoning; effort {level.value!r} is not available"
-            )
         return {}
-    if level is EffortLevel.NONE:
-        raise ConfigError(f"{spec.model_id} is a reasoning model; effort 'none' is invalid")
     values = mode.budgets if isinstance(mode, TokenBudget) else mode.values
     return {mode.param: values[level.value]}
 

@@ -26,12 +26,6 @@ class SchemaError(InputError):
     exit_code = 2
 
 
-class InsufficientDataError(InputError):
-    """Not enough observations to compute the requested statistic."""
-
-    exit_code = 2
-
-
 class StageDependencyError(ElicitBenchError):
     """An upstream pipeline artifact is missing."""
 

@@ -19,7 +19,6 @@ from statistics import median
 from typing import Callable, Hashable, Iterable, Iterator, Sequence, TypeVar
 
 from .corpus import CIFamily, GroundTruth, TargetKind, Z_95
-from .errors import InputError
 from .extraction import ParsedRecord, Triplet, looks_fraction_scale
 from .jsonlio import load_row
 
@@ -72,8 +71,6 @@ def nll_binomial(triplet: Triplet, truth: GroundTruth) -> float:
     The predicted probability is clamped away from exact 0/1 so extreme
     answers score finitely; log C(n, k) goes through log-gamma.
     """
-    if truth.family is not CIFamily.BINOMIAL:
-        raise InputError("binomial NLL needs a binomial ground truth")
     n, k = truth.n, truth.k
     p = min(max(triplet.value / 100.0, P_CLAMP), 1.0 - P_CLAMP)
     log_choose = math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
@@ -198,15 +195,13 @@ def score_record(parsed: ParsedRecord, truth: GroundTruth) -> ScoredRecord:
     """Score a valid parsed record against its question's truth.
 
     The key fields, `dataset_id` and `kind` are the parsed record's; the
-    kind picks the NLL family.
+    truth's family, which `Question` ties to the kind, picks the NLL.
     """
     triplet, kind = parsed.triplet, parsed.kind
-    if kind is TargetKind.PROPORTION:
+    if truth.family is CIFamily.BINOMIAL:
         nll = nll_binomial(triplet, truth)
-        family = CIFamily.BINOMIAL
     else:
         nll = nll_gaussian(triplet, truth.value)
-        family = CIFamily.GAUSSIAN
     record_ape = ape(triplet.value, truth.value)
     return ScoredRecord(
         question_id=parsed.question_id,
@@ -218,7 +213,7 @@ def score_record(parsed: ParsedRecord, truth: GroundTruth) -> ScoredRecord:
         triplet=triplet,
         truth=truth,
         nll=nll,
-        nll_family=family,
+        nll_family=truth.family,
         covered=interval_covers(triplet.lower, triplet.upper, truth.value),
         cv=relative_sharpness(triplet),
         ape=record_ape,
@@ -241,11 +236,9 @@ class GroupSummary:
     n_suspect_scale: int = 0  # percent answers that look like [0,1] fractions
 
     @property
-    def invalid_rate(self) -> float | None:
-        total = self.n_valid + self.n_invalid
-        if total == 0:
-            return None
-        return self.n_invalid / total
+    def invalid_rate(self) -> float:
+        """The invalid share of the pool's rows; every pool has at least one."""
+        return self.n_invalid / (self.n_valid + self.n_invalid)
 
 
 def summarize_group(

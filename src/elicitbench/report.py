@@ -150,9 +150,8 @@ def summary_section(groups: Sequence[ScoreColumns]) -> Table:
     ]
     rows = []
     for s in _group_summaries(groups, by_dataset=False):
-        invalid_pct = None if s.invalid_rate is None else 100.0 * s.invalid_rate
         rows.append([
-            s.model_id, s.effort, s.n_valid, s.n_invalid, invalid_pct,
+            s.model_id, s.effort, s.n_valid, s.n_invalid, 100.0 * s.invalid_rate,
             s.mdape, s.coverage, s.median_nll, s.median_cv, s.n_suspect_scale,
         ])
     return Table("summary_by_model_effort", "summary by model and effort",
@@ -331,7 +330,7 @@ def tool_comparison_section(
         result = wilcoxon_signed_rank(diffs)
         rows.append([
             scope, len(base), median_of(base), median_of(tools), rate(d < 0 for d in diffs),
-            result.statistic, result.p_value, rank_biserial(diffs) if any(diffs) else None,
+            result.statistic, result.p_value, rank_biserial(diffs),
             result.method_note,
         ])
     return Table("tool_comparison", "tool-enabled vs baseline on matched questions",

@@ -21,7 +21,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import InputError, InsufficientDataError
+from .errors import InputError
 
 EXACT_WILCOXON_MAX_N = 12
 
@@ -230,10 +230,13 @@ def bonferroni(p_values: Sequence[float], m: int) -> list[float]:
     return [min(1.0, m * p) for p in p_values]
 
 
-def rank_biserial(differences: Sequence[float]) -> float:
-    """Paired effect size: (favorable - unfavorable rank sum) / total rank sum."""
+def rank_biserial(differences: Sequence[float]) -> float | None:
+    """Paired effect size: (favorable - unfavorable rank sum) / total rank sum.
+
+    None when every difference is zero: there is no rank sum to divide by.
+    """
     diffs = [float(d) for d in differences if d != 0.0]
     if not diffs:
-        raise InsufficientDataError("rank-biserial undefined for all-zero differences")
+        return None
     w_plus, w_minus, ranks = _wilcoxon_rank_sums(diffs)
     return (w_plus - w_minus) / sum(ranks)

@@ -234,6 +234,32 @@ class TestGenerateCommand:
         assert err.startswith("error: ") and f"{table}: line 2 has {cells} cells, the header 4" in err
         assert not (tmp_path / "c.jsonl").exists()
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda raw: raw["datasets"][0]["templates"][0].update(min_group_size=0),
+         "smoking-rate: min_group_size must be >= 1"),
+        (lambda raw: raw["datasets"][0]["templates"][0].update(axes={}),
+         "smoking-rate: at least one parameter axis required"),
+        (lambda raw: raw["datasets"][0].update(table="missing.csv"),
+         "dataset table not found: {root}/missing.csv"),
+    ], ids=["min_group_size_0", "no_axes", "missing_table"])
+    def test_template_or_table_it_cannot_use_is_2(self, tmp_path, capsys, edit, message):
+        config = self.write_config(tmp_path, edit)
+        capsys.readouterr()
+        assert main(["generate", "--config", str(config), "--out", str(tmp_path / "c.jsonl")]) == 2
+        assert capsys.readouterr().err == f"error: {message.format(root=tmp_path)}\n"
+        assert not (tmp_path / "c.jsonl").exists()
+
+    def test_a_table_header_that_repeats_a_column_is_2(self, tmp_path, capsys):
+        # "sex,sex,smoked,bmi" would read each row's age group as its sex
+        config = self.write_config(tmp_path, lambda raw: None)
+        table = tmp_path / "health_fixture.csv"
+        header, rest = table.read_text(encoding="utf-8").split("\n", 1)
+        table.write_text(header.replace("age_group", "sex") + "\n" + rest, encoding="utf-8")
+        capsys.readouterr()
+        assert main(["generate", "--config", str(config), "--out", str(tmp_path / "c.jsonl")]) == 2
+        assert capsys.readouterr().err == f"error: {table}: the header names column 'sex' twice\n"
+        assert not (tmp_path / "c.jsonl").exists()
+
     def test_seed_override_changes_sample(self, tmp_path):
         config = tmp_path / "templates.json"
         shutil.copy(DATA / "templates_demo.json", config)
@@ -848,6 +874,53 @@ class TestMalformedArtifacts:
              "--corpus", str(corpus), "--out", str(root / "again.jsonl")], capsys)
         assert f"{corpus}: row 1: ground truth sample size must be positive" in err
         assert not (root / "again.jsonl").exists()
+
+    @staticmethod
+    def mixed_suite(root: Path) -> Path:
+        """A simulated suite of two proportion and two continuous questions, extracted."""
+        suite = root / "suite"
+        assert main(["simulate", "--n-questions", "4", "--proportion-fraction", "0.5",
+                     "--seed", "3", "--out-dir", str(suite)]) == 0
+        assert main(["extract", "--transcript", str(suite / "transcript.jsonl"),
+                     "--corpus", str(suite / "corpus.jsonl"),
+                     "--out", str(root / "parsed.jsonl")]) == 0
+        return suite
+
+    @staticmethod
+    def edit_truth_of_kind(corpus: Path, kind: str, edit) -> int:
+        """Edit the truth of the first corpus row of `kind`; returns its row number."""
+        header, *rows = corpus.read_text(encoding="utf-8").splitlines()
+        number = next(i for i, line in enumerate(rows, 1) if json.loads(line)["kind"] == kind)
+        row = json.loads(rows[number - 1])
+        edit(row["truth"])
+        rows[number - 1] = json.dumps(row)
+        corpus.write_text("\n".join([header, *rows]) + "\n", encoding="utf-8")
+        return number
+
+    @pytest.mark.parametrize("kind, edit, message", [
+        ("proportion", lambda truth: truth.update(k=truth["n"] + 1),
+         "success count must satisfy 0 <= k <= n"),
+        ("proportion", lambda truth: truth.update(value=150.0, lower=150.0, upper=150.0),
+         "proportion ground truth must lie in [0, 100]"),
+        ("proportion", lambda truth: truth.update(family="gaussian", k=None),
+         "a proportion question needs a binomial truth, not a gaussian one"),
+        ("continuous", lambda truth: truth.update(value=40.0, lower=30.0, upper=50.0, n=100,
+                                                  family="binomial", k=40),
+         "a continuous question needs a gaussian truth, not a binomial one"),
+    ], ids=["k_above_n", "percent_above_100", "proportion_gaussian", "continuous_binomial"])
+    @pytest.mark.parametrize("stage, flag, upstream", [
+        ("extract", "--transcript", "suite/transcript.jsonl"),
+        ("score", "--parsed", "parsed.jsonl"),
+    ], ids=["extract", "score"])
+    def test_corpus_truth_its_question_cannot_have_is_2(self, tmp_path, capsys, kind, edit,
+                                                          message, stage, flag, upstream):
+        corpus = self.mixed_suite(tmp_path) / "corpus.jsonl"
+        number = self.edit_truth_of_kind(corpus, kind, edit)
+        capsys.readouterr()
+        assert main([stage, flag, str(tmp_path / upstream), "--corpus", str(corpus),
+                     "--out", str(tmp_path / "again.jsonl")]) == 2
+        assert capsys.readouterr().err == f"error: {corpus}: row {number}: {message}\n"
+        assert not (tmp_path / "again.jsonl").exists()
 
     def test_transcript_row_with_an_unknown_transport_status(self, tmp_path, capsys):
         # an answered row spelled "OK" is neither "ok" nor "failed", not a transport failure

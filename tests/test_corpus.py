@@ -8,6 +8,7 @@ from elicitbench.corpus import (
     CIFamily,
     CorpusConfig,
     DatasetConfig,
+    Question,
     QuestionTemplate,
     TargetKind,
     Z_95,
@@ -20,7 +21,7 @@ from elicitbench.corpus import (
     question_id_for,
     sample_corpus,
 )
-from elicitbench.errors import ConfigError, InputError, InsufficientDataError, SchemaError
+from elicitbench.errors import ConfigError, InputError, SchemaError
 
 from oracles import wilson_oracle
 
@@ -105,10 +106,6 @@ class TestContinuousCI:
             expected = Z_95 * statistics.stdev(values) / math.sqrt(n)
             assert upper - mean == pytest.approx(expected, abs=1e-9)
 
-    def test_single_value_rejected(self):
-        with pytest.raises(InsufficientDataError):
-            continuous_ci([5.0])
-
 
 def rows_for_axes(pairs, flag_of=lambda i: i % 2):
     rows = []
@@ -154,10 +151,6 @@ class TestEnumerate:
     def test_missing_column_schema_error(self):
         with pytest.raises(SchemaError):
             enumerate_candidates(template(), [{"sex": "M"}], "d")
-
-    def test_empty_dataset_input_error(self):
-        with pytest.raises(InputError):
-            enumerate_candidates(template(), [], "d")
 
     def test_empty_subgroups_skipped(self):
         rows = [{"sex": "M", "flag": "1"}] * 4
@@ -355,3 +348,20 @@ class TestLoadTable:
         path.write_text("a,b\n")
         with pytest.raises(InputError):
             load_table(path)
+
+
+class TestQuestionTruthFamily:
+    """A question's kind fixes its truth's family, checked when a corpus row loads."""
+
+    ROW = {"question_id": "q", "dataset_id": "d", "params": {}, "prompt": "p"}
+    GAUSSIAN = {"value": 40.0, "lower": 30.0, "upper": 50.0, "n": 100, "family": "gaussian"}
+    BINOMIAL = {**GAUSSIAN, "family": "binomial", "k": 40}
+
+    @pytest.mark.parametrize("kind, truth, needed", [
+        ("proportion", GAUSSIAN, "binomial"), ("continuous", BINOMIAL, "gaussian"),
+    ], ids=["proportion_gaussian", "continuous_binomial"])
+    def test_other_family_rejected(self, kind, truth, needed):
+        with pytest.raises(InputError) as exc:
+            Question.from_dict({**self.ROW, "kind": kind, "truth": truth})
+        assert str(exc.value) == (f"a {kind} question needs a {needed} truth, "
+                                  f"not a {truth['family']} one")

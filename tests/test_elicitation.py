@@ -3,13 +3,14 @@ import gc
 import http.client
 import itertools
 import json
+import select
 import socket
 import sys
 import time
 
 import pytest
 
-from elicitbench import __version__, elicitation
+from elicitbench import __version__, elicitation, transport
 from elicitbench.cli import main
 from elicitbench.corpus import TargetKind
 from elicitbench.elicitation import (
@@ -72,16 +73,6 @@ class TestMapEffort:
     def test_non_reasoning_has_empty_fragment(self):
         spec = spec_for("http://x", effort_mode=None)
         assert map_effort(spec, EffortLevel.NONE) == {}
-
-    def test_effort_on_non_reasoning_rejected(self):
-        spec = spec_for("http://x", effort_mode=None)
-        for level in (EffortLevel.LOW, EffortLevel.MEDIUM, EffortLevel.HIGH):
-            with pytest.raises(ConfigError):
-                map_effort(spec, level)
-
-    def test_none_on_reasoning_rejected(self):
-        with pytest.raises(ConfigError):
-            map_effort(spec_for("http://x"), EffortLevel.NONE)
 
     def test_budgets_must_increase(self):
         with pytest.raises(ConfigError):
@@ -444,6 +435,15 @@ class TestTransport:
         assert result.ok == 12 and state.requests == 12
         assert len(set(state.ports)) == 12
         assert [r["attempt_count"] for r in rows_of(tmp_path / "t.jsonl")] == [1] * 12
+
+    def test_without_poll_an_idle_connection_is_dropped_once_its_peer_closes(self, monkeypatch):
+        # select.select stands in where the platform has no select.poll
+        monkeypatch.delattr(select, "poll")
+        mine, peer = socket.socketpair()
+        with mine, peer:
+            assert not transport._dropped(mine)
+            peer.close()
+            assert transport._dropped(mine)
 
     def test_connection_lost_awaiting_the_reply_counts_an_attempt(self, tmp_path):
         # The second request goes out on the first one's connection, and the

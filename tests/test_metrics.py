@@ -7,7 +7,6 @@ import pytest
 
 from elicitbench.corpus import (CIFamily, GroundTruth, Question, TargetKind, TruthColumns, Z_95,
                                binomial_truth)
-from elicitbench.errors import InputError
 from elicitbench.extraction import Outcome, ParsedRecord, Triplet, Units
 from elicitbench.jsonlio import canonical_dumps, load_row
 from elicitbench.metrics import (
@@ -173,10 +172,6 @@ class TestBinomialNLL:
                 nll_binomial_oracle(v, n, k), abs=1e-9
             )
 
-    def test_rejects_gaussian_truth(self):
-        with pytest.raises(InputError):
-            nll_binomial(make_triplet(50, 40, 60), make_truth_gaussian(50.0))
-
 
 class TestMdape:
     def test_odd(self):
@@ -267,8 +262,8 @@ class TestScoredRecordsAndSummary:
 
     @pytest.mark.parametrize(
         "n_valid, n_invalid, expected",
-        [(100, 0, 0.0), (75, 25, 0.25), (0, 0, None)],
-        ids=["zero", "quarter", "empty_group_is_missing"],
+        [(100, 0, 0.0), (75, 25, 0.25)],
+        ids=["zero", "quarter"],
     )
     def test_invalid_rate(self, n_valid, n_invalid, expected):
         summary = GroupSummary("m", "low", "d", n_valid, n_invalid, None, None, None, None)
