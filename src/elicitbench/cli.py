@@ -14,23 +14,24 @@ import json
 import sys
 from collections import Counter
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, TypeVar
+from typing import Callable, Iterator, TypeVar
 
 from . import __version__
 from .conformal import ConformalConfig, calibrate_groups
 from .corpus import Question, TargetKind, TruthColumns, corpus_config_from_dict, generate_corpus
 from .elicitation import (DECODING, BatchResult, EffortLevel, ElicitationRecord, TransportStatus,
                           model_specs_from_config, run_batch)
-from .errors import ConfigError, ElicitBenchError, InputError, SchemaError, StageDependencyError
+from .errors import ConfigError, ElicitBenchError, SchemaError, StageDependencyError
 from .extraction import Outcome, ParsedRecord, extract_triplet
 from .jsonlio import (
     as_row, canonical_dumps, config_hash, iter_jsonl, load_row, read_jsonl, write_jsonl,
     write_text,
 )
-from .metrics import score_record
+from .metrics import ScoreColumns, score_record
 from .report import (
     baseline_section,
     calibration_section,
+    load_score_row,
     nll_sharpness_section,
     read_fits,
     render_fits,
@@ -71,44 +72,24 @@ def _load_json(path: str | Path) -> dict:
         raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
 
 
-def _loaded(path: str | Path, rows: Iterable[dict], load: Callable[[dict], R]) -> Iterator[R]:
-    """load(row) of each row of the file at `path`.
+def _corpus_index(path: str | Path, read: Callable, keep: Callable[[Question], K]
+                  ) -> tuple[dict, dict[str, K]]:
+    """The corpus header and question_id -> keep(question); a repeated
+    question_id raises SchemaError.
 
-    A row that `load` refuses with an InputError raises SchemaError naming the
-    file and the row, counting data rows from 1.
+    `keep` takes only what the stage reads of a question, so the index holds
+    no more than that. `read` loads the questions: `iter_jsonl`, or
+    `read_jsonl` for `elicit`, which keeps every question anyway
+    (`bench/trace_stage.py` times that call).
     """
-    for number, row in enumerate(rows, 1):
-        try:
-            item = load(row)
-        except InputError as exc:
-            raise SchemaError(f"{path}: row {number}: {exc}") from exc
-        yield item
-
-
-def _question_index(path: str | Path, rows: Iterable[dict],
-                    keep: Callable[[Question], K]) -> dict[str, K]:
-    """question_id -> keep(question) of corpus rows; a repeated question_id raises SchemaError."""
+    header, questions = read(_require(path, "generate (or simulate)"), "corpus.v1",
+                             Question.from_dict)
     index: dict[str, K] = {}
-    for q in _loaded(path, rows, Question.from_dict):
+    for q in questions:
         if q.question_id in index:
             raise SchemaError(f"{path}: question_id {q.question_id} is repeated")
         index[q.question_id] = keep(q)
-    return index
-
-
-def _read_corpus(path: str | Path) -> tuple[dict, dict[str, Question]]:
-    header, rows = read_jsonl(_require(path, "generate (or simulate)"), "corpus.v1")
-    return header, _question_index(path, rows, keep=lambda q: q)
-
-
-def _corpus_index(path: str | Path, keep: Callable[[Question], K]) -> tuple[dict, dict[str, K]]:
-    """The corpus header and question_id -> keep(question), read row by row.
-
-    `keep` takes only what the stage reads of a question, so the index
-    holds no more than that.
-    """
-    header, rows = iter_jsonl(_require(path, "generate (or simulate)"), "corpus.v1")
-    return header, _question_index(path, rows, keep)
+    return header, index
 
 
 def _shared_labels() -> Callable[[Question], tuple[str, TargetKind]]:
@@ -170,7 +151,7 @@ def _parse_efforts(raw: str) -> list[EffortLevel]:
 
 
 def cmd_elicit(args: argparse.Namespace) -> int:
-    _, questions = _read_corpus(args.corpus)
+    _, questions = _corpus_index(args.corpus, read_jsonl, keep=lambda q: q)
     models_raw = _load_json(args.models)
     specs = model_specs_from_config(models_raw, args.models)
     if not args.tools:
@@ -226,22 +207,22 @@ def _corpus_join(args: argparse.Namespace, upstream: str, produced_by: str, reco
     `upstream` names the stage's input flag and its schema (`transcript`,
     `parsed`). The hash covers the stage and the config hashes of both
     headers. A row of a question that is not in `--corpus` raises
-    SchemaError when the rows reach it.
+    SchemaError naming the row when the rows reach it.
     """
     path = getattr(args, upstream)
-    header, rows = iter_jsonl(_require(path, produced_by), f"{upstream}.v1")
-    corpus_header, questions = _corpus_index(args.corpus, keep)
+
+    def joined(row: dict) -> tuple[R, K]:  # runs once the rows are read, after `questions` is set
+        record = load_row(record_type, row)
+        question = questions.get(record.question_id)
+        if question is None:
+            raise SchemaError(f"unknown question {record.question_id}")
+        return record, question
+
+    header, rows = iter_jsonl(_require(path, produced_by), f"{upstream}.v1", joined)
+    corpus_header, questions = _corpus_index(args.corpus, iter_jsonl, keep)
     cfg_hash = config_hash({"stage": args.command, upstream: header.get("config_hash"),
                             "corpus": corpus_header.get("config_hash")})
-
-    def joined():
-        for record in _loaded(path, rows, lambda row: load_row(record_type, row)):
-            question = questions.get(record.question_id)
-            if question is None:
-                raise SchemaError(f"{path}: a row references unknown question {record.question_id}")
-            yield record, question
-
-    return cfg_hash, joined()
+    return cfg_hash, rows
 
 
 def cmd_extract(args: argparse.Namespace) -> int:
@@ -307,9 +288,14 @@ def cmd_score(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _score_groups(path: str) -> tuple[dict, list[ScoreColumns]]:
+    """The header of a scores file and the columns of its groups, read row by row."""
+    header, records = iter_jsonl(_require(path, "score"), "scores.v1", load_score_row)
+    return header, split_rows(records, path)
+
+
 def cmd_calibrate(args: argparse.Namespace) -> int:
-    scores_header, score_rows = iter_jsonl(_require(args.scores, "score"), "scores.v1")
-    groups = split_rows(score_rows)
+    scores_header, groups = _score_groups(args.scores)
     config = _record_from_flags(ConformalConfig, args)
     cfg_hash = config_hash(
         {
@@ -334,14 +320,12 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
 
 def cmd_report(args: argparse.Namespace) -> int:
     # Every input is read and checked before the first file is written.
-    scores_header, score_rows = iter_jsonl(_require(args.scores, "score"), "scores.v1")
-    groups = split_rows(score_rows, "the base records")
+    scores_header, groups = _score_groups(args.scores)
     fits = tool_groups = None
     if args.calibration:
         fits = read_fits(_require(args.calibration, "calibrate"), scores_header.get("config_hash"))
     if args.tool_scores:
-        _, tool_rows = iter_jsonl(_require(args.tool_scores, "score"), "scores.v1")
-        tool_groups = split_rows(tool_rows, "the tools records")
+        _, tool_groups = _score_groups(args.tool_scores)
 
     tables = [summary_section(groups), nll_sharpness_section(groups), baseline_section(groups)]
     if fits is not None:

@@ -207,7 +207,8 @@ def continuous_ci(values: Sequence[float]) -> tuple[float, float, float, int]:
 
 
 def load_table(path: str | Path) -> list[dict[str, str]]:
-    """Read a delimited table (comma or tab, header row required).
+    """Read a delimited table (comma or tab, header row required), UTF-8 with
+    or without a byte-order mark.
 
     A header that names a column twice, or a row whose number of cells
     differs from the header's, raises SchemaError.
@@ -215,7 +216,7 @@ def load_table(path: str | Path) -> list[dict[str, str]]:
     path = Path(path)
     if not path.exists():
         raise InputError(f"dataset table not found: {path}")
-    with path.open("r", encoding="utf-8", newline="") as fh:
+    with path.open("r", encoding="utf-8-sig", newline="") as fh:
         try:
             first = fh.readline()
             if not first.strip():

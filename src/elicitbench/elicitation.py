@@ -330,22 +330,25 @@ def _elicit_one(
     )
 
 
+def _answered_key(row: dict) -> tuple | None:
+    """The (question, model, effort, tools) key of a transcript row if it was
+    answered (transport ok), else None; the row is checked as an `ElicitationRecord`."""
+    r = load_row(ElicitationRecord, row)
+    return ((r.question_id, r.model_id, r.effort, r.tools_enabled)
+            if r.transport_status is TransportStatus.OK else None)
+
+
 def _done_keys(path: Path, cfg_hash: str) -> set[tuple]:
-    """Keys already answered (transport ok) in an existing transcript of this run config."""
+    """Keys already answered in an existing transcript of this run config, read row by row."""
     if not path.exists():
         return set()
-    header, rows = read_jsonl(path, "transcript.v1")
+    header, keys = read_jsonl(path, "transcript.v1", _answered_key)
     if header.get("config_hash") != cfg_hash:
         raise ConfigError(
             f"{path}: cannot resume, the transcript was written under config "
             f"{header.get('config_hash')}, this run is {cfg_hash}"
         )
-    records = (load_row(ElicitationRecord, row) for row in rows)
-    return {
-        (r.question_id, r.model_id, r.effort, r.tools_enabled)
-        for r in records
-        if r.transport_status is TransportStatus.OK
-    }
+    return set(keys) - {None}
 
 
 @dataclass

@@ -26,12 +26,13 @@ import hashlib
 import inspect
 import json
 import os
+import sys
 import types
 import typing
 from pathlib import Path
 from typing import IO, Any, Callable, Iterable, Iterator, TypeVar
 
-from .errors import SchemaError, StageDependencyError
+from .errors import InputError, SchemaError, StageDependencyError
 
 R = TypeVar("R")
 
@@ -80,9 +81,10 @@ def _value_lines(hint: Any, name: str, env: dict) -> list[str]:
         return _refuse(str, "not isinstance(v, str)")
     if hint in (bool, int, dict):
         return _refuse(hint, f"type(v) is not {hint.__name__}")
-    if hint is float:
+    if hint is float:  # NaN, an infinity and an integer beyond float range are refused
         return ["if type(v) is not float:", *_indented(_refuse(float, "type(v) is not int")),
-                "    v = float(v)"]
+                f"if not {-sys.float_info.max!r} <= v <= {sys.float_info.max!r}:",
+                '    raise ValueError(f"expected a finite number, got {v!r}")', "v = float(v)"]
     if origin is list:
         env[f"_item_{name}"] = _converter(args[0])
         return [*_refuse(list, "type(v) is not list"), f"v = [_item_{name}(x) for x in v]"]
@@ -189,7 +191,7 @@ def load_row(cls: type[R], row: dict) -> R:
     are strings; a bare `dict` is any JSON object), `list[X]` or `X | None`;
     any other hint is a TypeError when the loader is built. Nothing is
     coerced: a bool field takes only true or false, an int field only an
-    integer, a float field an integer or a float (read as a float), a dict
+    integer, a float field a finite number (an integer read as a float), a dict
     field and the row itself only a JSON object, and a list field only a
     JSON list. A field may name its own converter instead, as
     `field(metadata={"load": fn})`. Keys the record does not define are
@@ -305,38 +307,46 @@ def _decoded_lines(path: Path) -> Iterator[Any]:
                     raise SchemaError(f"{path}: line {number} is not JSON ({exc.msg})") from exc
 
 
-def iter_jsonl(path: str | Path, expect_schema: str) -> tuple[dict, Iterator[dict]]:
-    """(header, rows) of a JSONL artifact, the rows decoded one line at a time.
+def iter_jsonl(path: str | Path, expect_schema: str,
+               load: Callable[[Any], R]) -> tuple[dict, Iterator[R]]:
+    """(header, rows) of a JSONL artifact; the rows yield load(row) of each data row.
 
     The header is checked when this is called: StageDependencyError when the
     file is missing, SchemaError when it is empty or its header is absent or
-    declares an unexpected schema. A line that is not JSON (a torn or
-    hand-edited file) raises SchemaError when the rows reach it. The file is
-    closed when the rows are exhausted or raise.
+    declares an unexpected schema. A line that is not JSON, or a row that
+    `load` refuses with an InputError, raises SchemaError naming the file and
+    the line or the row (data rows count from 1) when the rows reach it. The
+    file is closed when the rows are exhausted or raise.
     """
     path = Path(path)
     if not path.exists():
         raise StageDependencyError(f"missing artifact: {path}")
-    lines = _decoded_lines(path)
-    try:
+    rows = _header_and_rows(path, expect_schema, load)
+    return next(rows), rows
+
+
+def _header_and_rows(path: Path, expect_schema: str, load: Callable[[Any], R]) -> Iterator[Any]:
+    with contextlib.closing(_decoded_lines(path)) as lines:
         header = next(lines, None)
         if header is None:
             raise SchemaError(f"{path}: empty file, expected a header record")
         if not isinstance(header, dict) or "schema" not in header:
             raise SchemaError(f"{path}: first line is not a header record")
         if header["schema"] != expect_schema:
-            raise SchemaError(
-                f"{path}: schema {header['schema']!r}, expected {expect_schema!r}"
-            )
-    except BaseException:
-        lines.close()
-        raise
-    return header, lines
+            raise SchemaError(f"{path}: schema {header['schema']!r}, expected {expect_schema!r}")
+        yield header
+        for number, row in enumerate(lines, 1):
+            try:
+                item = load(row)
+            except InputError as exc:
+                raise SchemaError(f"{path}: row {number}: {exc}") from exc
+            yield item
 
 
-def read_jsonl(path: str | Path, expect_schema: str) -> tuple[dict, list[dict]]:
-    """Read (header, rows) from a JSONL artifact; raises as `iter_jsonl` does."""
-    header, rows = iter_jsonl(path, expect_schema)
+def read_jsonl(path: str | Path, expect_schema: str,
+               load: Callable[[Any], R]) -> tuple[dict, list[R]]:
+    """(header, [load(row) of each data row]) of a JSONL artifact; raises as `iter_jsonl` does."""
+    header, rows = iter_jsonl(path, expect_schema, load)
     return header, list(rows)
 
 

@@ -93,30 +93,35 @@ def render_text(table: Table) -> str:
     return "\n".join([table.title, rule, header, rule, *body]) + "\n"
 
 
-def split_rows(score_rows: Iterable[dict], source: str = "scores") -> list[ScoreColumns]:
-    """Score-file rows as the columns of each (model, effort, dataset) group,
-    in order of first appearance.
+def load_score_row(row: dict) -> ScoredRecord | ParsedRecord:
+    """A scores.v1 row as its record: a valid row is a `ScoredRecord`, any
+    other (an answer that was not scored) a `ParsedRecord`."""
+    if type(row) is dict and row.get("outcome") == "valid":
+        return ScoredRecord.from_dict(row)
+    return load_row(ParsedRecord, row)
 
-    Each valid row is loaded as a `ScoredRecord`, which checks it, and then
-    added to its group's columns; an invalid row counts toward its group's
-    n_invalid, and a transport failure is dropped. A (question, model,
-    effort, tools) key that a valid or invalid row repeats raises
-    SchemaError, which names the rows `source`: which of the two rows counted
-    would depend on the row order.
+
+def split_rows(records: Iterable[ScoredRecord | ParsedRecord],
+               path: str | Path) -> list[ScoreColumns]:
+    """The records of the scores file at `path` (as `load_score_row` loads
+    them) as the columns of each (model, effort, dataset) group, in order of
+    first appearance.
+
+    A `ScoredRecord` is added to its group's columns; an invalid record
+    counts toward its group's n_invalid, and a transport failure is dropped.
+    A (question, model, effort, tools) key that a valid or invalid record
+    repeats raises SchemaError naming the file: which of the two records
+    counted would depend on the row order.
     """
     groups: dict[tuple[str, str, str], ScoreColumns] = {}
     answered: dict[tuple[str, str, bool], set[str]] = {}
-    for row in score_rows:
-        if type(row) is dict and row.get("outcome") == "valid":
-            record = ScoredRecord.from_dict(row)
-        else:
-            record = load_row(ParsedRecord, row)
-            if record.outcome is not Outcome.INVALID:
-                continue
+    for record in records:
+        if isinstance(record, ParsedRecord) and record.outcome is not Outcome.INVALID:
+            continue
         questions = answered.setdefault((record.model_id, record.effort, record.tools_enabled),
                                         set())
         if record.question_id in questions:
-            raise SchemaError(f"{source} hold question {record.question_id} twice for model "
+            raise SchemaError(f"{path}: question {record.question_id} is repeated for model "
                               f"{record.model_id}, effort {record.effort}, "
                               f"tools_enabled {record.tools_enabled}")
         questions.add(record.question_id)

@@ -71,3 +71,8 @@ def answer_at_once(connections, question, spec, level, limiter, headers, backoff
         request_timestamp="1970-01-01T00:00:00Z", latency_ms=0.0, attempt_count=1,
         transport_status=TransportStatus.OK,
     )
+
+
+def as_decoded(row):
+    """The row loader of `jsonlio.read_jsonl` and `iter_jsonl` that keeps each row as decoded."""
+    return row

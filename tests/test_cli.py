@@ -19,6 +19,7 @@ from elicitbench.jsonlio import read_jsonl, write_jsonl
 from elicitbench.report import FIT_COLUMNS, read_fits, render_fits
 from elicitbench.synthetic import SyntheticSuiteConfig
 
+from helpers import as_decoded
 from stubserver import StubServer, StubState
 
 DATA = Path(__file__).parent / "data"
@@ -90,7 +91,7 @@ class TestPipeline:
         root = run_synthetic_chain(tmp_path / "run")
         for rel in ALL_OUTPUTS:
             assert (root / rel).exists(), rel
-        _, scores = read_jsonl(root / "scores.jsonl", "scores.v1")
+        _, scores = read_jsonl(root / "scores.jsonl", "scores.v1", as_decoded)
         outcomes = {r["outcome"] for r in scores}
         assert outcomes == {"valid", "invalid"}
         fits = (root / "calibration_fits.tsv").read_text().splitlines()
@@ -164,13 +165,22 @@ class TestGenerateCommand:
         shutil.copy(DATA / "health_fixture.csv", tmp_path / "health_fixture.csv")
         out = tmp_path / "corpus.jsonl"
         assert main(["generate", "--config", str(config), "--out", str(out)]) == 0
-        header, rows = read_jsonl(out, "corpus.v1")
+        header, rows = read_jsonl(out, "corpus.v1", as_decoded)
         assert header["config_hash"]
         assert len(rows) == 4
         fields = {"question_id", "dataset_id", "params", "prompt", "kind", "truth"}
         for row in rows:
             assert set(row) == fields
             assert set(row["truth"]) == {"value", "lower", "upper", "n", "family", "k"}
+
+    def test_table_with_a_byte_order_mark_gives_the_same_corpus(self, tmp_path):
+        # Excel's "CSV UTF-8" export starts the file with U+FEFF
+        config = self.write_config(tmp_path, lambda raw: None)
+        assert main(["generate", "--config", str(config), "--out", str(tmp_path / "c.jsonl")]) == 0
+        table = tmp_path / "health_fixture.csv"
+        table.write_bytes(b"\xef\xbb\xbf" + table.read_bytes())
+        assert main(["generate", "--config", str(config), "--out", str(tmp_path / "d.jsonl")]) == 0
+        assert (tmp_path / "c.jsonl").read_bytes() == (tmp_path / "d.jsonl").read_bytes()
 
     def write_config(self, root: Path, edit) -> Path:
         raw = json.loads((DATA / "templates_demo.json").read_text())
@@ -505,12 +515,12 @@ class TestExitCodes:
             assert proc.returncode == 130, err
             assert "Traceback" not in err
             assert "--resume" in err and len(err.splitlines()) == 1
-            _, rows = read_jsonl(transcript, "transcript.v1")
+            _, rows = read_jsonl(transcript, "transcript.v1", as_decoded)
             assert 0 < len(rows) < 200
             counts = json.loads((tmp_path / "m.json").read_text())["counts"]
             assert counts["ok"] + counts["failed"] == len(rows)
             assert main([*argv, "--resume"]) == 0
-        _, rows = read_jsonl(transcript, "transcript.v1")
+        _, rows = read_jsonl(transcript, "transcript.v1", as_decoded)
         keys = [(r["question_id"], r["model_id"], r["effort"], r["tools_enabled"]) for r in rows]
         assert len(keys) == len(set(keys)) == 200
         assert all(r["transport_status"] == "ok" for r in rows)
@@ -564,7 +574,7 @@ class TestExitCodes:
         assert main(["score", "--parsed", str(tmp_path / "parsed.jsonl"),
                      "--corpus", str(suite / "corpus.jsonl"),
                      "--out", str(tmp_path / "scores.jsonl")]) == 0
-        _, rows = read_jsonl(tmp_path / "scores.jsonl", "scores.v1")
+        _, rows = read_jsonl(tmp_path / "scores.jsonl", "scores.v1", as_decoded)
         assert len(rows) == 6
         assert all(r["outcome"] == "valid" for r in rows)
 
@@ -579,14 +589,14 @@ class TestExitCodes:
             assert main(argv) == 4
             state.permanent_status = None
             assert main(argv + ["--resume"]) == 0
-        _, transcript = read_jsonl(tmp_path / "t.jsonl", "transcript.v1")
+        _, transcript = read_jsonl(tmp_path / "t.jsonl", "transcript.v1", as_decoded)
         assert [r["transport_status"] for r in transcript] == ["failed", "failed", "ok", "ok"]
         capsys.readouterr()
         assert main(["extract", "--transcript", str(tmp_path / "t.jsonl"),
                      "--corpus", str(suite / "corpus.jsonl"),
                      "--out", str(tmp_path / "parsed.jsonl")]) == 0
         assert "parsed 2 valid, 0 invalid, 0 transport-failed" in capsys.readouterr().out
-        _, parsed = read_jsonl(tmp_path / "parsed.jsonl", "parsed.v1")
+        _, parsed = read_jsonl(tmp_path / "parsed.jsonl", "parsed.v1", as_decoded)
         # in the answers' order, which need not be the failures' order
         assert [r["question_id"] for r in parsed] == [r["question_id"] for r in transcript[2:]]
         assert [r["outcome"] for r in parsed] == ["valid", "valid"]
@@ -656,7 +666,7 @@ class TestExitCodes:
           "bad model spec 'stub': ModelSpec row: timeout: expected a number, got '60'"),
          ([], {"models": [{**STUB_SPEC, "endpoint_url": STUB_URL,
                            "timeout": float("nan")}]},
-          "bad model spec 'stub': timeout must be > 0, got nan"),
+          "bad model spec 'stub': ModelSpec row: timeout: expected a finite number, got nan"),
          ([], {"models": [{**STUB_SPEC, "endpoint_url": STUB_URL, "timeout": -1}]},
           "bad model spec 'stub': timeout must be > 0, got -1.0"),
          ([], {"models": [{**STUB_SPEC, "endpoint_url": STUB_URL, "timeout": 0}]},
@@ -666,10 +676,11 @@ class TestExitCodes:
           "bad model spec 'stub': timeout must be <= "),
          ([], {"models": [{**STUB_SPEC, "endpoint_url": STUB_URL,
                            "timeout": float("inf")}]},
-          "bad model spec 'stub': timeout must be <= "),
+          "bad model spec 'stub': ModelSpec row: timeout: expected a finite number, got inf"),
          ([], {"models": [{**STUB_SPEC, "endpoint_url": STUB_URL,
                            "rate_limit_per_minute": float("nan")}]},
-          "bad model spec 'stub': rate_limit_per_minute must be > 0, got nan"),
+          "bad model spec 'stub': ModelSpec row: rate_limit_per_minute: expected a finite number, "
+          "got nan"),
          ([], {"models": [{**STUB_SPEC, "endpoint_url": STUB_URL,
                            "effort_mode": {"budgets": {"low": "2000", "medium": 8000,
                                                        "high": 16000}}}]},
@@ -943,6 +954,25 @@ class TestMalformedArtifacts:
                                         "--out", str(root / "scores2.jsonl")], capsys)
         assert "Triplet" in err
 
+    @pytest.mark.parametrize("number", ["NaN", "Infinity", "-Infinity", "1e999", "9" * 400],
+                             ids=["nan", "infinity", "minus_infinity", "1e999", "400_digits"])
+    def test_triplet_number_a_float_cannot_hold(self, tmp_path, capsys, number):
+        # Python's JSON reader takes NaN and Infinity, reads 1e999 as inf, and
+        # keeps a long integer exact; a float field holds none of them
+        root = _small_chain(tmp_path)
+        parsed = root / "parsed.jsonl"
+        _edit_first_valid_row(parsed, lambda row: row["triplet"].update(value="<number>"))
+        header, *rows = parsed.read_text(encoding="utf-8").splitlines()
+        row = next(i for i, line in enumerate(rows, 1) if "<number>" in line)
+        parsed.write_text("\n".join([header, *rows]).replace('"<number>"', number) + "\n",
+                          encoding="utf-8")
+        err = self.assert_schema_error(["score", "--parsed", str(parsed),
+                                        "--corpus", str(root / "suite" / "corpus.jsonl"),
+                                        "--out", str(root / "scores2.jsonl")], capsys)
+        assert err.startswith(f"error: {parsed}: row {row}: Triplet row: value: "
+                              "expected a finite number, got ")
+        assert not (root / "scores2.jsonl").exists()
+
     def test_empty_fits_file(self, tmp_path, capsys):
         root = _small_chain(tmp_path)
         (root / "fits.tsv").write_text("", encoding="utf-8")
@@ -1120,6 +1150,73 @@ class TestMalformedArtifacts:
         assert "not fitted on these scores" in err
 
 
+class TestRefusedRows:
+    """Every stage reports a row that its record refuses as `error: <file>:
+    row <n>: <message>`, counting data rows from 1, and writes nothing."""
+
+    @staticmethod
+    def refuse(path: Path, number: int) -> dict:
+        """Give row `number` of an artifact a question_id that is not a string; returns the row."""
+        header, *rows = path.read_text(encoding="utf-8").splitlines()
+        row = {**json.loads(rows[number - 1]), "question_id": 7}
+        rows[number - 1] = json.dumps(row)
+        path.write_text("\n".join([header, *rows]) + "\n", encoding="utf-8")
+        return row
+
+    @pytest.mark.parametrize("stage, artifact", [
+        ("elicit", "corpus"), ("extract", "corpus"), ("score", "corpus"),
+        ("extract", "transcript"), ("elicit --resume", "transcript"), ("score", "parsed"),
+        ("calibrate", "scores"), ("report", "scores"), ("report --tool-scores", "scores"),
+    ], ids=["elicit-corpus", "extract-corpus", "score-corpus", "extract-transcript",
+            "resume-transcript", "score-parsed", "calibrate-scores", "report-scores",
+            "report-tool_scores"])
+    def test_refused_row_is_2_and_names_its_file_and_row(self, tmp_path, monkeypatch, capsys,
+                                                           stage, artifact):
+        monkeypatch.setenv("STUB_API_KEY", "k")
+        suite, out = tmp_path / "suite", tmp_path / "out"
+        out.mkdir()
+        assert main(["simulate", "--n-questions", "6", "--refusal-rate", "0.5", "--seed", "3",
+                     "--out-dir", str(suite)]) == 0
+        base_scores = _scores(suite, tmp_path)
+        inputs = {"corpus": suite / "corpus.jsonl", "transcript": suite / "transcript.jsonl",
+                  "parsed": tmp_path / "parsed.jsonl", "scores": tmp_path / "edited.jsonl"}
+        shutil.copy(base_scores, inputs["scores"])
+        state = StubState()
+        with StubServer(state) as server:
+            elicit = _elicit_argv(out, suite, server.url)
+            if stage == "elicit --resume":
+                assert main(elicit) == 0
+                inputs["transcript"] = out / "t.jsonl"
+            argv = {
+                "elicit": elicit,
+                "elicit --resume": [*elicit, "--resume"],
+                "extract": ["extract", "--transcript", inputs["transcript"],
+                            "--corpus", inputs["corpus"], "--out", out / "parsed.jsonl"],
+                "score": ["score", "--parsed", inputs["parsed"], "--corpus", inputs["corpus"],
+                          "--out", out / "scores.jsonl"],
+                "calibrate": ["calibrate", "--scores", inputs["scores"],
+                              "--out", out / "calibrated.jsonl", "--fits", out / "fits.tsv"],
+                "report": ["report", "--scores", inputs["scores"], "--out-dir", out / "report"],
+                "report --tool-scores": ["report", "--scores", base_scores,
+                                         "--tool-scores", inputs["scores"],
+                                         "--out-dir", out / "report"],
+            }[stage]
+            path = inputs[artifact]
+            row = self.refuse(path, 3)
+            record = {"corpus": "Question", "transcript": "ElicitationRecord",
+                      "parsed": "ParsedRecord"}.get(artifact)
+            if record is None:
+                record = "ScoredRecord" if row["outcome"] == "valid" else "ParsedRecord"
+            written = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+            requests = state.requests
+            capsys.readouterr()
+            assert main([str(arg) for arg in argv]) == 2
+        assert capsys.readouterr().err == \
+            f"error: {path}: row 3: {record} row: question_id: expected a string, got 7\n"
+        assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == written
+        assert state.requests == requests
+
+
 class TestReportInputs:
     @pytest.mark.parametrize("bad_input", ["fits of other scores", "torn tool scores"])
     def test_bad_input_leaves_every_report_file_as_it_was(self, tmp_path, capsys, bad_input):
@@ -1150,7 +1247,7 @@ class TestUnicodeLineSeparators:
         suite = tmp_path / "suite"
         assert main(["simulate", "--n-questions", "20", "--seed", "3", "--out-dir", str(suite)]) == 0
         transcript = suite / "transcript.jsonl"
-        header, rows = read_jsonl(transcript, "transcript.v1")
+        header, rows = read_jsonl(transcript, "transcript.v1", as_decoded)
         first = rows[0]
         first.update(raw_text="Estimate: 42\u2028Lower bound: 30\u2029Upper bound: 50\x85",
                      transport_status="ok", failure_reason=None)
@@ -1158,7 +1255,7 @@ class TestUnicodeLineSeparators:
         assert main(["extract", "--transcript", str(transcript),
                      "--corpus", str(suite / "corpus.jsonl"),
                      "--out", str(tmp_path / "parsed.jsonl")]) == 0
-        _, parsed = read_jsonl(tmp_path / "parsed.jsonl", "parsed.v1")
+        _, parsed = read_jsonl(tmp_path / "parsed.jsonl", "parsed.v1", as_decoded)
         (row,) = [r for r in parsed if r["question_id"] == first["question_id"]]
         assert row["outcome"] == "valid"
         assert [row["triplet"][k] for k in ("value", "lower", "upper")] == [42.0, 30.0, 50.0]
@@ -1180,7 +1277,7 @@ class TestOddIdsInTables:
                      str(root / "calibrated.jsonl"), "--fits", str(fits)]) == 0
         assert main(["report", "--scores", str(scores), "--calibration", str(fits),
                      "--out-dir", str(root / "report")]) == 0
-        scores_hash = read_jsonl(scores, "scores.v1")[0]["config_hash"]
+        scores_hash = read_jsonl(scores, "scores.v1", as_decoded)[0]["config_hash"]
         assert [fit.model for fit in read_fits(fits, scores_hash)] == [model_id]
         text = (root / "report" / "coverage_calibration.tsv").read_text(encoding="utf-8")
         assert [line.split("\t")[0] for line in text.split("\n")[3:-1]] == [model_id]
@@ -1275,7 +1372,7 @@ class TestRepeatedScoreKeys:
                      "--out", str(tmp_path / "calibrated.jsonl"),
                      "--fits", str(tmp_path / "fits.tsv")]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: scores hold question ") and " twice " in err
+        assert err.startswith(f"error: {scores[order]}: question ") and " is repeated " in err
         assert not (tmp_path / "calibrated.jsonl").exists()
 
     @pytest.mark.parametrize("order", ["04", "40"])
@@ -1286,7 +1383,7 @@ class TestRepeatedScoreKeys:
         assert main(["report", *(arg for pair in inputs.items() for arg in map(str, pair)),
                      "--out-dir", str(tmp_path / "report")]) == 2
         err = capsys.readouterr().err
-        assert err.startswith(f"error: the {level} records hold question ") and " twice " in err
+        assert err.startswith(f"error: {scores[order]}: question ") and " is repeated " in err
         assert not (tmp_path / "report").exists()
 
 
@@ -1296,7 +1393,7 @@ class TestRepeatedScoreKeys:
         assert main(["report", "--scores", str(scores[order]),
                      "--out-dir", str(tmp_path / "report")]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: the base records hold question ") and " twice " in err
+        assert err.startswith(f"error: {scores[order]}: question ") and " is repeated " in err
         assert not (tmp_path / "report").exists()
 
     @pytest.mark.parametrize("outcome", ["valid", "invalid"])
@@ -1315,11 +1412,9 @@ class TestRepeatedScoreKeys:
         assert main(["report", "--scores", str(scores),
                      "--out-dir", str(tmp_path / "report")]) == 2
         question = json.loads(repeated)["question_id"]
-        assert capsys.readouterr().err.splitlines() == [
-            f"error: scores hold question {question} twice for model synthetic, effort low, "
+        assert capsys.readouterr().err.splitlines() == 2 * [
+            f"error: {scores}: question {question} is repeated for model synthetic, effort low, "
             "tools_enabled False",
-            f"error: the base records hold question {question} twice for model synthetic, "
-            "effort low, tools_enabled False",
         ]
         assert not (tmp_path / "c.jsonl").exists() and not (tmp_path / "report").exists()
 
@@ -1375,7 +1470,7 @@ class TestExtractRepeatedKeys:
         suite = tmp_path / "suite"
         assert main(["simulate", "--n-questions", "3", "--seed", "0",
                      "--out-dir", str(suite)]) == 0
-        _, rows = read_jsonl(suite / "transcript.jsonl", "transcript.v1")
+        _, rows = read_jsonl(suite / "transcript.jsonl", "transcript.v1", as_decoded)
         return suite, rows
 
     def extract(self, suite: Path, rows: list[dict], out: Path, capsys):
@@ -1404,7 +1499,7 @@ class TestExtractRepeatedKeys:
                                      capsys)
         assert code == 0
         assert "parsed 3 valid, 0 invalid, 0 transport-failed" in printed.out
-        _, parsed = read_jsonl(tmp_path / "parsed.jsonl", "parsed.v1")
+        _, parsed = read_jsonl(tmp_path / "parsed.jsonl", "parsed.v1", as_decoded)
         assert [r["question_id"] for r in parsed] == [r["question_id"] for r in (b, a, c)]
         # the same bytes as a transcript without the failure
         assert self.extract(suite, [b, a, c], tmp_path / "once.jsonl", capsys)[0] == 0
@@ -1418,7 +1513,7 @@ class TestExtractRepeatedKeys:
         code, printed = self.extract(suite, rows, tmp_path / "parsed.jsonl", capsys)
         assert code == 0
         assert "parsed 3 valid, 1 invalid, 0 transport-failed" in printed.out
-        _, parsed = read_jsonl(tmp_path / "parsed.jsonl", "parsed.v1")
+        _, parsed = read_jsonl(tmp_path / "parsed.jsonl", "parsed.v1", as_decoded)
         assert ([(r["question_id"], r["effort"]) for r in parsed]
                 == [(r["question_id"], r["effort"]) for r in (b, a_high, c, a)])
         assert [r["outcome"] for r in parsed] == ["valid", "valid", "valid", "invalid"]
@@ -1434,7 +1529,7 @@ class TestExtractRepeatedKeys:
         code, printed = self.extract(suite, rows, tmp_path / "parsed.jsonl", capsys)
         assert code == 0
         assert "parsed 1 valid, 0 invalid, 2 transport-failed" in printed.out
-        _, parsed = read_jsonl(tmp_path / "parsed.jsonl", "parsed.v1")
+        _, parsed = read_jsonl(tmp_path / "parsed.jsonl", "parsed.v1", as_decoded)
         assert ([(r["question_id"], r["outcome"], r["failure_reason"]) for r in parsed]
                 == [(c["question_id"], "valid", None),
                     (b["question_id"], "transport_failed", "http 500"),
@@ -1448,7 +1543,7 @@ class TestExtractRepeatedKeys:
                                      capsys)
         assert code == 0
         assert "parsed 3 valid, 0 invalid, 1 transport-failed" in printed.out
-        _, parsed = read_jsonl(tmp_path / "parsed.jsonl", "parsed.v1")
+        _, parsed = read_jsonl(tmp_path / "parsed.jsonl", "parsed.v1", as_decoded)
         assert ([(r["question_id"], r["outcome"]) for r in parsed]
                 == [(a["question_id"], "valid"), (b["question_id"], "valid"),
                     (c["question_id"], "valid"), (a["question_id"], "transport_failed")])
@@ -1468,7 +1563,8 @@ class TestExtractRepeatedKeys:
         assert "parsed 3 valid, 1 invalid, 0 transport-failed" in printed.out
         code, printed = self.calibrate(suite, tmp_path / "parsed.jsonl", capsys)
         assert code == 2
-        assert printed.err.startswith(f"error: scores hold question {a['question_id']} twice ")
+        assert printed.err.startswith(f"error: {tmp_path / 'parsed.scores.jsonl'}: "
+                                      f"question {a['question_id']} is repeated ")
 
     def test_an_unknown_question_is_2_and_leaves_no_file(self, tmp_path, capsys):
         suite, (a, b, c) = self.suite(tmp_path)
@@ -1610,7 +1706,7 @@ class TestConfigRecords:
         shutil.copy(DATA / "health_fixture.csv", tmp_path / "health_fixture.csv")
         assert main(["generate", "--config", str(tmp_path / "templates.json"), *extra,
                      "--out", str(tmp_path / "corpus.jsonl")]) == 0
-        assert read_jsonl(tmp_path / "corpus.jsonl", "corpus.v1")[0]["config_hash"] == expected
+        assert read_jsonl(tmp_path / "corpus.jsonl", "corpus.v1", as_decoded)[0]["config_hash"] == expected
 
     def test_quickstart_config_hashes(self, tmp_path):
         suite = tmp_path / "demo"
@@ -1623,6 +1719,6 @@ class TestConfigRecords:
         assert main(["calibrate", "--scores", str(suite / "scores.jsonl"), "--seed", "1",
                      "--out", str(suite / "calibrated.jsonl"),
                      "--fits", str(suite / "calibration_fits.tsv")]) == 0
-        assert read_jsonl(suite / "corpus.jsonl", "corpus.v1")[0]["config_hash"] == "d5113e201e9ab5e5"
+        assert read_jsonl(suite / "corpus.jsonl", "corpus.v1", as_decoded)[0]["config_hash"] == "d5113e201e9ab5e5"
         fits_header = (suite / "calibration_fits.tsv").read_text(encoding="utf-8").splitlines()[0]
         assert fits_header == "# config_hash: f2609cebd22d70e4"

@@ -28,7 +28,7 @@ from elicitbench.jsonlio import load_row, read_jsonl
 from elicitbench.synthetic import SyntheticSuiteConfig, make_questions
 from elicitbench.transport import Connections
 
-from helpers import answer_at_once
+from helpers import answer_at_once, as_decoded
 from stubserver import StubServer, StubState
 
 
@@ -175,7 +175,7 @@ class TestRunBatch:
             )
         assert result.requested == 300
         assert result.ok == 300 and result.failed == 0
-        _, rows = read_jsonl(tmp_path / "t.jsonl", "transcript.v1")
+        _, rows = read_jsonl(tmp_path / "t.jsonl", "transcript.v1", as_decoded)
         assert len(rows) == 300
         assert {(r["question_id"], r["effort"]) for r in rows} == {
             (q.question_id, lv) for q in questions(100) for lv in ("low", "medium", "high")
@@ -193,7 +193,7 @@ class TestRunBatch:
             )
         # 4 x (2 levels) + 4 x (none)
         assert result.requested == 12
-        _, rows = read_jsonl(tmp_path / "t.jsonl", "transcript.v1")
+        _, rows = read_jsonl(tmp_path / "t.jsonl", "transcript.v1", as_decoded)
         assert sum(1 for r in rows if r["model_id"] == "plain") == 4
         assert all(r["effort"] == "none" for r in rows if r["model_id"] == "plain")
 
@@ -206,7 +206,7 @@ class TestRunBatch:
                 backoff_base=0.01,
             )
         assert result.ok == 1 and result.failed == 0
-        _, rows = read_jsonl(tmp_path / "t.jsonl", "transcript.v1")
+        _, rows = read_jsonl(tmp_path / "t.jsonl", "transcript.v1", as_decoded)
         assert rows[0]["attempt_count"] == 3
         assert rows[0]["transport_status"] == "ok"
 
@@ -219,7 +219,7 @@ class TestRunBatch:
                 backoff_base=0.01,
             )
         assert result.failed == 1
-        _, rows = read_jsonl(tmp_path / "t.jsonl", "transcript.v1")
+        _, rows = read_jsonl(tmp_path / "t.jsonl", "transcript.v1", as_decoded)
         assert rows[0]["transport_status"] == "failed"
         assert rows[0]["attempt_count"] == 3  # 1 + max_retries
         assert "503" in rows[0]["failure_reason"]
@@ -246,7 +246,7 @@ class TestRunBatch:
         assert first_requests == 3
         assert state.requests == 3  # no new traffic
         assert result.requested == 0 and result.skipped == 3
-        _, rows = read_jsonl(out, "transcript.v1")
+        _, rows = read_jsonl(out, "transcript.v1", as_decoded)
         assert len(rows) == 3
 
     def test_resume_counts_only_planned_keys(self, tmp_path):
@@ -273,7 +273,7 @@ class TestRunBatch:
             result = run_batch(questions(2), [spec], [EffortLevel.LOW], 1, out, "h",
                                resume=True, backoff_base=0.01)
         assert result.requested == 2 and result.ok == 2
-        _, rows = read_jsonl(out, "transcript.v1")
+        _, rows = read_jsonl(out, "transcript.v1", as_decoded)
         ok_keys = {r["question_id"] for r in rows if r["transport_status"] == "ok"}
         assert len(ok_keys) == 2
 
@@ -355,7 +355,7 @@ class TestRunBatch:
         with StubServer(state) as server:
             run_batch(questions(1), [spec_for(server.url)], [EffortLevel.LOW],
                       1, tmp_path / "t.jsonl", "h")
-        _, rows = read_jsonl(tmp_path / "t.jsonl", "transcript.v1")
+        _, rows = read_jsonl(tmp_path / "t.jsonl", "transcript.v1", as_decoded)
         payload = rows[0]["request_payload"]
         assert payload["thinking_budget_tokens"] == 2000
         assert payload == state.payloads[0]
@@ -372,7 +372,7 @@ def dead_port():
 
 
 def rows_of(path):
-    _, rows = read_jsonl(path, "transcript.v1")
+    _, rows = read_jsonl(path, "transcript.v1", as_decoded)
     return rows
 
 

@@ -13,13 +13,13 @@ from hypothesis import strategies as st
 from elicitbench.conformal import ConformalConfig, apply, fit
 from elicitbench.corpus import CorpusConfig, GroundTruth, Question, QuestionTemplate, TargetKind
 from elicitbench.elicitation import ElicitationRecord, ModelSpec, TransportStatus, VendorParam
-from elicitbench.errors import SchemaError, StageDependencyError
+from elicitbench.errors import InputError, SchemaError, StageDependencyError
 from elicitbench.extraction import Outcome, ParsedRecord, Triplet
 from elicitbench.jsonlio import as_row, iter_jsonl, load_row, read_jsonl, write_jsonl, write_text
 from elicitbench.metrics import ScoredRecord
 from elicitbench.synthetic import SyntheticSuiteConfig, make_questions
 
-from helpers import as_columns, make_scored
+from helpers import as_columns, as_decoded, make_scored
 from oracles import load_row_reference
 
 
@@ -109,7 +109,7 @@ def _fixture_rows() -> dict[type, list]:
     rows = {cls: named[cls.__name__]
             for cls in (ElicitationRecord, ParsedRecord, Question, ModelSpec)}
     for name in ("scores_fixture.jsonl", "tool_scores_fixture.jsonl"):
-        _, score_rows = read_jsonl(DATA / name, "scores.v1")
+        _, score_rows = read_jsonl(DATA / name, "scores.v1", as_decoded)
         for row in score_rows[:40]:
             if row["outcome"] == "valid":
                 rows.setdefault(ScoredRecord, []).append(row)
@@ -278,7 +278,7 @@ def test_read_jsonl_keeps_unicode_line_separators_inside_strings(tmp_path):
     path = tmp_path / "transcript.jsonl"
     row = {"raw_text": f"Estimate: 42{LINE_BREAKS_IN_STRINGS}Lower: 30"}
     write_jsonl(path, "transcript.v1", "abc", [row, {"n": 2}])
-    header, rows = read_jsonl(path, "transcript.v1")
+    header, rows = read_jsonl(path, "transcript.v1", as_decoded)
     assert header == {"schema": "transcript.v1", "config_hash": "abc"}
     assert rows == [row, {"n": 2}]
 
@@ -301,7 +301,7 @@ class TestIterJsonl:
 
     def test_missing_file_raises_at_call_time(self, tmp_path):
         with pytest.raises(StageDependencyError):
-            iter_jsonl(tmp_path / "absent.jsonl", "scores.v1")
+            iter_jsonl(tmp_path / "absent.jsonl", "scores.v1", as_decoded)
 
     @pytest.mark.parametrize("text, message", [
         ("", "empty file"),
@@ -314,13 +314,13 @@ class TestIterJsonl:
         path = tmp_path / "scores.jsonl"
         path.write_text(text, encoding="utf-8")
         with pytest.raises(SchemaError, match=message):
-            iter_jsonl(path, "scores.v1")
+            iter_jsonl(path, "scores.v1", as_decoded)
         assert [fh.closed for fh in opened] == [True]
 
     def test_rows_skip_blank_lines_and_close_when_exhausted(self, tmp_path, opened):
         path = tmp_path / "scores.jsonl"
         path.write_text('\n{"schema": "scores.v1"}\n{"a": 1}\n\n   \n{"a": 2}\n', encoding="utf-8")
-        header, rows = iter_jsonl(path, "scores.v1")
+        header, rows = iter_jsonl(path, "scores.v1", as_decoded)
         assert header == {"schema": "scores.v1"}
         assert [fh.closed for fh in opened] == [False]
         assert list(rows) == [{"a": 1}, {"a": 2}]
@@ -329,7 +329,7 @@ class TestIterJsonl:
     def test_line_that_is_not_utf8_raises_when_reached_and_closes(self, tmp_path, opened):
         path = tmp_path / "scores.jsonl"
         path.write_bytes(b'{"schema": "scores.v1"}\n{"a": 1}\n{"a": "\xff\xfe"}\n{"a": 3}\n')
-        _, rows = iter_jsonl(path, "scores.v1")
+        _, rows = iter_jsonl(path, "scores.v1", as_decoded)
         assert next(rows) == {"a": 1}
         with pytest.raises(SchemaError, match="line 3 is not JSON"):
             next(rows)
@@ -343,7 +343,7 @@ class TestIterJsonl:
     def test_a_row_decodes_as_json_loads_decodes_its_line(self, tmp_path, line):
         path = tmp_path / "scores.jsonl"
         path.write_bytes(b'{"schema": "scores.v1"}\n' + line.encode("utf-8"))
-        _, rows = iter_jsonl(path, "scores.v1")
+        _, rows = iter_jsonl(path, "scores.v1", as_decoded)
         try:
             expected = json.loads(line)
         except json.JSONDecodeError as exc:
@@ -352,10 +352,27 @@ class TestIterJsonl:
         else:
             assert list(rows) == [expected]
 
+    def test_a_refused_row_names_the_file_and_its_data_row_and_closes(self, tmp_path, opened):
+        path = tmp_path / "scores.jsonl"
+        path.write_text('{"schema": "scores.v1"}\n{"a": 1}\n\n{"a": 2}\n{"a": 3}\n',
+                        encoding="utf-8")
+
+        def load(row):
+            if row["a"] == 2:
+                raise InputError("a is 2")
+            return row["a"]
+
+        _, rows = iter_jsonl(path, "scores.v1", load)
+        assert next(rows) == 1
+        with pytest.raises(SchemaError) as raised:
+            next(rows)
+        assert str(raised.value) == f"{path}: row 2: a is 2"  # the blank line is not a row
+        assert [fh.closed for fh in opened] == [True]
+
     def test_bad_line_raises_when_reached_and_closes(self, tmp_path, opened):
         path = tmp_path / "scores.jsonl"
         path.write_text('{"schema": "scores.v1"}\n{"a": 1}\n{"a": \n{"a": 3}\n', encoding="utf-8")
-        _, rows = iter_jsonl(path, "scores.v1")
+        _, rows = iter_jsonl(path, "scores.v1", as_decoded)
         assert next(rows) == {"a": 1}
         with pytest.raises(SchemaError, match="line 3 is not JSON"):
             next(rows)

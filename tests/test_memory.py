@@ -32,6 +32,12 @@ records holds them whole. Built as the frozen `__init__` builds them, with
 field values stay inline in the object. Filling each record's `__dict__`
 instead holds about 663 bytes.
 
+`elicit` read the suite's corpus as decoded rows and then as `Question`s,
+peaking at about 9.6 MB; loading each row as it is read, at about 4.0 MB,
+3.9 MB of it the questions it keeps. Its `--resume` key scan of the suite's
+transcript held every row, about 10.8 MB; keeping only each answered key,
+about 1.1 MB.
+
 `elicit` keeps at most 2 x concurrency requests submitted and unwritten.
 Submitting the whole plan at once, it peaked at about 9 MB for 2,100
 requests and 22 MB for 8,400; with the window, the two peaks lie about
@@ -41,13 +47,13 @@ import tracemalloc
 from typing import Callable
 
 from elicitbench import elicitation
-from elicitbench.cli import main
+from elicitbench.cli import _corpus_index, main
 from elicitbench.elicitation import EffortLevel, ModelSpec, run_batch
 from elicitbench.jsonlio import load_row, read_jsonl
 from elicitbench.metrics import ScoredRecord
 from elicitbench.synthetic import SyntheticSuiteConfig, make_questions
 
-from helpers import answer_at_once
+from helpers import answer_at_once, as_decoded
 
 # stage -> bound on its traced peak, in MB (1e6 bytes)
 BOUNDS_MB = {"extract": 2.0, "score": 1.8, "calibrate": 2.5, "report": 2.0,
@@ -56,6 +62,9 @@ BOUNDS_MB = {"extract": 2.0, "score": 1.8, "calibrate": 2.5, "report": 2.0,
 SIMULATE_GROWTH_MB = 1.0
 # bound on how much elicit's traced peak may grow from 2,100 to 8,400 requests, in MB
 ELICIT_GROWTH_MB = 1.0
+# bounds on the traced peaks of elicit's corpus read and --resume key scan of the suite, in MB
+ELICIT_CORPUS_MB = 5.0
+RESUME_KEYS_MB = 2.0
 # bound on the traced bytes a loaded ScoredRecord holds, its Triplet and GroundTruth included
 SCORED_RECORD_BYTES = 480
 SUITE_FLAGS = ["--n-questions", "4000", "--width-shrink", "4", "--noise", "5",
@@ -132,7 +141,7 @@ def test_loaded_score_records_keep_their_fields_inline(tmp_path):
     assert main(["extract", "--transcript", str(suite / "transcript.jsonl"), "--corpus", corpus,
                  "--out", str(parsed)]) == 0
     assert main(["score", "--parsed", str(parsed), "--corpus", corpus, "--out", str(scores)]) == 0
-    _, rows = read_jsonl(scores, "scores.v1")
+    _, rows = read_jsonl(scores, "scores.v1", as_decoded)
     rows = [row for row in rows if row["outcome"] == "valid"]
     load_row(ScoredRecord, rows[0])  # the loader is built before tracing
     tracemalloc.start()
@@ -143,3 +152,27 @@ def test_loaded_score_records_keep_their_fields_inline(tmp_path):
         tracemalloc.stop()
     assert len(records) == 3568
     assert per_record <= SCORED_RECORD_BYTES, f"{per_record:.0f} bytes per record"
+
+
+
+def test_elicit_holds_the_corpus_questions_not_its_rows(tmp_path):
+    suite = tmp_path / "suite"
+    assert main(["simulate", *SUITE_FLAGS, "--out-dir", str(suite)]) == 0
+    corpus = suite / "corpus.jsonl"
+
+    def read_corpus() -> bool:  # as elicit reads it
+        return len(_corpus_index(corpus, read_jsonl, keep=lambda q: q)[1]) == 4000
+
+    assert read_corpus()  # builds the Question loader before tracing
+    peak_mb = _traced_peak_mb(read_corpus)
+    assert peak_mb < ELICIT_CORPUS_MB, f"traced peak {peak_mb:.2f} MB"
+
+
+def test_resume_holds_the_answered_keys_not_the_transcript_rows(tmp_path):
+    suite = tmp_path / "suite"
+    assert main(["simulate", *SUITE_FLAGS, "--out-dir", str(suite)]) == 0
+    transcript = suite / "transcript.jsonl"
+    cfg_hash = read_jsonl(transcript, "transcript.v1", as_decoded)[0]["config_hash"]
+    assert len(elicitation._done_keys(transcript, cfg_hash)) == 4000  # builds the loader
+    peak_mb = _traced_peak_mb(lambda: len(elicitation._done_keys(transcript, cfg_hash)) == 4000)
+    assert peak_mb < RESUME_KEYS_MB, f"traced peak {peak_mb:.2f} MB"

@@ -89,6 +89,14 @@ class TestKruskalWallis:
         with pytest.raises(InputError):
             kruskal_wallis([[1, 2, 3]])
 
+    def test_empty_group_rejected(self):
+        with pytest.raises(InputError, match="every group must be non-empty"):
+            kruskal_wallis([[1, 2, 3], []])
+
+    def test_fewer_than_three_observations_rejected(self):
+        with pytest.raises(InputError, match="at least 3 observations"):
+            kruskal_wallis([[1], [2]])
+
     def test_matches_oracle_and_scipy(self):
         fixtures = random_fixtures(21, 40)
         rng = random.Random(22)
@@ -202,6 +210,10 @@ class TestSpearman:
     def test_too_short_rejected(self):
         with pytest.raises(InputError):
             spearman([1, 2], [2, 1])
+
+    def test_unequal_lengths_rejected(self):
+        with pytest.raises(InputError, match="equal length"):
+            spearman([1, 2, 3, 4], [1, 2, 3])
 
     def test_matches_oracle_and_scipy(self):
         rng = random.Random(27)

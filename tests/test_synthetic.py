@@ -17,7 +17,7 @@ from elicitbench.synthetic import (
     respond,
 )
 
-from helpers import as_columns, scored_suite
+from helpers import as_columns, as_decoded, scored_suite
 
 
 class TestRespond:
@@ -89,7 +89,7 @@ class TestMakeSuite:
     def test_request_payload_is_what_elicit_sends_a_non_reasoning_model(self, tmp_path):
         cfg = SyntheticSuiteConfig(n_questions=30, seed=4, proportion_fraction=0.5, model_id="sim")
         make_suite(cfg, tmp_path)
-        _, rows = read_jsonl(tmp_path / "transcript.jsonl", "transcript.v1")
+        _, rows = read_jsonl(tmp_path / "transcript.jsonl", "transcript.v1", as_decoded)
         spec = ModelSpec(model_id="sim", endpoint_url="http://localhost:1/v1", effort_mode=None)
         sent = {q.question_id: build_request(q, spec, EffortLevel.NONE) for q, _ in make_questions(cfg)}
         assert {row["question_id"]: row["request_payload"] for row in rows} == sent
