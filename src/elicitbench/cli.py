@@ -21,7 +21,8 @@ from .conformal import ConformalConfig, calibrate_groups
 from .corpus import Question, TargetKind, TruthColumns, corpus_config_from_dict, generate_corpus
 from .elicitation import (DECODING, BatchResult, EffortLevel, ElicitationRecord, TransportStatus,
                           model_specs_from_config, run_batch)
-from .errors import ConfigError, ElicitBenchError, SchemaError, StageDependencyError
+from .errors import (ConfigError, ElicitBenchError, InputError, SchemaError,
+                     StageDependencyError)
 from .extraction import Outcome, ParsedRecord, extract_triplet
 from .jsonlio import (
     as_row, canonical_dumps, config_hash, iter_jsonl, load_row, read_jsonl, write_jsonl,
@@ -68,7 +69,7 @@ def _load_json(path: str | Path) -> dict:
         return json.loads(path.read_text(encoding="utf-8"))
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: not UTF-8 ({exc.reason})") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # not JSON, or an integer of too many digits for int()
         raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
 
 
@@ -272,14 +273,18 @@ def cmd_score(args: argparse.Namespace) -> int:
 
     def score_rows() -> Iterator[dict]:
         nonlocal n_valid
-        for record, ((dataset_id, kind), row) in joined:
+        for number, (record, ((dataset_id, kind), row)) in enumerate(joined, 1):
             if record.dataset_id != dataset_id or record.kind is not kind:
                 raise SchemaError(
                     f"{args.parsed}: question {record.question_id} is {record.dataset_id!r} "
                     f"({record.kind.value}) here and {dataset_id!r} ({kind.value}) in the corpus")
             if record.outcome is Outcome.VALID:
+                try:
+                    scored = score_record(record, truths[row])
+                except InputError as exc:
+                    raise SchemaError(f"{args.parsed}: row {number}: {exc}") from exc
                 n_valid += 1
-                yield {"outcome": Outcome.VALID, **as_row(score_record(record, truths[row]))}
+                yield {"outcome": Outcome.VALID, **as_row(scored)}
             else:
                 yield {name: value for name, value in as_row(record).items() if name != "triplet"}
 

@@ -19,6 +19,7 @@ from statistics import median
 from typing import Callable, Hashable, Iterable, Iterator, Sequence, TypeVar
 
 from .corpus import CIFamily, GroundTruth, TargetKind, Z_95
+from .errors import InputError
 from .extraction import ParsedRecord, Triplet, looks_fraction_scale
 from .jsonlio import load_row
 
@@ -141,32 +142,39 @@ def _floats() -> array:
     return array("d")
 
 
+def _flags() -> array:
+    return array("b")
+
+
 @dataclass
 class ScoreColumns:
     """One (model, effort, dataset) group of a score file: its valid rows as
     columns, and how many of its rows are invalid.
 
-    Row i of the group is entry i of every column. A column holds one field
-    of the rows' `ScoredRecord`s: value, lower and upper are the triplet's,
-    truth is the truth's value and suspect is `suspect_fraction_scale`. The
-    columns that are always numbers are arrays of doubles.
+    A column holds one field of the rows' `ScoredRecord`s: value, lower and
+    upper are the triplet's, truth is the truth's value and suspect is
+    `suspect_fraction_scale`. Row i of the group is entry i of every column
+    but `cv` and `ape`. The number columns are arrays of doubles, and the
+    flags (tools_enabled, covered, suspect) arrays of bytes that hold 0 or 1.
+    `cv` and `ape` hold only the rows' defined values, in row order, and so
+    are not row-aligned: they feed only the medians of `summarize_group`.
     """
     model_id: str
     effort: str
     dataset_id: str
     n_invalid: int = 0
     question_id: list[str] = field(default_factory=list)
-    tools_enabled: list[bool] = field(default_factory=list)
+    tools_enabled: array = field(default_factory=_flags)
     value: array = field(default_factory=_floats)
     lower: array = field(default_factory=_floats)
     upper: array = field(default_factory=_floats)
     truth: array = field(default_factory=_floats)
     kind: list[TargetKind] = field(default_factory=list)
-    covered: list[bool] = field(default_factory=list)
+    covered: array = field(default_factory=_flags)
     nll: array = field(default_factory=_floats)
-    cv: list[float | None] = field(default_factory=list)
-    ape: list[float | None] = field(default_factory=list)
-    suspect: list[bool] = field(default_factory=list)
+    cv: array = field(default_factory=_floats)
+    ape: array = field(default_factory=_floats)
+    suspect: array = field(default_factory=_flags)
 
     @property
     def key(self) -> tuple[str, str, str]:
@@ -186,8 +194,10 @@ class ScoreColumns:
         self.kind.append(record.kind)
         self.covered.append(record.covered)
         self.nll.append(record.nll)
-        self.cv.append(record.cv)
-        self.ape.append(record.ape)
+        if record.cv is not None:
+            self.cv.append(record.cv)
+        if record.ape is not None:
+            self.ape.append(record.ape)
         self.suspect.append(record.suspect_fraction_scale)
 
 
@@ -195,13 +205,22 @@ def score_record(parsed: ParsedRecord, truth: GroundTruth) -> ScoredRecord:
     """Score a valid parsed record against its question's truth.
 
     The key fields, `dataset_id` and `kind` are the parsed record's; the
-    truth's family, which `Question` ties to the kind, picks the NLL.
+    truth's family, which `Question` ties to the kind, picks the NLL. An NLL
+    that is not a finite number (a value so far from its truth that the
+    squared distance overflows) raises InputError naming the question.
     """
     triplet, kind = parsed.triplet, parsed.kind
-    if truth.family is CIFamily.BINOMIAL:
-        nll = nll_binomial(triplet, truth)
-    else:
-        nll = nll_gaussian(triplet, truth.value)
+    try:
+        if truth.family is CIFamily.BINOMIAL:
+            nll = nll_binomial(triplet, truth)
+        else:
+            nll = nll_gaussian(triplet, truth.value)
+    except OverflowError:
+        nll = math.inf
+    if not math.isfinite(nll):
+        raise InputError(f"question {parsed.question_id}: the NLL of value {triplet.value!r} "
+                         f"in [{triplet.lower!r}, {triplet.upper!r}] against truth "
+                         f"{truth.value!r} is not a finite number")
     record_ape = ape(triplet.value, truth.value)
     return ScoredRecord(
         question_id=parsed.question_id,

@@ -1,7 +1,9 @@
 """Keep-alive HTTP(S) connections for `elicit`, on the standard library.
 
 Only `elicitation.run_batch` imports this module, so the offline stages never
-load `http.client`, `ssl` or `urllib.request`.
+load `http.client`, `ssl` or `urllib.request`. Its `ssl` is the only import
+of OpenSSL in the package (`jsonlio` hashes without `hashlib`), so only
+`elicit` loads OpenSSL, the TLS it needs.
 
 Each worker thread keeps one connection per endpoint (scheme, host and port).
 `HTTP_PROXY`, `HTTPS_PROXY`, `ALL_PROXY` and `NO_PROXY` are honoured: an http

@@ -319,6 +319,8 @@ class TestExitCodes:
             (_demo_config(axes={"sex": [1, 2]}), [],
              "QuestionTemplate row: axes: expected a string, got 1"),
             (_demo_config(kind="share"), [], "QuestionTemplate row: kind: 'share' is not a valid"),
+            # more digits than int() converts
+            ('{"seed": ' + "9" * 5000 + "}", [], "invalid JSON ("),
         ]:
             bad.write_text(text)
             capsys.readouterr()
@@ -760,6 +762,25 @@ class TestExitCodes:
         assert not (tmp_path / "t.jsonl").exists()
         assert state.requests == 0
 
+    def test_spec_integer_of_more_digits_than_int_converts_is_2(self, tmp_path, monkeypatch,
+                                                                 capsys):
+        monkeypatch.setenv("STUB_API_KEY", "k")
+        suite = tmp_path / "suite"
+        main(["simulate", "--n-questions", "2", "--seed", "0", "--out-dir", str(suite)])
+        state = StubState()
+        with StubServer(state) as server:
+            argv = _elicit_argv(tmp_path, suite, server.url)
+            models = tmp_path / "models.json"
+            models.write_text(models.read_text().replace('"max_retries": 0',
+                                                         '"max_retries": ' + "9" * 5000))
+            capsys.readouterr()
+            code = main(argv)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {models}: invalid JSON (") and "4300" in err
+        assert not (tmp_path / "t.jsonl").exists()
+        assert state.requests == 0
+
 
 def _elicit_argv(root: Path, suite: Path, url: str, *extra: str) -> list[str]:
     """Write a one-model spec file for the stub at url; return the elicit argv."""
@@ -973,6 +994,36 @@ class TestMalformedArtifacts:
                               "expected a finite number, got ")
         assert not (root / "scores2.jsonl").exists()
 
+    @pytest.mark.parametrize(
+        "triplet, truth",
+        [({"value": 1e200, "lower": 0.0, "upper": 2e200}, None),  # the square overflows
+         ({"value": 0.0, "lower": 0.0, "upper": 0.0}, 1e150)],  # the quotient is inf
+        ids=["square_overflows", "quotient_is_inf"],
+    )
+    def test_valid_row_whose_nll_is_not_finite(self, tmp_path, capsys, triplet, truth):
+        root = _small_chain(tmp_path)
+        parsed, corpus = root / "parsed.jsonl", root / "suite" / "corpus.jsonl"
+        header, *rows = parsed.read_text(encoding="utf-8").splitlines()
+        number, row = next((i, json.loads(line)) for i, line in enumerate(rows, 1)
+                           if '"outcome":"valid"' in line and '"kind":"continuous"' in line)
+        row["triplet"].update(triplet)
+        rows[number - 1] = json.dumps(row)
+        parsed.write_text("\n".join([header, *rows]) + "\n", encoding="utf-8")
+        if truth is not None:
+            lines = corpus.read_text(encoding="utf-8").splitlines()
+            for i, line in enumerate(lines[1:], 1):
+                question = json.loads(line)
+                if question["question_id"] == row["question_id"]:
+                    question["truth"].update(value=truth, lower=truth, upper=truth)
+                    lines[i] = json.dumps(question)
+            corpus.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        err = self.assert_schema_error(["score", "--parsed", str(parsed), "--corpus", str(corpus),
+                                        "--out", str(root / "scores2.jsonl")], capsys)
+        assert err.startswith(f"error: {parsed}: row {number}: question {row['question_id']}: "
+                              "the NLL of value ")
+        assert err.endswith(" is not a finite number\n")
+        assert not (root / "scores2.jsonl").exists()
+
     def test_empty_fits_file(self, tmp_path, capsys):
         root = _small_chain(tmp_path)
         (root / "fits.tsv").write_text("", encoding="utf-8")
@@ -1072,6 +1123,21 @@ class TestMalformedArtifacts:
                                         "--calibration", str(fits),
                                         "--out-dir", str(root / "report")], capsys)
         assert f"{fits}: not UTF-8" in err
+
+    def test_integer_of_more_digits_than_int_converts(self, tmp_path, capsys):
+        # the JSON reader converts an integer literal with int(), which takes
+        # at most 4,300 digits
+        root = _small_chain(tmp_path)
+        transcript = root / "suite" / "transcript.jsonl"
+        header, first, *rows = transcript.read_text(encoding="utf-8").splitlines()
+        first = json.dumps({**json.loads(first), "latency_ms": "<n>"}).replace('"<n>"', "9" * 5000)
+        transcript.write_text("\n".join([header, first, *rows]) + "\n", encoding="utf-8")
+        err = self.assert_schema_error(["extract", "--transcript", str(transcript),
+                                        "--corpus", str(root / "suite" / "corpus.jsonl"),
+                                        "--out", str(root / "parsed2.jsonl")], capsys)
+        assert err.startswith(f"error: {transcript}: line 2 is not JSON (")
+        assert "4300" in err
+        assert not (root / "parsed2.jsonl").exists()
 
     @pytest.mark.parametrize(
         "artifact, stage, flag, field, value",

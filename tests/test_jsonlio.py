@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import functools
+import hashlib
 import json
 import re
 from dataclasses import InitVar, dataclass, field
@@ -15,7 +16,8 @@ from elicitbench.corpus import CorpusConfig, GroundTruth, Question, QuestionTemp
 from elicitbench.elicitation import ElicitationRecord, ModelSpec, TransportStatus, VendorParam
 from elicitbench.errors import InputError, SchemaError, StageDependencyError
 from elicitbench.extraction import Outcome, ParsedRecord, Triplet
-from elicitbench.jsonlio import as_row, iter_jsonl, load_row, read_jsonl, write_jsonl, write_text
+from elicitbench.jsonlio import (as_row, config_hash, derive_seed, iter_jsonl, load_row,
+                                 read_jsonl, stable_hash64, write_jsonl, write_text)
 from elicitbench.metrics import ScoredRecord
 from elicitbench.synthetic import SyntheticSuiteConfig, make_questions
 
@@ -237,6 +239,20 @@ def test_load_row_refuses_a_hint_it_cannot_check(cls, row):
 def test_as_row_rejects_non_records():
     with pytest.raises(TypeError):
         as_row(object())
+
+
+@pytest.mark.parametrize("text", ["", "elicitbench q-0042", "Zürich · 東京 \u2028 🙂"],
+                         ids=["empty", "ascii", "non_ascii"])
+def test_hashes_are_hashlibs(text):
+    # the package takes sha256 and blake2b from the interpreter's built-in
+    # modules, not from hashlib; config hashes, question ids and seeds must not move
+    config = {"name": text, "seed": 7, "weights": [0.5, 1e-9]}
+    dumped = json.dumps(config, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+    assert config_hash(config) == hashlib.sha256(dumped.encode("utf-8")).hexdigest()[:16]
+    assert stable_hash64(text) == hashlib.blake2b(text.encode("utf-8"), digest_size=8).hexdigest()
+    joined = f"{text}\x1f3\x1fNone".encode("utf-8")
+    assert derive_seed(text, 3, None) == int.from_bytes(
+        hashlib.blake2b(joined, digest_size=8).digest(), "big")
 
 
 def _failing_rows():

@@ -17,8 +17,12 @@ Holding the corpus truths as columns instead of one `GroundTruth` per
 question, score goes from about 2.1 to 1.4 MB. `report --tool-scores` of the
 suite's scores against themselves peaked at about 3.5 MB while it held a dict
 per matched question; merging the row numbers of each level sorted by
-question, at about 2.0 MB. Each bound lies above its stage's last figure and
-below the figure before the change it was set for (2.9 MB for extract).
+question, at about 2.0 MB. Holding each group's flags (tools_enabled,
+covered, suspect) as bytes and only its defined cv and ape values as
+doubles, instead of Python bools and floats and None, calibrate, report and
+`report --tool-scores` peak at about 0.90, 0.75 and 1.50 MB, from 1.15, 0.99
+and 1.99 MB. Each bound lies above its stage's last figure and below the
+figure before the change it was set for (2.9 MB for extract).
 
 `simulate` writes both of its files in one pass over the questions, made one
 at a time. Writing the corpus from a list of every question first, it peaked
@@ -56,8 +60,8 @@ from elicitbench.synthetic import SyntheticSuiteConfig, make_questions
 from helpers import answer_at_once, as_decoded
 
 # stage -> bound on its traced peak, in MB (1e6 bytes)
-BOUNDS_MB = {"extract": 2.0, "score": 1.8, "calibrate": 2.5, "report": 2.0,
-             "report --tool-scores": 2.5}
+BOUNDS_MB = {"extract": 2.0, "score": 1.8, "calibrate": 1.0, "report": 0.9,
+             "report --tool-scores": 1.7}
 # bound on how much simulate's traced peak may grow from 2,000 to 8,000 questions, in MB
 SIMULATE_GROWTH_MB = 1.0
 # bound on how much elicit's traced peak may grow from 2,100 to 8,400 requests, in MB

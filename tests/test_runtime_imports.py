@@ -7,10 +7,13 @@ and `concurrent.futures` only when it runs, so the offline stages never load
 them. Fresh interpreters run the offline chain, and `elicit` against a local
 stub server, through `main` and then list the modules they loaded.
 
-No stage loads `tempfile`, and `heapq` is imported only by the code that
-uses it, so that a stage which does not use it keeps it out of its memory:
-only `report --tool-scores` merges rows. Each stage runs in a fresh
-`python -S` interpreter, where no site `.pth` file has loaded them first.
+No offline stage loads OpenSSL (`_hashlib` or `ssl`): the package takes its
+hash functions from the interpreter's built-in modules, not from `hashlib`,
+and only `elicit` needs TLS. No stage loads `tempfile`, and `heapq` is
+imported only by the code that uses it, so that a stage which does not use
+it keeps it out of its memory: only `report --tool-scores` merges rows. Each
+stage runs in a fresh `python -S` interpreter, where no site `.pth` file has
+loaded them first.
 
 The benchmark loads `tests/oracles.py` by its file path, without `src/` on
 the path, so loading it must not import the package.
@@ -19,6 +22,7 @@ No module in `src/` imports a name it does not use.
 """
 import ast
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -87,7 +91,7 @@ import sys
 from elicitbench.cli import main
 
 assert main(sys.argv[1:]) == 0
-print(sorted(m for m in ("tempfile", "heapq") if m in sys.modules))
+print(sorted(m for m in ("_hashlib", "ssl", "tempfile", "heapq") if m in sys.modules))
 """
 
 
@@ -110,10 +114,15 @@ def test_elicit_loads_no_third_party_package(tmp_path):
     assert run_child(ELICIT, tmp_path) == "[]"
 
 
-def test_no_stage_loads_tempfile_and_only_the_tool_comparison_loads_heapq(tmp_path):
+def test_no_offline_stage_loads_openssl_or_tempfile_and_only_the_tool_comparison_heapq(
+        tmp_path):
     suite, parsed, scores = tmp_path / "suite", tmp_path / "parsed.jsonl", tmp_path / "scores.jsonl"
     fits = tmp_path / "fits.tsv"
+    for name in ("templates_demo.json", "health_fixture.csv"):
+        shutil.copy(TESTS / "data" / name, tmp_path / name)
     stages = [
+        (["generate", "--config", tmp_path / "templates_demo.json",
+          "--out", tmp_path / "corpus.jsonl"], "[]"),
         (["simulate", "--n-questions", "50", "--seed", "7", "--out-dir", suite], "[]"),
         (["extract", "--transcript", suite / "transcript.jsonl", "--corpus", suite / "corpus.jsonl",
           "--out", parsed], "[]"),
