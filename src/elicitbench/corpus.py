@@ -25,6 +25,8 @@ from .jsonlio import derive_seed, load_row, stable_hash64
 
 # Central 95% two-sided normal quantile, frozen for byte-stable outputs.
 Z_95 = 1.9599639845400536
+# The largest count a float holds exactly; `metrics.nll_binomial` computes in floats.
+MAX_EXACT_COUNT = 2**53
 
 
 class TargetKind(str, Enum):
@@ -59,6 +61,9 @@ class GroundTruth:
             )
         if self.n < 1:
             raise InputError("ground truth sample size must be positive")
+        if self.n > MAX_EXACT_COUNT:  # and so is k, which the binomial check bounds by n
+            raise InputError("ground truth sample size must be at most 2**53, "
+                             "the largest count a float holds exactly")
         if self.family is CIFamily.BINOMIAL:
             if self.k is None:
                 raise InputError("binomial ground truth requires a success count")

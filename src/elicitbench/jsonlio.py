@@ -27,6 +27,7 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import enum
+import errno
 import functools
 import inspect
 import json
@@ -280,6 +281,41 @@ def jsonl_writer(path: str | Path, schema: str, cfg_hash: str) -> Iterator[Calla
     with _replacing(path) as fh:
         fh.write(header_line(schema, cfg_hash))
         yield lambda row: fh.write(canonical_dumps(row) + "\n")
+
+
+@contextlib.contextmanager
+def jsonl_joiner(path: str | Path, schema: str, cfg_hash: str) -> Iterator[Callable[[Path], None]]:
+    """`append(part)`, which appends the data rows of the artifact `part` after the header.
+
+    A part is a file that `jsonl_writer` or `write_jsonl` wrote with the same
+    schema and hash. Its rows are copied from file to file by the kernel
+    (`os.sendfile`), not read into this process; where `sendfile` cannot
+    write to a file (it takes only a socket on macOS and the BSDs), they are
+    copied in blocks of bytes. The file replaces `path` when the block ends,
+    and is removed if it raises.
+    """
+    header = header_line(schema, cfg_hash)
+    with _replacing(path) as fh:
+        fh.write(header)
+        fh.flush()
+        out = fh.fileno()
+
+        def append(part: Path) -> None:
+            with open(part, "rb") as src:
+                offset, end = len(header.encode("utf-8")), os.fstat(src.fileno()).st_size
+                while offset < end:
+                    try:
+                        sent = os.sendfile(out, src.fileno(), offset, end - offset)
+                    except OSError as exc:
+                        if exc.errno not in (errno.EINVAL, errno.ENOTSOCK, errno.ENOSYS):
+                            raise
+                        sent = os.write(out, os.pread(src.fileno(), min(end - offset, 1 << 20),
+                                                      offset))
+                    if not sent:
+                        raise OSError(errno.EIO, "file shrank while it was copied", str(part))
+                    offset += sent
+
+        yield append
 
 
 def write_jsonl(path: str | Path, schema: str, cfg_hash: str, rows: Iterable[Any]) -> int:

@@ -205,9 +205,11 @@ def score_record(parsed: ParsedRecord, truth: GroundTruth) -> ScoredRecord:
     """Score a valid parsed record against its question's truth.
 
     The key fields, `dataset_id` and `kind` are the parsed record's; the
-    truth's family, which `Question` ties to the kind, picks the NLL. An NLL
-    that is not a finite number (a value so far from its truth that the
-    squared distance overflows) raises InputError naming the question.
+    truth's family, which `Question` ties to the kind, picks the NLL. An NLL,
+    APE or CV that is not a finite number (a value so far from its truth that
+    the squared distance overflows, a truth so near zero or a value so near
+    zero against so wide an interval that a quotient overflows) raises
+    InputError naming the question and the statistic.
     """
     triplet, kind = parsed.triplet, parsed.kind
     try:
@@ -217,11 +219,13 @@ def score_record(parsed: ParsedRecord, truth: GroundTruth) -> ScoredRecord:
             nll = nll_gaussian(triplet, truth.value)
     except OverflowError:
         nll = math.inf
-    if not math.isfinite(nll):
-        raise InputError(f"question {parsed.question_id}: the NLL of value {triplet.value!r} "
-                         f"in [{triplet.lower!r}, {triplet.upper!r}] against truth "
-                         f"{truth.value!r} is not a finite number")
     record_ape = ape(triplet.value, truth.value)
+    cv = relative_sharpness(triplet)
+    for statistic, value in (("NLL", nll), ("APE", record_ape), ("CV", cv)):
+        if value is not None and not math.isfinite(value):
+            raise InputError(f"question {parsed.question_id}: the {statistic} of value "
+                             f"{triplet.value!r} in [{triplet.lower!r}, {triplet.upper!r}] "
+                             f"against truth {truth.value!r} is not a finite number")
     return ScoredRecord(
         question_id=parsed.question_id,
         model_id=parsed.model_id,
@@ -234,7 +238,7 @@ def score_record(parsed: ParsedRecord, truth: GroundTruth) -> ScoredRecord:
         nll=nll,
         nll_family=truth.family,
         covered=interval_covers(triplet.lower, triplet.upper, truth.value),
-        cv=relative_sharpness(triplet),
+        cv=cv,
         ape=record_ape,
         ape_excluded_zero_truth=record_ape is None,
         suspect_fraction_scale=looks_fraction_scale(triplet, kind, truth.value),

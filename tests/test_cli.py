@@ -13,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+from elicitbench import synthetic
 from elicitbench.cli import build_parser, main
 from elicitbench.conformal import ConformalConfig, GroupCalibration
 from elicitbench.jsonlio import read_jsonl, write_jsonl
@@ -551,6 +552,69 @@ class TestExitCodes:
         assert "Traceback" not in err and len(err.splitlines()) == 1, err
         assert not list(out.glob(".*.tmp"))
 
+    def test_ctrl_c_to_the_process_group_stops_every_slice_and_leaves_no_file(self, tmp_path):
+        # two slices: the child that makes the second is interrupted with the parent
+        out = tmp_path / "suite"
+        child = ("import os, signal, sys; "
+                 "signal.signal(signal.SIGINT, signal.default_int_handler); "
+                 "os.sched_getaffinity = lambda pid: {0, 1}; "
+                 "from elicitbench.cli import main; sys.exit(main(sys.argv[1:]))")
+        src = str(Path(__file__).parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+        proc = subprocess.Popen(
+            [sys.executable, "-c", child, "simulate", "--n-questions", "200000",
+             "--out-dir", str(out)],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            start_new_session=True)
+        try:
+            deadline = time.monotonic() + 60
+            while not list(out.glob("*.part1.*.tmp")):  # the second slice is being written
+                assert proc.poll() is None and time.monotonic() < deadline
+                time.sleep(0.005)
+            os.killpg(proc.pid, signal.SIGINT)
+            _, err = proc.communicate(timeout=60)
+        finally:
+            if proc.poll() is None:
+                os.killpg(proc.pid, signal.SIGKILL)
+                proc.communicate()
+        assert proc.returncode == 130, err
+        assert "Traceback" not in err and len(err.splitlines()) == 1, err
+        assert list(out.iterdir()) == []
+        with pytest.raises(ProcessLookupError):  # no process of the group is left
+            os.killpg(proc.pid, 0)
+
+    @pytest.mark.parametrize("n, failing_slice, error, code, message, child_code", [
+        (100, 1, OSError, 2, "[Errno 5] Input/output error: 'answer'", 2),
+        # the child, still making its 10,000 questions, is stopped, not waited out
+        (20000, 0, OSError, 2, "[Errno 5] Input/output error: 'answer'", 130),
+        (100, 1, ZeroDivisionError, 1,
+         "questions 50 to 99 were not made: their process ended with status 1", 1),
+    ], ids=["os_error_in_the_child", "os_error_here", "defect_in_the_child"])
+    def test_a_slice_that_fails_leaves_no_file(self, tmp_path, capsys, monkeypatch, n,
+                                               failing_slice, error, code, message, child_code):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        respond, waitpid, child_codes = synthetic.respond, os.waitpid, []
+
+        def failing(config, question, deviation):
+            if int(question.params["index"]) // (n // 2) == failing_slice:
+                raise error(5, "Input/output error", "answer")
+            return respond(config, question, deviation)
+
+        def recording(pid, options):
+            result = waitpid(pid, options)
+            child_codes.append(os.waitstatus_to_exitcode(result[1]))
+            return result
+
+        monkeypatch.setattr(synthetic, "respond", failing)
+        monkeypatch.setattr(os, "waitpid", recording)
+        out = tmp_path / "suite"
+        capsys.readouterr()
+        assert main(["simulate", "--n-questions", str(n), "--out-dir", str(out)]) == code
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert list(out.iterdir()) == []
+        assert child_codes == [child_code]
+
     def test_elicit_ok_and_scoreable(self, tmp_path, monkeypatch):
         monkeypatch.setenv("STUB_API_KEY", "k")
         suite = tmp_path / "suite"
@@ -939,7 +1003,14 @@ class TestMalformedArtifacts:
         ("continuous", lambda truth: truth.update(value=40.0, lower=30.0, upper=50.0, n=100,
                                                   family="binomial", k=40),
          "a continuous question needs a gaussian truth, not a binomial one"),
-    ], ids=["k_above_n", "percent_above_100", "proportion_gaussian", "continuous_binomial"])
+        ("proportion", lambda truth: truth.update(n=2**53 + 1),
+         "ground truth sample size must be at most 2**53, the largest count a float holds "
+         "exactly"),
+        ("proportion", lambda truth: truth.update(n=int("9" * 400)),
+         "ground truth sample size must be at most 2**53, the largest count a float holds "
+         "exactly"),
+    ], ids=["k_above_n", "percent_above_100", "proportion_gaussian", "continuous_binomial",
+            "n_above_2_53", "n_of_400_digits"])
     @pytest.mark.parametrize("stage, flag, upstream", [
         ("extract", "--transcript", "suite/transcript.jsonl"),
         ("score", "--parsed", "parsed.jsonl"),
@@ -953,6 +1024,40 @@ class TestMalformedArtifacts:
                      "--out", str(tmp_path / "again.jsonl")]) == 2
         assert capsys.readouterr().err == f"error: {corpus}: row {number}: {message}\n"
         assert not (tmp_path / "again.jsonl").exists()
+
+    def test_corpus_truth_of_2_53_draws_is_scored(self, tmp_path):
+        corpus = self.mixed_suite(tmp_path) / "corpus.jsonl"
+        self.edit_truth_of_kind(corpus, "proportion", lambda truth: truth.update(n=2**53))
+        assert main(["score", "--parsed", str(tmp_path / "parsed.jsonl"), "--corpus", str(corpus),
+                     "--out", str(tmp_path / "scores.jsonl")]) == 0
+
+    @pytest.mark.parametrize(
+        "kind, triplet, truth, statistic",
+        [("continuous", {"value": 1e10, "lower": 1e10 - 1, "upper": 1e10 + 1}, 1e-300, "APE"),
+         # the binomial NLL of this answer is finite (about 355.8)
+         ("proportion", {"value": 1e-6, "lower": -1e303, "upper": 1e303}, None, "CV")],
+        ids=["ape", "cv"],
+    )
+    def test_valid_row_whose_ape_or_cv_is_not_finite(self, tmp_path, capsys, kind, triplet,
+                                                     truth, statistic):
+        corpus = self.mixed_suite(tmp_path) / "corpus.jsonl"
+        parsed = tmp_path / "parsed.jsonl"
+        header, *rows = parsed.read_text(encoding="utf-8").splitlines()
+        number, row = next((i, json.loads(line)) for i, line in enumerate(rows, 1)
+                           if json.loads(line)["kind"] == kind)
+        row["triplet"].update(triplet)
+        rows[number - 1] = json.dumps(row)
+        parsed.write_text("\n".join([header, *rows]) + "\n", encoding="utf-8")
+        if truth is not None:
+            # the corpus and the parsed rows are in one question order
+            assert self.edit_truth_of_kind(
+                corpus, kind, lambda t: t.update(value=truth, lower=truth, upper=truth)) == number
+        err = self.assert_schema_error(["score", "--parsed", str(parsed), "--corpus", str(corpus),
+                                        "--out", str(tmp_path / "scores.jsonl")], capsys)
+        assert err.startswith(f"error: {parsed}: row {number}: question {row['question_id']}: "
+                              f"the {statistic} of value ")
+        assert err.endswith(" is not a finite number\n")
+        assert not (tmp_path / "scores.jsonl").exists()
 
     def test_transcript_row_with_an_unknown_transport_status(self, tmp_path, capsys):
         # an answered row spelled "OK" is neither "ok" nor "failed", not a transport failure

@@ -1,8 +1,10 @@
 import copy
 import dataclasses
+import errno
 import functools
 import hashlib
 import json
+import os
 import re
 from dataclasses import InitVar, dataclass, field
 from pathlib import Path
@@ -16,8 +18,8 @@ from elicitbench.corpus import CorpusConfig, GroundTruth, Question, QuestionTemp
 from elicitbench.elicitation import ElicitationRecord, ModelSpec, TransportStatus, VendorParam
 from elicitbench.errors import InputError, SchemaError, StageDependencyError
 from elicitbench.extraction import Outcome, ParsedRecord, Triplet
-from elicitbench.jsonlio import (as_row, config_hash, derive_seed, iter_jsonl, load_row,
-                                 read_jsonl, stable_hash64, write_jsonl, write_text)
+from elicitbench.jsonlio import (as_row, config_hash, derive_seed, iter_jsonl, jsonl_joiner,
+                                 load_row, read_jsonl, stable_hash64, write_jsonl, write_text)
 from elicitbench.metrics import ScoredRecord
 from elicitbench.synthetic import SyntheticSuiteConfig, make_questions
 
@@ -393,3 +395,22 @@ class TestIterJsonl:
         with pytest.raises(SchemaError, match="line 3 is not JSON"):
             next(rows)
         assert [fh.closed for fh in opened] == [True]
+
+
+class TestJsonlJoiner:
+    @pytest.mark.parametrize("sendfile", ["kernel", "refused"])
+    def test_joined_parts_hold_the_rows_written_at_once(self, tmp_path, monkeypatch, sendfile):
+        rows = [{"i": i, "text": "\u00e9\u2028" * i} for i in range(7)]
+        write_jsonl(tmp_path / "whole.jsonl", "s.v1", "h", rows)
+        parts = [tmp_path / name for name in ("a", "b", "c")]
+        for part, chunk in zip(parts, (rows[:3], [], rows[3:])):
+            write_jsonl(part, "s.v1", "h", chunk)
+        if sendfile == "refused":  # as on macOS, where sendfile writes only to a socket
+            def refuse(*args):
+                raise OSError(errno.ENOTSOCK, os.strerror(errno.ENOTSOCK))
+
+            monkeypatch.setattr(os, "sendfile", refuse)
+        with jsonl_joiner(tmp_path / "joined.jsonl", "s.v1", "h") as append:
+            for part in parts:
+                append(part)
+        assert (tmp_path / "joined.jsonl").read_bytes() == (tmp_path / "whole.jsonl").read_bytes()

@@ -209,9 +209,9 @@ class TestBaselineWinRate:
 
 class TestTruthColumns:
     @pytest.mark.parametrize("kind, truth", [
-        (TargetKind.PROPORTION, binomial_truth(2**69 + 3, 2**70)),  # a count beyond 64 bits
+        (TargetKind.PROPORTION, binomial_truth(2**52 + 3, 2**53)),  # the largest count allowed
         (TargetKind.CONTINUOUS, make_truth_gaussian(103.25, half=4.5)),
-    ], ids=["binomial_2_70", "gaussian"])
+    ], ids=["binomial_2_53", "gaussian"])
     def test_a_truth_scores_as_its_hydrated_record(self, kind, truth):
         hydrated = load_row(GroundTruth, json.loads(canonical_dumps(truth)))
         columns = TruthColumns()

@@ -9,7 +9,10 @@ stub server, through `main` and then list the modules they loaded.
 
 No offline stage loads OpenSSL (`_hashlib` or `ssl`): the package takes its
 hash functions from the interpreter's built-in modules, not from `hashlib`,
-and only `elicit` needs TLS. No stage loads `tempfile`, and `heapq` is
+and only `elicit` needs TLS. No offline stage loads `multiprocessing`,
+`concurrent.futures` or `subprocess`: `simulate` forks its slices with
+`os.fork` (`concurrent.futures.process` alone costs about 26 ms and 2.6 MB).
+No stage loads `tempfile`, and `heapq` is
 imported only by the code that uses it, so that a stage which does not use
 it keeps it out of its memory: only `report --tool-scores` merges rows. Each
 stage runs in a fresh `python -S` interpreter, where no site `.pth` file has
@@ -91,7 +94,8 @@ import sys
 from elicitbench.cli import main
 
 assert main(sys.argv[1:]) == 0
-print(sorted(m for m in ("_hashlib", "ssl", "tempfile", "heapq") if m in sys.modules))
+print(sorted(m for m in ("_hashlib", "ssl", "tempfile", "heapq", "multiprocessing",
+                         "concurrent.futures", "subprocess") if m in sys.modules))
 """
 
 

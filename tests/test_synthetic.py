@@ -1,4 +1,6 @@
 import dataclasses
+import os
+import threading
 from pathlib import Path
 
 import pytest
@@ -125,3 +127,56 @@ class TestMakeSuite:
             out = extract_triplet(respond(cfg, q, deviation), q.kind)
             assert out.valid
             assert 0.0 <= out.triplet.lower <= out.triplet.upper <= 100.0
+
+
+class TestSlices:
+    """`make_suite` makes its questions in one slice per CPU, each slice after
+    the first in a forked child; the bytes do not depend on the slice count."""
+
+    CONFIG = SyntheticSuiteConfig(n_questions=50, seed=7, width_shrink=4.0, noise_sd=5.0,
+                                  refusal_rate=0.1, proportion_fraction=0.3)
+
+    @pytest.mark.parametrize("n_questions, cpus, affinity_call, forks", [
+        (50, 1, True, 0), (50, 2, True, 1), (50, 3, True, 2),
+        (3, 8, True, 2),  # more CPUs than questions: one question per slice
+        (50, 3, False, 2),  # no affinity call on the platform: the CPU count
+    ], ids=["1_slice", "2_slices", "3_slices", "more_cpus_than_questions", "cpu_count"])
+    def test_bytes_do_not_depend_on_the_slice_count(self, tmp_path, monkeypatch, n_questions,
+                                                     cpus, affinity_call, forks):
+        config = dataclasses.replace(self.CONFIG, n_questions=n_questions)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        serial = make_suite(config, tmp_path / "serial")
+        if affinity_call:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        else:
+            monkeypatch.delattr(os, "sched_getaffinity")
+            monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        forked, fork = [], os.fork
+        monkeypatch.setattr(os, "fork", lambda: forked.append(None) or fork())
+        assert make_suite(config, tmp_path / "sliced") == serial
+        assert len(forked) == forks
+        names = ["corpus.jsonl", "transcript.jsonl"]
+        assert sorted(path.name for path in (tmp_path / "sliced").iterdir()) == names
+        for name in names:
+            assert (tmp_path / "sliced" / name).read_bytes() \
+                == (tmp_path / "serial" / name).read_bytes()
+
+    def test_a_caller_running_another_thread_gets_one_slice(self, tmp_path, monkeypatch):
+        # a forked child would hold none of the other threads (Python 3.12 warns on such a fork)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+        def no_fork():
+            raise AssertionError("forked while another thread ran")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        stop = threading.Event()
+        thread = threading.Thread(target=stop.wait)
+        thread.start()
+        try:
+            make_suite(self.CONFIG, tmp_path)
+        finally:
+            stop.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert sorted(path.name for path in tmp_path.iterdir()) \
+            == ["corpus.jsonl", "transcript.jsonl"]
