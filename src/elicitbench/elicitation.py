@@ -6,10 +6,9 @@ thinking-token budget for endpoints without one) and an optional web-search
 tool declaration. Transport failures are retried with exponential backoff
 and then recorded, never raised; parse problems are downstream's concern.
 
-Requests go over `transport.Connections`, one keep-alive `http.client`
+Requests go over `transport.Connections`, one keep-alive HTTP/1.1
 connection per worker thread and endpoint. Only `run_batch` imports the
-transport and `concurrent.futures`, so the offline stages load neither, nor
-`http.client`, `ssl` or `urllib.request`.
+transport and `concurrent.futures`, so the offline stages load neither.
 """
 from __future__ import annotations
 
@@ -17,6 +16,7 @@ import itertools
 import json
 import math
 import os
+import sys
 import threading
 import time
 from contextlib import closing
@@ -27,7 +27,7 @@ from typing import TYPE_CHECKING, Callable, Sequence
 
 from .corpus import Question, TargetKind
 from .errors import ConfigError, SchemaError
-from .jsonlio import canonical_dumps, header_line, load_row, read_jsonl
+from .jsonlio import canonical_dumps, header_line, iter_jsonl, load_row, read_jsonl
 
 if TYPE_CHECKING:
     from .transport import Connections
@@ -276,11 +276,11 @@ def _post_once(
     connections: Connections, spec: ModelSpec, payload: dict, headers: dict
 ) -> tuple[bool, bool, str]:
     """(ok, retryable, text_or_reason) for a single HTTP attempt."""
-    import http.client  # loaded with the transport by run_batch
+    from .transport import HTTPException  # loaded by run_batch
 
     try:
         status, reply = connections.post(spec.endpoint_url, payload, headers, spec.timeout)
-    except (OSError, http.client.HTTPException) as exc:
+    except (OSError, HTTPException) as exc:
         return False, True, f"transport: {type(exc).__name__}"
     if status != 200:
         return False, status in RETRYABLE_STATUSES, f"http status {status}"
@@ -339,15 +339,40 @@ def _answered_key(row: dict) -> tuple | None:
 
 
 def _done_keys(path: Path, cfg_hash: str) -> set[tuple]:
-    """Keys already answered in an existing transcript of this run config, read row by row."""
+    """Keys already answered in an existing transcript of this run config, read row by row.
+
+    Every record is written with its line end, so bytes after the last one
+    are a torn write: once the header shows this run's config, they are cut
+    off, with a warning, and their key is asked again.
+    """
     if not path.exists():
         return set()
-    header, keys = read_jsonl(path, "transcript.v1", _answered_key)
+    header, rows = iter_jsonl(path, "transcript.v1", _answered_key)
+    rows.close()
     if header.get("config_hash") != cfg_hash:
         raise ConfigError(
             f"{path}: cannot resume, the transcript was written under config "
             f"{header.get('config_hash')}, this run is {cfg_hash}"
         )
+    with path.open("r+b") as fh:
+        size = fh.seek(0, os.SEEK_END)
+        end = size
+        while end > 0:  # find the last line end, reading back in blocks
+            start = max(0, end - 65536)
+            fh.seek(start)
+            newline = fh.read(end - start).rfind(b"\n")
+            if newline >= 0:
+                end = start + newline + 1
+                break
+            end = start
+        if 0 < end < size:  # the header line is whole, since it was read
+            fh.truncate(end)
+            print(f"warning: {path}: cut {size - end} bytes of a torn last line",
+                  file=sys.stderr)
+        elif end == 0:  # only the header's line end was torn off
+            fh.seek(size)
+            fh.write(b"\n")
+    _, keys = read_jsonl(path, "transcript.v1", _answered_key)
     return set(keys) - {None}
 
 
@@ -385,12 +410,14 @@ def run_batch(
     `result` as they happen, so a caller that passes one still has them
     after an interrupt. With resume=True,
     planned keys already answered in the existing transcript are skipped and
-    counted in `skipped`; a transcript of another config is rejected. A bad
-    concurrency, effort levels that select nothing for any spec, an API key
-    that is missing or cannot go in a header, an endpoint URL that is not
-    http(s) with a host, a proxy that is not http://, or a backoff_base that
-    is not finite and >= 0 or whose longest backoff is longer than a sleep
-    can take abort before the transcript is opened. Every connection opened
+    counted in `skipped`; a transcript of another config is rejected, and
+    the bytes after the last line end of one of this config, a torn write,
+    are cut off. A bad concurrency, effort levels that select nothing for
+    any spec, an API key that is missing or cannot go in a header, an
+    endpoint URL that is not http(s) with a host or cannot go in a request
+    line, a proxy that is not http://, or a backoff_base that is not finite
+    and >= 0 or whose longest backoff is longer than a sleep can take abort
+    before the transcript is opened. Every connection opened
     is closed on return.
     """
     if concurrency < 1:

@@ -7,9 +7,13 @@ reply without saying so, as a server that drops idle connections does.
 `hang_up_on` names requests (counted from 1) that are read and then answered
 by closing the connection, as a gateway that drops a slow call does. `body`
 is sent as the raw body of every 200 reply, in place of a chat completion
-whose content is `reply`.
+whose content is `reply`, and `raw` as every reply whole (status line,
+headers and body), for replies that `http.server` cannot frame: chunked,
+interim, truncated or malformed ones. Given a `certfile` (a certificate and
+its key), the server speaks TLS.
 """
 import json
+import ssl
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -20,9 +24,10 @@ class StubState:
 
     def __init__(self, reply="value: 42, lower: 40, upper: 44", fail_first=0,
                  fail_status=503, delay=0.0, permanent_status=None,
-                 keep_alive=False, close_silently=False, hang_up_on=(), body=None):
+                 keep_alive=False, close_silently=False, hang_up_on=(), body=None, raw=None):
         self.reply = reply
         self.body = body                  # raw bytes of each 200 reply when set
+        self.raw = raw                    # raw bytes of each whole reply when set
         self.fail_first = fail_first      # first N requests fail with fail_status
         self.fail_status = fail_status
         self.permanent_status = permanent_status  # fail every request when set
@@ -93,6 +98,9 @@ class _Handler(BaseHTTPRequestHandler):
             if index <= state.fail_first:
                 self._send_empty(state.fail_status)
                 return
+            if state.raw is not None:
+                self.wfile.write(state.raw)
+                return
             body = state.body
             if body is None:
                 body = json.dumps({"choices": [{"message": {"content": state.reply}}]}).encode()
@@ -114,20 +122,25 @@ class _Server(ThreadingHTTPServer):
 
 
 class StubServer:
-    def __init__(self, state: StubState):
+    def __init__(self, state: StubState, certfile=None):
         http11 = state.keep_alive or state.close_silently
         handler = type("Handler", (_Handler,), {
             "state": state,
             "protocol_version": "HTTP/1.1" if http11 else "HTTP/1.0",
         })
         self.server = _Server(("127.0.0.1", 0), handler)
+        if certfile is not None:
+            context = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
+            context.load_cert_chain(certfile)
+            self.server.socket = context.wrap_socket(self.server.socket, server_side=True)
+        self.scheme = "http" if certfile is None else "https"
         self.state = state
         self.thread = threading.Thread(target=self.server.serve_forever, daemon=True)
 
     @property
     def base(self):
         host, port = self.server.server_address
-        return f"http://{host}:{port}"
+        return f"{self.scheme}://{host}:{port}"
 
     @property
     def url(self):

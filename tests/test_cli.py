@@ -32,8 +32,9 @@ STUB_SPEC = {"model_id": "stub", "auth_env_var": "STUB_API_KEY", "max_retries": 
 # that a check which lets a request through reaches the stub and not a real port.
 STUB_URL = "<stub url>"
 BAD_URL = "stub: endpoint_url must be an http:// or https:// URL with a host"
+BAD_URL_CHAR = "stub: endpoint_url must not hold a space or a control character"
 BAD_KEY = "holds a line break or a character outside Latin-1"
-# API keys that http.client cannot send in a header
+# API keys that cannot go in an HTTP header
 BAD_KEYS = {"STUB_KEY_NEWLINE": "secret\n", "STUB_KEY_WIDE": "secret\u2013"}
 
 
@@ -684,6 +685,62 @@ class TestExitCodes:
         assert (tmp_path / "t.jsonl").read_bytes() == before
         assert state.requests == 2
 
+    def test_resume_cuts_a_torn_last_line_and_asks_its_key_again(self, tmp_path, monkeypatch,
+                                                                 capsys):
+        monkeypatch.setenv("STUB_API_KEY", "k")
+        suite, transcript = tmp_path / "suite", tmp_path / "t.jsonl"
+        main(["simulate", "--n-questions", "3", "--seed", "0", "--out-dir", str(suite)])
+        state = StubState()
+        with StubServer(state) as server:
+            argv = _elicit_argv(tmp_path, suite, server.url, "--efforts", "low")
+            assert main(argv) == 0
+            whole = transcript.read_bytes().splitlines(keepends=True)
+            transcript.write_bytes(b"".join(whole)[:-40])
+            capsys.readouterr()
+            assert main(argv + ["--resume"]) == 0
+        assert capsys.readouterr().err == \
+            f"warning: {transcript}: cut {len(whole[-1]) - 40} bytes of a torn last line\n"
+        assert state.requests == 4
+        lines = transcript.read_bytes().splitlines(keepends=True)
+        assert lines[:3] == whole[:3] and all(line.endswith(b"\n") for line in lines)
+        rows = [json.loads(line) for line in lines[1:]]
+        assert sorted(r["question_id"] for r in rows) \
+            == sorted(json.loads(line)["question_id"] for line in whole[1:])
+        assert rows[-1]["question_id"] == json.loads(whole[-1])["question_id"]
+
+    def test_resume_after_a_header_torn_at_its_line_end_asks_every_key(self, tmp_path,
+                                                                        monkeypatch):
+        monkeypatch.setenv("STUB_API_KEY", "k")
+        suite, transcript = tmp_path / "suite", tmp_path / "t.jsonl"
+        main(["simulate", "--n-questions", "2", "--seed", "0", "--out-dir", str(suite)])
+        state = StubState()
+        with StubServer(state) as server:
+            argv = _elicit_argv(tmp_path, suite, server.url, "--efforts", "low")
+            assert main(argv) == 0
+            header = transcript.read_bytes().splitlines()[0]
+            transcript.write_bytes(header)
+            assert main(argv + ["--resume"]) == 0
+        lines = transcript.read_bytes().splitlines(keepends=True)
+        assert lines[0] == header + b"\n" and len(lines) == 3
+        assert all(json.loads(line)["transport_status"] == "ok" for line in lines[1:])
+        assert state.requests == 4
+
+    def test_resume_on_a_malformed_whole_last_line_is_2(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("STUB_API_KEY", "k")
+        suite, transcript = tmp_path / "suite", tmp_path / "t.jsonl"
+        main(["simulate", "--n-questions", "3", "--seed", "0", "--out-dir", str(suite)])
+        state = StubState()
+        with StubServer(state) as server:
+            argv = _elicit_argv(tmp_path, suite, server.url, "--efforts", "low")
+            assert main(argv) == 0
+            whole = transcript.read_bytes().splitlines(keepends=True)
+            transcript.write_bytes(b"".join(whole)[:-40] + b"\n")
+            before = transcript.read_bytes()
+            capsys.readouterr()
+            assert main(argv + ["--resume"]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {transcript}: line 4 is not JSON")
+        assert transcript.read_bytes() == before and state.requests == 3
+
     def test_resume_without_a_transcript_runs_the_whole_plan(self, tmp_path, monkeypatch):
         monkeypatch.setenv("STUB_API_KEY", "k")
         suite = tmp_path / "suite"
@@ -792,7 +849,13 @@ class TestExitCodes:
           "bad model spec 'stub': rate_limit_per_minute must be >= 6.5"),
          ([], {"models": [{**STUB_SPEC, "endpoint_url": STUB_URL,
                            "rate_limit_per_minute": 5e-324}]},
-          "bad model spec 'stub': rate_limit_per_minute must be >= 6.5")],
+          "bad model spec 'stub': rate_limit_per_minute must be >= 6.5"),
+         # a request line holds no space or control character, and only ASCII
+         ([], {"models": [{**STUB_SPEC, "endpoint_url": STUB_URL + "/v1 x"}]}, BAD_URL_CHAR),
+         ([], {"models": [{**STUB_SPEC, "endpoint_url": STUB_URL + "/v1\x01"}]}, BAD_URL_CHAR),
+         ([], {"models": [{**STUB_SPEC, "endpoint_url": STUB_URL + "/v1\t"}]}, BAD_URL_CHAR),
+         ([], {"models": [{**STUB_SPEC, "endpoint_url": STUB_URL + "/v\u00e9"}]},
+          "stub: endpoint_url's path and query must be ASCII")],
         ids=["unknown_effort", "empty_efforts", "zero_concurrency", "no_specs",
              "top_level_list", "models_not_a_list", "effort_mode_string", "tool_policy_string",
              "nothing_selected", "unknown_scheme", "not_a_url", "no_host", "other_scheme_with_port",
@@ -803,7 +866,8 @@ class TestExitCodes:
              "model_id_int", "spec_string",
              "key_with_newline", "key_outside_latin1", "model_id_repeated",
              "effort_repeated", "effort_repeated_in_another_case", "backoff_negative",
-             "backoff_nan", "backoff_infinity", "rate_interval_too_long", "rate_interval_infinite"],
+             "backoff_nan", "backoff_infinity", "rate_interval_too_long", "rate_interval_infinite",
+             "space_in_path", "control_in_path", "tab_in_path", "non_ascii_path"],
     )
     def test_bad_elicit_config_is_2_before_the_transcript(self, tmp_path, monkeypatch, capsys,
                                                           extra, models, message):

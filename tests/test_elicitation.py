@@ -1,12 +1,12 @@
 import base64
 import gc
-import http.client
 import itertools
 import json
 import select
 import socket
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -362,6 +362,11 @@ class TestRunBatch:
 
 
 PROXY_VARIABLES = ("http_proxy", "https_proxy", "all_proxy", "no_proxy")
+TLS_DATA = Path(__file__).resolve().parent / "data"
+STUB_REPLY = "value: 42, lower: 40, upper: 44"
+COMPLETION = json.dumps({"choices": [{"message": {"content": STUB_REPLY}}]}).encode()
+# a whole HTTP/1.1 reply of COMPLETION, framed by its length
+COMPLETED = b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n%s" % (len(COMPLETION), COMPLETION)
 
 
 def dead_port():
@@ -489,19 +494,92 @@ class TestTransport:
             == [("failed", "malformed response body", 3)] * 2
         assert state.requests == 6
 
+    @pytest.mark.parametrize("keep_alive, raw, connections", [
+        (True, b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n"
+               + b"".join(b"%x\r\n%s\r\n" % (len(part), part)
+                          for part in (COMPLETION[:9], COMPLETION[9:]))
+               + b"0\r\nX-Trailer: 1\r\n\r\n", 1),
+        (False, b"HTTP/1.0 200 OK\r\n\r\n" + COMPLETION, 2),
+        (True, b"HTTP/1.1 100 Continue\r\n\r\n" + COMPLETED, 1),
+        # the server keeps the connection open, but the reply said it would not
+        (True, COMPLETED.replace(b"\r\n\r\n", b"\r\nConnection: close\r\n\r\n"), 2),
+        (True, COMPLETED.replace(b"\r\n\r\n", b"\r\n" + b"X-A: 1\r\n" * 99 + b"\r\n"), 1),
+    ], ids=["chunked", "http10_until_close", "interim_100", "connection_close", "100_headers"])
+    def test_reply_framings_are_read_in_one_attempt(self, tmp_path, keep_alive, raw,
+                                                    connections):
+        state = StubState(keep_alive=keep_alive, raw=raw)
+        with StubServer(state) as server:
+            result = run_batch(questions(2), [spec_for(server.url)], [EffortLevel.LOW],
+                               concurrency=1, out_path=tmp_path / "t.jsonl", cfg_hash="h",
+                               backoff_base=0.01)
+        assert result.ok == 2 and state.requests == 2
+        rows = rows_of(tmp_path / "t.jsonl")
+        assert [(r["attempt_count"], r["raw_text"]) for r in rows] == [(1, STUB_REPLY)] * 2
+        assert len(set(state.ports)) == connections
+
+    @pytest.mark.parametrize("raw, reason", [
+        (COMPLETED.replace(b"Content-Length: ", b"Content-Length: 1"), "IncompleteRead"),
+        (b"garbage\r\n\r\n", "BadStatusLine"),
+        (b"HTTP/2 200\r\n\r\n", "UnknownProtocol"),
+        (COMPLETED.replace(b"\r\n\r\n", b"\r\n" + b"X-A: 1\r\n" * 100 + b"\r\n"),
+         "HTTPException"),
+        (COMPLETED.replace(b"\r\n\r\n", b"\r\nX-A: " + b"a" * 65536 + b"\r\n\r\n"),
+         "LineTooLong"),
+        (b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\nzz\r\n", "IncompleteRead"),
+        (b"", "RemoteDisconnected"),
+    ], ids=["truncated_body", "garbage_status", "http2_status", "101_headers",
+            "long_header_line", "bad_chunk_size", "no_reply"])
+    def test_a_broken_reply_is_a_counted_transport_failure(self, tmp_path, raw, reason):
+        # 101 headers (100 and Content-Length) are one too many, and a line over 64 KiB too long
+        state = StubState(raw=raw)
+        with StubServer(state) as server:
+            assert self.elicit(tmp_path, server.url, max_retries=1) == 4
+        rows = rows_of(tmp_path / "t.jsonl")
+        assert [(r["failure_reason"], r["attempt_count"]) for r in rows] \
+            == [(f"transport: {reason}", 2)] * 2
+        assert state.requests == 4
+
+    @pytest.fixture
+    def trusted_test_ca(self, monkeypatch):
+        """The committed test CA, as the default store of each new TLS context."""
+        monkeypatch.setenv("SSL_CERT_FILE", str(TLS_DATA / "tls_ca.pem"))
+        monkeypatch.delenv("SSL_CERT_DIR", raising=False)
+
+    def test_https_is_verified_and_kept_alive(self, tmp_path, trusted_test_ca):
+        # the certificate names localhost and 127.0.0.1
+        state = StubState(keep_alive=True)
+        with StubServer(state, certfile=TLS_DATA / "tls_localhost.pem") as server:
+            assert server.url.startswith("https://127.0.0.1:")
+            assert self.elicit(tmp_path, server.url.replace("127.0.0.1", "localhost")) == 0
+            result = run_batch(questions(4), [spec_for(server.url)], [EffortLevel.LOW],
+                               concurrency=1, out_path=tmp_path / "batch.jsonl", cfg_hash="h")
+        assert [r["attempt_count"] for r in rows_of(tmp_path / "t.jsonl")] == [1, 1]
+        assert result.ok == 4 and state.requests == 6
+        assert len(set(state.ports[2:])) == 1
+
+    def test_a_certificate_for_another_name_is_a_counted_failure(self, tmp_path,
+                                                                 trusted_test_ca):
+        state = StubState(keep_alive=True)
+        with StubServer(state, certfile=TLS_DATA / "tls_other_name.pem") as server:
+            assert self.elicit(tmp_path, server.url, max_retries=1) == 4
+        rows = rows_of(tmp_path / "t.jsonl")
+        assert [(r["failure_reason"], r["attempt_count"]) for r in rows] \
+            == [("transport: SSLCertVerificationError", 2)] * 2
+        assert state.requests == 0
+
     @staticmethod
     def fail_first_send(monkeypatch, error, on_reused):
-        """Make the first `request` on a reused (or a new) connection raise `error`."""
-        send = http.client.HTTPConnection.request
+        """Make the first `send` on a reused (or a new) connection raise `error`."""
+        send = transport.Connection.send
         failed = []
 
-        def request(conn, *args, **kwargs):
+        def failing_send(conn, *args, **kwargs):
             if (conn.sock is not None) == on_reused and not failed:
                 failed.append(error)
                 raise error
             return send(conn, *args, **kwargs)
 
-        monkeypatch.setattr(http.client.HTTPConnection, "request", request)
+        monkeypatch.setattr(transport.Connection, "send", failing_send)
         return failed
 
     @pytest.mark.parametrize("error", [BrokenPipeError, ConnectionResetError])

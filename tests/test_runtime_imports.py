@@ -1,15 +1,17 @@
 """The stages run on the standard library alone.
 
 elicitbench has no runtime dependency; numpy and scipy are test references.
-`elicit` talks HTTP through the standard library's `http.client` from
-worker threads; it imports `http.client` (with `ssl` and `urllib.request`)
-and `concurrent.futures` only when it runs, so the offline stages never load
-them. Fresh interpreters run the offline chain, and `elicit` against a local
-stub server, through `main` and then list the modules they loaded.
+`elicit` speaks HTTP/1.1 on the standard library's sockets from worker
+threads; it imports its transport and `concurrent.futures` only when it
+runs, so the offline stages never load them. Fresh interpreters run the
+offline chain, and `elicit` against a local stub server, through `main` and
+then list the modules they loaded.
 
 No offline stage loads OpenSSL (`_hashlib` or `ssl`): the package takes its
 hash functions from the interpreter's built-in modules, not from `hashlib`,
-and only `elicit` needs TLS. No offline stage loads `multiprocessing`,
+and only an https route needs TLS. `elicit` against an http stub loads none
+of `ssl`, `_ssl`, `_hashlib`, `http.client`, `email` or `urllib.request`;
+against an https stub it loads `ssl`. No offline stage loads `multiprocessing`,
 `concurrent.futures` or `subprocess`: `simulate` forks its slices with
 `os.fork` (`concurrent.futures.process` alone costs about 26 ms and 2.6 MB).
 No stage loads `tempfile`, and `heapq` is
@@ -24,6 +26,7 @@ the path, so loading it must not import the package.
 No module in `src/` imports a name it does not use.
 """
 import ast
+import json
 import os
 import shutil
 import subprocess
@@ -31,6 +34,9 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from elicitbench.cli import main
+from stubserver import StubServer, StubState
 
 TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src"
@@ -140,6 +146,38 @@ def test_no_offline_stage_loads_openssl_or_tempfile_and_only_the_tool_comparison
     ]
     assert [run_child(STAGE, *argv, flags=["-S"]) for argv, _ in stages] \
         == [loaded for _, loaded in stages]
+
+
+ELICIT_STAGE = r"""
+import sys
+
+from elicitbench.cli import main
+
+assert main(sys.argv[1:]) == 0
+print(sorted(m for m in ("ssl", "_ssl", "_hashlib", "http.client", "email", "urllib.request")
+             if m in sys.modules))
+"""
+
+
+@pytest.mark.parametrize("scheme, loaded", [("http", "[]"), ("https", "['_ssl', 'ssl']")])
+def test_only_an_https_route_loads_openssl(tmp_path, monkeypatch, scheme, loaded):
+    # The stub runs here: `http.server` imports `http.client` and `email`.
+    # A proxy variable would load `urllib.request` for its routes.
+    for name in [name for name in os.environ if name.lower().endswith("_proxy")]:
+        monkeypatch.delenv(name)
+    monkeypatch.setenv("SSL_CERT_FILE", str(TESTS / "data" / "tls_ca.pem"))
+    assert main(["simulate", "--n-questions", "3", "--seed", "7", "--out-dir", str(tmp_path)]) == 0
+    state = StubState(keep_alive=True)
+    certfile = TESTS / "data" / "tls_localhost.pem" if scheme == "https" else None
+    with StubServer(state, certfile=certfile) as server:
+        assert server.url.startswith(f"{scheme}://")
+        (tmp_path / "models.json").write_text(json.dumps({"models": [{
+            "model_id": "stub", "endpoint_url": server.url, "rate_limit_per_minute": 100000}]}))
+        argv = ["elicit", "--corpus", tmp_path / "corpus.jsonl", "--models",
+                tmp_path / "models.json", "--out", tmp_path / "t.jsonl",
+                "--manifest", tmp_path / "m.json"]
+        assert run_child(ELICIT_STAGE, *argv, flags=["-S"]) == loaded
+    assert state.requests == 9
 
 
 def test_oracles_load_without_importing_the_package():
