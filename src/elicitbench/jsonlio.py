@@ -283,26 +283,22 @@ def jsonl_writer(path: str | Path, schema: str, cfg_hash: str) -> Iterator[Calla
         yield lambda row: fh.write(canonical_dumps(row) + "\n")
 
 
-@contextlib.contextmanager
-def jsonl_joiner(path: str | Path, schema: str, cfg_hash: str) -> Iterator[Callable[[Path], None]]:
-    """`append(part)`, which appends the data rows of the artifact `part` after the header.
+def append_rows(target: str | Path, parts: Iterable[Path]) -> None:
+    """Append the data rows of each artifact in `parts`, in order, to the file `target`.
 
-    A part is a file that `jsonl_writer` or `write_jsonl` wrote with the same
-    schema and hash. Its rows are copied from file to file by the kernel
-    (`os.sendfile`), not read into this process; where `sendfile` cannot
-    write to a file (it takes only a socket on macOS and the BSDs), they are
-    copied in blocks of bytes. The file replaces `path` when the block ends,
-    and is removed if it raises.
+    A part's first line, its header, is skipped. The rows are copied from
+    file to file by the kernel (`os.sendfile`), not read into this process;
+    where `sendfile` cannot write to a file (it takes only a socket on macOS
+    and the BSDs), they are copied in blocks of bytes. The target is opened
+    without `O_APPEND`, since Linux's `sendfile` refuses to write to such a
+    file. Its bytes reach the disk before this returns.
     """
-    header = header_line(schema, cfg_hash)
-    with _replacing(path) as fh:
-        fh.write(header)
-        fh.flush()
+    with open(target, "r+b") as fh:
+        fh.seek(0, os.SEEK_END)
         out = fh.fileno()
-
-        def append(part: Path) -> None:
+        for part in parts:
             with open(part, "rb") as src:
-                offset, end = len(header.encode("utf-8")), os.fstat(src.fileno()).st_size
+                offset, end = len(src.readline()), os.fstat(src.fileno()).st_size
                 while offset < end:
                     try:
                         sent = os.sendfile(out, src.fileno(), offset, end - offset)
@@ -314,8 +310,7 @@ def jsonl_joiner(path: str | Path, schema: str, cfg_hash: str) -> Iterator[Calla
                     if not sent:
                         raise OSError(errno.EIO, "file shrank while it was copied", str(part))
                     offset += sent
-
-        yield append
+        os.fsync(out)
 
 
 def write_jsonl(path: str | Path, schema: str, cfg_hash: str, rows: Iterable[Any]) -> int:

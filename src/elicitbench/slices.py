@@ -1,9 +1,9 @@
 """`simulate`'s slices: contiguous ranges of the question indices, one per CPU.
 
-`synthetic.make_suite` writes slice 0 itself and forks one child for each
-later slice; each slice writes its own part files, which `make_suite` then
-joins. A question depends only on the seed and its index, so the files do
-not depend on the number of slices.
+`made_in_slices` writes slice 0 in this process and forks one child for each
+later slice; each slice writes its own part files, which are then joined
+into the outputs. A question depends only on the seed and its index, so the
+files do not depend on the number of slices.
 
 Only `simulate` imports this module (from inside `make_suite`): loaded with
 the package, its code and `signal`'s enums raised the peak RSS of every other
@@ -19,9 +19,10 @@ import threading
 from functools import partial
 from itertools import chain
 from pathlib import Path
-from typing import Callable, Iterator, NoReturn
+from typing import Callable, NoReturn
 
 from .errors import ConfigError, ElicitBenchError
+from .jsonlio import append_rows
 
 
 def cpu_slices(n_questions: int) -> list[range]:
@@ -85,23 +86,29 @@ def _run_slice(mask: set, report: int, write: Callable[[], None]) -> NoReturn:
         os._exit(code)
 
 
-@contextlib.contextmanager
-def made_in_slices(slices: list[range], write: Callable[[range, Path, Path], None],
-                   corpus_path: Path, transcript_path: Path) -> Iterator[list[tuple[Path, Path]]]:
-    """Each slice's (corpus, transcript) part files, in slice order, once every slice is written.
+def made_in_slices(slices: list[range], write: Callable[..., None], *outputs: Path) -> None:
+    """Write the outputs by `write(indices, *paths)`, called once for each slice.
 
-    `write(indices, corpus_part, transcript_part)` writes one slice: this
+    With one slice, `write` writes the outputs themselves. Otherwise slice k
+    writes its part of each output, `<output>.<pid>.part<k>` beside it: this
     process writes slice 0 and a forked child each later slice. A slice's
     failure is raised here (KeyboardInterrupt for an interrupted slice).
-    When the block ends or raises, each child still running is stopped and
-    waited for, and every part file is removed.
+    Once every slice is written, the rows of the later parts are appended to
+    each output's slice-0 part in slice order (`jsonlio.append_rows`), and
+    only when every output is joined are those parts renamed into place: a
+    failure leaves every old output as it was. When this returns or raises,
+    each child still running is stopped and waited for, and every part file
+    is removed.
     """
+    if len(slices) == 1:
+        write(slices[0], *outputs)
+        return
     stamp = os.getpid()
-    parts = [tuple(path.with_name(f".{path.name}.{stamp}.part{k}")
-                   for path in (corpus_path, transcript_path)) for k in range(len(slices))]
+    parts = [[path.with_name(f"{path.name}.{stamp}.part{k}") for k in range(len(slices))]
+             for path in outputs]  # each output's parts, in slice order
     children: dict[int, tuple[range, int]] = {}  # running child -> its slice, its report pipe
     try:
-        for indices, paths in zip(slices[1:], parts[1:]):
+        for k, indices in enumerate(slices[1:], 1):
             report, report_end = os.pipe()
             mask = signal.pthread_sigmask(signal.SIG_BLOCK, ())  # the mask as it is
             try:
@@ -109,7 +116,7 @@ def made_in_slices(slices: list[range], write: Callable[[range, Path, Path], Non
                 signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT, signal.SIGTERM})
                 child = os.fork()
                 if child == 0:
-                    _run_slice(mask, report_end, partial(write, indices, *paths))
+                    _run_slice(mask, report_end, partial(write, indices, *(p[k] for p in parts)))
                 children[child] = (indices, report)
             except OSError:  # no child was made
                 os.close(report)
@@ -117,7 +124,7 @@ def made_in_slices(slices: list[range], write: Callable[[range, Path, Path], Non
             finally:
                 signal.pthread_sigmask(signal.SIG_SETMASK, mask)
                 os.close(report_end)
-        write(slices[0], *parts[0])
+        write(slices[0], *(p[0] for p in parts))
         for child, (indices, report) in list(children.items()):
             code = os.waitstatus_to_exitcode(os.waitpid(child, 0)[1])
             del children[child]
@@ -129,7 +136,10 @@ def made_in_slices(slices: list[range], write: Callable[[range, Path, Path], Non
                 raise _SliceError(message or f"questions {indices.start} to {indices.stop - 1} "
                                   f"were not made: their process ended with status {code}",
                                   code if message else 1)
-        yield parts
+        for first, *rest in parts:
+            append_rows(first, rest)
+        for (first, *_), path in zip(parts, outputs):
+            os.replace(first, path)
     finally:
         # A child reaped just before an interrupt is still listed: it is gone, not an error.
         for child in children:

@@ -2,9 +2,9 @@
 
 The report stage uses `wilcoxon_signed_rank` and `rank_biserial`, in its
 tool comparison. `spearman` and `bonferroni` wait for the effort and model
-comparisons (ROADMAP items 4 and 9), as does `kruskal_wallis`, which those
-items may replace with a Friedman test; item 3's coverage floor will invert
-`_betainc`.
+comparisons (ROADMAP items 4 and 9), and `chi2_sf` for the Friedman test
+that those items plan, as their questions are matched; item 3's coverage
+floor will invert `_betainc`.
 
 All tests rank with midranks. Zero differences are dropped for the paired
 tests. Tail probabilities need only the standard library: the chi-square
@@ -117,34 +117,6 @@ def midranks(values: Sequence[float]) -> list[float]:
 
 def _tie_counts(values: Sequence[float]) -> list[int]:
     return [c for c in Counter(values).values() if c > 1]
-
-
-def kruskal_wallis(groups: Sequence[Sequence[float]]) -> TestResult:
-    """Kruskal-Wallis H with tie correction; p from chi-square with k-1 df."""
-    if len(groups) < 2:
-        raise InputError("Kruskal-Wallis needs at least two groups")
-    sizes = [len(g) for g in groups]
-    if any(s < 1 for s in sizes):
-        raise InputError("every group must be non-empty")
-    total = sum(sizes)
-    if total < 3:
-        raise InputError("Kruskal-Wallis needs at least 3 observations in total")
-    pooled = [float(x) for g in groups for x in g]
-    note = "chi-square approximation (k-1 df), midrank ties, tie-corrected"
-    ties = _tie_counts(pooled)
-    correction = 1.0 - sum(t**3 - t for t in ties) / (total**3 - total)
-    if correction == 0.0:  # every observation identical: no separation
-        return TestResult(0.0, 1.0, tuple(sizes), note)
-    ranks = midranks(pooled)
-    h = 0.0
-    start = 0
-    for size in sizes:
-        rank_sum = sum(ranks[start : start + size])
-        h += rank_sum * rank_sum / size
-        start += size
-    h = 12.0 / (total * (total + 1)) * h - 3.0 * (total + 1)
-    h /= correction
-    return TestResult(h, min(1.0, chi2_sf(h, len(groups) - 1)), tuple(sizes), note)
 
 
 def _wilcoxon_rank_sums(diffs: list[float]) -> tuple[float, float, list[float]]:

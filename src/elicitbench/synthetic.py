@@ -23,7 +23,7 @@ from .elicitation import (CONTINUOUS_INSTRUCTION, PERCENT_INSTRUCTION, EffortLev
                           ElicitationRecord, ModelSpec, TransportStatus, build_request)
 from .errors import ConfigError
 from .extraction import Triplet, Units, canonical_triplet_text
-from .jsonlio import config_hash, derive_seed, jsonl_joiner, jsonl_writer, write_jsonl
+from .jsonlio import config_hash, derive_seed, jsonl_writer, write_jsonl
 
 CLARIFICATION_TEXT = (
     "Could you clarify which population and time period you mean? "
@@ -103,46 +103,43 @@ def _sigmoid(x: float) -> float:
     return 1.0 / (1.0 + math.exp(-x))
 
 
-def make_question(config: SyntheticSuiteConfig, index: int) -> tuple[Question, float | None]:
-    """Question `index` of the suite and its truth deviation, which `respond` takes.
+def make_questions(config: SyntheticSuiteConfig,
+                   indices: Iterable[int]) -> Iterator[tuple[Question, float | None]]:
+    """Questions `indices` of the suite with their truth deviations, in order, made one at a time.
 
     The first floor(proportion_fraction * n) questions are percent-kind with
     a logit-normal truth (schema exercise only) and no deviation (None); the
     rest are continuous with truth = latent center + Normal(0, sigma_true),
-    the normal draw being the deviation. A question depends only on the
-    config and its index.
+    the normal draw being the deviation, which `respond` takes. A question
+    depends only on the config and its index.
     """
     n_prop = int(math.floor(config.proportion_fraction * config.n_questions))
-    kind = TargetKind.PROPORTION if index < n_prop else TargetKind.CONTINUOUS
-    params = {"index": str(index)}
-    qid = question_id_for(f"{config.dataset_id}-{kind.value}", params)
-    deviation = None
-    if kind is TargetKind.PROPORTION:
-        theta = Random(derive_seed(config.seed, "prop-theta", qid)).gauss(_logit(0.3), 0.8)
-        truth = binomial_truth(round(config.proportion_n * _sigmoid(theta)), config.proportion_n)
-        prompt = (f"What percentage of the synthetic population has trait #{index}? "
-                  + PERCENT_INSTRUCTION)
-    else:
-        center = Random(derive_seed(config.seed, "center", qid)).gauss(
-            config.mu_center, config.mu_spread
-        )
-        deviation = Random(derive_seed(config.seed, "truth-dev", qid)).gauss(
-            0.0, config.sigma_true
-        )
-        value = center + deviation
-        half = Z_95 * config.sigma_true
-        truth = GroundTruth(value=value, lower=value - half, upper=value + half,
-                            n=1000, family=CIFamily.GAUSSIAN)
-        prompt = (f"Estimate synthetic quantity #{index} in its native units. "
-                  + CONTINUOUS_INSTRUCTION)
-    return Question(question_id=qid, dataset_id=config.dataset_id, params=params,
-                    prompt=prompt, kind=kind, truth=truth), deviation
-
-
-def make_questions(config: SyntheticSuiteConfig) -> Iterator[tuple[Question, float | None]]:
-    """Every question of the suite with its truth deviation, in order, made one at a time."""
-    for index in range(config.n_questions):
-        yield make_question(config, index)
+    for index in indices:
+        kind = TargetKind.PROPORTION if index < n_prop else TargetKind.CONTINUOUS
+        params = {"index": str(index)}
+        qid = question_id_for(f"{config.dataset_id}-{kind.value}", params)
+        deviation = None
+        if kind is TargetKind.PROPORTION:
+            theta = Random(derive_seed(config.seed, "prop-theta", qid)).gauss(_logit(0.3), 0.8)
+            truth = binomial_truth(round(config.proportion_n * _sigmoid(theta)),
+                                   config.proportion_n)
+            prompt = (f"What percentage of the synthetic population has trait #{index}? "
+                      + PERCENT_INSTRUCTION)
+        else:
+            center = Random(derive_seed(config.seed, "center", qid)).gauss(
+                config.mu_center, config.mu_spread
+            )
+            deviation = Random(derive_seed(config.seed, "truth-dev", qid)).gauss(
+                0.0, config.sigma_true
+            )
+            value = center + deviation
+            half = Z_95 * config.sigma_true
+            truth = GroundTruth(value=value, lower=value - half, upper=value + half,
+                                n=1000, family=CIFamily.GAUSSIAN)
+            prompt = (f"Estimate synthetic quantity #{index} in its native units. "
+                      + CONTINUOUS_INSTRUCTION)
+        yield Question(question_id=qid, dataset_id=config.dataset_id, params=params,
+                       prompt=prompt, kind=kind, truth=truth), deviation
 
 
 def make_suite(config: SyntheticSuiteConfig, out_dir: str | Path) -> dict:
@@ -151,11 +148,10 @@ def make_suite(config: SyntheticSuiteConfig, out_dir: str | Path) -> dict:
     The questions are made in contiguous slices, one per CPU (`slices.cpu_slices`).
     Each slice writes both of its files in one pass over its questions, each
     question made, written and answered in turn: the suite is never held in
-    memory. With more than one slice, each slice writes part files beside
-    the outputs (slice 0 in this process, each later one in a forked child),
-    and each output is then the header and the parts' rows in slice order,
-    copied by the kernel. A question depends only on the config and its
-    index, so the bytes do not depend on the number of slices. Timestamps
+    memory. With more than one slice, `slices.made_in_slices` has each slice
+    write part files beside the outputs and joins them into the outputs. A
+    question depends only on the config and its index, so the bytes do not
+    depend on the number of slices. Timestamps
     are fixed to the epoch so repeat runs are byte-identical. Returns a
     manifest dict with paths, counts, and the config hash.
     """
@@ -166,10 +162,9 @@ def make_suite(config: SyntheticSuiteConfig, out_dir: str | Path) -> dict:
     # The elicitor is a non-reasoning model without tools: `elicit` would send it these payloads.
     spec = ModelSpec(model_id=config.model_id, endpoint_url="", effort_mode=None)
 
-    def write_slice(questions: Iterable[tuple[Question, float | None]], corpus: Path,
-                    transcript: Path) -> None:
+    def write_slice(indices: range, corpus: Path, transcript: Path) -> None:
         def transcript_rows(write_question):
-            for q, deviation in questions:
+            for q, deviation in make_questions(config, indices):
                 write_question(q)
                 yield ElicitationRecord(
                     question_id=q.question_id,
@@ -187,21 +182,9 @@ def make_suite(config: SyntheticSuiteConfig, out_dir: str | Path) -> dict:
         with jsonl_writer(corpus, "corpus.v1", cfg_hash) as write_question:
             write_jsonl(transcript, "transcript.v1", cfg_hash, transcript_rows(write_question))
 
-    def write_part(indices: range, corpus_part: Path, transcript_part: Path) -> None:
-        write_slice((make_question(config, i) for i in indices), corpus_part, transcript_part)
-
     # Imported here, so that only `simulate` loads the fork code (see `slices`).
     from .slices import cpu_slices, made_in_slices
-    slices = cpu_slices(config.n_questions)
-    if len(slices) == 1:
-        write_slice(make_questions(config), corpus_path, transcript_path)
-    else:
-        with jsonl_joiner(corpus_path, "corpus.v1", cfg_hash) as append_corpus, \
-                jsonl_joiner(transcript_path, "transcript.v1", cfg_hash) as append_transcript, \
-                made_in_slices(slices, write_part, corpus_path, transcript_path) as parts:
-            for corpus_part, transcript_part in parts:
-                append_corpus(corpus_part)
-                append_transcript(transcript_part)
+    made_in_slices(cpu_slices(config.n_questions), write_slice, corpus_path, transcript_path)
     # names, not paths: manifests must stay byte-identical across directories
     return {
         "config_hash": cfg_hash,

@@ -41,7 +41,7 @@ def make_scored(value, lower, upper, truth_value, kind=TargetKind.CONTINUOUS,
 def scored_suite(config: SyntheticSuiteConfig) -> list[ScoredRecord]:
     """Synthetic questions answered, parsed, and scored through the real modules."""
     records = []
-    for q, deviation in make_questions(config):
+    for q, deviation in make_questions(config, range(config.n_questions)):
         outcome = extract_triplet(respond(config, q, deviation), q.kind)
         if not outcome.valid:
             continue

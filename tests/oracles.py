@@ -36,27 +36,6 @@ def naive_midranks(values):
     return out
 
 
-def kruskal_oracle(groups):
-    pooled = [x for g in groups for x in g]
-    n = len(pooled)
-    if all(x == pooled[0] for x in pooled):
-        return 0.0, 1.0
-    ranks = naive_midranks(pooled)
-    h = 0.0
-    start = 0
-    for g in groups:
-        rs = sum(ranks[start : start + len(g)])
-        h += rs * rs / len(g)
-        start += len(g)
-    h = 12.0 / (n * (n + 1)) * h - 3.0 * (n + 1)
-    tie_sum = 0.0
-    for x in set(pooled):
-        t = pooled.count(x)
-        tie_sum += t**3 - t
-    h /= 1.0 - tie_sum / (n**3 - n)
-    return h, float(sps.chi2.sf(h, len(groups) - 1))
-
-
 def wilcoxon_oracle(diffs):
     diffs = [d for d in diffs if d != 0.0]
     n = len(diffs)

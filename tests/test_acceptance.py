@@ -32,14 +32,13 @@ from elicitbench.metrics import (
     rate,
     relative_sharpness,
 )
-from elicitbench.stats import kruskal_wallis, rank_biserial, spearman, wilcoxon_signed_rank
+from elicitbench.stats import rank_biserial, spearman, wilcoxon_signed_rank
 from elicitbench.synthetic import SyntheticSuiteConfig
 
 from helpers import as_columns, make_scored, make_triplet, make_truth_binomial, scored_suite
 from oracles import (
     coverage_oracle,
     cv_oracle,
-    kruskal_oracle,
     mdape_oracle,
     nll_binomial_oracle,
     nll_gaussian_oracle,
@@ -224,12 +223,11 @@ def test_stats_oracles():
                 data = [float(rng.randint(-3, 3)) for _ in range(n)]  # heavy ties
             else:
                 data = [rng.gauss(0, 2) for _ in range(n)]
-            groups = [data, [x + rng.gauss(0.5, 1) for x in data],
-                      [rng.gauss(1, 2) for _ in range(rng.randint(4, 20))]]
-            h, p = kruskal_oracle(groups)
-            result = kruskal_wallis(groups)
-            assert abs(result.statistic - h) <= 1e-6
-            assert abs(result.p_value - p) <= 1e-4
+            # The draws of a retired three-group fixture, so the fixtures below keep their inputs.
+            for _ in data:
+                rng.gauss(0.5, 1)
+            for _ in range(rng.randint(4, 20)):
+                rng.gauss(1, 2)
 
             diffs = [rng.gauss(0.4, 1.2) for _ in range(n)]
             if trial % 4 == 0:
@@ -252,8 +250,6 @@ def test_stats_oracles():
 
         assert spearman([1, 2, 3, 4], [10, 20, 30, 40]).statistic == 1.0
         assert spearman([1, 2, 3, 4], [9, 7, 5, 3]).statistic == -1.0
-        identical = kruskal_wallis([[1, 2, 3], [1, 2, 3]])
-        assert identical.statistic == pytest.approx(0.0, abs=1e-12)
 
 
 def test_pipeline_determinism(tmp_path):

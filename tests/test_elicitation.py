@@ -47,7 +47,7 @@ def spec_for(url, **kwargs):
 
 
 def questions(n=2, seed=0):
-    return [q for q, _ in make_questions(SyntheticSuiteConfig(n_questions=n, seed=seed))]
+    return [q for q, _ in make_questions(SyntheticSuiteConfig(n_questions=n, seed=seed), range(n))]
 
 
 @pytest.fixture(autouse=True)
@@ -109,7 +109,7 @@ class TestBuildRequest:
 
     def test_percent_instruction_for_proportion(self):
         cfg = SyntheticSuiteConfig(n_questions=1, seed=0, proportion_fraction=1.0)
-        q, _ = next(make_questions(cfg))
+        q, _ = next(make_questions(cfg, range(1)))
         from dataclasses import replace
 
         bare = replace(q, prompt="Share of people with trait?")

@@ -55,6 +55,34 @@ class TestFixtureCorpus:
             assert outcome.reason.value == expect["reason"]
 
 
+def _misparse(text, kind, wrong, reason, name):
+    return pytest.param(text, kind, wrong, id=name, marks=pytest.mark.xfail(
+        strict=True, reason=f"ROADMAP item 16, a known misparse: {reason}"))
+
+
+class TestKnownMisparses:
+    """Replies the parser reads as a wrong triplet. A parser change that mends
+    one shows up as an XPASS: make it a fixture, and drop it here."""
+
+    @pytest.mark.parametrize("text, kind, wrong", [
+        _misparse("Estimate: 12.5% (95% CI: 10.1%–15.3%). This is based on 2019 data.",
+                  "proportion", (10.1, 15.3, 2019.0), "a trailing year is the upper bound",
+                  "year_2019"),
+        _misparse("Estimate: 12.5% (95% CI: 10.1%–15.3%). This is based on data as of 2021.",
+                  "proportion", (10.1, 15.3, 2021.0), "a trailing year is the upper bound",
+                  "as_of_2021"),
+        _misparse("Between 10 and 15 percent; my best guess is 12.", "proportion",
+                  (10.0, 12.0, 15.0), "a range written before the estimate is read as the "
+                  "last three numbers", "range_then_best_guess"),
+        _misparse("My estimate is 1.2 million, with a 95% interval of 0.9 million to "
+                  "1.6 million.", "continuous", (1.2, 0.9, 1.6),
+                  "the scale word is dropped", "millions"),
+    ])
+    def test_not_read_as_the_wrong_triplet(self, text, kind, wrong):
+        out = extract_triplet(text, kind)
+        assert not out.valid or (out.triplet.value, out.triplet.lower, out.triplet.upper) != wrong
+
+
 class TestGrammar:
     def test_labels_beat_bare_numbers(self):
         out = extract_triplet("Ranges 1 2 3 4; value: 20, lower: 17, upper: 23", "proportion")

@@ -6,6 +6,7 @@ import hashlib
 import json
 import os
 import re
+import sys
 from dataclasses import InitVar, dataclass, field
 from pathlib import Path
 
@@ -18,7 +19,7 @@ from elicitbench.corpus import CorpusConfig, GroundTruth, Question, QuestionTemp
 from elicitbench.elicitation import ElicitationRecord, ModelSpec, TransportStatus, VendorParam
 from elicitbench.errors import InputError, SchemaError, StageDependencyError
 from elicitbench.extraction import Outcome, ParsedRecord, Triplet
-from elicitbench.jsonlio import (as_row, config_hash, derive_seed, iter_jsonl, jsonl_joiner,
+from elicitbench.jsonlio import (append_rows, as_row, config_hash, derive_seed, iter_jsonl,
                                  load_row, read_jsonl, stable_hash64, write_jsonl, write_text)
 from elicitbench.metrics import ScoredRecord
 from elicitbench.synthetic import SyntheticSuiteConfig, make_questions
@@ -30,7 +31,7 @@ from oracles import load_row_reference
 def _written_records():
     """One instance of every record type that artifacts and config hashes serialize."""
     scored = make_scored(10.0, 8.0, 12.0, truth_value=11.0)
-    ((question, _),) = make_questions(SyntheticSuiteConfig(n_questions=1))
+    ((question, _),) = make_questions(SyntheticSuiteConfig(n_questions=1), range(1))
     transcript = ElicitationRecord(
         question_id="q", model_id="m", effort="low", tools_enabled=False, raw_text="42",
         request_timestamp="1970-01-01T00:00:00Z", latency_ms=0.0, attempt_count=1,
@@ -405,12 +406,15 @@ class TestJsonlJoiner:
         parts = [tmp_path / name for name in ("a", "b", "c")]
         for part, chunk in zip(parts, (rows[:3], [], rows[3:])):
             write_jsonl(part, "s.v1", "h", chunk)
+        preads, pread = [], os.pread
+        monkeypatch.setattr(os, "pread", lambda *args: preads.append(args) or pread(*args))
         if sendfile == "refused":  # as on macOS, where sendfile writes only to a socket
             def refuse(*args):
                 raise OSError(errno.ENOTSOCK, os.strerror(errno.ENOTSOCK))
 
             monkeypatch.setattr(os, "sendfile", refuse)
-        with jsonl_joiner(tmp_path / "joined.jsonl", "s.v1", "h") as append:
-            for part in parts:
-                append(part)
-        assert (tmp_path / "joined.jsonl").read_bytes() == (tmp_path / "whole.jsonl").read_bytes()
+        append_rows(parts[0], parts[1:])
+        assert parts[0].read_bytes() == (tmp_path / "whole.jsonl").read_bytes()
+        if sendfile == "kernel" and sys.platform == "linux":
+            # Linux's sendfile refuses a target opened with O_APPEND: no row passes through Python
+            assert preads == []

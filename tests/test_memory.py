@@ -129,7 +129,7 @@ def test_elicit_peak_does_not_grow_with_the_plan(tmp_path, monkeypatch):
                                  cfg_hash="h").ok == 3 * len(plan)
 
     # The questions are made before tracing: only run_batch's own allocations count.
-    small, large = ([q for q, _ in make_questions(SyntheticSuiteConfig(n_questions=n))]
+    small, large = ([q for q, _ in make_questions(SyntheticSuiteConfig(n_questions=n), range(n))]
                     for n in (700, 2800))
     assert elicit(small[:1])()  # loads the transport and concurrent.futures
     small_mb, large_mb = _traced_peak_mb(elicit(small)), _traced_peak_mb(elicit(large))

@@ -9,7 +9,6 @@ from elicitbench.errors import InputError
 from elicitbench.stats import (
     bonferroni,
     chi2_sf,
-    kruskal_wallis,
     midranks,
     normal_sf,
     rank_biserial,
@@ -19,26 +18,11 @@ from elicitbench.stats import (
 )
 
 from oracles import (
-    kruskal_oracle,
     naive_midranks,
     rank_biserial_oracle,
     spearman_oracle,
     wilcoxon_oracle,
 )
-
-
-def random_fixtures(seed, count):
-    rng = random.Random(seed)
-    out = []
-    for _ in range(count):
-        n = rng.randint(4, 40)
-        # mixed continuous and tie-heavy integer data
-        if rng.random() < 0.5:
-            data = [rng.gauss(0, 3) for _ in range(n)]
-        else:
-            data = [float(rng.randint(-4, 4)) for _ in range(n)]
-        out.append(data)
-    return out
 
 
 class TestTailProbabilities:
@@ -66,71 +50,6 @@ class TestMidranks:
         for _ in range(50):
             data = [float(rng.randint(0, 5)) for _ in range(rng.randint(1, 25))]
             assert list(midranks(data)) == naive_midranks(data)
-
-
-class TestKruskalWallis:
-    def test_identical_groups(self):
-        result = kruskal_wallis([[1, 2, 3], [1, 2, 3], [1, 2, 3]])
-        assert result.statistic == pytest.approx(0.0, abs=1e-12)
-        assert result.p_value == pytest.approx(1.0, abs=1e-12)
-
-    def test_all_constant(self):
-        result = kruskal_wallis([[5, 5], [5, 5, 5]])
-        assert result.statistic == 0.0 and result.p_value == 1.0
-
-    def test_fully_separated_fixture(self):
-        # hand-ranked: rank sums 6, 15, 24 -> H = 7.2
-        result = kruskal_wallis([[1, 2, 3], [10, 11, 12], [20, 21, 22]])
-        assert result.statistic == pytest.approx(7.2, abs=1e-9)
-        assert result.p_value == pytest.approx(0.02732372244729252, abs=1e-9)
-        assert result.p_value < 0.05
-
-    def test_single_group_rejected(self):
-        with pytest.raises(InputError):
-            kruskal_wallis([[1, 2, 3]])
-
-    def test_empty_group_rejected(self):
-        with pytest.raises(InputError, match="every group must be non-empty"):
-            kruskal_wallis([[1, 2, 3], []])
-
-    def test_fewer_than_three_observations_rejected(self):
-        with pytest.raises(InputError, match="at least 3 observations"):
-            kruskal_wallis([[1], [2]])
-
-    def test_matches_oracle_and_scipy(self):
-        fixtures = random_fixtures(21, 40)
-        rng = random.Random(22)
-        for _ in range(25):
-            k = rng.randint(2, 4)
-            groups = [rng.choice(fixtures) for _ in range(k)]
-            if all(x == groups[0][0] for g in groups for x in g):
-                continue
-            result = kruskal_wallis(groups)
-            h_o, p_o = kruskal_oracle(groups)
-            assert result.statistic == pytest.approx(h_o, abs=1e-6)
-            assert result.p_value == pytest.approx(p_o, abs=1e-4)
-            ref = sps.kruskal(*groups)
-            assert result.statistic == pytest.approx(float(ref.statistic), abs=1e-8)
-            assert result.p_value == pytest.approx(float(ref.pvalue), abs=1e-8)
-
-    def test_monotone_transform_invariance(self):
-        rng = random.Random(23)
-        groups = [[rng.gauss(0, 1) for _ in range(12)] for _ in range(3)]
-        base = kruskal_wallis(groups)
-        transformed = kruskal_wallis([[math.exp(x) for x in g] for g in groups])
-        assert base.statistic == pytest.approx(transformed.statistic, abs=1e-9)
-
-    def test_two_groups_approx_mann_whitney_z_squared(self):
-        rng = random.Random(24)
-        x = [rng.gauss(0, 1) for _ in range(120)]
-        y = [rng.gauss(0.4, 1) for _ in range(150)]
-        h = kruskal_wallis([x, y]).statistic
-        u = sum(1 for a in x for b in y if a > b) + 0.5 * sum(
-            1 for a in x for b in y if a == b
-        )
-        n1, n2 = len(x), len(y)
-        z = (u - n1 * n2 / 2) / math.sqrt(n1 * n2 * (n1 + n2 + 1) / 12)
-        assert h == pytest.approx(z * z, rel=0.02)
 
 
 class TestWilcoxon:

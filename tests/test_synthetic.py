@@ -1,5 +1,7 @@
 import dataclasses
+import errno
 import os
+import sys
 import threading
 from pathlib import Path
 
@@ -25,14 +27,14 @@ from helpers import as_columns, as_decoded, scored_suite
 class TestRespond:
     def test_deterministic_per_seed_and_question(self):
         cfg = SyntheticSuiteConfig(n_questions=5, seed=3, noise_sd=2.0, width_shrink=2.0)
-        questions = list(make_questions(cfg))
+        questions = list(make_questions(cfg, range(cfg.n_questions)))
         assert [respond(cfg, *qd) for qd in questions] == [respond(cfg, *qd) for qd in questions]
         other = dataclasses.replace(cfg, seed=4)
         assert respond(other, *questions[0]) != respond(cfg, *questions[0])
 
     def test_reply_parses_to_labeled_triplet(self):
         cfg = SyntheticSuiteConfig(n_questions=3, seed=1)
-        for q, deviation in make_questions(cfg):
+        for q, deviation in make_questions(cfg, range(cfg.n_questions)):
             out = extract_triplet(respond(cfg, q, deviation), q.kind)
             assert out.valid
             assert not out.triplet.bounds_reordered
@@ -41,7 +43,7 @@ class TestRespond:
         cfg = SyntheticSuiteConfig(n_questions=20, seed=2, refusal_rate=1.0)
         outcomes = [
             extract_triplet(respond(cfg, q, deviation), q.kind)
-            for q, deviation in make_questions(cfg)
+            for q, deviation in make_questions(cfg, range(cfg.n_questions))
         ]
         assert all(o.reason is InvalidReason.CLARIFICATION for o in outcomes)
 
@@ -67,7 +69,7 @@ class TestRespond:
         cfg = SyntheticSuiteConfig(n_questions=400, seed=5, refusal_rate=0.25)
         outcomes = [
             extract_triplet(respond(cfg, q, deviation), q.kind)
-            for q, deviation in make_questions(cfg)
+            for q, deviation in make_questions(cfg, range(cfg.n_questions))
         ]
         refusal_share = sum(not o.valid for o in outcomes) / len(outcomes)
         assert abs(refusal_share - 0.25) <= 0.05
@@ -93,7 +95,8 @@ class TestMakeSuite:
         make_suite(cfg, tmp_path)
         _, rows = read_jsonl(tmp_path / "transcript.jsonl", "transcript.v1", as_decoded)
         spec = ModelSpec(model_id="sim", endpoint_url="http://localhost:1/v1", effort_mode=None)
-        sent = {q.question_id: build_request(q, spec, EffortLevel.NONE) for q, _ in make_questions(cfg)}
+        sent = {q.question_id: build_request(q, spec, EffortLevel.NONE)
+                for q, _ in make_questions(cfg, range(cfg.n_questions))}
         assert {row["question_id"]: row["request_payload"] for row in rows} == sent
         assert {tuple(payload) for payload in sent.values()} == {("model", "messages", "temperature")}
 
@@ -108,7 +111,7 @@ class TestMakeSuite:
         # mixed kinds, refusals included: extraction -> metrics -> conformal
         cfg = SyntheticSuiteConfig(n_questions=150, seed=11, proportion_fraction=0.5,
                                    refusal_rate=0.1, width_shrink=2.0, noise_sd=1.0)
-        questions = [q for q, _ in make_questions(cfg)]
+        questions = [q for q, _ in make_questions(cfg, range(cfg.n_questions))]
         kinds = {q.kind for q in questions}
         assert kinds == {TargetKind.PROPORTION, TargetKind.CONTINUOUS}
         for q in questions:
@@ -123,7 +126,7 @@ class TestMakeSuite:
     def test_proportion_reply_clipped(self):
         cfg = SyntheticSuiteConfig(n_questions=40, seed=13, proportion_fraction=1.0,
                                    width_shrink=0.25, sigma_true=30.0)
-        for q, deviation in make_questions(cfg):
+        for q, deviation in make_questions(cfg, range(cfg.n_questions)):
             out = extract_triplet(respond(cfg, q, deviation), q.kind)
             assert out.valid
             assert 0.0 <= out.triplet.lower <= out.triplet.upper <= 100.0
@@ -160,6 +163,29 @@ class TestSlices:
         for name in names:
             assert (tmp_path / "sliced" / name).read_bytes() \
                 == (tmp_path / "serial" / name).read_bytes()
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="names a copied file by /proc/self/fd")
+    def test_a_failed_join_leaves_both_old_outputs(self, tmp_path, monkeypatch):
+        # The corpus joins, the transcript does not: a new corpus beside the old
+        # transcript would join silently, as a question id does not depend on the seed.
+        make_suite(dataclasses.replace(self.CONFIG, seed=8), tmp_path)
+        old = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+        def full_for_a_transcript_part(copy, source):
+            def copy_or_refuse(*args):
+                if "transcript.jsonl." in os.readlink(f"/proc/self/fd/{args[source]}"):
+                    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+                return copy(*args)
+
+            return copy_or_refuse
+
+        monkeypatch.setattr(os, "sendfile", full_for_a_transcript_part(os.sendfile, 1))
+        monkeypatch.setattr(os, "pread", full_for_a_transcript_part(os.pread, 0))
+        with pytest.raises(OSError) as raised:
+            make_suite(self.CONFIG, tmp_path)
+        assert raised.value.errno == errno.ENOSPC
+        assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == old
 
     def test_a_caller_running_another_thread_gets_one_slice(self, tmp_path, monkeypatch):
         # a forked child would hold none of the other threads (Python 3.12 warns on such a fork)
