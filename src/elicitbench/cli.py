@@ -21,7 +21,7 @@ from .conformal import ConformalConfig, calibrate_groups
 from .corpus import Question, TargetKind, TruthColumns, corpus_config_from_dict, generate_corpus
 from .elicitation import (DECODING, BatchResult, EffortLevel, ElicitationRecord, TransportStatus,
                           model_specs_from_config, run_batch)
-from .errors import (ConfigError, ElicitBenchError, InputError, SchemaError,
+from .errors import (EXIT_INTERRUPTED, ConfigError, ElicitBenchError, InputError, SchemaError,
                      StageDependencyError)
 from .extraction import Outcome, ParsedRecord, extract_triplet
 from .jsonlio import (
@@ -49,7 +49,6 @@ K = TypeVar("K")
 
 EXIT_OK = 0
 EXIT_PARTIAL_TRANSPORT = 4
-EXIT_INTERRUPTED = 130  # 128 + SIGINT, the shell's code for a Ctrl-C
 
 
 def _require(path: str | Path, produced_by: str) -> Path:

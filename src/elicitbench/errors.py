@@ -3,6 +3,8 @@
 Each class carries the process exit code the CLI maps it to.
 """
 
+EXIT_INTERRUPTED = 130  # 128 + SIGINT, the shell's code for a Ctrl-C
+
 
 class ElicitBenchError(Exception):
     exit_code = 1

@@ -21,7 +21,7 @@ from itertools import chain
 from pathlib import Path
 from typing import Callable, NoReturn
 
-from .errors import ConfigError, ElicitBenchError
+from .errors import EXIT_INTERRUPTED, ConfigError, ElicitBenchError
 from .jsonlio import append_rows
 
 
@@ -50,7 +50,6 @@ class _SliceError(ElicitBenchError):
         self.exit_code = exit_code
 
 
-_EXIT_INTERRUPTED = 130  # a slice stopped by SIGTERM, as the CLI exits on Ctrl-C
 _REPORT_BYTES = 4096  # a pipe holds at least this much, so a failing slice never blocks on it
 
 
@@ -76,7 +75,7 @@ def _run_slice(mask: set, report: int, write: Callable[[], None]) -> NoReturn:
             write()
             code = 0
         except KeyboardInterrupt:
-            code = _EXIT_INTERRUPTED
+            code = EXIT_INTERRUPTED  # stopped by SIGTERM: the CLI's code for a Ctrl-C
         except (ElicitBenchError, OSError) as exc:
             code = exc.exit_code if isinstance(exc, ElicitBenchError) else ConfigError.exit_code
             os.write(report, str(exc).encode("utf-8")[:_REPORT_BYTES])
@@ -89,20 +88,16 @@ def _run_slice(mask: set, report: int, write: Callable[[], None]) -> NoReturn:
 def made_in_slices(slices: list[range], write: Callable[..., None], *outputs: Path) -> None:
     """Write the outputs by `write(indices, *paths)`, called once for each slice.
 
-    With one slice, `write` writes the outputs themselves. Otherwise slice k
-    writes its part of each output, `<output>.<pid>.part<k>` beside it: this
-    process writes slice 0 and a forked child each later slice. A slice's
-    failure is raised here (KeyboardInterrupt for an interrupted slice).
-    Once every slice is written, the rows of the later parts are appended to
-    each output's slice-0 part in slice order (`jsonlio.append_rows`), and
-    only when every output is joined are those parts renamed into place: a
-    failure leaves every old output as it was. When this returns or raises,
-    each child still running is stopped and waited for, and every part file
-    is removed.
+    Slice k writes its part of each output, `<output>.<pid>.part<k>` beside
+    it: this process writes slice 0 and a forked child each later slice. A
+    slice's failure is raised here (KeyboardInterrupt for an interrupted
+    slice). Once every slice is written, the rows of the later parts are
+    appended to each output's slice-0 part in slice order
+    (`jsonlio.append_rows`), and only when every output is joined are those
+    parts renamed into place: a failure leaves every old output as it was,
+    however many slices there are. When this returns or raises, each child
+    still running is stopped and waited for, and every part file is removed.
     """
-    if len(slices) == 1:
-        write(slices[0], *outputs)
-        return
     stamp = os.getpid()
     parts = [[path.with_name(f"{path.name}.{stamp}.part{k}") for k in range(len(slices))]
              for path in outputs]  # each output's parts, in slice order
@@ -130,7 +125,7 @@ def made_in_slices(slices: list[range], write: Callable[..., None], *outputs: Pa
             del children[child]
             with open(report, "rb") as pipe:
                 message = pipe.read().decode("utf-8", "replace")
-            if code == _EXIT_INTERRUPTED:
+            if code == EXIT_INTERRUPTED:
                 raise KeyboardInterrupt
             if code:
                 raise _SliceError(message or f"questions {indices.start} to {indices.stop - 1} "

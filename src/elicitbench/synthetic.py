@@ -148,12 +148,12 @@ def make_suite(config: SyntheticSuiteConfig, out_dir: str | Path) -> dict:
     The questions are made in contiguous slices, one per CPU (`slices.cpu_slices`).
     Each slice writes both of its files in one pass over its questions, each
     question made, written and answered in turn: the suite is never held in
-    memory. With more than one slice, `slices.made_in_slices` has each slice
-    write part files beside the outputs and joins them into the outputs. A
-    question depends only on the config and its index, so the bytes do not
-    depend on the number of slices. Timestamps
-    are fixed to the epoch so repeat runs are byte-identical. Returns a
-    manifest dict with paths, counts, and the config hash.
+    memory. `slices.made_in_slices` has each slice write part files beside
+    the outputs and joins them into the outputs, which replace the old ones
+    together. A question depends only on the config and its index, so the
+    bytes do not depend on the number of slices. Timestamps are fixed to the
+    epoch so repeat runs are byte-identical. Returns a manifest dict with
+    paths, counts, and the config hash.
     """
     out_dir = Path(out_dir)
     cfg_hash = config_hash(config)

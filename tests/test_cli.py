@@ -530,8 +530,11 @@ class TestExitCodes:
         assert all(r["transport_status"] == "ok" for r in rows)
 
     def test_ctrl_c_during_simulate_is_130_and_leaves_no_temp_file(self, tmp_path):
+        # one slice: this process writes every part itself, and no child is forked
         out = tmp_path / "suite"
-        child = ("import signal, sys; signal.signal(signal.SIGINT, signal.default_int_handler); "
+        child = ("import os, signal, sys; "
+                 "signal.signal(signal.SIGINT, signal.default_int_handler); "
+                 "os.sched_getaffinity = lambda pid: {0}; "
                  "from elicitbench.cli import main; sys.exit(main(sys.argv[1:]))")
         src = str(Path(__file__).parents[1] / "src")
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(
@@ -551,7 +554,7 @@ class TestExitCodes:
             proc.kill()
         assert proc.returncode == 130, err
         assert "Traceback" not in err and len(err.splitlines()) == 1, err
-        assert not list(out.glob(".*.tmp"))
+        assert list(out.iterdir()) == []
 
     def test_ctrl_c_to_the_process_group_stops_every_slice_and_leaves_no_file(self, tmp_path):
         # two slices: the child that makes the second is interrupted with the parent

@@ -14,6 +14,7 @@ from elicitbench.errors import ConfigError
 from elicitbench.extraction import InvalidReason, extract_triplet
 from elicitbench.jsonlio import read_jsonl
 from elicitbench.metrics import rate
+from elicitbench.slices import cpu_slices
 from elicitbench.synthetic import (
     SyntheticSuiteConfig,
     make_questions,
@@ -186,6 +187,39 @@ class TestSlices:
             make_suite(self.CONFIG, tmp_path)
         assert raised.value.errno == errno.ENOSPC
         assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == old
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="names a synced file by /proc/self/fd")
+    def test_a_failed_write_with_one_slice_leaves_both_old_outputs(self, tmp_path, monkeypatch):
+        # The transcript is written inside the corpus's pass, so it is done first:
+        # a new transcript beside the old corpus would join silently.
+        make_suite(dataclasses.replace(self.CONFIG, seed=8), tmp_path)
+        old = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        fsync = os.fsync
+
+        def failing_for_the_corpus(fd):
+            if "corpus.jsonl." in os.readlink(f"/proc/self/fd/{fd}"):
+                raise OSError(errno.EIO, os.strerror(errno.EIO))
+            return fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", failing_for_the_corpus)
+        with pytest.raises(OSError) as raised:
+            make_suite(self.CONFIG, tmp_path)
+        assert raised.value.errno == errno.EIO
+        assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == old
+
+    def test_a_platform_without_fork_gets_one_slice(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        make_suite(self.CONFIG, tmp_path / "serial")
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.delattr(os, "fork")  # so any fork raises AttributeError
+        assert cpu_slices(self.CONFIG.n_questions) == [range(self.CONFIG.n_questions)]
+        make_suite(self.CONFIG, tmp_path / "sliced")
+        names = ["corpus.jsonl", "transcript.jsonl"]
+        assert sorted(path.name for path in (tmp_path / "sliced").iterdir()) == names
+        for name in names:
+            assert (tmp_path / "sliced" / name).read_bytes() \
+                == (tmp_path / "serial" / name).read_bytes()
 
     def test_a_caller_running_another_thread_gets_one_slice(self, tmp_path, monkeypatch):
         # a forked child would hold none of the other threads (Python 3.12 warns on such a fork)
